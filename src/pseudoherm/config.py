@@ -23,6 +23,11 @@ from .errors import SpecError
 from .operators import Operator, Tolerance
 from .wavekernel import PiecewisePotential
 
+# Largest Schroedinger grid a spec may ask for. Every task holds dense complex
+# N x N arrays (16 N^2 bytes each: 268 MB at 4097), so a larger N is refused
+# at load time, before anything is allocated.
+MAX_GRID_POINTS = 4097
+
 _COMPLEX = {
     "type": "array",
     "prefixItems": [{"type": "number"}, {"type": "number"}],
@@ -65,7 +70,7 @@ SCHEMA = {
                     "required": ["L", "N", "breakpoints", "values", "epsilon"],
                     "properties": {
                         "L": {"type": "number", "exclusiveMinimum": 0},
-                        "N": {"type": "integer", "minimum": 16},
+                        "N": {"type": "integer", "minimum": 16, "maximum": MAX_GRID_POINTS},
                         "breakpoints": {
                             "type": "array",
                             "minItems": 1,

@@ -140,6 +140,11 @@ def bch_conjugate(H: Operator, Q: Operator, k_max: int) -> Operator:
 
 def herm_exp(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:
     """e^(-Q) for Hermitian Q via unitary diagonalization; Hermitian positive definite."""
+    return herm_exp_eig(Q, tol)[0]
+
+
+def herm_exp_eig(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, np.ndarray]:
+    """(e^(-Q), w) with w the ascending eigenvalues of Q, so e^(-Q) has spectrum e^(-w)."""
     q = _as_matrix(Q)
     if not is_hermitian(q, tol):
         raise StructureError(
@@ -147,7 +152,7 @@ def herm_exp(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:
         )
     w, u = np.linalg.eigh((q + q.conj().T) / 2)
     m = (u * np.exp(-w)) @ u.conj().T
-    return Operator((m + m.conj().T) / 2)
+    return Operator((m + m.conj().T) / 2), w
 
 
 def herm_sqrt_inv(M: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:

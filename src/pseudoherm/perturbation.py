@@ -34,7 +34,7 @@ from .operators import (
     Operator,
     Tolerance,
     commutator,
-    herm_exp,
+    herm_exp_eig,
     max_norm,
 )
 from .spectral import MetricOperator, Provenance, pseudo_hermiticity_residual
@@ -197,6 +197,22 @@ def order_equation_rhs(
     return Operator(r)
 
 
+def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian part of h, in real arithmetic when h has no imaginary part."""
+    if not h.imag.any():
+        return np.linalg.eigh((h.real + h.real.T) / 2)
+    return np.linalg.eigh((h + h.conj().T) / 2)
+
+
+def _check_sylvester(h0: np.ndarray, r: np.ndarray, tol: Tolerance) -> None:
+    if h0.shape != r.shape:
+        raise ShapeError(f"dimension mismatch: {h0.shape} vs {r.shape}")
+    if max_norm(h0 - h0.conj().T) > tol.bound(max_norm(h0)):
+        raise StructureError("H0 must be Hermitian")
+    if max_norm(r + r.conj().T) > tol.bound(max_norm(r)):
+        raise StructureError("source R must be anti-Hermitian")
+
+
 def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:
     """Minimal-norm Hermitian Q with [H0, Q] = R, solved in the H0 eigenbasis.
 
@@ -204,14 +220,15 @@ def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> 
     abs_tol count as degenerate and their entries are gauged to zero, which
     is only consistent when the source vanishes there (Fredholm condition).
     """
-    h0, r = H0.mat, R.mat
-    if h0.shape != r.shape:
-        raise ShapeError(f"dimension mismatch: {h0.shape} vs {r.shape}")
-    if max_norm(h0 - h0.conj().T) > tol.bound(max_norm(h0)):
-        raise StructureError("H0 must be Hermitian")
-    if max_norm(r + r.conj().T) > tol.bound(max_norm(r)):
-        raise StructureError("source R must be anti-Hermitian")
-    e, u = np.linalg.eigh((h0 + h0.conj().T) / 2)
+    _check_sylvester(H0.mat, R.mat, tol)
+    return _sylvester_eigenbasis(_hermitian_eigh(H0.mat), R.mat, tol)
+
+
+def _sylvester_eigenbasis(
+    eigensystem: tuple[np.ndarray, np.ndarray], r: np.ndarray, tol: Tolerance
+) -> Operator:
+    """sylvester_solve given H0's (E, U); the inputs are already checked."""
+    e, u = eigensystem
     rt = u.conj().T @ r @ u
     gaps = e[:, None] - e[None, :]
     degenerate = np.abs(gaps) <= tol.abs_tol
@@ -245,9 +262,13 @@ def solve_q_series(
     h0 = split.H0.mat
     terms: tuple = ()
     glog = []
+    # one factorization of H0 serves every order; it is not kept past the
+    # solve, so it adds nothing to the memory held by later tasks
+    h0_eig = _hermitian_eigh(h0)
     for m in range(1, ell + 1):
         rm = order_equation_rhs(split, QSeries(terms) if terms else None, m, tol)
-        qm = sylvester_solve(split.H0, rm, tol)
+        _check_sylvester(h0, rm.mat, tol)
+        qm = _sylvester_eigenbasis(h0_eig, rm.mat, tol)
         entry = {"order": m, "gauge": "minimal", "rhs_norm": max_norm(rm.mat)}
         if m in gauge:
             g = gauge[m].mat
@@ -271,9 +292,49 @@ def solve_q_series(
 
 
 def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
-    """eta = e^(-sum_j Q_j eps^j): Hermitian positive definite by construction."""
-    op = herm_exp(q.summed(epsilon))
-    return MetricOperator(op, Provenance("perturbative", order=q.order, epsilon=epsilon))
+    """eta = e^(-sum_j Q_j eps^j): Hermitian positive definite by construction.
+
+    eta's eigenvalues are e^(-w) over the eigenvalues w of Q(eps), so the
+    metric carries (e^(-w_max), e^(-w_min)) as its eig_range.
+    """
+    op, w = herm_exp_eig(q.summed(epsilon))
+    return MetricOperator(
+        op,
+        Provenance("perturbative", order=q.order, epsilon=epsilon),
+        (float(np.exp(-w[-1])), float(np.exp(-w[0]))),
+    )
+
+
+def _decreasing_eps(eps_list) -> np.ndarray:
+    eps = np.asarray(eps_list, dtype=float)
+    if eps.size < 3:
+        raise DomainError(f"need at least 3 epsilon values, got {eps.size}")
+    if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+        raise DomainError("eps_list must be strictly decreasing and positive")
+    return eps
+
+
+def _fit_slope(eps: np.ndarray, residuals: np.ndarray) -> float:
+    """Least-squares slope of log residual vs log eps.
+
+    Called directly by the public fitting functions: the noise-floor warning
+    names their caller's line (stacklevel 3).
+    """
+    if np.any(residuals < NOISE_FLOOR):
+        warnings.warn(
+            f"residuals reach the noise floor (min {residuals.min():.3e}); "
+            "scaling slope is indeterminate",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    slope, _ = np.polyfit(np.log(eps), np.log(np.maximum(residuals, 1e-300)), 1)
+    return float(slope)
+
+
+def curve_slope(curve) -> float:
+    """scaling_exponent's fit applied to an existing residual_curve result."""
+    eps = _decreasing_eps([e for e, _ in curve])
+    return _fit_slope(eps, np.asarray([r for _, r in curve], dtype=float))
 
 
 def scaling_exponent(split: SplitHamiltonian, q: QSeries, eps_list) -> float:
@@ -284,28 +345,14 @@ def scaling_exponent(split: SplitHamiltonian, q: QSeries, eps_list) -> float:
     order-1 solution, so the order-1 slope is 3, not 2. order_residual on a
     series padded with zero terms gives the exact leading order.
 
+    Equals curve_slope(residual_curve(split, q, eps_list)) bitwise; a caller
+    that already holds the curve should fit it with curve_slope instead.
     Warns (and still returns the slope) when any residual sits at the noise
     floor, where the fit is indeterminate.
     """
-    eps = np.asarray(eps_list, dtype=float)
-    if eps.size < 3:
-        raise DomainError(f"need at least 3 epsilon values, got {eps.size}")
-    if np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
-        raise DomainError("eps_list must be strictly decreasing and positive")
-    residuals = []
-    for e in eps:
-        eta = metric_from_series(q, e)
-        residuals.append(pseudo_hermiticity_residual(split.total(e), eta))
-    residuals = np.asarray(residuals)
-    if np.any(residuals < NOISE_FLOOR):
-        warnings.warn(
-            f"residuals reach the noise floor (min {residuals.min():.3e}); "
-            "scaling slope is indeterminate",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    slope, _ = np.polyfit(np.log(eps), np.log(np.maximum(residuals, 1e-300)), 1)
-    return float(slope)
+    eps = _decreasing_eps(eps_list)
+    residuals = np.asarray([r for _, r in residual_curve(split, q, eps)])
+    return _fit_slope(eps, residuals)
 
 
 def residual_curve(split: SplitHamiltonian, q: QSeries, eps_list) -> list[tuple[float, float]]:

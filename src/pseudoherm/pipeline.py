@@ -24,13 +24,13 @@ from .config import (
     WaveTask,
 )
 from .errors import PseudohermError
-from .operators import Operator, Tolerance, classify, max_norm
+from .operators import Operator, Tolerance, max_norm
 from .perturbation import (
     SplitHamiltonian,
+    curve_slope,
     metric_from_series,
     order_residual,
     residual_curve,
-    scaling_exponent,
     solve_q_series,
 )
 from .spectral import (
@@ -39,7 +39,6 @@ from .spectral import (
     equivalent_hermitian,
     pseudo_hermiticity_residual,
     spectral_metric,
-    spectrum_is_real,
 )
 from .wavekernel import (
     discretize_schroedinger,
@@ -124,7 +123,7 @@ def _spectral_task(ctx: _RunContext) -> dict:
     ]
     data = {
         "spectrum": _pairs(sys.eigenvalues),
-        "spectrum_is_real": bool(spectrum_is_real(H, ctx.tol)),
+        "spectrum_is_real": sys.spectrum_is_real(ctx.tol),
         "gram_defect": float(sys.gram_defect()),
     }
     P = ctx.parity_matrix()
@@ -157,12 +156,12 @@ def _perturbative_task(ctx: _RunContext, task: PerturbativeTask) -> dict:
     herm = max(max_norm(t.mat - t.mat.conj().T) for t in q.terms)
     verdicts.append(_verdict("q_terms_hermitian", herm, 1e-12 * max(1.0, qscale)))
     eta = metric_from_series(q, split.epsilon)
-    flags = classify(eta.op, ctx.tol)
+    lowest = eta.eig_range[0]
     verdicts.append(
         {
             "name": "metric_positive_definite",
-            "ok": bool(flags.positive_definite),
-            "value": float(np.linalg.eigvalsh(eta.mat)[0]),
+            "ok": bool(lowest > ctx.tol.abs_tol),
+            "value": float(lowest),
             "threshold": float(ctx.tol.abs_tol),
         }
     )
@@ -185,7 +184,7 @@ def _scaling_task(ctx: _RunContext, task: ScalingTask) -> dict:
     order, q = ctx.solved
     split = ctx.get_split()
     curve = residual_curve(split, q, task.eps_list)
-    slope = scaling_exponent(split, q, task.eps_list)
+    slope = curve_slope(curve)
     expected_min = order + 1 - 0.4
     data = {
         "order": order,

@@ -38,15 +38,24 @@ COND_CAP = 1e8
 
 @dataclass(frozen=True)
 class BiorthonormalSystem:
-    """Eigenvalues with right (psi) and left (phi) eigenvector columns."""
+    """Eigenvalues with right (psi) and left (phi) eigenvector columns.
+
+    right_singular_values are the descending singular values of psi, or
+    None when the system was assembled without them.
+    """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
+    right_singular_values: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    def spectrum_is_real(self, tol: Tolerance = DEFAULT_TOL) -> bool:
+        """spectrum_is_real's rule applied to the eigenvalues already computed."""
+        return _is_real(self.eigenvalues, tol)
 
     def gram_defect(self) -> float:
         g = self.left_vectors.conj().T @ self.right_vectors
@@ -71,8 +80,15 @@ class Provenance:
 
 @dataclass(frozen=True)
 class MetricOperator:
+    """A metric operator eta with its provenance.
+
+    eig_range is eta's (smallest, largest) eigenvalue when the constructor
+    already knows it from its own factorization, else None.
+    """
+
     op: Operator
     provenance: Provenance
+    eig_range: tuple[float, float] | None = None
 
     @property
     def mat(self) -> np.ndarray:
@@ -105,41 +121,65 @@ def biorthonormal_eigensystem(
         nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
         phase = col[nz] / abs(col[nz])
         v[:, n] = col / phase
-    cond = np.linalg.cond(v)
+    sv = np.linalg.svd(v, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[0] / sv[-1]
     if not np.isfinite(cond) or cond > cond_cap:
         raise DiagonalizabilityError(
             f"eigenvector matrix condition number {cond:.3e} exceeds cap {cond_cap:.1e}; "
             "operator treated as defective"
         )
     phi = np.linalg.inv(v).conj().T
-    return BiorthonormalSystem(w, v, phi)
+    return BiorthonormalSystem(w, v, phi, sv)
 
 
-def spectrum_is_real(H: Operator, tol: Tolerance = DEFAULT_TOL) -> bool:
-    w = np.linalg.eigvals(H.mat)
+def _is_real(w: np.ndarray, tol: Tolerance) -> bool:
     return bool(np.abs(w.imag).max() <= tol.bound(np.abs(w).max()))
 
 
+def spectrum_is_real(H: Operator, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return _is_real(np.linalg.eigvals(H.mat), tol)
+
+
 def spectral_metric(sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOL) -> MetricOperator:
-    """eta = sum_n |phi_n><phi_n|; requires a real spectrum."""
+    """eta = sum_n |phi_n><phi_n|; requires a real spectrum.
+
+    Since phi = inv(psi)^dagger, eta's eigenvalues are 1/sigma^2 over the
+    singular values sigma of psi; the metric carries their range.
+    """
     scale = np.abs(sys.eigenvalues).max()
     for n, e in enumerate(sys.eigenvalues):
         if abs(e.imag) > tol.bound(scale):
             raise RealityError(f"eigenvalue E_{n} = {e:.12g} is not real within tolerance")
     phi = sys.left_vectors
     eta = phi @ phi.conj().T
-    return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"))
+    sv = sys.right_singular_values
+    eig_range = None if sv is None else (float(sv[0] ** -2), float(sv[-1] ** -2))
+    return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"), eig_range)
 
 
 def pseudo_hermiticity_residual(H: Operator, eta) -> float:
-    """||H^dagger eta - eta H|| in max-norm (multiplied-through form)."""
+    """||H^dagger eta - eta H|| in max-norm (multiplied-through form).
+
+    Raises InvertibilityError when eta is numerically singular: its smallest
+    singular value is at or below DEFAULT_TOL.bound(largest). For a metric
+    the package builds (spectral_metric, metric_from_series) these are the
+    eig_range it carries, eta's known extreme eigenvalues, so no
+    factorization runs here. For a metric a user passes in (a raw array, an
+    Operator, or a MetricOperator without eig_range) they come from an SVD
+    of eta.
+    """
     h = H.mat
     e = _metric_matrix(eta)
     if e.shape != h.shape:
         raise ShapeError(f"dimension mismatch: {e.shape} vs {h.shape}")
-    sv = np.linalg.svd(e, compute_uv=False)
-    if sv[-1] <= DEFAULT_TOL.bound(sv[0]):
-        raise InvertibilityError(f"metric is numerically singular (smallest sv {sv[-1]:.3e})")
+    if isinstance(eta, MetricOperator) and eta.eig_range is not None:
+        lo, hi = eta.eig_range
+    else:
+        sv = np.linalg.svd(e, compute_uv=False)
+        lo, hi = sv[-1], sv[0]
+    if lo <= DEFAULT_TOL.bound(hi):
+        raise InvertibilityError(f"metric is numerically singular (smallest sv {lo:.3e})")
     return max_norm(h.conj().T @ e - e @ h)
 
 
@@ -151,7 +191,7 @@ def equivalent_hermitian(
 ) -> tuple[Operator, Operator]:
     """h = rho H rho^{-1} with rho = eta^{1/2}; Hermitian, isospectral with H."""
     e = _metric_matrix(eta)
-    res = pseudo_hermiticity_residual(H, e)
+    res = pseudo_hermiticity_residual(H, eta)
     if residual_threshold is None:
         residual_threshold = 1e-8 * max(1.0, max_norm(H.mat) * max_norm(e))
     if res > residual_threshold:
@@ -206,8 +246,8 @@ def metric_intertwiner(eta1, eta2, H: Operator, tol: Tolerance = DEFAULT_TOL) ->
     e1 = _metric_matrix(eta1)
     e2 = _metric_matrix(eta2)
     scale = max_norm(H.mat)
-    for name, e in (("eta1", e1), ("eta2", e2)):
-        res = pseudo_hermiticity_residual(H, e)
+    for name, eta, e in (("eta1", eta1, e1), ("eta2", eta2, e2)):
+        res = pseudo_hermiticity_residual(H, eta)
         if res > 1e-8 * max(1.0, scale * max_norm(e)):
             raise ResidualError(f"{name} is not a valid metric for H: residual {res:.3e}")
     s1, is1 = herm_sqrt_inv(Operator(e1), tol)

@@ -5,7 +5,21 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from pseudoherm import canonical_json, load_spec, run_model_spec
+from pseudoherm import (
+    SchroedingerModel,
+    SplitHamiltonian,
+    Tolerance,
+    biorthonormal_eigensystem,
+    canonical_json,
+    classify,
+    discretize_schroedinger,
+    load_spec,
+    metric_from_series,
+    run_model_spec,
+    solve_q_series,
+    spectral_metric,
+    spectrum_is_real,
+)
 from pseudoherm.cli import main
 
 
@@ -79,6 +93,96 @@ def test_run_model_spec_deterministic():
     a = canonical_json(run_model_spec(spec, seed=0))
     b = canonical_json(run_model_spec(spec, seed=0))
     assert a == b
+
+
+def test_run_model_spec_factorizes_once(linalg_counter):
+    # one eig (spectrum), one svd (eigenvector conditioning, which also gives
+    # the spectral eta's range), one eigh each for H0, rho = eta^(1/2) and the
+    # five e^(-Q(eps)); no second look at a spectrum already computed
+    report = run_model_spec(load_spec(shipped("step_potential.json")))
+    assert report["all_passed"] is True
+    got = dict(linalg_counter)
+    assert got.get("eig", 0) == 1
+    assert got.get("svd", 0) <= 1
+    assert got.get("eigh", 0) <= 7
+    assert got.get("eigvals", 0) == got.get("eigvalsh", 0) == got.get("cond", 0) == 0, got
+
+
+@pytest.mark.parametrize(
+    "name", ["step_potential.json", "pt_toy_2x2.json", "random_real_spectrum.json"]
+)
+def test_report_spectrum_is_real_matches_spectrum_is_real(name):
+    spec = load_spec(shipped(name))
+    report = run_model_spec(spec)
+    task = next(r for r in report["tasks"] if r["task"] == "spectral")
+    m = spec.model
+    if isinstance(m, SchroedingerModel):
+        H = discretize_schroedinger(m.potential, m.L, m.N, m.epsilon).total()
+    else:
+        H = m.H
+    assert task["data"]["spectrum_is_real"] is spectrum_is_real(H, spec.tolerance)
+
+
+def _nonnormal_spec(tmp_path, t):
+    doc = {
+        "name": "nonnormal",
+        "model": {"matrix": [[[1.0, 0.0], [t, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]},
+        "tasks": [{"kind": "spectral"}],
+    }
+    return load_spec(write_spec(tmp_path, doc))
+
+
+def test_spectral_task_singular_metric_threshold(tmp_path):
+    # H = [[1, t], [0, 2]]: eta's range is about (1/2, 2t^2). An SVD of the
+    # formed eta calls it singular from t = 5000 on this grid, and the spectral
+    # task, which decides from eta's known range, must fail from the same t.
+    ts = [1e3, 4e3, 4.9e3, 4.99e3, 5.0e3, 5.01e3, 5.1e3, 6e3, 2e4, 1e5, 1e7]
+    singular = [False] * 4 + [True] * 7
+    for t, expect in zip(ts, singular):
+        spec = _nonnormal_spec(tmp_path, t)
+        eta = spectral_metric(biorthonormal_eigensystem(spec.model.H))
+        sv = np.linalg.svd(eta.mat, compute_uv=False)
+        assert bool(sv[-1] <= spec.tolerance.bound(sv[0])) is expect
+        error = run_model_spec(spec)["tasks"][0]["error"]
+        assert (error or "").startswith("InvertibilityError") is expect, (t, error)
+
+
+def _stiff_split_spec(tmp_path, a):
+    # H0 = diag(1, 2), H1 = a [[0, 1], [-1, 0]], eps = 1: Q_1 has eigenvalues
+    # +-2a, so eta = e^(-Q) spans (e^(-2a), e^(2a))
+    doc = {
+        "name": "stiff",
+        "model": {
+            "split_matrix": {
+                "H0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+                "H1": [[[0.0, 0.0], [a, 0.0]], [[-a, 0.0], [0.0, 0.0]]],
+                "epsilon": 1.0,
+            }
+        },
+        "tasks": [{"kind": "perturbative", "order": 1}],
+    }
+    return load_spec(write_spec(tmp_path, doc))
+
+
+def test_perturbative_metric_not_positive_definite_verdict(tmp_path):
+    spec = _stiff_split_spec(tmp_path, 4.0)  # smallest eigenvalue e^-8 = 3.4e-4
+    tol = Tolerance(1e-3, spec.tolerance.rel_tol)
+    (task,) = run_model_spec(spec, abs_tol=tol.abs_tol)["tasks"]
+    assert task["error"] is None
+    verdict = next(v for v in task["verdicts"] if v["name"] == "metric_positive_definite")
+    m = spec.model
+    split = SplitHamiltonian(m.H0, m.H1, m.epsilon)
+    eta = metric_from_series(solve_q_series(split, 1, tol=tol), m.epsilon)
+    assert verdict["ok"] is False
+    assert verdict["ok"] is classify(eta.op, tol).positive_definite
+    assert verdict["value"] == pytest.approx(np.exp(-8.0), rel=1e-12)
+
+
+def test_perturbative_singular_metric_recorded(tmp_path):
+    # e^-30 = 9e-14: eta is singular, and the task stops at its residual
+    (task,) = run_model_spec(_stiff_split_spec(tmp_path, 15.0))["tasks"]
+    assert task["ok"] is False
+    assert task["error"].startswith("InvertibilityError")
 
 
 def test_cli_run_writes_report(tmp_path, capsys):

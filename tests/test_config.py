@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from importlib import resources
 
 import numpy as np
@@ -12,6 +13,7 @@ from pseudoherm import (
     SplitMatrixModel,
     load_spec,
 )
+from pseudoherm.cli import main
 
 
 def shipped(name):
@@ -175,6 +177,20 @@ def test_post_validation_schroedinger():
         load_doc(schro(values=[0.5, 1.0, -1.0, 0.0]))  # outer not zero
     with pytest.raises(SpecError):
         load_doc(schro(L=0.5))  # support outside the box
+
+
+def test_oversized_grid_fails_fast(tmp_path, capsys):
+    load_doc(schro(N=2049))  # the largest grid in use still loads
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps(schro(N=10**6)))
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    rc = main(["run", str(spec), "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    assert "$.model.schroedinger.N" in capsys.readouterr().err
+    assert elapsed < 1.0
+    assert not out.exists()
 
 
 def test_post_validation_parity():

@@ -14,6 +14,7 @@ from pseudoherm import (
     StructureError,
     classify,
     commutator,
+    curve_slope,
     master_formula_coefficients,
     master_formula_rhs,
     max_norm,
@@ -244,6 +245,8 @@ def test_metric_from_series_positive_definite():
     assert eta.provenance.epsilon == 0.1
     res = pseudo_hermiticity_residual(split.total(0.1), eta)
     assert res < 1e-3  # truncation error, not roundoff
+    w = np.linalg.eigvalsh(eta.mat)
+    assert np.allclose(eta.eig_range, (w[0], w[-1]), rtol=1e-12, atol=0)
 
 
 def test_residual_curve_and_scaling_exponent():
@@ -256,6 +259,7 @@ def test_residual_curve_and_scaling_exponent():
     assert all(rs[i] > rs[i + 1] for i in range(3))
     slope = scaling_exponent(split, series, eps)
     assert 2.6 < slope < 3.4  # odd-gauge series gains one extra order
+    assert slope == curve_slope(curve)  # the pipeline fits the curve it holds
 
 
 def test_scaling_exponent_input_validation():
@@ -275,6 +279,29 @@ def test_scaling_exponent_noise_floor_warning():
     series = QSeries((Operator(np.zeros((2, 2))),))
     with pytest.warns(RuntimeWarning):
         scaling_exponent(split, series, [0.1, 0.05, 0.025])
+
+
+def test_noise_floor_warning_names_the_caller():
+    split = SplitHamiltonian(Operator(np.diag([1.0, 2.0])), Operator(np.zeros((2, 2))), 0.1)
+    series = QSeries((Operator(np.zeros((2, 2))),))
+    eps = [0.1, 0.05, 0.025]
+    curve = residual_curve(split, series, eps)
+    for fit in (lambda: scaling_exponent(split, series, eps), lambda: curve_slope(curve)):
+        with pytest.warns(RuntimeWarning) as record:
+            fit()
+        assert record[0].filename == __file__
+
+
+def test_solve_q_series_diagonalizes_h0_once(monkeypatch):
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.dtype) or eigh(a))
+    split = fixed_split(6, seed=3)
+    real = SplitHamiltonian(Operator(split.H0.mat.real), split.H1, split.epsilon)
+    for s, dtype in ((split, complex), (real, float)):
+        seen.clear()
+        solve_q_series(s, 3)  # raises unless every order residual vanishes
+        assert seen == [np.dtype(dtype)]  # real arithmetic when H0 has no imaginary part
 
 
 def test_random_admissible_split_structure():

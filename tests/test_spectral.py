@@ -4,6 +4,7 @@ import pytest
 from pseudoherm import (
     DiagonalizabilityError,
     DomainError,
+    InvertibilityError,
     Operator,
     PositivityError,
     RealityError,
@@ -21,6 +22,7 @@ from pseudoherm import (
     spectrum_is_real,
     symmetry_rescaled_metric,
 )
+from pseudoherm.operators import DEFAULT_TOL
 from helpers import random_diagonalizable, toy_2x2
 
 
@@ -69,8 +71,11 @@ def test_defective_matrix_rejected():
 
 
 def test_spectrum_is_real():
-    assert spectrum_is_real(Operator(np.array([[1.0, 1.0], [0.5, 2.0]])))
-    assert not spectrum_is_real(Operator(np.array([[0.0, 1.0], [-1.0, 0.0]])))
+    for m, real in (([[1.0, 1.0], [0.5, 2.0]], True), ([[0.0, 1.0], [-1.0, 0.0]], False)):
+        h = Operator(np.array(m))
+        assert spectrum_is_real(h) is real
+        # the pipeline's route: the same rule on the eigenvalues eig already gave
+        assert biorthonormal_eigensystem(h).spectrum_is_real() is real
 
 
 def test_spectral_metric_worked_example():
@@ -93,6 +98,8 @@ def test_spectral_metric_properties():
         eta = spectral_metric(biorthonormal_eigensystem(h))
         flags = classify(eta.op)
         assert flags.hermitian and flags.positive_definite
+        w = np.linalg.eigvalsh(eta.mat)
+        assert np.allclose(eta.eig_range, (w[0], w[-1]), rtol=1e-10, atol=0)
         scale = max_norm(h.mat) * max_norm(eta.mat)
         assert pseudo_hermiticity_residual(h, eta) < 1e-10 * max(1.0, scale)
         assert eta.provenance.kind == "spectral"
@@ -111,6 +118,34 @@ def test_pseudo_hermiticity_residual_singular_metric():
 
     with pytest.raises(InvertibilityError):
         pseudo_hermiticity_residual(h, np.diag([1.0, 0.0]))
+
+
+def nonnormal(t):
+    """Spectrum {1, 2}; the eigenvector condition number grows like 2t."""
+    return Operator(np.array([[1.0, t], [0.0, 2.0]]))
+
+
+# eta's eigenvalues are about 1/2 and 2t^2, so eta counts as singular from
+# 1/2 <= 1e-10 + 1e-8 * 2t^2, i.e. t ~ 5000, long before the cond cap
+# (t ~ 5e7) makes biorthonormal_eigensystem refuse H.
+@pytest.mark.parametrize(
+    "t, singular",
+    [(1e3, False), (4.9e3, False), (4.99e3, False), (5.01e3, True), (5.1e3, True), (1e6, True)],
+)
+def test_singular_metric_decision_matches_svd(t, singular):
+    h = nonnormal(t)
+    eta = spectral_metric(biorthonormal_eigensystem(h))
+    sv = np.linalg.svd(eta.mat, compute_uv=False)
+    assert bool(sv[-1] <= DEFAULT_TOL.bound(sv[0])) is singular
+    lo, hi = eta.eig_range
+    assert bool(lo <= DEFAULT_TOL.bound(hi)) is singular
+    # known range (MetricOperator) and SVD (bare matrix) routes decide alike
+    for metric in (eta, eta.mat):
+        if singular:
+            with pytest.raises(InvertibilityError):
+                pseudo_hermiticity_residual(h, metric)
+        else:
+            assert pseudo_hermiticity_residual(h, metric) < 1e-8 * max_norm(eta.mat) * t
 
 
 def test_equivalent_hermitian_isospectral():
