@@ -1,11 +1,16 @@
 """Task orchestration: model spec in, verification report out.
 
 Tasks run sequentially in spec order; a failing task yields a failure record
-and never suppresses the others. Later tasks may reference earlier results
-(scaling consumes the perturbative series). Every boolean verdict carries
-the numeric residual and threshold it came from. Given the same spec and
-seed the report is byte-identical across runs: no timestamps, a fixed RNG
-stream, and canonical serialization downstream.
+and never suppresses the others. Each task appends its verdicts to the
+record as soon as they are decided, so a typed error raised later in the
+task keeps the verdicts that came before it. Later tasks may reference
+earlier results (scaling consumes the perturbative series). Every boolean
+verdict carries the numeric residual and threshold it came from.
+
+Given the same spec, seed, tolerance and BLAS thread count the report is
+byte-identical across runs: no timestamps, a fixed RNG stream, and canonical
+serialization downstream. Across BLAS thread counts the noise-level residuals
+may move in their last digits; verdict names, ok flags and errors do not.
 """
 
 from __future__ import annotations
@@ -106,21 +111,19 @@ class _RunContext:
         return Operator(np.eye(m.N)[::-1].copy(), label="grid reflection")
 
 
-def _spectral_task(ctx: _RunContext) -> dict:
+def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     H = ctx.hamiltonian()
     sys = biorthonormal_eigensystem(H, ctx.tol)
     eta = spectral_metric(sys, ctx.tol)
     scale = max(1.0, max_norm(H.mat) * max_norm(eta.mat))
     residual = pseudo_hermiticity_residual(H, eta)
+    verdicts.append(_verdict("pseudo_hermiticity_residual", residual, RESIDUAL_REL * scale))
     h, _rho = equivalent_hermitian(H, eta, ctx.tol)
     herm_defect = max_norm(h.mat - h.mat.conj().T)
+    verdicts.append(_verdict("equivalent_hermitian_defect", herm_defect,
+                             RESIDUAL_REL * max(1.0, max_norm(h.mat))))
     completeness = sys.completeness_defect()
-    verdicts = [
-        _verdict("pseudo_hermiticity_residual", residual, RESIDUAL_REL * scale),
-        _verdict("equivalent_hermitian_defect", herm_defect,
-                 RESIDUAL_REL * max(1.0, max_norm(h.mat))),
-        _verdict("completeness_defect", completeness, RESIDUAL_REL * scale),
-    ]
+    verdicts.append(_verdict("completeness_defect", completeness, RESIDUAL_REL * scale))
     data = {
         "spectrum": _pairs(sys.eigenvalues),
         "spectrum_is_real": sys.spectrum_is_real(ctx.tol),
@@ -138,16 +141,15 @@ def _spectral_task(ctx: _RunContext) -> dict:
         if p_residual <= 1e-10 * max(1.0, max_norm(H.mat) * max_norm(P.mat)):
             verdicts.append(_verdict("c_commutes_with_H", comm,
                                      RESIDUAL_REL * max(1.0, max_norm(H.mat))))
-    return {"data": data, "verdicts": verdicts}
+    return data
 
 
-def _perturbative_task(ctx: _RunContext, task: PerturbativeTask) -> dict:
+def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list) -> dict:
     split = ctx.get_split()
     q = solve_q_series(split, task.order, tol=ctx.tol)
     ctx.solved = (task.order, q)
     scale = max(1.0, max_norm(split.H0.mat) + max_norm(split.H1.mat))
     qscale = max(1.0, max(max_norm(t.mat) for t in q.terms))
-    verdicts = []
     residuals = []
     for m in range(1, task.order + 1):
         rm = max_norm(order_residual(split, q, m).mat)
@@ -175,10 +177,10 @@ def _perturbative_task(ctx: _RunContext, task: PerturbativeTask) -> dict:
         "gauge_log": [dict(g) for g in q.gauge_log],
         "q_term_norms": [float(max_norm(t.mat)) for t in q.terms],
     }
-    return {"data": data, "verdicts": verdicts}
+    return data
 
 
-def _scaling_task(ctx: _RunContext, task: ScalingTask) -> dict:
+def _scaling_task(ctx: _RunContext, task: ScalingTask, verdicts: list) -> dict:
     if ctx.solved is None:
         raise PseudohermError("scaling requires a perturbative task earlier in the task list")
     order, q = ctx.solved
@@ -192,40 +194,44 @@ def _scaling_task(ctx: _RunContext, task: ScalingTask) -> dict:
         "slope": float(slope),
         "expected_min_slope": float(expected_min),
     }
-    verdict = {
-        "name": "residual_order_contract",
-        "ok": bool(slope >= expected_min),
-        "value": float(slope),
-        "threshold": float(expected_min),
-    }
-    return {"data": data, "verdicts": [verdict]}
+    verdicts.append(
+        {
+            "name": "residual_order_contract",
+            "ok": bool(slope >= expected_min),
+            "value": float(slope),
+            "threshold": float(expected_min),
+        }
+    )
+    return data
 
 
-def _wave_task(ctx: _RunContext) -> dict:
+def _wave_task(ctx: _RunContext, verdicts: list) -> dict:
     model = ctx.spec.model
     if not isinstance(model, SchroedingerModel):
         raise PseudohermError("the wave task applies only to schroedinger models")
     v = model.potential
     split = ctx.get_split()
     K = particular_kernel_q1(v)
+    V = potential_antiderivative(v)
+    grid = grid_points(model.L, model.N)
+    vmax = float(np.abs(V(grid)).max())
     herm = hermiticity_defect(K, samples=400, rng=ctx.rng)
-    M = kernel_to_matrix(K, model.L, model.N)
-    offdiag = offdiagonal_commutator_check(split, M, band_exclude=2)
+    verdicts.append(
+        _verdict("kernel_hermiticity_defect", herm, KERNEL_HERM_TOL * max(1.0, vmax))
+    )
     xs = np.linspace(-(model.L - 1.0), model.L - 1.0, 41)
     jump = jump_condition_defect(K, v, 1e-3, xs)
-    V = potential_antiderivative(v)
-    vmax = float(np.abs(V(grid_points(model.L, model.N))).max())
-    grid = grid_points(model.L, model.N)
-    slice_vals = np.asarray(K(grid, 0.0))
-    verdicts = [
-        _verdict("kernel_hermiticity_defect", herm, KERNEL_HERM_TOL * max(1.0, vmax)),
-        _verdict("jump_condition_defect", jump, JUMP_TOL),
+    verdicts.append(_verdict("jump_condition_defect", jump, JUMP_TOL))
+    M = kernel_to_matrix(K, model.L, model.N)
+    offdiag = offdiagonal_commutator_check(split, M, band_exclude=2)
+    verdicts.append(
         _verdict(
             "offdiagonal_commutator_defect",
             offdiag,
             RESIDUAL_REL * max(1.0, max_norm(split.H0.mat) * max_norm(M.mat)),
-        ),
-    ]
+        )
+    )
+    slice_vals = np.asarray(K(grid, 0.0))
     data = {
         "kernel_slice": {
             "y0": 0.0,
@@ -236,7 +242,7 @@ def _wave_task(ctx: _RunContext) -> dict:
         },
         "antiderivative_max": vmax,
     }
-    return {"data": data, "verdicts": verdicts}
+    return data
 
 
 def run_model_spec(spec: ModelSpec, seed: int = 0, abs_tol: float | None = None) -> dict:
@@ -246,20 +252,19 @@ def run_model_spec(spec: ModelSpec, seed: int = 0, abs_tol: float | None = None)
     records = []
     for task in spec.tasks:
         record = {"task": task.kind, "ok": True, "error": None, "data": {}, "verdicts": []}
+        verdicts = record["verdicts"]
         try:
             if isinstance(task, SpectralTask):
-                result = _spectral_task(ctx)
+                record["data"] = _spectral_task(ctx, verdicts)
             elif isinstance(task, PerturbativeTask):
-                result = _perturbative_task(ctx, task)
+                record["data"] = _perturbative_task(ctx, task, verdicts)
             elif isinstance(task, ScalingTask):
-                result = _scaling_task(ctx, task)
+                record["data"] = _scaling_task(ctx, task, verdicts)
             elif isinstance(task, WaveTask):
-                result = _wave_task(ctx)
+                record["data"] = _wave_task(ctx, verdicts)
             else:  # pragma: no cover
                 raise PseudohermError(f"unknown task {task!r}")
-            record["data"] = result["data"]
-            record["verdicts"] = result["verdicts"]
-            record["ok"] = all(v["ok"] for v in result["verdicts"])
+            record["ok"] = all(v["ok"] for v in verdicts)
         except PseudohermError as exc:
             record["ok"] = False
             record["error"] = f"{type(exc).__name__}: {exc}"

@@ -15,17 +15,33 @@ enforced by HomogeneousPair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from . import _backend
 from .errors import DomainError, StructureError
 from .operators import Operator, max_norm
 from .perturbation import SplitHamiltonian
 
 CONSTRAINT_TOL = 1e-10
+
+
+def _potential_values(x: np.ndarray, breaks: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """vals[i] on (breaks[i-1], breaks[i]); the two-sided average at a breakpoint."""
+    left = np.searchsorted(breaks, x, side="left")
+    right = np.searchsorted(breaks, x, side="right")
+    avg = 0.5 * (vals[left] + vals[np.minimum(left + 1, len(vals) - 1)])
+    return np.where(left != right, avg, vals[right])
+
+
+def _antiderivative_values(
+    x: np.ndarray, breaks: np.ndarray, vknots: np.ndarray, vals: np.ndarray
+) -> np.ndarray:
+    """Continuous piecewise-linear V with V(breaks[i]) = vknots[i], slope vals[i+1] right of it."""
+    idx = np.searchsorted(breaks, x, side="right") - 1
+    anchored = np.maximum(idx, 0)
+    return vknots[anchored] + vals[anchored + (idx >= 0)] * (x - breaks[anchored])
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,7 @@ class PiecewisePotential:
 
     def __call__(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = _backend.potential_values(np.ascontiguousarray(arr), self.breakpoints, self.values)
+        out = _potential_values(arr, self.breakpoints, self.values)
         return out if np.ndim(x) else float(out[0])
 
 
@@ -90,9 +106,7 @@ def potential_antiderivative(v: PiecewisePotential) -> Callable:
 
     def V(x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = _backend.antiderivative_values(
-            np.ascontiguousarray(arr), v.breakpoints, knots, v.values
-        )
+        out = _antiderivative_values(arr, v.breakpoints, knots, v.values)
         return out if np.ndim(x) else float(out[0])
 
     return V
@@ -100,7 +114,7 @@ def potential_antiderivative(v: PiecewisePotential) -> Callable:
 
 @dataclass(frozen=True)
 class KernelFunction:
-    """Two-variable kernel with optional fast grid fill.
+    """Two-variable kernel.
 
     evaluator maps broadcastable (x, y) to complex values; singular_line
     marks a sign(x-y) discontinuity; domain_box is the half-width of the
@@ -110,14 +124,11 @@ class KernelFunction:
     evaluator: Callable
     singular_line: bool
     domain_box: float
-    grid: Callable | None = field(default=None, compare=False)
 
     def __call__(self, x, y):
         return self.evaluator(x, y)
 
     def on_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        if self.grid is not None:
-            return self.grid(xs, ys)
         return self.evaluator(xs[:, None], ys[None, :])
 
 
@@ -128,22 +139,13 @@ def particular_kernel_q1(v: PiecewisePotential) -> KernelFunction:
 
     def ev(x, y):
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        s2 = np.ascontiguousarray(0.5 * (xb + yb)).ravel()
-        vv = _backend.antiderivative_values(s2, v.breakpoints, knots, v.values)
+        s2 = (0.5 * (xb + yb)).ravel()
+        vv = _antiderivative_values(s2, v.breakpoints, knots, v.values)
         sgn = np.sign(xb - yb).ravel()
         out = (0.5j * (vv * sgn)).reshape(xb.shape)
         return out if out.shape else complex(out)
 
-    def fill(xs, ys):
-        return _backend.q1_matrix(
-            np.ascontiguousarray(np.asarray(xs, dtype=float)),
-            np.ascontiguousarray(np.asarray(ys, dtype=float)),
-            v.breakpoints,
-            knots,
-            v.values,
-        )
-
-    return KernelFunction(ev, singular_line=True, domain_box=box, grid=fill)
+    return KernelFunction(ev, singular_line=True, domain_box=box)
 
 
 @dataclass(frozen=True)
@@ -207,16 +209,7 @@ def general_kernel(
         )
         return out if out.shape else complex(out)
 
-    def fill(xs, ys):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        return (
-            particular.on_grid(xs, ys)
-            + np.asarray(hom.f(xs[:, None] - ys[None, :]), dtype=complex)
-            + np.asarray(hom.g(xs[:, None] + ys[None, :]), dtype=complex)
-        )
-
-    return KernelFunction(ev, particular.singular_line, particular.domain_box, grid=fill)
+    return KernelFunction(ev, particular.singular_line, particular.domain_box)
 
 
 def hermiticity_defect(K: KernelFunction, samples: int, rng=None) -> float:
@@ -300,6 +293,6 @@ def offdiagonal_commutator_check(
     h0, h1, m = split.H0.mat, split.H1.mat, M.mat
     n = m.shape[0]
     defect = h0 @ m - m @ h0 + 2.0 * h1
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
     mask = (np.abs(i - j) > band_exclude) & (np.minimum(i, j) > 2) & (np.maximum(i, j) < n - 3)
     return max_norm(defect[mask])

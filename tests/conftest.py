@@ -3,15 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pseudoherm import _backend
-
 COUNTED_LINALG = ("svd", "eig", "eigvals", "eigh", "eigvalsh", "cond")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_backend():
-    # jit compilation must not count against runtime-capped tests
-    _backend.warmup()
 
 
 @pytest.fixture

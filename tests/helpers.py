@@ -1,8 +1,33 @@
 """Shared builders for test instances."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import pseudoherm
 from pseudoherm import Operator, SplitHamiltonian
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_cli(args, blas_threads=None):
+    """`python -m pseudoherm.cli *args` in a fresh process, importing this package.
+
+    The child finds the package the tests imported (an installed copy or the
+    source tree) through PYTHONPATH. blas_threads, when given, pins every
+    BLAS thread-count variable.
+    """
+    env = dict(os.environ)
+    src = str(Path(pseudoherm.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if blas_threads is not None:
+        env.update({var: str(blas_threads) for var in BLAS_THREAD_VARS})
+    return subprocess.run(
+        [sys.executable, "-m", "pseudoherm.cli", *args], env=env, capture_output=True, text=True
+    )
 
 
 def random_diagonalizable(dim, rng, cond_cap=100.0, spread=5.0):

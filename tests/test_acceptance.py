@@ -18,8 +18,6 @@ method alongside their convergence bands:
   function, on the rows away from the steps of v.
 """
 
-import subprocess
-import sys
 import time
 from importlib import resources
 
@@ -56,7 +54,7 @@ from pseudoherm import (
     sylvester_solve,
     symmetry_rescaled_metric,
 )
-from helpers import commuting_gauge, fixed_split, random_diagonalizable, toy_2x2
+from helpers import commuting_gauge, fixed_split, random_diagonalizable, run_cli, toy_2x2
 
 
 def report(label, ok, detail, elapsed, cap):
@@ -407,11 +405,7 @@ def test_cli_end_to_end_deterministic(tmp_path):
     codes = []
     for run in ("a", "b"):
         out = tmp_path / run
-        proc = subprocess.run(
-            [sys.executable, "-m", "pseudoherm.cli", "run", spec, "--out", str(out), "--seed", "0"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli(["run", spec, "--out", str(out), "--seed", "0"])
         codes.append(proc.returncode)
         outputs.append((out / "step_potential_report.json").read_bytes())
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 import io
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from pseudoherm import (
     spectrum_is_real,
 )
 from pseudoherm.cli import main
+
+from helpers import run_cli
 
 
 def shipped(name):
@@ -179,10 +182,57 @@ def test_perturbative_metric_not_positive_definite_verdict(tmp_path):
 
 
 def test_perturbative_singular_metric_recorded(tmp_path):
-    # e^-30 = 9e-14: eta is singular, and the task stops at its residual
+    # e^-30 = 9e-14: eta is singular, and the task stops at its residual;
+    # the verdicts decided before that stay in the record
     (task,) = run_model_spec(_stiff_split_spec(tmp_path, 15.0))["tasks"]
     assert task["ok"] is False
     assert task["error"].startswith("InvertibilityError")
+    names = [v["name"] for v in task["verdicts"]]
+    assert names == ["order_1_residual", "q_terms_hermitian", "metric_positive_definite"]
+    verdict = task["verdicts"][-1]
+    assert verdict["ok"] is False
+    assert verdict["value"] < 1e-12
+
+
+def test_spectral_verdicts_kept_when_c_operator_raises(tmp_path):
+    doc = json.loads(Path(shipped("pt_toy_2x2.json")).read_text())
+    doc["parity"] = [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]  # P^2 != I
+    (task,) = run_model_spec(load_spec(write_spec(tmp_path, doc)))["tasks"]
+    assert task["ok"] is False
+    assert task["error"].startswith("StructureError")
+    assert [v["name"] for v in task["verdicts"]] == [
+        "pseudo_hermiticity_residual",
+        "equivalent_hermitian_defect",
+        "completeness_defect",
+    ]
+    assert all(v["ok"] for v in task["verdicts"])
+    assert task["data"] == {}
+
+
+def _floats_masked(doc):
+    if isinstance(doc, float):
+        return float
+    if isinstance(doc, dict):
+        return {k: _floats_masked(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_floats_masked(v) for v in doc]
+    return doc
+
+
+def test_cli_report_thread_count_contract(tmp_path):
+    # same spec, seed, tolerance and BLAS thread count: byte-identical reports;
+    # across thread counts only numeric values may move (by rounding)
+    spec = shipped("step_potential.json")
+    reports = {}
+    for run, threads in (("a", 1), ("b", 1), ("c", 2)):
+        out = tmp_path / run
+        proc = run_cli(["run", spec, "--out", str(out), "--seed", "0"], blas_threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        reports[run] = (out / "step_potential_report.json").read_bytes()
+    assert reports["a"] == reports["b"]
+    # verdict names, ok flags, errors and all other non-float fields included
+    one, two = (json.loads(reports[r]) for r in ("a", "c"))
+    assert _floats_masked(one) == _floats_masked(two)
 
 
 def test_cli_run_writes_report(tmp_path, capsys):

@@ -58,6 +58,7 @@ def test_step_potential_values():
     assert v(np.array([1.0]))[0] == -0.5
     assert v(np.array([-1.0]))[0] == 0.5
     assert v.support == (-1.0, 1.0)
+    assert potential_antiderivative(v)(0.0) == 0.0  # the anchor is exact
 
 
 def test_antiderivative_of_step():
@@ -223,6 +224,16 @@ def test_offdiagonal_commutator_negative_control():
     dx = 8.0 / 64
     M = Operator((xs[:, None] ** 2 * xs[None, :]) * dx)
     assert offdiagonal_commutator_check(split, M, band_exclude=2) > 1e-1
+
+
+def test_kernel_to_matrix_antisymmetric_and_matches_closed_form():
+    L, N = 4.0, 129
+    M = kernel_to_matrix(particular_kernel_q1(step_potential()), L, N)
+    assert np.array_equal(M.mat, -M.mat.T)  # odd under (x, y) swap, bitwise
+    xs = grid_points(L, N)
+    dx = 2.0 * L / (N - 1)
+    exact = closed_form_step_q1(xs[:, None], xs[None, :])
+    assert max_norm(M.mat / dx - exact) <= 1e-14
 
 
 def test_kernel_to_matrix_quadrature_factor():
