@@ -6,12 +6,14 @@
 
 The default output directory is PSEUDOHERM_OUT_DIR, else the current
 directory. Exit codes: 0 all verdicts pass, 1 a task or verdict failed,
-2 the spec did not load.
+2 the spec did not load or an argument is invalid (--tol must be finite
+and >= 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -35,6 +37,17 @@ ORDERS_SEED = 20240
 ORDERS_DIM = 6
 
 
+def _abs_tol(text: str) -> float:
+    """--tol: a finite number >= 0; anything else exits 2 through argparse."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pseudoherm",
@@ -47,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--out", default=None, help="output directory (default: $PSEUDOHERM_OUT_DIR or .)")
     r.add_argument("--format", choices=["json", "csv"], default="json")
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--tol", type=float, default=None, metavar="ABS",
+    r.add_argument("--tol", type=_abs_tol, default=None, metavar="ABS",
                    help="override the absolute tolerance")
 
     v = sub.add_parser("validate", help="schema-check a model spec")

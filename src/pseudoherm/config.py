@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,15 +197,41 @@ def _to_matrix(rows, path: str) -> Operator:
     return Operator(m)
 
 
+def _token(text: str) -> str:
+    return text if len(text) <= 24 else f"{text[:12]}...({len(text)} characters)"
+
+
+def _non_finite(text: str):
+    raise SpecError(f"non-finite number {_token(text)} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise SpecError(f"number {_token(text)} is out of the finite float range")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    _finite_float(text)
+    return int(text)
+
+
 def load_spec(source) -> ModelSpec:
-    """Parse, schema-validate, and type a model spec from a path or stream."""
+    """Parse, schema-validate, and type a model spec from a path or stream.
+
+    Every number must be a finite float. json.loads alone would admit NaN,
+    Infinity and -Infinity and round 1e400 to inf; these, and integers beyond
+    the float range, raise SpecError naming the token.
+    """
     if hasattr(source, "read"):
         text = source.read()
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float,
+                         parse_int=_finite_int)
     except json.JSONDecodeError as exc:
         raise SpecError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     errors = sorted(_VALIDATOR.iter_errors(raw), key=lambda e: e.json_path)

@@ -74,6 +74,8 @@ class QSeries:
 
     terms: tuple
     gauge_log: tuple = field(default=(), compare=False)
+    # (residual, bound) per order as solve_q_series checked it; () if hand-built
+    order_checks: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
@@ -146,6 +148,20 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
+def _chain_sum(split: SplitHamiltonian, terms: list, m: int):
+    """order_residual's sum over the given Q_j; chains through a missing Q_j are skipped."""
+    res = 2.0 * split.H1.mat if m == 1 else 0  # 0 + array: no zero matrix
+    for head, budget in ((split.H0.mat, m), (split.H1.mat, m - 1)):
+        for comp in _compositions(budget):
+            if not comp or max(comp) > len(terms):
+                continue
+            x = head
+            for j in comp:
+                x = commutator(x, terms[j - 1])
+            res = res + x / math.factorial(len(comp))
+    return res
+
+
 def order_residual(split: SplitHamiltonian, q: QSeries, m: int) -> Operator:
     """Coefficient of eps^m in e^(-Q) H e^(Q) - H^dagger, expanded exactly.
 
@@ -158,36 +174,22 @@ def order_residual(split: SplitHamiltonian, q: QSeries, m: int) -> Operator:
         raise DomainError(f"m must be >= 1, got {m}")
     if m > q.order:
         raise DomainError(f"order {m} exceeds available terms ({q.order})")
-    terms = [t.mat for t in q.terms]
-    h0, h1 = split.H0.mat, split.H1.mat
-    res = 2.0 * h1 if m == 1 else np.zeros_like(h0)
-    for head, budget in ((h0, m), (h1, m - 1)):
-        for comp in _compositions(budget):
-            k = len(comp)
-            if k == 0:
-                continue
-            x = head
-            for j in comp:
-                x = commutator(x, terms[j - 1])
-            res = res + x / math.factorial(k)
-    return Operator(res)
+    return Operator(_chain_sum(split, [t.mat for t in q.terms], m))
 
 
 def order_equation_rhs(
     split: SplitHamiltonian, q_lower: QSeries | None, m: int, tol: Tolerance = DEFAULT_TOL
 ) -> Operator:
-    """R_m with [H0, Q_m] = R_m, isolated by zeroing the Q_m slot.
+    """R_m with [H0, Q_m] = R_m: minus the order-m residual without Q_m.
 
-    Q_m enters the order-m residual only through [H0, Q_m], so
-    R_m = -order_residual evaluated with Q_m = 0. R_m must come out
-    anti-Hermitian for the equation to admit a Hermitian solution.
+    Q_m enters the order-m residual only through [H0, Q_m], so R_m is the
+    negated chain sum over Q_1 .. Q_{m-1}. R_m must come out anti-Hermitian
+    for the equation to admit a Hermitian solution.
     """
     lower = () if q_lower is None else q_lower.terms
     if len(lower) != m - 1:
         raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {len(lower)}")
-    zero = Operator(np.zeros((split.dim, split.dim), dtype=complex))
-    padded = QSeries(lower + (zero,))
-    r = -order_residual(split, padded, m).mat
+    r = -_chain_sum(split, [t.mat for t in lower], m)
     defect = max_norm(r + r.conj().T)
     if defect > tol.bound(max(max_norm(r), max_norm(split.H1.mat))):
         raise ConsistencyError(
@@ -254,7 +256,8 @@ def solve_q_series(
 
     gauge maps an order m to a Hermitian H0-commuting addition to Q_m
     (validated; recorded in the gauge log). On return every order residual
-    1..ell vanishes within tolerance.
+    1..ell, which is |[H0, Q_m] - R_m| once Q_m is solved, vanishes within
+    tolerance; order_checks holds each (residual, bound).
     """
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
@@ -262,6 +265,7 @@ def solve_q_series(
     h0 = split.H0.mat
     terms: tuple = ()
     glog = []
+    residuals = []
     # one factorization of H0 serves every order; it is not kept past the
     # solve, so it adds nothing to the memory held by later tasks
     h0_eig = _hermitian_eigh(h0)
@@ -279,16 +283,16 @@ def solve_q_series(
             qm = Operator(qm.mat + g)
             entry["gauge"] = "minimal+custom"
             entry["custom_norm"] = max_norm(g)
+        residuals.append(max_norm(commutator(h0, qm.mat) - rm.mat))
         terms = terms + (qm,)
         glog.append(entry)
-    series = QSeries(terms, tuple(glog))
     scale = max(1.0, max_norm(h0) + max_norm(split.H1.mat))
-    qscale = max(1.0, max(max_norm(t.mat) for t in series.terms))
-    for m in range(1, ell + 1):
-        res = max_norm(order_residual(split, series, m).mat)
-        if res > tol.bound(scale * qscale**m):
+    qscale = max(1.0, max(max_norm(t.mat) for t in terms))
+    checks = tuple((r, tol.bound(scale * qscale**m)) for m, r in enumerate(residuals, start=1))
+    for m, (res, bound) in enumerate(checks, start=1):
+        if res > bound:
             raise ConsistencyError(f"order-{m} residual {res:.3e} after solve")
-    return series
+    return QSeries(terms, tuple(glog), checks)
 
 
 def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:

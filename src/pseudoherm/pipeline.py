@@ -34,7 +34,6 @@ from .perturbation import (
     SplitHamiltonian,
     curve_slope,
     metric_from_series,
-    order_residual,
     residual_curve,
     solve_q_series,
 )
@@ -148,15 +147,11 @@ def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list)
     split = ctx.get_split()
     q = solve_q_series(split, task.order, tol=ctx.tol)
     ctx.solved = (task.order, q)
-    scale = max(1.0, max_norm(split.H0.mat) + max_norm(split.H1.mat))
-    qscale = max(1.0, max(max_norm(t.mat) for t in q.terms))
-    residuals = []
-    for m in range(1, task.order + 1):
-        rm = max_norm(order_residual(split, q, m).mat)
-        residuals.append(rm)
-        verdicts.append(_verdict(f"order_{m}_residual", rm, ctx.tol.bound(scale * qscale**m)))
+    for m, (residual, bound) in enumerate(q.order_checks, start=1):
+        verdicts.append(_verdict(f"order_{m}_residual", residual, bound))
+    norms = [max_norm(t.mat) for t in q.terms]
     herm = max(max_norm(t.mat - t.mat.conj().T) for t in q.terms)
-    verdicts.append(_verdict("q_terms_hermitian", herm, 1e-12 * max(1.0, qscale)))
+    verdicts.append(_verdict("q_terms_hermitian", herm, 1e-12 * max(1.0, *norms)))
     eta = metric_from_series(q, split.epsilon)
     lowest = eta.eig_range[0]
     verdicts.append(
@@ -169,13 +164,13 @@ def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list)
     )
     data = {
         "order": task.order,
-        "order_residuals": [float(r) for r in residuals],
+        "order_residuals": [float(r) for r, _ in q.order_checks],
         "metric_residual_at_epsilon": float(
             pseudo_hermiticity_residual(split.total(), eta)
         ),
         "epsilon": float(split.epsilon),
         "gauge_log": [dict(g) for g in q.gauge_log],
-        "q_term_norms": [float(max_norm(t.mat)) for t in q.terms],
+        "q_term_norms": norms,
     }
     return data
 

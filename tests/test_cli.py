@@ -21,6 +21,7 @@ from pseudoherm import (
     spectral_metric,
     spectrum_is_real,
 )
+from pseudoherm import operators, perturbation
 from pseudoherm.cli import main
 
 from helpers import run_cli
@@ -109,6 +110,18 @@ def test_run_model_spec_factorizes_once(linalg_counter):
     assert got.get("svd", 0) <= 1
     assert got.get("eigh", 0) <= 7
     assert got.get("eigvals", 0) == got.get("eigvalsh", 0) == got.get("cond", 0) == 0, got
+
+
+def test_run_model_spec_checks_each_order_once(monkeypatch):
+    # order 2: R_1 needs no commutator, R_2 three, and each order's check
+    # [H0, Q_m] - R_m one; no second expansion of the order sums
+    calls = []
+    for module in (operators, perturbation):
+        real = module.commutator
+        monkeypatch.setattr(module, "commutator", lambda a, b, f=real: calls.append(1) or f(a, b))
+    report = run_model_spec(load_spec(shipped("step_potential.json")))
+    assert report["all_passed"] is True
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize(
@@ -260,6 +273,16 @@ def test_cli_run_tol_override(tmp_path):
     assert rc == 0
     doc = json.loads((tmp_path / "pt_toy_2x2_report.json").read_text())
     assert doc["provenance"]["tolerance"]["abs_tol"] == 1e-9
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "abc"])
+def test_cli_run_rejects_bad_tol(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", shipped("pt_toy_2x2.json"), "--out", str(out), f"--tol={tol}"])
+    assert exit_.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_failure_exit_code(tmp_path, capsys):

@@ -179,6 +179,42 @@ def test_post_validation_schroedinger():
         load_doc(schro(L=0.5))  # support outside the box
 
 
+SPLIT_2X2 = {
+    "H0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+    "H1": [[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]],
+}
+
+
+# each spec carries one number that is not a finite float, written as "@",
+# which the test replaces with the raw token (json.dumps cannot write 1e400)
+NON_FINITE_SPECS = {
+    "nan_matrix_entry": (minimal_spec(model={"matrix": [[["@", 0.0]]]}), "NaN"),
+    "infinite_epsilon": (
+        minimal_spec(model={"split_matrix": {**SPLIT_2X2, "epsilon": "@"}}), "Infinity"),
+    "overflowing_epsilon": (
+        minimal_spec(model={"split_matrix": {**SPLIT_2X2, "epsilon": "@"}}), "1e400"),
+    "nan_abs_tol": (minimal_spec(tolerances={"abs_tol": "@"}), "NaN"),
+    "huge_integer_entry": (minimal_spec(model={"matrix": [[["@", 0]]]}), "9" * 401),
+    "infinite_box": (schro(L="@"), "Infinity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SPECS))
+def test_non_finite_spec_number_fails_with_spec_error(case, tmp_path, capsys):
+    doc, token = NON_FINITE_SPECS[case]
+    text = json.dumps(doc).replace('"@"', token)
+    with pytest.raises(SpecError) as err:
+        load_spec(io.StringIO(text))
+    assert token[:12] in str(err.value)
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["validate", str(spec)]) == 2
+    assert token[:12] in capsys.readouterr().err
+
+
 def test_oversized_grid_fails_fast(tmp_path, capsys):
     load_doc(schro(N=2049))  # the largest grid in use still loads
     spec = tmp_path / "huge.json"

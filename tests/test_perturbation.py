@@ -29,6 +29,8 @@ from pseudoherm import (
     solve_q_series,
     sylvester_solve,
 )
+from pseudoherm import perturbation
+
 from helpers import commuting_gauge, fixed_split
 
 
@@ -178,6 +180,69 @@ def test_solve_q_series_residuals_vanish():
     assert [e["gauge"] for e in series.gauge_log] == ["minimal"] * 3
     # Q2 = 0 comes out of the minimal gauge automatically
     assert max_norm(series.terms[1].mat) < 1e-12
+
+
+def _random_hermitian_terms(dim, count, rng):
+    terms = []
+    for _ in range(count):
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        terms.append(Operator((a + a.conj().T) / 2))
+    return tuple(terms)
+
+
+def test_q_m_enters_its_order_only_through_h0_commutator():
+    # R_m and the solve's one-pass check both rest on this identity; the
+    # terms are arbitrary Hermitian matrices, not a solution
+    split = fixed_split(5, seed=12)
+    terms = _random_hermitian_terms(5, 4, np.random.default_rng(34))
+    zero = Operator(np.zeros((5, 5)))
+    for m in (1, 2, 3, 4):
+        full = order_residual(split, QSeries(terms[:m]), m).mat
+        without = order_residual(split, QSeries(terms[: m - 1] + (zero,)), m).mat
+        got = full - commutator(split.H0.mat, terms[m - 1].mat)
+        assert max_norm(got - without) <= 1e-12 * max(1.0, max_norm(full))
+
+
+def test_order_equation_rhs_is_the_residual_without_q_m():
+    # skipping the chains through Q_m equals multiplying by a zero Q_m
+    split = fixed_split(5, seed=13)
+    series = solve_q_series(split, 4)
+    zero = Operator(np.zeros((5, 5)))
+    for m in (1, 2, 3, 4):
+        lower = QSeries(series.terms[: m - 1]) if m > 1 else None
+        padded = QSeries(series.terms[: m - 1] + (zero,))
+        rhs = order_equation_rhs(split, lower, m).mat
+        assert np.array_equal(rhs, -order_residual(split, padded, m).mat)
+
+
+def test_solve_q_series_records_its_order_checks():
+    split = fixed_split(5, seed=14)
+    series = solve_q_series(split, 3)
+    assert len(series.order_checks) == 3
+    for m, (residual, bound) in enumerate(series.order_checks, start=1):
+        assert residual <= bound
+        assert max_norm(order_residual(split, series, m).mat) <= bound
+    assert QSeries(series.terms).order_checks == ()
+    assert QSeries(series.terms) == series  # not part of the series' value
+
+
+@pytest.mark.parametrize("bad_order", [1, 3])
+def test_solve_q_series_post_solve_check_fires(monkeypatch, bad_order):
+    # a solver that misses the last order's equation by 0.1 % must be caught
+    # there (a miss at a lower order would already spoil the next source)
+    real = perturbation._sylvester_eigenbasis
+    calls = []
+
+    def off_by_a_little(eigensystem, r, tol):
+        q = real(eigensystem, r, tol)
+        calls.append(1)
+        return Operator(1.001 * q.mat) if len(calls) == bad_order else q
+
+    monkeypatch.setattr(perturbation, "_sylvester_eigenbasis", off_by_a_little)
+    with pytest.raises(ConsistencyError) as err:
+        solve_q_series(fixed_split(5, seed=15), bad_order)
+    assert f"order-{bad_order} residual" in str(err.value)
+    assert "after solve" in str(err.value)
 
 
 def test_solve_q_series_gauge_hook():
