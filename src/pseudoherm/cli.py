@@ -7,19 +7,20 @@
 The default output directory is PSEUDOHERM_OUT_DIR, else the current
 directory. Exit codes: 0 all verdicts pass, 1 a task or verdict failed,
 2 the spec did not load or an argument is invalid (--tol must be finite
-and >= 0).
+and >= 0, and not 0 when the spec's rel_tol is 0).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 
 import numpy as np
 
-from .config import load_spec
+from .config import load_spec, spec_tolerance
 from .errors import DomainError, SpecError
 from .operators import max_norm, nested_commutator
 from .perturbation import (
@@ -74,11 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         spec = load_spec(args.spec_file)
+        if args.tol is not None:
+            tol = spec_tolerance(args.tol, spec.tolerance.rel_tol, "--tol")
+            spec = dataclasses.replace(spec, tolerance=tol)
     except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out or os.environ.get("PSEUDOHERM_OUT_DIR") or "."
-    report = run_model_spec(spec, seed=args.seed, abs_tol=args.tol)
+    report = run_model_spec(spec, seed=args.seed)
     paths = emit(report, out_dir, args.format)
     for record in report["tasks"]:
         status = "ok" if record["ok"] else "FAILED"

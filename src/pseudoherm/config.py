@@ -197,6 +197,14 @@ def _to_matrix(rows, path: str) -> Operator:
     return Operator(m)
 
 
+def spec_tolerance(abs_tol: float, rel_tol: float, where: str) -> Tolerance:
+    """Tolerance(abs_tol, rel_tol); a pair it refuses raises SpecError naming where."""
+    try:
+        return Tolerance(abs_tol, rel_tol)
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from None
+
+
 def _token(text: str) -> str:
     return text if len(text) <= 24 else f"{text[:12]}...({len(text)} characters)"
 
@@ -305,8 +313,9 @@ def _build(raw: dict, digest: str) -> ModelSpec:
             tasks.append(ScalingTask(eps))
 
     tol_raw = raw.get("tolerances", {})
-    tol = Tolerance(
-        abs_tol=float(tol_raw.get("abs_tol", Tolerance().abs_tol)),
-        rel_tol=float(tol_raw.get("rel_tol", Tolerance().rel_tol)),
+    tol = spec_tolerance(
+        float(tol_raw.get("abs_tol", Tolerance().abs_tol)),
+        float(tol_raw.get("rel_tol", Tolerance().rel_tol)),
+        "$.tolerances",
     )
     return ModelSpec(raw["name"], model, tuple(tasks), parity, tol, digest)

@@ -42,30 +42,139 @@ from .spectral import MetricOperator, Provenance, pseudo_hermiticity_residual
 NOISE_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
+def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray) -> np.ndarray:
+    """[T, X] for the symmetric T with diag on the diagonal and off on both neighbours.
+
+    Rows and columns of T X and X T are summed as the dense product sums them:
+    the diagonal term, then the lower and the upper neighbour. Works on the
+    real view of X, where one complex column is two real ones.
+    """
+    xr = np.ascontiguousarray(x, dtype=complex).view(float)
+    oxr = off * xr
+    rows = diag * xr
+    rows[1:] += oxr[:-1]
+    rows[:-1] += oxr[1:]
+    cols = diag * xr
+    cols[:, 2:] += oxr[:, :-2]
+    cols[:, :-2] += oxr[:, 2:]
+    rows -= cols
+    return rows.view(complex)
+
+
 class SplitHamiltonian:
-    """H = H0 + epsilon * H1 with Hermitian H0 and anti-Hermitian H1."""
+    """H = H0 + epsilon * H1 with Hermitian H0 and anti-Hermitian H1.
 
-    H0: Operator
-    H1: Operator
-    epsilon: float
+    Built from two dense Operators, or by SplitHamiltonian.tridiagonal from
+    O(N) data: H0 as the real coefficients of a symmetric tridiagonal stencil
+    and H1 = i diag(v) as the real vector v. Both forms answer the same
+    questions: [H0, X] and [H1, X] (a stencil and an elementwise product in
+    the structured form), the max-norms of H0 and H1, and X + s H1. .H0, .H1
+    and total() give dense Operators, which the structured form builds only
+    when they are asked for.
+    """
 
-    def __post_init__(self):
-        if self.H0.dim != self.H1.dim:
-            raise ShapeError(f"dimension mismatch: {self.H0.dim} vs {self.H1.dim}")
-        h0, h1 = self.H0.mat, self.H1.mat
+    def __init__(self, H0: Operator, H1: Operator, epsilon: float):
+        if H0.dim != H1.dim:
+            raise ShapeError(f"dimension mismatch: {H0.dim} vs {H1.dim}")
+        h0, h1 = H0.mat, H1.mat
         if max_norm(h0 - h0.conj().T) > DEFAULT_TOL.bound(max_norm(h0)):
             raise StructureError("H0 must be Hermitian")
         if max_norm(h1 + h1.conj().T) > DEFAULT_TOL.bound(max_norm(h1)):
             raise StructureError("H1 must be anti-Hermitian")
+        self._dense = (H0, H1)
+        self._stencil = None
+        self.epsilon = epsilon
+
+    @classmethod
+    def tridiagonal(cls, diag: float, off: float, v, epsilon: float) -> "SplitHamiltonian":
+        """H0 with diag on the diagonal and off on both neighbours, H1 = i diag(v).
+
+        A real stencil is Hermitian and i diag(v) with real v anti-Hermitian,
+        so validation is the O(N) check that the coefficients and v are real
+        and finite. The dense forms carry the labels of the grid Schroedinger
+        split, "p^2" and "i v(x)".
+        """
+        v = np.array(v)
+        if np.iscomplexobj(v) or np.iscomplexobj([diag, off]):
+            raise StructureError("a tridiagonal split needs real stencil coefficients and real v")
+        if v.ndim != 1 or v.size < 2:
+            raise ShapeError(f"v must be a 1-D vector of at least 2 entries, got shape {v.shape}")
+        v = v.astype(float)
+        if not (np.all(np.isfinite(v)) and np.isfinite(diag) and np.isfinite(off)):
+            raise ValueError("operator entries must be finite")
+        v.setflags(write=False)
+        split = cls.__new__(cls)
+        split._dense = None
+        split._stencil = (float(diag), float(off), v)
+        split.epsilon = epsilon
+        return split
 
     @property
     def dim(self) -> int:
-        return self.H0.dim
+        return self._dense[0].dim if self._stencil is None else self._stencil[2].size
+
+    def _h0_matrix(self) -> np.ndarray:
+        """A fresh complex copy of H0."""
+        if self._stencil is None:
+            return self._dense[0].mat.copy()
+        diag, off, v = self._stencil
+        n = v.size
+        h = np.zeros((n, n), dtype=complex)
+        h.flat[:: n + 1] = diag
+        h.flat[1 :: n + 1] = off
+        h.flat[n :: n + 1] = off
+        return h
+
+    @property
+    def H0(self) -> Operator:
+        if self._stencil is None:
+            return self._dense[0]
+        return Operator(self._h0_matrix(), label="p^2")
+
+    @property
+    def H1(self) -> Operator:
+        if self._stencil is None:
+            return self._dense[1]
+        return Operator(1j * np.diag(self._stencil[2]), label="i v(x)")
+
+    def h0_norm(self) -> float:
+        """max_norm of H0."""
+        if self._stencil is None:
+            return max_norm(self._dense[0].mat)
+        diag, off, _ = self._stencil
+        return max(abs(diag), abs(off))
+
+    def h1_norm(self) -> float:
+        """max_norm of H1."""
+        if self._stencil is None:
+            return max_norm(self._dense[1].mat)
+        return max_norm(self._stencil[2])
+
+    def h0_commutator(self, x: np.ndarray) -> np.ndarray:
+        """[H0, X]."""
+        if self._stencil is None:
+            return commutator(self._dense[0].mat, x)
+        diag, off, _ = self._stencil
+        return _tridiagonal_commutator(diag, off, x)
+
+    def h1_commutator(self, x: np.ndarray) -> np.ndarray:
+        """[H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
+        if self._stencil is None:
+            return commutator(self._dense[1].mat, x)
+        iv = 1j * self._stencil[2]
+        return iv[:, None] * x - x * iv[None, :]
+
+    def add_h1(self, x: np.ndarray, scale: float) -> np.ndarray:
+        """x += scale * H1 in place, on a complex N x N array x; returns x."""
+        if self._stencil is None:
+            x += scale * self._dense[1].mat
+        else:
+            x.flat[:: x.shape[0] + 1] += scale * (1j * self._stencil[2])
+        return x
 
     def total(self, epsilon: float | None = None) -> Operator:
         e = self.epsilon if epsilon is None else epsilon
-        return Operator(self.H0.mat + e * self.H1.mat)
+        return Operator(self.add_h1(self._h0_matrix(), e))
 
 
 @dataclass(frozen=True)
@@ -149,14 +258,19 @@ def _compositions(n: int):
 
 
 def _chain_sum(split: SplitHamiltonian, terms: list, m: int):
-    """order_residual's sum over the given Q_j; chains through a missing Q_j are skipped."""
-    res = 2.0 * split.H1.mat if m == 1 else 0  # 0 + array: no zero matrix
-    for head, budget in ((split.H0.mat, m), (split.H1.mat, m - 1)):
+    """order_residual's sum over the given Q_j; chains through a missing Q_j are skipped.
+
+    The first link of each chain, [H0, Q_j] or [H1, Q_j], goes through the split.
+    """
+    n = split.dim
+    # H - H^dagger = 2 eps H1 enters at order 1; elsewhere 0 + array needs no zero matrix
+    res = split.add_h1(np.zeros((n, n), dtype=complex), 2.0) if m == 1 else 0
+    for head_commutator, budget in ((split.h0_commutator, m), (split.h1_commutator, m - 1)):
         for comp in _compositions(budget):
             if not comp or max(comp) > len(terms):
                 continue
-            x = head
-            for j in comp:
+            x = head_commutator(terms[comp[0] - 1])
+            for j in comp[1:]:
                 x = commutator(x, terms[j - 1])
             res = res + x / math.factorial(len(comp))
     return res
@@ -191,7 +305,7 @@ def order_equation_rhs(
         raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {len(lower)}")
     r = -_chain_sum(split, [t.mat for t in lower], m)
     defect = max_norm(r + r.conj().T)
-    if defect > tol.bound(max(max_norm(r), max_norm(split.H1.mat))):
+    if defect > tol.bound(max(max_norm(r), split.h1_norm())):
         raise ConsistencyError(
             f"order-{m} source fails anti-Hermiticity (defect {defect:.3e}); "
             "the equation would have no Hermitian solution"
@@ -263,6 +377,7 @@ def solve_q_series(
         raise DomainError(f"ell must be >= 1, got {ell}")
     gauge = gauge or {}
     h0 = split.H0.mat
+    h0_norm = split.h0_norm()
     terms: tuple = ()
     glog = []
     residuals = []
@@ -278,15 +393,15 @@ def solve_q_series(
             g = gauge[m].mat
             if max_norm(g - g.conj().T) > tol.bound(max_norm(g)):
                 raise GaugeError(f"order-{m} gauge term is not Hermitian")
-            if max_norm(commutator(h0, g)) > tol.bound(max_norm(h0) * max(1.0, max_norm(g))):
+            if max_norm(split.h0_commutator(g)) > tol.bound(h0_norm * max(1.0, max_norm(g))):
                 raise GaugeError(f"order-{m} gauge term does not commute with H0")
             qm = Operator(qm.mat + g)
             entry["gauge"] = "minimal+custom"
             entry["custom_norm"] = max_norm(g)
-        residuals.append(max_norm(commutator(h0, qm.mat) - rm.mat))
+        residuals.append(max_norm(split.h0_commutator(qm.mat) - rm.mat))
         terms = terms + (qm,)
         glog.append(entry)
-    scale = max(1.0, max_norm(h0) + max_norm(split.H1.mat))
+    scale = max(1.0, h0_norm + split.h1_norm())
     qscale = max(1.0, max(max_norm(t.mat) for t in terms))
     checks = tuple((r, tol.bound(scale * qscale**m)) for m, r in enumerate(residuals, start=1))
     for m, (res, bound) in enumerate(checks, start=1):

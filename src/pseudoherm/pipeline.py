@@ -223,7 +223,7 @@ def _wave_task(ctx: _RunContext, verdicts: list) -> dict:
         _verdict(
             "offdiagonal_commutator_defect",
             offdiag,
-            RESIDUAL_REL * max(1.0, max_norm(split.H0.mat) * max_norm(M.mat)),
+            RESIDUAL_REL * max(1.0, split.h0_norm() * max_norm(M.mat)),
         )
     )
     slice_vals = np.asarray(K(grid, 0.0))

@@ -114,14 +114,20 @@ def test_run_model_spec_factorizes_once(linalg_counter):
 
 def test_run_model_spec_checks_each_order_once(monkeypatch):
     # order 2: R_1 needs no commutator, R_2 three, and each order's check
-    # [H0, Q_m] - R_m one; no second expansion of the order sums
+    # [H0, Q_m] - R_m one; no second expansion of the order sums. The grid
+    # split takes [H0, .] and [H1, .] itself, so its entry points count too,
+    # and the wave task's off-band check adds its one [H0, M].
     calls = []
     for module in (operators, perturbation):
         real = module.commutator
         monkeypatch.setattr(module, "commutator", lambda a, b, f=real: calls.append(1) or f(a, b))
+    for name in ("h0_commutator", "h1_commutator"):
+        real = getattr(SplitHamiltonian, name)
+        monkeypatch.setattr(SplitHamiltonian, name,
+                            lambda self, x, f=real: calls.append(1) or f(self, x))
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
-    assert len(calls) == 5
+    assert len(calls) == 5 + 1
 
 
 @pytest.mark.parametrize(
@@ -283,6 +289,17 @@ def test_cli_run_rejects_bad_tol(tmp_path, capsys, tol):
     assert exit_.value.code == 2
     assert "--tol" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_run_rejects_zero_tol_when_rel_tol_is_zero(tmp_path, capsys):
+    # --tol 0 is a valid number, but with the spec's rel_tol 0 no tolerance is left
+    doc = {**COMPLEX_SPECTRUM, "tolerances": {"rel_tol": 0}}
+    spec_file = write_spec(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["run", spec_file, "--out", str(out), "--tol", "0"]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", spec_file, "--out", str(out), "--tol", "1e-12"]) == 1
 
 
 def test_cli_run_failure_exit_code(tmp_path, capsys):

@@ -215,6 +215,19 @@ def test_non_finite_spec_number_fails_with_spec_error(case, tmp_path, capsys):
     assert token[:12] in capsys.readouterr().err
 
 
+def test_zero_tolerances_fail_with_spec_error(tmp_path, capsys):
+    doc = minimal_spec(tolerances={"abs_tol": 0, "rel_tol": 0})
+    with pytest.raises(SpecError, match=r"\$\.tolerances"):
+        load_doc(doc)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["validate", str(spec)]) == 2
+    assert "$.tolerances" in capsys.readouterr().err
+
+
 def test_oversized_grid_fails_fast(tmp_path, capsys):
     load_doc(schro(N=2049))  # the largest grid in use still loads
     spec = tmp_path / "huge.json"

@@ -9,6 +9,7 @@ from pseudoherm import (
     GaugeError,
     ObstructionError,
     Operator,
+    ShapeError,
     QSeries,
     SplitHamiltonian,
     StructureError,
@@ -42,6 +43,22 @@ def test_split_structure_validation():
         SplitHamiltonian(Operator(np.array([[1.0, 1.0], [0.0, 2.0]])), Operator(good_h1), 0.1)
     with pytest.raises(StructureError):
         SplitHamiltonian(Operator(good_h0), Operator(np.eye(2)), 0.1)
+
+
+def test_tridiagonal_split_validation():
+    split = SplitHamiltonian.tridiagonal(2.0, -1.0, [0.0, 1.0, -1.0], 0.1)
+    assert split.dim == 3
+    assert split.h0_norm() == 2.0 and split.h1_norm() == 1.0
+    with pytest.raises(StructureError):  # i diag(v) is anti-Hermitian only for real v
+        SplitHamiltonian.tridiagonal(2.0, -1.0, [0.0, 1j, 0.0], 0.1)
+    with pytest.raises(StructureError):  # a complex stencil is not Hermitian
+        SplitHamiltonian.tridiagonal(2.0, -1.0j, [0.0, 1.0, 0.0], 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        SplitHamiltonian.tridiagonal(2.0, -1.0, [0.0, np.nan, 0.0], 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        SplitHamiltonian.tridiagonal(np.inf, -1.0, [0.0, 1.0, 0.0], 0.1)
+    with pytest.raises(ShapeError):
+        SplitHamiltonian.tridiagonal(2.0, -1.0, [[0.0, 1.0]], 0.1)
 
 
 def test_split_total():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from pseudoherm import (
     potential_antiderivative,
     step_potential,
     PiecewisePotential,
+    SplitHamiltonian,
 )
 
 
@@ -245,3 +248,111 @@ def test_kernel_to_matrix_quadrature_factor():
     dx = 8.0 / (N - 1)
     i, j = 20, 5
     assert M.mat[i, j] == K(xs[i], xs[j]) * dx
+
+
+def dense_schroedinger_reference(v, L, N):
+    """(H0, H1) as dense complex matrices, built the way the split once stored them."""
+    x = np.linspace(-L, L, N)
+    dx = 2.0 * L / (N - 1)
+    h0 = (
+        np.diag(np.full(N, 2.0)) + np.diag(np.full(N - 1, -1.0), 1) + np.diag(np.full(N - 1, -1.0), -1)
+    ) / dx**2
+    return Operator(h0).mat, Operator(1j * np.diag(v(x))).mat
+
+
+def random_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("N", [16, 129, 513])
+def test_grid_split_dense_forms_match_dense_construction(N):
+    v = step_potential()
+    split = discretize_schroedinger(v, 4.0, N, epsilon=0.1)
+    h0, h1 = dense_schroedinger_reference(v, 4.0, N)
+    assert np.array_equal(split.H0.mat, h0)
+    assert np.array_equal(split.H1.mat, h1)
+    assert np.array_equal(split.total().mat, h0 + 0.1 * h1)
+    assert np.array_equal(split.total(0.37).mat, h0 + 0.37 * h1)
+    assert split.h0_norm() == max_norm(h0)
+    assert split.h1_norm() == max_norm(h1)
+
+
+@pytest.mark.parametrize("N", [16, 17, 129, 513])
+def test_stencil_commutator_on_q1_matrix_matches_dense_product(N):
+    # When N - 1 is a power of two, so are dx and the stencil coefficients:
+    # every product is exact and the stencil sums in the dense product's
+    # order, so [H0, M] + 2 H1 is the dense expression bit for bit. At N = 16
+    # the products round, and the dense product's fused multiply-adds leave
+    # ~1e-17 where the stencil gives an exact 0.
+    v = step_potential()
+    split = discretize_schroedinger(v, 4.0, N)
+    h0, h1 = dense_schroedinger_reference(v, 4.0, N)
+    m = kernel_to_matrix(particular_kernel_q1(v), 4.0, N).mat
+    got = split.h0_commutator(m) + 2.0 * split.H1.mat
+    expected = h0 @ m - m @ h0 + 2 * h1
+    if (N - 1) & (N - 2) == 0:
+        assert np.array_equal(got, expected)
+    else:
+        assert max_norm(got - expected) <= 1e-15 * max_norm(h0) * max_norm(m)
+
+
+@pytest.mark.parametrize("N", [16, 129, 513])
+def test_grid_split_commutators_match_dense_products(N):
+    v = step_potential()
+    split = discretize_schroedinger(v, 4.0, N)
+    h0, h1 = dense_schroedinger_reference(v, 4.0, N)
+    x = random_hermitian(N, seed=N)
+    assert np.array_equal(split.h1_commutator(x), h1 @ x - x @ h1)
+    # not bitwise: the dense product rounds its three-term sums differently
+    expected = h0 @ x - x @ h0
+    assert max_norm(split.h0_commutator(x) - expected) <= 1e-15 * max_norm(expected)
+
+
+def old_mask(N, band):
+    """The check's kept entries, as the dense version built them."""
+    i, j = np.arange(N)[:, None], np.arange(N)[None, :]
+    return (np.abs(i - j) > band) & (np.minimum(i, j) > 2) & (np.maximum(i, j) < N - 3)
+
+
+@pytest.mark.parametrize("N", [16, 129])
+@pytest.mark.parametrize("band", [2, 5])
+def test_offdiagonal_check_keeps_the_entries_off_band_and_boundary(N, band):
+    # a random M is no kernel, so the defect is nonzero and the check's
+    # maximum depends on which entries it keeps
+    split = discretize_schroedinger(step_potential(), 4.0, N)
+    m = random_hermitian(N, seed=band) + 0.3 * np.eye(N)
+    defect = np.abs(split.h0_commutator(m) + 2.0 * split.H1.mat)
+    got = offdiagonal_commutator_check(split, Operator(m), band_exclude=band)
+    assert got == defect[old_mask(N, band)].max()
+
+
+@pytest.mark.parametrize("band", [2, 5])
+def test_offdiagonal_check_mask_entry_by_entry(band):
+    # H0 = diag(0, 1, ..., N-1) and H1 = 0 turn the unit matrix E_pq into the
+    # defect (p - q) E_pq, so the check reads |p - q| exactly where it keeps (p, q)
+    N = 16
+    split = SplitHamiltonian(
+        Operator(np.diag(np.arange(N, dtype=float))), Operator(np.zeros((N, N))), 0.1
+    )
+    got = np.zeros((N, N))
+    for p in range(N):
+        for q in range(N):
+            e = np.zeros((N, N))
+            e[p, q] = 1.0
+            got[p, q] = offdiagonal_commutator_check(split, Operator(e), band_exclude=band)
+    i, j = np.arange(N)[:, None], np.arange(N)[None, :]
+    assert np.array_equal(got, np.where(old_mask(N, band), np.abs(i - j), 0.0))
+
+
+def test_discretize_schroedinger_allocates_no_dense_matrix():
+    # a dense complex 2049 x 2049 matrix is 67 MB; the grid split is O(N)
+    v = step_potential()
+    tracemalloc.start()
+    try:
+        discretize_schroedinger(v, 4.0, 2049)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
