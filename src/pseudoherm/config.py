@@ -20,26 +20,18 @@ try:
 except ImportError as exc:  # pragma: no cover
     raise ImportError("the 'jsonschema' package is required to load model specs") from exc
 
-from .errors import SpecError
+from .errors import DomainError, SpecError
 from .operators import Operator, Tolerance
-from .wavekernel import PiecewisePotential
+from .wavekernel import PiecewisePotential, discretize_schroedinger
 
-# Largest Schroedinger grid a spec may ask for. Every task holds dense complex
-# N x N arrays (16 N^2 bytes each: 268 MB at 4097), so a larger N is refused
-# at load time, before anything is allocated.
+# Largest Schroedinger grid, and largest explicit matrix, a spec may ask for.
+# Every task holds dense complex N x N arrays (16 N^2 bytes each: 268 MB at
+# 4097), so a larger N is refused at load time, before anything is allocated.
 MAX_GRID_POINTS = 4097
 
-_COMPLEX = {
-    "type": "array",
-    "prefixItems": [{"type": "number"}, {"type": "number"}],
-    "items": False,
-    "minItems": 2,
-}
-_CMATRIX = {
-    "type": "array",
-    "minItems": 1,
-    "items": {"type": "array", "minItems": 1, "items": _COMPLEX},
-}
+# An explicit matrix is n rows of n [re, im] pairs. The schema asks only for a
+# non-empty array; _to_matrix checks the shape and the entry types with numpy.
+_CMATRIX = {"type": "array", "minItems": 1}
 
 SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -191,10 +183,20 @@ class ModelSpec:
 
 
 def _to_matrix(rows, path: str) -> Operator:
-    m = np.array([[complex(a, b) for a, b in row] for row in rows])
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise SpecError(f"{path}: matrix must be square, got shape {m.shape}")
-    return Operator(m)
+    """n rows of n [re, im] pairs of JSON numbers, n <= MAX_GRID_POINTS, as an Operator."""
+    n = len(rows)
+    if n > MAX_GRID_POINTS:
+        raise SpecError(f"{path}: {n} rows exceed the limit of {MAX_GRID_POINTS}")
+    entries = np.array(rows, dtype=object)
+    if entries.shape != (n, n, 2):
+        raise SpecError(f"{path}: need {n} x {n} [re, im] pairs, got shape {entries.shape}")
+    kinds = np.frompyfunc(type, 1, 1)(entries)
+    bad = np.argwhere((kinds != float) & (kinds != int))
+    if bad.size:
+        i, j, k = bad[0]
+        token = _token(json.dumps(entries[i, j, k]))
+        raise SpecError(f"{path}[{i}][{j}][{k}]: {token} is not a number")
+    return Operator(entries.astype(float).view(complex)[..., 0])
 
 
 def spec_tolerance(abs_tol: float, rel_tol: float, where: str) -> Tolerance:
@@ -264,25 +266,14 @@ def _build(raw: dict, digest: str) -> ModelSpec:
         model = SplitMatrixModel(h0, h1, float(payload["epsilon"]))
         dim = h0.dim
     else:
-        b = np.asarray(payload["breakpoints"], dtype=float)
-        v = np.asarray(payload["values"], dtype=float)
-        if v.size != b.size + 1:
-            raise SpecError(
-                f"$.model.schroedinger.values: need {b.size + 1} interval values "
-                f"for {b.size} breakpoints, got {v.size}"
-            )
-        if not np.all(np.diff(b) > 0):
-            raise SpecError("$.model.schroedinger.breakpoints: must be strictly increasing")
-        if v[0] != 0.0 or v[-1] != 0.0:
-            raise SpecError("$.model.schroedinger.values: outermost values must be 0")
-        L = float(payload["L"])
-        if not (-L < b[0] and b[-1] < L):
-            raise SpecError(
-                f"$.model.schroedinger: support [{b[0]}, {b[-1]}] must lie inside (-{L}, {L})"
-            )
-        model = SchroedingerModel(L, int(payload["N"]), PiecewisePotential(b, v),
-                                  float(payload["epsilon"]))
-        dim = int(payload["N"])
+        L, N = float(payload["L"]), int(payload["N"])
+        try:
+            potential = PiecewisePotential(payload["breakpoints"], payload["values"])
+            discretize_schroedinger(potential, L, N)  # its grid rule; the run builds its own
+        except DomainError as exc:
+            raise SpecError(f"$.model.schroedinger: {exc}") from None
+        model = SchroedingerModel(L, N, potential, float(payload["epsilon"]))
+        dim = N
 
     parity = raw.get("parity")
     if parity == "grid_reflection":

@@ -53,5 +53,9 @@ class DomainError(PseudohermError, ValueError):
     """Scalar or index argument outside its admissible range."""
 
 
+class NonFiniteError(PseudohermError, ValueError):
+    """A computed value overflowed to inf or NaN; message names the quantity."""
+
+
 class SpecError(PseudohermError, ValueError):
     """Model specification failed validation; message carries the field path."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PositivityError, ShapeError, StructureError
+from .errors import NonFiniteError, PositivityError, ShapeError, StructureError
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
@@ -40,8 +40,11 @@ DEFAULT_TOL = Tolerance()
 
 
 def max_norm(a: np.ndarray) -> float:
-    """Largest absolute entry; 0.0 for empty arrays."""
-    return float(np.abs(a).max()) if a.size else 0.0
+    """Largest absolute entry; 0.0 for empty arrays; an overflowed (inf, NaN) entry raises."""
+    norm = float(np.abs(a).max()) if a.size else 0.0
+    if not np.isfinite(norm):  # else an overflowed residual would pass a check: inf > inf
+        raise NonFiniteError(f"max-norm of a {a.shape} array is {norm}: an entry overflowed")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class Operator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"operator must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("operator entries must be finite")
+            raise NonFiniteError("operator entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 

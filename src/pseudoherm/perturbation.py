@@ -25,6 +25,7 @@ from .errors import (
     ConsistencyError,
     DomainError,
     GaugeError,
+    NonFiniteError,
     ObstructionError,
     ShapeError,
     StructureError,
@@ -101,7 +102,7 @@ class SplitHamiltonian:
             raise ShapeError(f"v must be a 1-D vector of at least 2 entries, got shape {v.shape}")
         v = v.astype(float)
         if not (np.all(np.isfinite(v)) and np.isfinite(diag) and np.isfinite(off)):
-            raise ValueError("operator entries must be finite")
+            raise NonFiniteError("operator entries must be finite")
         v.setflags(write=False)
         split = cls.__new__(cls)
         split._dense = None
@@ -202,7 +203,10 @@ class QSeries:
     def summed(self, epsilon: float) -> Operator:
         acc = np.zeros_like(self.terms[0].mat)
         for j, q in enumerate(self.terms):
-            acc = acc + q.mat * epsilon ** (j + 1)
+            try:
+                acc = acc + q.mat * epsilon ** (j + 1)
+            except OverflowError:
+                raise NonFiniteError(f"epsilon^{j + 1} overflows at epsilon = {epsilon}") from None
         return Operator(acc)
 
 

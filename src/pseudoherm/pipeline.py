@@ -28,7 +28,7 @@ from .config import (
     SplitMatrixModel,
     WaveTask,
 )
-from .errors import PseudohermError
+from .errors import NonFiniteError, PseudohermError
 from .operators import Operator, Tolerance, max_norm
 from .perturbation import (
     SplitHamiltonian,
@@ -38,10 +38,12 @@ from .perturbation import (
     solve_q_series,
 )
 from .spectral import (
+    RESIDUAL_REL,
     biorthonormal_eigensystem,
     c_operator,
     equivalent_hermitian,
     pseudo_hermiticity_residual,
+    pseudo_hermiticity_threshold,
     spectral_metric,
 )
 from .wavekernel import (
@@ -55,12 +57,13 @@ from .wavekernel import (
     potential_antiderivative,
 )
 
-RESIDUAL_REL = 1e-8
 JUMP_TOL = 1e-10
 KERNEL_HERM_TOL = 1e-12
 
 
 def _verdict(name: str, value: float, threshold: float) -> dict:
+    if not (np.isfinite(value) and np.isfinite(threshold)):
+        raise NonFiniteError(f"{name}: value {value} and threshold {threshold} must be finite")
     return {
         "name": name,
         "ok": bool(value <= threshold),
@@ -114,15 +117,15 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     H = ctx.hamiltonian()
     sys = biorthonormal_eigensystem(H, ctx.tol)
     eta = spectral_metric(sys, ctx.tol)
-    scale = max(1.0, max_norm(H.mat) * max_norm(eta.mat))
+    threshold = pseudo_hermiticity_threshold(H, eta)
     residual = pseudo_hermiticity_residual(H, eta)
-    verdicts.append(_verdict("pseudo_hermiticity_residual", residual, RESIDUAL_REL * scale))
+    verdicts.append(_verdict("pseudo_hermiticity_residual", residual, threshold))
     h, _rho = equivalent_hermitian(H, eta, ctx.tol)
     herm_defect = max_norm(h.mat - h.mat.conj().T)
     verdicts.append(_verdict("equivalent_hermitian_defect", herm_defect,
                              RESIDUAL_REL * max(1.0, max_norm(h.mat))))
     completeness = sys.completeness_defect()
-    verdicts.append(_verdict("completeness_defect", completeness, RESIDUAL_REL * scale))
+    verdicts.append(_verdict("completeness_defect", completeness, threshold))
     data = {
         "spectrum": _pairs(sys.eigenvalues),
         "spectrum_is_real": sys.spectrum_is_real(ctx.tol),

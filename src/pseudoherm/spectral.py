@@ -34,20 +34,20 @@ from .operators import DEFAULT_TOL, Operator, Tolerance, herm_sqrt_inv, max_norm
 log = logging.getLogger(__name__)
 
 COND_CAP = 1e8
+RESIDUAL_REL = 1e-8
 
 
 @dataclass(frozen=True)
 class BiorthonormalSystem:
     """Eigenvalues with right (psi) and left (phi) eigenvector columns.
 
-    right_singular_values are the descending singular values of psi, or
-    None when the system was assembled without them.
+    right_singular_values are the descending singular values of psi.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    right_singular_values: np.ndarray | None = None
+    right_singular_values: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -71,11 +71,6 @@ class Provenance:
     kind: str  # spectral | perturbative | user
     order: int | None = None
     epsilon: float | None = None
-
-    def describe(self) -> str:
-        if self.kind == "perturbative":
-            return f"perturbative(order={self.order}, epsilon={self.epsilon})"
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -103,9 +98,7 @@ def _metric_matrix(eta) -> np.ndarray:
     return np.asarray(eta, dtype=complex)
 
 
-def biorthonormal_eigensystem(
-    H: Operator, tol: Tolerance = DEFAULT_TOL, cond_cap: float = COND_CAP
-) -> BiorthonormalSystem:
+def biorthonormal_eigensystem(H: Operator, tol: Tolerance = DEFAULT_TOL) -> BiorthonormalSystem:
     """Diagonalize H; sort by (Re E, Im E, original index); gauge-fix psi.
 
     The left family is phi = inv(psi)^dagger, so the Gram identity and
@@ -124,9 +117,9 @@ def biorthonormal_eigensystem(
     sv = np.linalg.svd(v, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[0] / sv[-1]
-    if not np.isfinite(cond) or cond > cond_cap:
+    if not np.isfinite(cond) or cond > COND_CAP:
         raise DiagonalizabilityError(
-            f"eigenvector matrix condition number {cond:.3e} exceeds cap {cond_cap:.1e}; "
+            f"eigenvector matrix condition number {cond:.3e} exceeds cap {COND_CAP:.1e}; "
             "operator treated as defective"
         )
     phi = np.linalg.inv(v).conj().T
@@ -154,7 +147,7 @@ def spectral_metric(sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOL) -> M
     phi = sys.left_vectors
     eta = phi @ phi.conj().T
     sv = sys.right_singular_values
-    eig_range = None if sv is None else (float(sv[0] ** -2), float(sv[-1] ** -2))
+    eig_range = (float(sv[0] ** -2), float(sv[-1] ** -2))
     return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"), eig_range)
 
 
@@ -183,22 +176,20 @@ def pseudo_hermiticity_residual(H: Operator, eta) -> float:
     return max_norm(h.conj().T @ e - e @ h)
 
 
-def equivalent_hermitian(
-    H: Operator,
-    eta,
-    tol: Tolerance = DEFAULT_TOL,
-    residual_threshold: float | None = None,
-) -> tuple[Operator, Operator]:
+def pseudo_hermiticity_threshold(H: Operator, eta) -> float:
+    """Bound on pseudo_hermiticity_residual(H, eta): RESIDUAL_REL max(1, |H| |eta|)."""
+    return RESIDUAL_REL * max(1.0, max_norm(H.mat) * max_norm(_metric_matrix(eta)))
+
+
+def equivalent_hermitian(H: Operator, eta, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
     """h = rho H rho^{-1} with rho = eta^{1/2}; Hermitian, isospectral with H."""
-    e = _metric_matrix(eta)
     res = pseudo_hermiticity_residual(H, eta)
-    if residual_threshold is None:
-        residual_threshold = 1e-8 * max(1.0, max_norm(H.mat) * max_norm(e))
-    if res > residual_threshold:
+    threshold = pseudo_hermiticity_threshold(H, eta)
+    if res > threshold:
         raise ResidualError(
-            f"pseudo-Hermiticity residual {res:.3e} exceeds threshold {residual_threshold:.3e}"
+            f"pseudo-Hermiticity residual {res:.3e} exceeds threshold {threshold:.3e}"
         )
-    rho, rho_inv = herm_sqrt_inv(Operator(e), tol)
+    rho, rho_inv = herm_sqrt_inv(Operator(_metric_matrix(eta)), tol)
     h = rho.mat @ H.mat @ rho_inv.mat
     return Operator(h), rho
 
@@ -245,10 +236,9 @@ def metric_intertwiner(eta1, eta2, H: Operator, tol: Tolerance = DEFAULT_TOL) ->
     """
     e1 = _metric_matrix(eta1)
     e2 = _metric_matrix(eta2)
-    scale = max_norm(H.mat)
-    for name, eta, e in (("eta1", eta1, e1), ("eta2", eta2, e2)):
+    for name, eta in (("eta1", eta1), ("eta2", eta2)):
         res = pseudo_hermiticity_residual(H, eta)
-        if res > 1e-8 * max(1.0, scale * max_norm(e)):
+        if res > pseudo_hermiticity_threshold(H, eta):
             raise ResidualError(f"{name} is not a valid metric for H: residual {res:.3e}")
     s1, is1 = herm_sqrt_inv(Operator(e1), tol)
     m = is1.mat @ e2 @ is1.mat

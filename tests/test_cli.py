@@ -21,7 +21,7 @@ from pseudoherm import (
     spectral_metric,
     spectrum_is_real,
 )
-from pseudoherm import operators, perturbation
+from pseudoherm import errors, operators, perturbation
 from pseudoherm.cli import main
 
 from helpers import run_cli
@@ -226,6 +226,49 @@ def test_spectral_verdicts_kept_when_c_operator_raises(tmp_path):
     ]
     assert all(v["ok"] for v in task["verdicts"])
     assert task["data"] == {}
+
+
+def _step_case(name, tasks, **schroedinger):
+    doc = json.loads(Path(shipped("step_potential.json")).read_text())
+    doc["model"]["schroedinger"].update(schroedinger)
+    return {**doc, "name": name, "tasks": tasks}
+
+
+# schema-valid specs whose numbers overflow at run time: (spec, the failing
+# task, the verdicts it decided before the overflow)
+OVERFLOW_SPECS = {
+    "metric_exponential": (
+        _step_case("eps", [{"kind": "perturbative", "order": 1}], epsilon=1e300),
+        "perturbative", ["order_1_residual", "q_terms_hermitian"]),
+    "series_power": (
+        {
+            "name": "split",
+            "model": {"split_matrix": {
+                "H0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+                "H1": [[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]],
+                "epsilon": 1e308,
+            }},
+            "tasks": [{"kind": "spectral"}, {"kind": "perturbative", "order": 2}],
+        },
+        "perturbative", ["order_1_residual", "order_2_residual", "q_terms_hermitian"]),
+    "wave_commutator": (
+        _step_case("wave", [{"kind": "wave"}], values=[0.0, 1e308, -1e308, 0.0]),
+        "wave", ["kernel_hermiticity_defect", "jump_condition_defect"]),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(OVERFLOW_SPECS))
+def test_run_time_overflow_is_a_typed_task_error(case, tmp_path):
+    doc, failing, kept = OVERFLOW_SPECS[case]
+    out = tmp_path / "out"
+    assert main(["run", write_spec(tmp_path, doc), "--out", str(out)]) == 1
+    report = json.loads((out / f"{doc['name']}_report.json").read_text())
+    task = next(r for r in report["tasks"] if r["task"] == failing)
+    error_class = getattr(errors, task["error"].split(":")[0])
+    assert issubclass(error_class, errors.PseudohermError)
+    assert error_class is not errors.PseudohermError
+    assert [v["name"] for v in task["verdicts"]] == kept
 
 
 def _floats_masked(doc):

@@ -14,6 +14,7 @@ from pseudoherm import (
     load_spec,
 )
 from pseudoherm.cli import main
+from pseudoherm.config import MAX_GRID_POINTS
 
 
 def shipped(name):
@@ -121,7 +122,8 @@ def test_schema_rejections():
         (minimal_spec(tasks=[{"kind": "unknown"}]), "is not valid"),
         (minimal_spec(tasks=[{"kind": "perturbative"}]), "is not valid"),
         (minimal_spec(tasks=[{"kind": "perturbative", "order": 9}]), "is not valid"),
-        (minimal_spec(model={"matrix": [[[1.0, 0.0, 0.0]]]}), "at most 2"),
+        (minimal_spec(model={"matrix": [[[1.0, 0.0, 0.0]]]}),
+         "$.model.matrix: need 1 x 1 [re, im] pairs"),
         (minimal_spec(tolerances={"abs_tol": -1.0}), "minimum"),
     ]
     for doc, fragment in cases:
@@ -240,6 +242,60 @@ def test_oversized_grid_fails_fast(tmp_path, capsys):
     assert "$.model.schroedinger.N" in capsys.readouterr().err
     assert elapsed < 1.0
     assert not out.exists()
+
+
+def step_doc(**kw):
+    doc = json.loads(shipped("step_potential.json").read_text())
+    doc["model"]["schroedinger"].update(kw)
+    return doc
+
+
+# each spec breaks one rule that the program, not the schema, enforces
+HOSTILE_SPECS = {
+    "vanishing_grid_spacing": (
+        step_doc(L=1e-160, breakpoints=[-1e-161, 0.0, 1e-161]), "$.model.schroedinger"),
+    "overflowing_grid_spacing": (step_doc(L=1e300), "$.model.schroedinger"),
+    "boolean_entry": (minimal_spec(model={"matrix": [[[True, 0.0]]]}), "$.model.matrix[0][0][0]"),
+    "string_entry": (minimal_spec(model={"matrix": [[[0.0, "1.5"]]]}), "$.model.matrix[0][0][1]"),
+    "null_entry": (
+        minimal_spec(model={"split_matrix": {
+            "H0": SPLIT_2X2["H0"], "H1": [[[0.0, 0.0], [1.0, 0.0]], [[None, 0.0], [0.0, 0.0]]],
+            "epsilon": 0.1}}),
+        "$.model.split_matrix.H1[1][0][0]"),
+    "short_pair": (minimal_spec(model={"matrix": [[[1.0]]]}), "$.model.matrix"),
+    "long_pair": (minimal_spec(parity=[[[1.0, 0.0, 0.0]]]), "$.parity"),
+    "ragged_rows": (
+        minimal_spec(model={"matrix": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]}), "$.model.matrix"),
+    "non_square_rows": (
+        minimal_spec(model={"matrix": [[[1.0, 0.0], [0.0, 0.0]]] * 3}), "$.model.matrix"),
+    "too_many_rows": (
+        minimal_spec(model={"matrix": [[[1.0, 0.0]]] * (MAX_GRID_POINTS + 1)}), "$.model.matrix"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_SPECS))
+def test_hostile_spec_fails_with_spec_error_naming_the_path(case, tmp_path, capsys):
+    doc, path = HOSTILE_SPECS[case]
+    with pytest.raises(SpecError) as err:
+        load_doc(doc)
+    assert str(err.value).startswith(path + ":"), str(err.value)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["validate", str(spec)]) == 2
+    assert f"error: {path}:" in capsys.readouterr().err
+
+
+def test_matrix_entries_keep_their_bits():
+    # the reference is the entry-by-entry complex(re, im) build
+    rows = [[[-0.0, 0.0], [3, -7], [2**60 + 1, -(2**70)]],
+            [[5e-324, -5e-324], [1e308, -1.7976931348623157e308], [0.1, -0.0]],
+            [[1, 0], [-1, -0.0], [123456789012345678901234567890, 2.5]]]
+    spec = load_doc(minimal_spec(model={"matrix": rows}))
+    expected = np.array([[complex(a, b) for a, b in row] for row in rows])
+    assert np.array_equal(spec.model.H.mat.view(np.uint64), expected.view(np.uint64))
 
 
 def test_post_validation_parity():

@@ -346,6 +346,16 @@ def test_offdiagonal_check_mask_entry_by_entry(band):
     assert np.array_equal(got, np.where(old_mask(N, band), np.abs(i - j), 0.0))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_offdiagonal_check_returns_nan_off_the_band():
+    # 1e308 overflows the stencil: [H0, M] holds inf - inf = NaN at (10, 4),
+    # off the band and the boundary, and the check must not fold it away
+    split = discretize_schroedinger(step_potential(), 4.0, 16)
+    m = np.zeros((16, 16))
+    m[10, 4] = 1e308
+    assert np.isnan(offdiagonal_commutator_check(split, Operator(m), band_exclude=2))
+
+
 def test_discretize_schroedinger_allocates_no_dense_matrix():
     # a dense complex 2049 x 2049 matrix is 67 MB; the grid split is O(N)
     v = step_potential()
