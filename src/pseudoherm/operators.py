@@ -7,6 +7,12 @@ entry-for-entry; the 2-norm is used only for conditioning diagnostics.
 Matrix functions of Hermitian arguments (exp, sqrt) go through eigh, never
 through series; the truncated series lives only in bch_conjugate, where the
 truncation itself is the quantity of interest.
+
+PT frame: with J the index reversal (J^2 = I) and S = (I + iJ)/sqrt(2), a
+matrix X with J conj(X) J = X (PT-symmetric) is real in the basis S:
+S^dagger X S is a real matrix. to_pt_frame and from_pt_frame map between the
+two bases in O(N^2), with index flips and no matrix product, so that a
+PT-symmetric factorization can run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -101,8 +107,74 @@ def _as_matrix(x) -> np.ndarray:
     return x.mat if isinstance(x, Operator) else np.array(x, dtype=complex)
 
 
+def half_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """max_norm(a - b) / 2, taken as max_norm(a/2 - b/2) so that no entry overflows."""
+    return max_norm(a / 2 - b / 2)
+
+
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return max_norm(m - m.conj().T) <= tol.bound(max_norm(m))
+    """max_norm(m - m^dagger) <= tol.bound(max_norm(m)), free of overflow."""
+    return half_difference_norm(m, m.conj().T) <= tol.bound(max_norm(m)) / 2
+
+
+def is_pt_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """is_hermitian's test for PT: max_norm(m - J conj(m) J) <= tol.bound(max_norm(m))."""
+    return half_difference_norm(m, m[::-1, ::-1].conj()) <= tol.bound(max_norm(m)) / 2
+
+
+def to_pt_frame(x: np.ndarray) -> np.ndarray:
+    """Re(S^dagger X S): the real matrix of X's PT-even part (X + J conj(X) J)/2.
+
+    It is S^dagger X S itself when X is PT-symmetric. With A, B the real and
+    imaginary parts of X, it is (A + JAJ)/2 + (JB - BJ)/2; each term is
+    halved before the sums. The result itself can still overflow, to inf or
+    NaN, which callers check for.
+    """
+    a = x.real / 2
+    b = x.imag / 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = a + a[::-1, ::-1]
+        r += b[::-1]
+        r -= b[:, ::-1]
+    return r
+
+
+def from_pt_frame(y: np.ndarray) -> np.ndarray:
+    """S Y S^dagger for a real Y, the inverse of to_pt_frame on PT-symmetric matrices.
+
+    Real part (Y + JYJ)/2 and imaginary part (JY - YJ)/2, both written into
+    one complex array; a symmetric Y gives a Hermitian result.
+    """
+    h = y / 2
+    x = np.empty(h.shape, dtype=complex)
+    np.add(h, h[::-1, ::-1], out=x.real)
+    np.subtract(h[::-1], h[:, ::-1], out=x.imag)
+    return x
+
+
+def _eigh_hermitian_part(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(w, u, in_frame): eigh of the Hermitian part of m.
+
+    When m is also PT-symmetric within tol and its frame matrix is finite,
+    the symmetric part of to_pt_frame(m) is factorized in real arithmetic:
+    u is then real and m's eigenvectors are S u.
+    """
+    if is_pt_symmetric(m, tol):
+        r = to_pt_frame(m)
+        if np.isfinite(r).all():
+            w, u = np.linalg.eigh(r / 2 + r.T / 2)
+            return w, u, True
+    w, u = np.linalg.eigh((m + m.conj().T) / 2)
+    return w, u, False
+
+
+def _from_eigenbasis(uf: np.ndarray, u: np.ndarray, in_frame: bool) -> Operator:
+    """The Hermitian part of (U F) U^dagger for uf = u F, F diagonal; U = S u when in_frame."""
+    if in_frame:
+        x = uf @ u.T
+        return Operator(from_pt_frame(x / 2 + x.T / 2))
+    x = uf @ u.conj().T
+    return Operator((x + x.conj().T) / 2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,11 +223,11 @@ def herm_exp_eig(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, n
     q = _as_matrix(Q)
     if not is_hermitian(q, tol):
         raise StructureError(
-            f"herm_exp requires a Hermitian argument, defect {max_norm(q - q.conj().T):.3e}"
+            f"herm_exp requires a Hermitian argument, "
+            f"defect {2 * half_difference_norm(q, q.conj().T):.3e}"
         )
-    w, u = np.linalg.eigh((q + q.conj().T) / 2)
-    m = (u * np.exp(-w)) @ u.conj().T
-    return Operator((m + m.conj().T) / 2), w
+    w, u, in_frame = _eigh_hermitian_part(q, tol)
+    return _from_eigenbasis(u * np.exp(-w), u, in_frame), w
 
 
 def herm_sqrt_inv(M: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
@@ -163,15 +235,14 @@ def herm_sqrt_inv(M: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, 
     m = _as_matrix(M)
     if not is_hermitian(m, tol):
         raise StructureError(
-            f"herm_sqrt_inv requires a Hermitian argument, defect {max_norm(m - m.conj().T):.3e}"
+            f"herm_sqrt_inv requires a Hermitian argument, "
+            f"defect {2 * half_difference_norm(m, m.conj().T):.3e}"
         )
-    w, u = np.linalg.eigh((m + m.conj().T) / 2)
+    w, u, in_frame = _eigh_hermitian_part(m, tol)
     if w[0] <= tol.abs_tol:
         raise PositivityError(f"matrix not positive definite: eigenvalue {w[0]:.6e}")
     r = np.sqrt(w)
-    s = (u * r) @ u.conj().T
-    si = (u / r) @ u.conj().T
-    return Operator((s + s.conj().T) / 2), Operator((si + si.conj().T) / 2)
+    return _from_eigenbasis(u * r, u, in_frame), _from_eigenbasis(u / r, u, in_frame)
 
 
 @dataclass(frozen=True)
@@ -185,13 +256,12 @@ class StructureFlags:
 def classify(M: Operator, tol: Tolerance = DEFAULT_TOL) -> StructureFlags:
     """Tolerance-based structural flags; purely diagnostic, never raises."""
     m = _as_matrix(M)
-    scale = max_norm(m)
-    herm = max_norm(m - m.conj().T) <= tol.bound(scale)
-    anti = max_norm(m + m.conj().T) <= tol.bound(scale)
+    herm = is_hermitian(m, tol)
+    anti = is_hermitian(1j * m, tol)
     sv = np.linalg.svd(m, compute_uv=False)
     invertible = bool(sv[-1] > tol.bound(sv[0]))
     pd = False
     if herm:
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        w = np.linalg.eigvalsh(m / 2 + m.conj().T / 2)
         pd = bool(w[0] > tol.abs_tol)
     return StructureFlags(herm, anti, pd, invertible)

@@ -28,7 +28,7 @@ from .config import (
     SplitMatrixModel,
     WaveTask,
 )
-from .errors import NonFiniteError, PseudohermError
+from .errors import DomainError, NonFiniteError, PseudohermError
 from .operators import Operator, Tolerance, max_norm
 from .perturbation import (
     SplitHamiltonian,
@@ -82,7 +82,9 @@ class _RunContext:
         self.tol = tol
         self.rng = np.random.default_rng(seed)
         self.split = None  # SplitHamiltonian for split-capable models
-        self.solved = None  # (order, QSeries) from the perturbative task
+        # (order, QSeries, {epsilon: metric residual}) from the perturbative task
+        self.solved = None
+        self.perturbative_error = None  # error class name of a failed perturbative task
 
     def hamiltonian(self) -> Operator:
         m = self.spec.model
@@ -149,7 +151,8 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
 def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list) -> dict:
     split = ctx.get_split()
     q = solve_q_series(split, task.order, tol=ctx.tol)
-    ctx.solved = (task.order, q)
+    residuals = {}  # filled below once the metric residual is known
+    ctx.solved = (task.order, q, residuals)
     for m, (residual, bound) in enumerate(q.order_checks, start=1):
         verdicts.append(_verdict(f"order_{m}_residual", residual, bound))
     norms = [max_norm(t.mat) for t in q.terms]
@@ -165,12 +168,11 @@ def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list)
             "threshold": float(ctx.tol.abs_tol),
         }
     )
+    residuals[split.epsilon] = pseudo_hermiticity_residual(split.total(), eta)
     data = {
         "order": task.order,
         "order_residuals": [float(r) for r, _ in q.order_checks],
-        "metric_residual_at_epsilon": float(
-            pseudo_hermiticity_residual(split.total(), eta)
-        ),
+        "metric_residual_at_epsilon": float(residuals[split.epsilon]),
         "epsilon": float(split.epsilon),
         "gauge_log": [dict(g) for g in q.gauge_log],
         "q_term_norms": norms,
@@ -180,10 +182,18 @@ def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list)
 
 def _scaling_task(ctx: _RunContext, task: ScalingTask, verdicts: list) -> dict:
     if ctx.solved is None:
+        if ctx.perturbative_error is not None:
+            raise DomainError(
+                "scaling needs the perturbative series, but the perturbative task failed "
+                f"with {ctx.perturbative_error}"
+            )
         raise PseudohermError("scaling requires a perturbative task earlier in the task list")
-    order, q = ctx.solved
+    order, q, known = ctx.solved
     split = ctx.get_split()
-    curve = residual_curve(split, q, task.eps_list)
+    # an epsilon the perturbative task already measured reuses its residual:
+    # the same series at the same float gives the same e^(-Q) and residual
+    fresh = dict(residual_curve(split, q, [e for e in task.eps_list if e not in known]))
+    curve = [(float(e), known[e] if e in known else fresh[e]) for e in task.eps_list]
     slope = curve_slope(curve)
     expected_min = order + 1 - 0.4
     data = {
@@ -266,6 +276,8 @@ def run_model_spec(spec: ModelSpec, seed: int = 0, abs_tol: float | None = None)
         except PseudohermError as exc:
             record["ok"] = False
             record["error"] = f"{type(exc).__name__}: {exc}"
+            if isinstance(task, PerturbativeTask):
+                ctx.perturbative_error = type(exc).__name__
         records.append(record)
     return {
         "name": spec.name,

@@ -21,7 +21,7 @@ from pseudoherm import (
     spectral_metric,
     spectrum_is_real,
 )
-from pseudoherm import errors, operators, perturbation
+from pseudoherm import errors, operators, perturbation, pipeline
 from pseudoherm.cli import main
 
 from helpers import run_cli
@@ -92,6 +92,49 @@ def test_run_model_spec_scaling_requires_perturbative(tmp_path):
     assert "perturbative" in task["error"]
 
 
+def test_scaling_names_the_failed_perturbative_task(tmp_path):
+    # H1 = diag(i, -i) has weight on H0's diagonal, so Q_1 has no solution
+    doc = {
+        "name": "obstructed",
+        "model": {
+            "split_matrix": {
+                "H0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+                "H1": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]],
+                "epsilon": 0.1,
+            }
+        },
+        "tasks": [
+            {"kind": "perturbative", "order": 2},
+            {"kind": "scaling", "eps_list": [0.1, 0.05, 0.025]},
+        ],
+    }
+    perturbative, scaling = run_model_spec(load_spec(write_spec(tmp_path, doc)))["tasks"]
+    assert perturbative["error"].startswith("ObstructionError")
+    assert scaling["error"].startswith("DomainError")
+    assert "perturbative task failed with ObstructionError" in scaling["error"]
+
+
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_nonhermitian_split_near_the_float_limit_names_the_rule(big, tmp_path):
+    # H0 - H0^dagger overflows here; the check must still report the rule
+    doc = {
+        "name": "huge",
+        "model": {
+            "split_matrix": {
+                "H0": [[[1.0, 0.0], [big, 0.0]], [[-big, 0.0], [2.0, 0.0]]],
+                "H1": [[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]],
+                "epsilon": 0.1,
+            }
+        },
+        "tasks": [{"kind": "perturbative", "order": 1}],
+    }
+    (task,) = run_model_spec(load_spec(write_spec(tmp_path, doc)))["tasks"]
+    assert task["error"] == "StructureError: H0 must be Hermitian"
+    h1 = np.array([[0.0, big], [big, 0.0]])  # Hermitian, so H1 = h1 is not anti-Hermitian
+    with pytest.raises(errors.StructureError, match="H1 must be anti-Hermitian"):
+        SplitHamiltonian(operators.Operator(np.eye(2)), operators.Operator(h1), 0.1)
+
+
 def test_run_model_spec_deterministic():
     spec = load_spec(shipped("step_potential.json"))
     a = canonical_json(run_model_spec(spec, seed=0))
@@ -102,14 +145,36 @@ def test_run_model_spec_deterministic():
 def test_run_model_spec_factorizes_once(linalg_counter):
     # one eig (spectrum), one svd (eigenvector conditioning, which also gives
     # the spectral eta's range), one eigh each for H0, rho = eta^(1/2) and the
-    # five e^(-Q(eps)); no second look at a spectrum already computed
+    # four distinct e^(-Q(eps)) (the scaling curve reuses the perturbative
+    # task's eps = 0.1); no second look at a spectrum already computed. The
+    # grid H, Q(eps) and eta are PT-symmetric, so eig and eigh run real.
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
     got = dict(linalg_counter)
     assert got.get("eig", 0) == 1
     assert got.get("svd", 0) <= 1
-    assert got.get("eigh", 0) <= 7
+    assert got.get("eigh", 0) <= 6
     assert got.get("eigvals", 0) == got.get("eigvalsh", 0) == got.get("cond", 0) == 0, got
+    assert linalg_counter.complex_calls("eig") == linalg_counter.complex_calls("eigh") == 0
+
+
+def test_run_model_spec_without_parity_stays_complex(linalg_counter):
+    # random_real_spectrum is not PT-symmetric under the index reversal
+    run_model_spec(load_spec(shipped("random_real_spectrum.json")))
+    assert linalg_counter["eig"] == linalg_counter.complex_calls("eig") == 1
+
+
+def test_scaling_reuses_the_perturbative_metric(monkeypatch):
+    # step_potential's eps = 0.1 is also its eps_list[0]: e^(-Q(0.1)) is built once
+    calls = []
+    real = perturbation.metric_from_series
+    monkeypatch.setattr(perturbation, "metric_from_series",
+                        lambda q, e: calls.append(float(e)) or real(q, e))
+    monkeypatch.setattr(pipeline, "metric_from_series", perturbation.metric_from_series)
+    report = run_model_spec(load_spec(shipped("step_potential.json")))
+    assert sorted(calls) == [0.0125, 0.025, 0.05, 0.1]
+    perturbative, scaling = report["tasks"][1:3]
+    assert scaling["data"]["curve"][0] == [0.1, perturbative["data"]["metric_residual_at_epsilon"]]
 
 
 def test_run_model_spec_checks_each_order_once(monkeypatch):

@@ -183,6 +183,19 @@ def test_herm_sqrt_inv_rejects_indefinite():
     assert "-2" in str(err.value)
 
 
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_hermiticity_checks_near_the_float_limit(big):
+    # m - m^dagger overflows here, and so does (1j m) + (1j m)^dagger; the
+    # checks must still answer. m is anti-Hermitian within the relative bound.
+    m = np.array([[1.0, big], [-big, 2.0]])
+    assert not is_hermitian(m)
+    assert is_hermitian(1j * m)
+    flags = classify(Operator(m))
+    assert not flags.hermitian and flags.anti_hermitian
+    flags = classify(Operator(1j * m))
+    assert flags.hermitian and not flags.anti_hermitian
+
+
 def test_classify_flags():
     herm = classify(Operator(np.diag([1.0, 2.0])))
     assert herm.hermitian and herm.positive_definite and herm.invertible
