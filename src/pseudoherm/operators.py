@@ -12,7 +12,8 @@ PT frame: with J the index reversal (J^2 = I) and S = (I + iJ)/sqrt(2), a
 matrix X with J conj(X) J = X (PT-symmetric) is real in the basis S:
 S^dagger X S is a real matrix. to_pt_frame and from_pt_frame map between the
 two bases in O(N^2), with index flips and no matrix product, so that a
-PT-symmetric factorization can run in real arithmetic.
+PT-symmetric factorization can run in real arithmetic; pt_frame decides
+which matrices do.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .errors import NonFiniteError, PositivityError, ShapeError, StructureError
 
 ABS_TOL = 1e-10
 REL_TOL = 1e-8
+# pt_frame's rounding level, in units of n * eps * max_norm(m): the Q(eps) and
+# eta of the step grids carry PT-odd parts of up to 4 (N <= 1025)
+PT_FRAME_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -117,11 +121,6 @@ def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return half_difference_norm(m, m.conj().T) <= tol.bound(max_norm(m)) / 2
 
 
-def is_pt_symmetric(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """is_hermitian's test for PT: max_norm(m - J conj(m) J) <= tol.bound(max_norm(m))."""
-    return half_difference_norm(m, m[::-1, ::-1].conj()) <= tol.bound(max_norm(m)) / 2
-
-
 def to_pt_frame(x: np.ndarray) -> np.ndarray:
     """Re(S^dagger X S): the real matrix of X's PT-even part (X + J conj(X) J)/2.
 
@@ -152,18 +151,38 @@ def from_pt_frame(y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _eigh_hermitian_part(m: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray, bool]:
+def from_pt_frame_columns(v: np.ndarray) -> np.ndarray:
+    """sqrt(2) S v: the columns of v mapped back from the frame, left unnormalized."""
+    return v + 1j * v[::-1]
+
+
+def pt_frame(m: np.ndarray) -> np.ndarray | None:
+    """to_pt_frame(m) when m is PT-symmetric to rounding and that matrix is finite, else None.
+
+    The one rule for which matrices are factorized in the frame. Rounding
+    level is max_norm(m - J conj(m) J) <= PT_FRAME_ULPS * n * eps * max_norm(m):
+    relative only and independent of any caller's Tolerance, so the PT-odd
+    part that to_pt_frame drops is no larger than the backward error of the
+    factorization itself. Any other m keeps the complex path.
+    """
+    bound = PT_FRAME_ULPS * m.shape[0] * np.finfo(float).eps * max_norm(m)
+    if half_difference_norm(m, m[::-1, ::-1].conj()) > bound / 2:
+        return None
+    r = to_pt_frame(m)
+    return r if np.isfinite(r).all() else None
+
+
+def _eigh_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """(w, u, in_frame): eigh of the Hermitian part of m.
 
-    When m is also PT-symmetric within tol and its frame matrix is finite,
-    the symmetric part of to_pt_frame(m) is factorized in real arithmetic:
-    u is then real and m's eigenvectors are S u.
+    When m has a PT frame (pt_frame), the symmetric part of its frame matrix
+    is factorized in real arithmetic: u is then real and m's eigenvectors
+    are S u.
     """
-    if is_pt_symmetric(m, tol):
-        r = to_pt_frame(m)
-        if np.isfinite(r).all():
-            w, u = np.linalg.eigh(r / 2 + r.T / 2)
-            return w, u, True
+    r = pt_frame(m)
+    if r is not None:
+        w, u = np.linalg.eigh(r / 2 + r.T / 2)
+        return w, u, True
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
     return w, u, False
 
@@ -226,7 +245,7 @@ def herm_exp_eig(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, n
             f"herm_exp requires a Hermitian argument, "
             f"defect {2 * half_difference_norm(q, q.conj().T):.3e}"
         )
-    w, u, in_frame = _eigh_hermitian_part(q, tol)
+    w, u, in_frame = _eigh_hermitian_part(q)
     return _from_eigenbasis(u * np.exp(-w), u, in_frame), w
 
 
@@ -238,7 +257,7 @@ def herm_sqrt_inv(M: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, 
             f"herm_sqrt_inv requires a Hermitian argument, "
             f"defect {2 * half_difference_norm(m, m.conj().T):.3e}"
         )
-    w, u, in_frame = _eigh_hermitian_part(m, tol)
+    w, u, in_frame = _eigh_hermitian_part(m)
     if w[0] <= tol.abs_tol:
         raise PositivityError(f"matrix not positive definite: eigenvalue {w[0]:.6e}")
     r = np.sqrt(w)

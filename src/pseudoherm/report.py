@@ -16,10 +16,15 @@ import numpy as np
 
 
 def format_float(x: float) -> str:
-    """17-significant-digit decimal form; float(format_float(x)) == x."""
+    """17-significant-digit decimal form; float(format_float(x)) == x.
+
+    An integral value keeps a float literal (0.0, -0.0, 1.0), so a JSON
+    reader loads every report float as a float, with its sign.
+    """
     if not np.isfinite(x):
         raise ValueError(f"non-finite value {x!r} cannot appear in a report")
-    return "%.17g" % float(x)
+    text = "%.17g" % float(x)
+    return text if "." in text or "e" in text else text + ".0"
 
 
 def _serialize(obj, indent: int) -> str:

@@ -29,7 +29,15 @@ from .errors import (
     ShapeError,
     StructureError,
 )
-from .operators import DEFAULT_TOL, Operator, Tolerance, herm_sqrt_inv, max_norm, to_pt_frame
+from .operators import (
+    DEFAULT_TOL,
+    Operator,
+    Tolerance,
+    from_pt_frame_columns,
+    herm_sqrt_inv,
+    max_norm,
+    pt_frame,
+)
 
 log = logging.getLogger(__name__)
 
@@ -103,17 +111,16 @@ def biorthonormal_eigensystem(H: Operator, tol: Tolerance = DEFAULT_TOL) -> Bior
 
     The left family is phi = inv(psi)^dagger, so the Gram identity and
     completeness hold by construction, degenerate blocks included. An H with
-    J conj(H) J == H exactly is diagonalized in the real PT frame, where it
-    is the real matrix S^dagger H S; its eigenvectors v give psi = S v.
+    a PT frame (operators.pt_frame) is diagonalized there, as the real matrix
+    S^dagger H S; its eigenvectors v give psi = S v.
     """
-    h = H.mat
-    frame = to_pt_frame(h) if np.array_equal(h, h[::-1, ::-1].conj()) else None
-    if frame is not None and np.isfinite(frame).all():
+    frame = pt_frame(H.mat)
+    if frame is not None:
         w, v = np.linalg.eig(frame)
         w = w.astype(complex)
-        v = v + 1j * v[::-1]  # sqrt(2) S v; the normalization below removes the sqrt(2)
+        v = from_pt_frame_columns(v)  # the normalization below removes the sqrt(2)
     else:
-        w, v = np.linalg.eig(h)
+        w, v = np.linalg.eig(H.mat)
     order = np.lexsort((np.arange(w.size), w.imag, w.real))
     w, v = w[order], v[:, order]
     v = v / np.linalg.norm(v, axis=0)

@@ -22,7 +22,7 @@ from pseudoherm import (
     max_norm,
     spectral_metric,
 )
-from pseudoherm.operators import from_pt_frame, is_pt_symmetric, to_pt_frame
+from pseudoherm.operators import Tolerance, from_pt_frame, pt_frame, to_pt_frame
 
 DIMS = (2, 16, 129)
 EPS = np.finfo(float).eps
@@ -101,15 +101,20 @@ def test_pt_frame_round_trip(n):
     assert np.array_equal(sym, sym.conj().T)
 
 
-def test_is_pt_symmetric_uses_the_tolerance():
-    rng = np.random.default_rng(3)
-    x = pt_part(random_complex(16, rng))
-    assert is_pt_symmetric(x)
-    assert not is_pt_symmetric(random_complex(16, rng))
+@pytest.mark.parametrize("n", DIMS)
+def test_pt_frame_takes_rounding_level_pt_symmetry_only(n):
+    rng = np.random.default_rng(3 + n)
+    x = pt_part(random_complex(n, rng))
+    assert np.array_equal(pt_frame(x), to_pt_frame(x))
+    assert pt_frame(random_complex(n, rng)) is None
     bump = np.zeros_like(x)
-    bump[0, 1] = 1e-9 * max_norm(x)  # x - J conj(x) J picks up 1e-9 |x|, under the 1e-8 bound
-    assert is_pt_symmetric(x + bump)
-    assert not is_pt_symmetric(x + 100 * bump)
+    bump[0, 1] = n * EPS * max_norm(x)  # a PT-odd part of n eps |x|, rounding level
+    assert np.array_equal(pt_frame(x + bump), to_pt_frame(x + bump))
+    bump[0, 1] = 1e-10 * max_norm(x)  # under any caller's tolerance, but not rounding
+    assert pt_frame(x + bump) is None
+    # relative only: a tiny PT-odd matrix has no frame however small it is
+    assert pt_frame(1e-300 * random_complex(n, rng)) is None
+    assert np.array_equal(pt_frame(np.zeros((n, n), dtype=complex)), np.zeros((n, n)))
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -176,6 +181,52 @@ def test_eigensystem_without_pt_symmetry_is_unchanged(linalg_counter):
     assert np.array_equal(sys.eigenvalues, w) and np.array_equal(sys.right_vectors, v)
     assert np.array_equal(sys.left_vectors, phi) and np.array_equal(sys.right_singular_values, sv)
     assert linalg_counter.complex_calls("eig") == 2  # the package's call and the reference's
+
+
+def near_pt_inputs(n, rng):
+    """Hermitian q, positive definite m and a general h, each PT-symmetric but for a
+    PT-odd part of 1e-10 of its size: inside the default Tolerance, above rounding."""
+    q = random_pt_hermitian(n, rng)
+    z = random_complex(n, rng)
+    odd = (z - z[::-1, ::-1].conj()) / 2
+    odd = (odd + odd.conj().T) / 2
+    q = q + 1e-10 * max_norm(q) / max_norm(odd) * odd
+    h = pt_part(random_complex(n, rng)) + 1e-10 * odd
+    return q, q @ q + np.eye(n), h
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_near_pt_inputs_keep_the_complex_path(n, linalg_counter):
+    rng = np.random.default_rng(600 + n)
+    q, m, h = near_pt_inputs(n, rng)
+    e, _ = herm_exp_eig(Operator(q))
+    assert np.array_equal(e.mat, herm_function_reference(q, lambda w: np.exp(-w))[0])
+    sqrt, _ = herm_sqrt_inv(Operator(m))
+    assert np.array_equal(sqrt.mat, herm_function_reference(m, np.sqrt)[0])
+    sys = biorthonormal_eigensystem(Operator(h))
+    w, v, _, _ = eigensystem_reference(h)
+    assert np.array_equal(sys.eigenvalues, w) and np.array_equal(sys.right_vectors, v)
+    assert linalg_counter.complex_calls("eigh") == linalg_counter["eigh"]
+    assert linalg_counter.complex_calls("eig") == linalg_counter["eig"]
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_the_caller_tolerance_does_not_open_the_frame(n, linalg_counter):
+    # a loose Tolerance (run --tol 1) passes the Hermiticity check of a matrix
+    # with no parity, and a tiny PT-odd Q is under the default abs_tol outright;
+    # both still take the complex path, bit for bit
+    rng = np.random.default_rng(700 + n)
+    z = random_complex(n, rng)
+    m = z @ z.conj().T + 4 * n * np.eye(n)
+    loose = Tolerance(abs_tol=1.0)
+    sqrt, _ = herm_sqrt_inv(Operator(m), loose)
+    assert np.array_equal(sqrt.mat, herm_function_reference(m, np.sqrt)[0])
+    odd = (z - z[::-1, ::-1].conj()) / 2
+    tiny = 1e-11 * (odd + odd.conj().T) / max_norm(odd + odd.conj().T)
+    e, w = herm_exp_eig(Operator(tiny))
+    ref_e, ref_w = herm_function_reference(tiny, lambda w: np.exp(-w))
+    assert np.array_equal(e.mat, ref_e) and np.array_equal(w, ref_w)
+    assert linalg_counter.complex_calls("eigh") == linalg_counter["eigh"]
 
 
 @pytest.mark.parametrize("n", (2, 16))

@@ -9,8 +9,12 @@ from pseudoherm.report import format_float
 
 
 def test_format_float_roundtrip():
-    for x in (0.0, 1.0, -1.5, 1e-300, 0.1 + 0.2, np.pi, 2.3675289159696966e-14):
-        assert float(format_float(x)) == x
+    for x in (0.0, -0.0, 1.0, -3.0, 1e16, 1e17, -1.5, 1e-300, 0.1 + 0.2, np.pi, 2.3675289159696966e-14):
+        text = format_float(x)
+        assert float(text) == x
+        loaded = json.loads(text)  # a float literal, sign included, never an int
+        assert type(loaded) is float and loaded == x and np.signbit(loaded) == np.signbit(x)
+    assert format_float(0.0) == "0.0" and format_float(-0.0) == "-0.0"
     with pytest.raises(ValueError):
         format_float(float("nan"))
     with pytest.raises(ValueError):
