@@ -35,6 +35,7 @@ from .operators import (
     Operator,
     Tolerance,
     commutator,
+    half_difference_norm,
     herm_exp_eig,
     is_hermitian,
     max_norm,
@@ -154,12 +155,23 @@ class SplitHamiltonian:
             return max_norm(self._dense[1].mat)
         return max_norm(self._stencil[2])
 
-    def h0_commutator(self, x: np.ndarray) -> np.ndarray:
-        """[H0, X]."""
+    def h0_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start:stop of [H0, X]; all of [H0, X] by default.
+
+        In the structured form a row of [H0, X] reads only the rows of X next
+        to it, so the rows come from a slab of X with one halo row on each
+        side, each entry summed exactly as in the whole commutator.
+        """
+        n = x.shape[0]
+        stop = n if stop is None else stop
         if self._stencil is None:
-            return commutator(self._dense[0].mat, x)
+            h0 = self._dense[0].mat
+            if start == 0 and stop == n:
+                return commutator(h0, x)
+            return h0[start:stop] @ x - x[start:stop] @ h0
         diag, off, _ = self._stencil
-        return _tridiagonal_commutator(diag, off, x)
+        lo, hi = max(start - 1, 0), min(stop + 1, n)
+        return _tridiagonal_commutator(diag, off, x[lo:hi])[start - lo : stop - lo]
 
     def h1_commutator(self, x: np.ndarray) -> np.ndarray:
         """[H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
@@ -168,12 +180,18 @@ class SplitHamiltonian:
         iv = 1j * self._stencil[2]
         return iv[:, None] * x - x * iv[None, :]
 
-    def add_h1(self, x: np.ndarray, scale: float) -> np.ndarray:
-        """x += scale * H1 in place, on a complex N x N array x; returns x."""
+    def add_h1(self, x: np.ndarray, scale: float, start: int = 0) -> np.ndarray:
+        """x += scale * H1 in place; returns x.
+
+        x is complex and holds rows start:start + len(x) of an N x N array,
+        all N rows by default.
+        """
+        rows = slice(start, start + x.shape[0])
         if self._stencil is None:
-            x += scale * self._dense[1].mat
+            x += scale * self._dense[1].mat[rows]
         else:
-            x.flat[:: x.shape[0] + 1] += scale * (1j * self._stencil[2])
+            i = np.arange(x.shape[0])
+            x[i, start + i] += scale * (1j * self._stencil[2][rows])
         return x
 
     def total(self, epsilon: float | None = None) -> Operator:
@@ -193,8 +211,7 @@ class QSeries:
     def __post_init__(self):
         terms = tuple(self.terms)
         for j, q in enumerate(terms):
-            m = q.mat
-            if max_norm(m - m.conj().T) > DEFAULT_TOL.bound(max_norm(m)):
+            if not is_hermitian(q.mat):
                 raise StructureError(f"Q_{j + 1} is not Hermitian within tolerance")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "gauge_log", tuple(self.gauge_log))
@@ -311,7 +328,7 @@ def order_equation_rhs(
     if len(lower) != m - 1:
         raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {len(lower)}")
     r = -_chain_sum(split, [t.mat for t in lower], m)
-    defect = max_norm(r + r.conj().T)
+    defect = 2 * half_difference_norm(r, -r.conj().T)
     if defect > tol.bound(max(max_norm(r), split.h1_norm())):
         raise ConsistencyError(
             f"order-{m} source fails anti-Hermiticity (defect {defect:.3e}); "
@@ -330,9 +347,9 @@ def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _check_sylvester(h0: np.ndarray, r: np.ndarray, tol: Tolerance) -> None:
     if h0.shape != r.shape:
         raise ShapeError(f"dimension mismatch: {h0.shape} vs {r.shape}")
-    if max_norm(h0 - h0.conj().T) > tol.bound(max_norm(h0)):
+    if not is_hermitian(h0, tol):
         raise StructureError("H0 must be Hermitian")
-    if max_norm(r + r.conj().T) > tol.bound(max_norm(r)):
+    if not is_hermitian(1j * r, tol):
         raise StructureError("source R must be anti-Hermitian")
 
 

@@ -39,9 +39,9 @@ from .perturbation import (
 )
 from .spectral import (
     RESIDUAL_REL,
+    _equivalent_hermitian,
     biorthonormal_eigensystem,
     c_operator,
-    equivalent_hermitian,
     pseudo_hermiticity_residual,
     pseudo_hermiticity_threshold,
     spectral_metric,
@@ -122,7 +122,7 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     threshold = pseudo_hermiticity_threshold(H, eta)
     residual = pseudo_hermiticity_residual(H, eta)
     verdicts.append(_verdict("pseudo_hermiticity_residual", residual, threshold))
-    h, _rho = equivalent_hermitian(H, eta, ctx.tol)
+    h, _rho = _equivalent_hermitian(H, eta, residual, threshold, ctx.tol)
     herm_defect = max_norm(h.mat - h.mat.conj().T)
     verdicts.append(_verdict("equivalent_hermitian_defect", herm_defect,
                              RESIDUAL_REL * max(1.0, max_norm(h.mat))))
@@ -262,16 +262,20 @@ def run_model_spec(spec: ModelSpec, seed: int = 0, abs_tol: float | None = None)
         record = {"task": task.kind, "ok": True, "error": None, "data": {}, "verdicts": []}
         verdicts = record["verdicts"]
         try:
-            if isinstance(task, SpectralTask):
-                record["data"] = _spectral_task(ctx, verdicts)
-            elif isinstance(task, PerturbativeTask):
-                record["data"] = _perturbative_task(ctx, task, verdicts)
-            elif isinstance(task, ScalingTask):
-                record["data"] = _scaling_task(ctx, task, verdicts)
-            elif isinstance(task, WaveTask):
-                record["data"] = _wave_task(ctx, verdicts)
-            else:  # pragma: no cover
-                raise PseudohermError(f"unknown task {task!r}")
+            # a spec's numbers may overflow at run time; max_norm, _verdict and
+            # Operator refuse the inf or NaN with a typed error, which numpy's
+            # overflow warnings on stderr would only repeat
+            with np.errstate(over="ignore", invalid="ignore"):
+                if isinstance(task, SpectralTask):
+                    record["data"] = _spectral_task(ctx, verdicts)
+                elif isinstance(task, PerturbativeTask):
+                    record["data"] = _perturbative_task(ctx, task, verdicts)
+                elif isinstance(task, ScalingTask):
+                    record["data"] = _scaling_task(ctx, task, verdicts)
+                elif isinstance(task, WaveTask):
+                    record["data"] = _wave_task(ctx, verdicts)
+                else:  # pragma: no cover
+                    raise PseudohermError(f"unknown task {task!r}")
             record["ok"] = all(v["ok"] for v in verdicts)
         except PseudohermError as exc:
             record["ok"] = False

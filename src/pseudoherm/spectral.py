@@ -35,6 +35,7 @@ from .operators import (
     Tolerance,
     from_pt_frame_columns,
     herm_sqrt_inv,
+    is_hermitian,
     max_norm,
     pt_frame,
 )
@@ -197,12 +198,23 @@ def pseudo_hermiticity_threshold(H: Operator, eta) -> float:
 
 
 def equivalent_hermitian(H: Operator, eta, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
-    """h = rho H rho^{-1} with rho = eta^{1/2}; Hermitian, isospectral with H."""
-    res = pseudo_hermiticity_residual(H, eta)
-    threshold = pseudo_hermiticity_threshold(H, eta)
-    if res > threshold:
+    """h = rho H rho^{-1} with rho = eta^{1/2}; Hermitian, isospectral with H.
+
+    Raises ResidualError unless eta passes pseudo_hermiticity_residual
+    within pseudo_hermiticity_threshold.
+    """
+    return _equivalent_hermitian(
+        H, eta, pseudo_hermiticity_residual(H, eta), pseudo_hermiticity_threshold(H, eta), tol
+    )
+
+
+def _equivalent_hermitian(
+    H: Operator, eta, residual: float, threshold: float, tol: Tolerance
+) -> tuple[Operator, Operator]:
+    """equivalent_hermitian given eta's residual and threshold, for a caller that has them."""
+    if residual > threshold:
         raise ResidualError(
-            f"pseudo-Hermiticity residual {res:.3e} exceeds threshold {threshold:.3e}"
+            f"pseudo-Hermiticity residual {residual:.3e} exceeds threshold {threshold:.3e}"
         )
     rho, rho_inv = herm_sqrt_inv(Operator(_metric_matrix(eta)), tol)
     h = rho.mat @ H.mat @ rho_inv.mat
@@ -219,11 +231,15 @@ def c_operator(eta, P: Operator, H: Operator | None = None, tol: Tolerance = DEF
     choices, so it is reported and never asserted.
     """
     p = P.mat
-    scale = max_norm(p)
-    if max_norm(p @ p - np.eye(p.shape[0])) > tol.bound(scale * scale):
-        raise StructureError("P is not an involution (P^2 != I within tolerance)")
-    if max_norm(p - p.conj().T) > tol.bound(scale):
+    if not is_hermitian(p, tol):
         raise StructureError("P is not Hermitian within tolerance")
+    scale = max_norm(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        invol_defect = np.abs(p @ p - np.eye(p.shape[0])).max(initial=0.0)
+    # an overflowed P^2 is no involution: inf or NaN fails the rule, which
+    # an inf bound (scale^2 past the float limit) would otherwise pass
+    if not (np.isfinite(invol_defect) and invol_defect <= tol.bound(scale * scale)):
+        raise StructureError("P is not an involution (P^2 != I within tolerance)")
     e = _metric_matrix(eta)
     c = np.linalg.solve(e, p)
     comm = None

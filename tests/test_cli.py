@@ -14,6 +14,7 @@ from pseudoherm import (
     canonical_json,
     classify,
     discretize_schroedinger,
+    equivalent_hermitian,
     load_spec,
     metric_from_series,
     run_model_spec,
@@ -21,7 +22,7 @@ from pseudoherm import (
     spectral_metric,
     spectrum_is_real,
 )
-from pseudoherm import errors, operators, perturbation, pipeline
+from pseudoherm import errors, operators, perturbation, pipeline, spectral
 from pseudoherm.cli import main
 
 from helpers import run_cli
@@ -184,7 +185,8 @@ def test_run_model_spec_checks_each_order_once(monkeypatch):
     # order 2: R_1 needs no commutator, R_2 three, and each order's check
     # [H0, Q_m] - R_m one; no second expansion of the order sums. The grid
     # split takes [H0, .] and [H1, .] itself, so its entry points count too,
-    # and the wave task's off-band check adds its one [H0, M].
+    # and the wave task's off-band check adds one [H0, M] row block per 32 of
+    # the N - 6 = 123 rows it keeps: 4 blocks.
     calls = []
     for module in (operators, perturbation):
         real = module.commutator
@@ -192,10 +194,10 @@ def test_run_model_spec_checks_each_order_once(monkeypatch):
     for name in ("h0_commutator", "h1_commutator"):
         real = getattr(SplitHamiltonian, name)
         monkeypatch.setattr(SplitHamiltonian, name,
-                            lambda self, x, f=real: calls.append(1) or f(self, x))
+                            lambda self, *args, f=real: calls.append(1) or f(self, *args))
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
-    assert len(calls) == 5 + 1
+    assert len(calls) == 5 + 4
 
 
 @pytest.mark.parametrize(
@@ -296,6 +298,34 @@ def test_spectral_verdicts_kept_when_c_operator_raises(tmp_path):
     assert task["data"] == {}
 
 
+def test_spectral_task_measures_its_residual_once(monkeypatch):
+    calls = []
+    real = spectral.pseudo_hermiticity_residual
+
+    def counted(H, eta):
+        calls.append(1)
+        return real(H, eta)
+
+    for module in (spectral, pipeline):
+        monkeypatch.setattr(module, "pseudo_hermiticity_residual", counted)
+    spec = load_spec(shipped("pt_toy_2x2.json"))
+    (task,) = run_model_spec(spec)["tasks"]
+    assert task["ok"] is True
+    assert len(calls) == 1
+    # a residual over its threshold: the failing verdict is recorded first,
+    # then the task ends in equivalent_hermitian's ResidualError
+    for module in (spectral, pipeline):
+        monkeypatch.setattr(module, "pseudo_hermiticity_threshold", lambda H, eta: -1.0)
+    (task,) = run_model_spec(spec)["tasks"]
+    assert [(v["name"], v["ok"]) for v in task["verdicts"]] == [
+        ("pseudo_hermiticity_residual", False)
+    ]
+    H = spec.model.H
+    with pytest.raises(errors.ResidualError) as raised:
+        equivalent_hermitian(H, spectral_metric(biorthonormal_eigensystem(H)))
+    assert task["error"] == f"ResidualError: {raised.value}"
+
+
 def _step_case(name, tasks, **schroedinger):
     doc = json.loads(Path(shipped("step_potential.json")).read_text())
     doc["model"]["schroedinger"].update(schroedinger)
@@ -325,12 +355,15 @@ OVERFLOW_SPECS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(OVERFLOW_SPECS))
 def test_run_time_overflow_is_a_typed_task_error(case, tmp_path):
+    # the typed error is the only report of the overflow: numpy prints no
+    # RuntimeWarning on stderr
     doc, failing, kept = OVERFLOW_SPECS[case]
     out = tmp_path / "out"
-    assert main(["run", write_spec(tmp_path, doc), "--out", str(out)]) == 1
+    proc = run_cli(["run", write_spec(tmp_path, doc), "--out", str(out)])
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     report = json.loads((out / f"{doc['name']}_report.json").read_text())
     task = next(r for r in report["tasks"] if r["task"] == failing)
     error_class = getattr(errors, task["error"].split(":")[0])

@@ -79,6 +79,19 @@ def test_qseries_validation_and_sum():
         QSeries((Operator(np.array([[0.0, 1.0], [0.0, 0.0]])),))
 
 
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_hermiticity_rules_near_the_float_limit(big):
+    # m - m^dagger overflows here, and so does R + R^dagger for R = i m; each
+    # check must still name its rule
+    m = Operator(np.array([[1.0, big], [-big, 2.0]]))
+    with pytest.raises(StructureError, match="Q_1 is not Hermitian"):
+        QSeries((m,))
+    with pytest.raises(StructureError, match="H0 must be Hermitian"):
+        sylvester_solve(m, Operator(np.zeros((2, 2))))
+    with pytest.raises(StructureError, match="source R must be anti-Hermitian"):
+        sylvester_solve(Operator(np.diag([1.0, 2.0])), Operator(1j * m.mat))
+
+
 def test_master_formula_collected_scalars():
     # order-by-order the triple sum collapses to -1/2, 0, 1/24
     c1 = master_formula_coefficients(1)

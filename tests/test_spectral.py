@@ -190,6 +190,18 @@ def test_c_operator_validates_parity():
         c_operator(eta, Operator(np.array([[0.0, 1.0], [-1.0, 0.0]])))  # not Hermitian
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("big", [1e308, -1e308])
+def test_c_operator_rules_near_the_float_limit(big):
+    # P - P^dagger overflows for the first P and P^2 for the second; each
+    # must still fail its own rule, with no overflow warning
+    eye = Operator(np.eye(2))
+    with pytest.raises(StructureError, match="not Hermitian"):
+        c_operator(eye, Operator(np.array([[0.0, big], [-big, 0.0]])))
+    with pytest.raises(StructureError, match="not an involution"):
+        c_operator(eye, Operator(np.array([[0.0, big], [big, 0.0]])))
+
+
 def test_metric_factorization():
     rng = np.random.default_rng(16)
     h, _ = random_diagonalizable(5, rng)

@@ -316,16 +316,31 @@ def old_mask(N, band):
     return (np.abs(i - j) > band) & (np.minimum(i, j) > 2) & (np.maximum(i, j) < N - 3)
 
 
+def grid_split(N, form):
+    """The step potential's grid split, in its stencil form or as two dense matrices."""
+    split = discretize_schroedinger(step_potential(), 4.0, N)
+    return split if form == "stencil" else SplitHamiltonian(split.H0, split.H1, split.epsilon)
+
+
+def one_shot_check(split, m, band):
+    """The check as one pass over the whole of [H0, M] + 2 H1: the row blocks' reference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(split.h0_commutator(m) + 2.0 * split.H1.mat)
+    return defect[old_mask(m.shape[0], band)].max()
+
+
 @pytest.mark.parametrize("N", [16, 129])
 @pytest.mark.parametrize("band", [2, 5])
 def test_offdiagonal_check_keeps_the_entries_off_band_and_boundary(N, band):
     # a random M is no kernel, so the defect is nonzero and the check's
-    # maximum depends on which entries it keeps
-    split = discretize_schroedinger(step_potential(), 4.0, N)
+    # maximum depends on which entries it keeps; at N = 129 the 123 kept rows
+    # are three blocks of 32 and a partial one of 27, and in either split
+    # form each block sums its entries as the one-shot pass does
     m = random_hermitian(N, seed=band) + 0.3 * np.eye(N)
-    defect = np.abs(split.h0_commutator(m) + 2.0 * split.H1.mat)
-    got = offdiagonal_commutator_check(split, Operator(m), band_exclude=band)
-    assert got == defect[old_mask(N, band)].max()
+    for form in ("stencil", "dense"):
+        split = grid_split(N, form)
+        got = offdiagonal_commutator_check(split, Operator(m), band_exclude=band)
+        assert got == one_shot_check(split, m, band), form
 
 
 @pytest.mark.parametrize("band", [2, 5])
@@ -354,6 +369,68 @@ def test_offdiagonal_check_returns_nan_off_the_band():
     m = np.zeros((16, 16))
     m[10, 4] = 1e308
     assert np.isnan(offdiagonal_commutator_check(split, Operator(m), band_exclude=2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("form", ["stencil", "dense"])
+def test_offdiagonal_check_nan_in_a_later_block(form):
+    # row 110 lies in the last, partial block of N = 129: the NaN there must
+    # survive the blocks before it, whose maxima are finite, and the overflow
+    # raises no warning
+    split = grid_split(129, form)
+    m = random_hermitian(129, seed=3)
+    m[110, 40] = 1e308
+    assert np.isnan(one_shot_check(split, m, 2))
+    assert np.isnan(offdiagonal_commutator_check(split, Operator(m), band_exclude=2))
+
+
+@pytest.mark.parametrize("N", [16, 17, 100, 129, 513, 2049])
+def test_hankel_fill_matches_the_on_grid_fill(N):
+    # when N - 1 is a power of two the grid sums are exact and the Hankel fill
+    # is the N^2-point fill bit for bit; elsewhere the midpoints round apart.
+    # Either way M is antisymmetric bit for bit and the off-band defect is 0.
+    v = step_potential()
+    K = particular_kernel_q1(v)
+    m = kernel_to_matrix(K, 4.0, N).mat
+    xs = grid_points(4.0, N)
+    ref = K.on_grid(xs, xs) * (8.0 / (N - 1))
+    if (N - 1) & (N - 2) == 0:
+        assert np.array_equal(m, ref)
+    else:
+        assert max_norm(m - ref) <= 1e-15 * max_norm(m)
+    assert np.array_equal(m, -m.T)
+    split = discretize_schroedinger(v, 4.0, N)
+    assert offdiagonal_commutator_check(split, Operator(m), band_exclude=2) == 0.0
+
+
+def test_kernels_without_a_midpoint_profile_fill_on_the_grid():
+    K = general_kernel(particular_kernel_q1(step_potential()), sin_gauge_pair())
+    assert K.midpoint_profile is None
+    xs = grid_points(4.0, 33)
+    assert np.array_equal(kernel_to_matrix(K, 4.0, 33).mat, K.on_grid(xs, xs) * 0.25)
+
+
+def test_wave_fill_and_check_memory_at_n2049():
+    # M is a 67 MB complex matrix at N = 2049. The fill holds M and the copy
+    # Operator freezes, with no N x N argument, sign or value array; the check
+    # holds a few rows of M per block, not N x N arrays.
+    N = 2049
+    v = step_potential()
+    split = discretize_schroedinger(v, 4.0, N)
+    K = particular_kernel_q1(v)
+    size = N * N * 16
+    tracemalloc.start()
+    try:
+        M = kernel_to_matrix(K, 4.0, N)
+        _, fill_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        offdiagonal_commutator_check(split, M, band_exclude=2)
+        _, check_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fill_peak < 2.5 * size
+    assert check_peak - held < 16_000_000
 
 
 def test_discretize_schroedinger_allocates_no_dense_matrix():
