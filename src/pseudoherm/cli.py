@@ -6,8 +6,9 @@
 
 The default output directory is PSEUDOHERM_OUT_DIR, else the current
 directory. Exit codes: 0 all verdicts pass, 1 a task or verdict failed,
-2 the spec did not load or an argument is invalid (--tol must be finite
-and >= 0, and not 0 when the spec's rel_tol is 0).
+2 the spec did not load, an argument is invalid (--tol must be finite
+and >= 0, and not 0 when the spec's rel_tol is 0) or the output directory
+cannot be created.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--tol", type=_abs_tol, default=None, metavar="ABS",
                    help="override the absolute tolerance")
 
-    v = sub.add_parser("validate", help="schema-check a model spec")
+    v = sub.add_parser("validate", help="check a model spec without running it")
     v.add_argument("spec_file")
 
     o = sub.add_parser("orders", help="verify the order equations on a built-in random instance")
@@ -73,15 +74,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    out_dir = args.out or os.environ.get("PSEUDOHERM_OUT_DIR") or "."
     try:
         spec = load_spec(args.spec_file)
         if args.tol is not None:
             tol = spec_tolerance(args.tol, spec.tolerance.rel_tol, "--tol")
             spec = dataclasses.replace(spec, tolerance=tol)
+        os.makedirs(out_dir, exist_ok=True)  # an unusable --out fails before the run
     except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = args.out or os.environ.get("PSEUDOHERM_OUT_DIR") or "."
     report = run_model_spec(spec, seed=args.seed)
     paths = emit(report, out_dir, args.format)
     for record in report["tasks"]:

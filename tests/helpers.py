@@ -14,7 +14,12 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def run_cli(args, blas_threads=None):
-    """`python -m pseudoherm.cli *args` in a fresh process, importing this package.
+    """`python -m pseudoherm.cli *args` in a fresh process (see run_python)."""
+    return run_python(["-m", "pseudoherm.cli", *args], blas_threads)
+
+
+def run_python(args, blas_threads=None):
+    """`python *args` in a fresh process, importing this package.
 
     The child finds the package the tests imported (an installed copy or the
     source tree) through PYTHONPATH. blas_threads, when given, pins every
@@ -25,9 +30,7 @@ def run_cli(args, blas_threads=None):
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     if blas_threads is not None:
         env.update({var: str(blas_threads) for var in BLAS_THREAD_VARS})
-    return subprocess.run(
-        [sys.executable, "-m", "pseudoherm.cli", *args], env=env, capture_output=True, text=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def random_diagonalizable(dim, rng, cond_cap=100.0, spread=5.0):

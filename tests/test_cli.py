@@ -25,7 +25,7 @@ from pseudoherm import (
 from pseudoherm import errors, operators, perturbation, pipeline, spectral
 from pseudoherm.cli import main
 
-from helpers import run_cli
+from helpers import run_cli, run_python
 
 
 def shipped(name):
@@ -465,6 +465,34 @@ def test_cli_run_missing_spec(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.json")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_non_utf8_spec_exits_2(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error: not UTF-8 text" in capsys.readouterr().err
+    assert main(["validate", str(spec)]) == 2
+    assert "error: not UTF-8 text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_cli_run_unusable_out_fails_before_the_run(under, tmp_path, capsys):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / under if under else blocker
+    assert main(["run", shipped("pt_toy_2x2.json"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no task ran
+    assert captured.err.startswith("error: ") and str(blocker) in captured.err
+
+
+def test_cli_import_loads_no_jsonschema():
+    proc = run_python(["-c", "import sys, pseudoherm.cli; print('jsonschema' in sys.modules)"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_validate(tmp_path, capsys):

@@ -100,8 +100,8 @@ def test_parse_error_reports_position():
 
 def test_schema_rejections():
     cases = [
-        ({}, "required"),
-        (minimal_spec(model={}), "non-empty"),
+        ({}, "$: missing required field 'name'"),
+        (minimal_spec(model={}), "$.model: must hold exactly one of"),
         (
             minimal_spec(
                 model={
@@ -115,16 +115,17 @@ def test_schema_rejections():
                     },
                 }
             ),
-            "has too many properties",
+            "$.model: must hold exactly one of",
         ),
-        (minimal_spec(extra=1), "extra"),
-        (minimal_spec(tasks=[]), "non-empty"),
-        (minimal_spec(tasks=[{"kind": "unknown"}]), "is not valid"),
-        (minimal_spec(tasks=[{"kind": "perturbative"}]), "is not valid"),
-        (minimal_spec(tasks=[{"kind": "perturbative", "order": 9}]), "is not valid"),
+        (minimal_spec(extra=1), '$: unknown field "extra"'),
+        (minimal_spec(tasks=[]), "$.tasks: must be a non-empty array"),
+        (minimal_spec(tasks=[{"kind": "unknown"}]), "$.tasks[0]: must be an object whose kind is"),
+        (minimal_spec(tasks=[{"kind": "perturbative"}]), "$.tasks[0]: missing required field 'order'"),
+        (minimal_spec(tasks=[{"kind": "perturbative", "order": 9}]),
+         "$.tasks[0].order: must be an integer >= 1 and <= 5, got 9"),
         (minimal_spec(model={"matrix": [[[1.0, 0.0, 0.0]]]}),
          "$.model.matrix: need 1 x 1 [re, im] pairs"),
-        (minimal_spec(tolerances={"abs_tol": -1.0}), "minimum"),
+        (minimal_spec(tolerances={"abs_tol": -1.0}), "$.tolerances.abs_tol: must be a number >= 0"),
     ]
     for doc, fragment in cases:
         with pytest.raises(SpecError) as err:
@@ -250,8 +251,102 @@ def step_doc(**kw):
     return doc
 
 
-# each spec breaks one rule that the program, not the schema, enforces
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def split(**kw):
+    return minimal_spec(model={"split_matrix": {**SPLIT_2X2, "epsilon": 0.1, **kw}})
+
+
+def scaling(eps_list):
+    return minimal_spec(tasks=[{"kind": "perturbative", "order": 1},
+                               {"kind": "scaling", "eps_list": eps_list}])
+
+
+def order(value):
+    return minimal_spec(tasks=[{"kind": "perturbative", "order": value}])
+
+
+def schro_without(key):
+    doc = schro()
+    del doc["model"]["schroedinger"][key]
+    return doc
+
+
+# one spec per structural rule of the reader, and the path its message starts with
+STRUCTURE_SPECS = {
+    "top_not_object": ([minimal_spec()], "$"),
+    "missing_name": (without(minimal_spec(), "name"), "$"),
+    "missing_model": (without(minimal_spec(), "model"), "$"),
+    "missing_tasks": (without(minimal_spec(), "tasks"), "$"),
+    "unknown_top_field": (minimal_spec(extra=1), "$"),
+    "name_not_string": (minimal_spec(name=7), "$.name"),
+    "name_empty": (minimal_spec(name=""), "$.name"),
+    "model_not_object": (minimal_spec(model=[]), "$.model"),
+    "model_empty": (minimal_spec(model={}), "$.model"),
+    "model_two_variants": (
+        minimal_spec(model={**minimal_spec()["model"], **schro()["model"]}), "$.model"),
+    "model_unknown_variant": (minimal_spec(model={"hamiltonian": [[[1.0, 0.0]]]}), "$.model"),
+    "matrix_empty": (minimal_spec(model={"matrix": []}), "$.model.matrix"),
+    "matrix_not_array": (minimal_spec(model={"matrix": {"0": 1.0}}), "$.model.matrix"),
+    "split_missing_epsilon": (
+        minimal_spec(model={"split_matrix": dict(SPLIT_2X2)}), "$.model.split_matrix"),
+    "split_unknown_field": (split(extra=0.0), "$.model.split_matrix"),
+    "split_h0_empty": (split(H0=[]), "$.model.split_matrix.H0"),
+    "split_epsilon_bool": (split(epsilon=True), "$.model.split_matrix.epsilon"),
+    "split_epsilon_string": (split(epsilon="0.1"), "$.model.split_matrix.epsilon"),
+    "schroedinger_missing_N": (schro_without("N"), "$.model.schroedinger"),
+    "schroedinger_unknown_field": (schro(dx=0.1), "$.model.schroedinger"),
+    "L_zero": (schro(L=0), "$.model.schroedinger.L"),
+    "L_negative": (schro(L=-4.0), "$.model.schroedinger.L"),
+    "N_below_16": (schro(N=15), "$.model.schroedinger.N"),
+    "N_above_limit": (schro(N=MAX_GRID_POINTS + 1), "$.model.schroedinger.N"),
+    "N_fractional": (schro(N=33.5), "$.model.schroedinger.N"),
+    "N_bool": (schro(N=True), "$.model.schroedinger.N"),
+    "breakpoints_empty": (schro(breakpoints=[]), "$.model.schroedinger.breakpoints"),
+    "breakpoints_not_array": (schro(breakpoints=0.0), "$.model.schroedinger.breakpoints"),
+    "breakpoint_not_number": (
+        schro(breakpoints=[-1.0, None, 1.0]), "$.model.schroedinger.breakpoints[1]"),
+    "values_single": (schro(values=[0.0]), "$.model.schroedinger.values"),
+    "value_bool": (schro(values=[0.0, True, -1.0, 0.0]), "$.model.schroedinger.values[1]"),
+    "schroedinger_epsilon_null": (schro(epsilon=None), "$.model.schroedinger.epsilon"),
+    "parity_null": (minimal_spec(parity=None), "$.parity"),
+    "parity_other_string": (minimal_spec(parity="reflection"), "$.parity"),
+    "parity_empty": (minimal_spec(parity=[]), "$.parity"),
+    "parity_object": (minimal_spec(parity={}), "$.parity"),
+    "tasks_not_array": (minimal_spec(tasks={"kind": "spectral"}), "$.tasks"),
+    "tasks_empty": (minimal_spec(tasks=[]), "$.tasks"),
+    "task_not_object": (minimal_spec(tasks=["spectral"]), "$.tasks[0]"),
+    "task_missing_kind": (minimal_spec(tasks=[{}]), "$.tasks[0]"),
+    "task_unknown_kind": (minimal_spec(tasks=[{"kind": "unknown"}]), "$.tasks[0]"),
+    "task_kind_not_string": (minimal_spec(tasks=[{"kind": ["spectral"]}]), "$.tasks[0]"),
+    "task_unknown_field": (minimal_spec(tasks=[{"kind": "spectral", "order": 1}]), "$.tasks[0]"),
+    "perturbative_missing_order": (minimal_spec(tasks=[{"kind": "perturbative"}]), "$.tasks[0]"),
+    "order_zero": (order(0), "$.tasks[0].order"),
+    "order_six": (order(6), "$.tasks[0].order"),
+    "order_fractional": (order(2.5), "$.tasks[0].order"),
+    "order_bool": (order(True), "$.tasks[0].order"),
+    "order_string": (order("2"), "$.tasks[0].order"),
+    "scaling_missing_eps_list": (
+        minimal_spec(tasks=[{"kind": "perturbative", "order": 1}, {"kind": "scaling"}]),
+        "$.tasks[1]"),
+    "eps_list_two_items": (scaling([0.1, 0.05]), "$.tasks[1].eps_list"),
+    "eps_list_not_array": (scaling(0.1), "$.tasks[1].eps_list"),
+    "eps_list_zero": (scaling([0.1, 0.05, 0]), "$.tasks[1].eps_list[2]"),
+    "eps_list_negative": (scaling([0.1, -0.05, -0.1]), "$.tasks[1].eps_list[1]"),
+    "eps_list_bool": (scaling([0.1, 0.05, True]), "$.tasks[1].eps_list[2]"),
+    "tolerances_not_object": (minimal_spec(tolerances=[]), "$.tolerances"),
+    "tolerances_unknown_field": (minimal_spec(tolerances={"tol": 1e-9}), "$.tolerances"),
+    "abs_tol_negative": (minimal_spec(tolerances={"abs_tol": -1e-9}), "$.tolerances.abs_tol"),
+    "rel_tol_string": (minimal_spec(tolerances={"rel_tol": "1e-8"}), "$.tolerances.rel_tol"),
+    "rel_tol_bool": (minimal_spec(tolerances={"rel_tol": False}), "$.tolerances.rel_tol"),
+}
+
+
+# each spec breaks one rule, of the reader or of a rule's owner, and names its path
 HOSTILE_SPECS = {
+    **STRUCTURE_SPECS,
     "vanishing_grid_spacing": (
         step_doc(L=1e-160, breakpoints=[-1e-161, 0.0, 1e-161]), "$.model.schroedinger"),
     "overflowing_grid_spacing": (step_doc(L=1e300), "$.model.schroedinger"),
@@ -332,3 +427,50 @@ def test_load_from_path_and_stream_agree(tmp_path):
     b = load_doc(doc)
     assert a.sha256 == b.sha256
     assert a.name == b.name
+
+
+# specs on the edge of each range rule, and what the reader makes of them
+ACCEPTED_SPECS = {
+    "N_16": (schro(N=16), lambda s: s.model.N == 16),
+    "N_at_limit": (schro(N=MAX_GRID_POINTS), lambda s: s.model.N == MAX_GRID_POINTS),
+    "N_integral_float": (schro(N=33.0), lambda s: type(s.model.N) is int and s.model.N == 33),
+    "order_1": (order(1), lambda s: s.tasks[0].order == 1),
+    "order_5": (order(5), lambda s: s.tasks[0].order == 5),
+    "order_integral_float": (
+        order(2.0), lambda s: type(s.tasks[0].order) is int and s.tasks[0].order == 2),
+    "eps_list_three_items": (scaling([0.1, 0.05, 1e-300]),
+                             lambda s: s.tasks[1].eps_list == (0.1, 0.05, 1e-300)),
+    "zero_abs_tol": (minimal_spec(tolerances={"abs_tol": 0, "rel_tol": 1e-8}),
+                     lambda s: s.tolerance.abs_tol == 0.0 and s.tolerance.rel_tol == 1e-8),
+    "parity_matrix": (
+        minimal_spec(parity=[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]),
+        lambda s: np.array_equal(s.parity.mat, [[0, 1], [1, 0]])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED_SPECS))
+def test_boundary_spec_loads(case, tmp_path, capsys):
+    doc, check = ACCEPTED_SPECS[case]
+    assert check(load_doc(doc))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["validate", str(spec)]) == 0
+    assert capsys.readouterr().out.startswith("OK: t ")
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "nul\0", ".", ".."])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_spec_name_that_is_a_path_is_refused(name, fmt, tmp_path, capsys):
+    doc = minimal_spec(name=name)
+    with pytest.raises(SpecError, match=r"^\$\.name:"):
+        load_doc(doc)
+    work = tmp_path / "work"
+    work.mkdir()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = work / "out"
+    assert main(["run", str(spec), "--out", str(out), "--format", fmt]) == 2
+    assert "error: $.name:" in capsys.readouterr().err
+    assert list(work.iterdir()) == []
+    assert main(["validate", str(spec)]) == 2
+    assert "error: $.name:" in capsys.readouterr().err
