@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DomainError, SpecError
 from .operators import DEFAULT_TOL, Operator, Tolerance
+from .report import MAX_FILE_NAME_BYTES, longest_file_name_bytes
 from .wavekernel import PiecewisePotential, discretize_schroedinger
 
 # Largest Schroedinger grid, and largest explicit matrix, a spec may ask for.
@@ -179,7 +180,8 @@ def load_spec(source) -> ModelSpec:
     Every number must be a finite float. json.loads alone would admit NaN,
     Infinity and -Infinity and round 1e400 to inf; these, and integers beyond
     the float range, raise SpecError naming the token. A file that is not
-    UTF-8 text raises SpecError too.
+    UTF-8 text, and arrays or objects nested deeper than the parser (or a
+    message quoting the node) can recurse, raise SpecError too.
     """
     try:
         if hasattr(source, "read"):
@@ -192,9 +194,11 @@ def load_spec(source) -> ModelSpec:
     try:
         raw = json.loads(text, parse_constant=_non_finite, parse_float=_finite_float,
                          parse_int=_finite_int)
+        return _build(raw, hashlib.sha256(text.encode("utf-8")).hexdigest())
     except json.JSONDecodeError as exc:
         raise SpecError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return _build(raw, hashlib.sha256(text.encode("utf-8")).hexdigest())
+    except RecursionError:
+        raise SpecError("$: arrays or objects are nested too deeply") from None
 
 
 def _build(raw, digest: str) -> ModelSpec:
@@ -204,6 +208,13 @@ def _build(raw, digest: str) -> ModelSpec:
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise SpecError("$.name: must be a non-empty string without '/', '\\' or NUL, "
                         "and not '.' or '..'")
+    try:
+        longest = longest_file_name_bytes(name)
+    except UnicodeEncodeError:
+        raise SpecError("$.name: must be encodable as UTF-8 (no lone surrogates)") from None
+    if longest > MAX_FILE_NAME_BYTES:
+        raise SpecError(f"$.name: the longest report file name would be {longest} bytes, "
+                        f"over the limit of {MAX_FILE_NAME_BYTES}")
     variants = _fields(raw["model"], "$.model", (), _MODEL_VARIANTS)
     if len(variants) != 1:
         raise SpecError(f"$.model: must hold exactly one of {', '.join(_MODEL_VARIANTS)}")

@@ -14,10 +14,20 @@ S^dagger X S is a real matrix. to_pt_frame and from_pt_frame map between the
 two bases in O(N^2), with index flips and no matrix product, so that a
 PT-symmetric factorization can run in real arithmetic; pt_frame decides
 which matrices do.
+
+Grid structure: a SplitHamiltonian built by tridiagonal holds the
+Schroedinger H = H0 + eps H1 as O(N) data, and every product with H that a
+check needs (H^dagger X - X H, [H, X], X H) is a three-point stencil plus an
+elementwise product, O(N^2) with no matrix product. IndexReversal holds the
+grid reflection J as its dimension, so products with J are index flips.
+Checks that keep only a max-norm take their rows ROW_BLOCK at a time
+(_max_norm_rows). A SplitHamiltonian built from two dense Operators, and an
+explicit parity matrix, keep the dense products.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +39,9 @@ REL_TOL = 1e-8
 # pt_frame's rounding level, in units of n * eps * max_norm(m): the Q(eps) and
 # eta of the step grids carry PT-odd parts of up to 4 (N <= 1025)
 PT_FRAME_ULPS = 16
+# rows per block of a max-norm taken in row blocks (_max_norm_rows): a fixed
+# size that keeps the temporaries to a few rows of the N x N matrix
+ROW_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,15 @@ def max_norm(a: np.ndarray) -> float:
     if not np.isfinite(norm):  # else an overflowed residual would pass a check: inf > inf
         raise NonFiniteError(f"max-norm of a {a.shape} array is {norm}: an entry overflowed")
     return norm
+
+
+def _max_norm_rows(rows, n: int) -> float:
+    """max_norm of the n-row array whose rows start:stop are rows(start, stop).
+
+    The rows are formed and reduced ROW_BLOCK at a time, so no N x N
+    temporary is held; an overflowed entry raises as in max_norm.
+    """
+    return max(max_norm(rows(s, min(s + ROW_BLOCK, n))) for s in range(0, n, ROW_BLOCK))
 
 
 @dataclass(frozen=True)
@@ -98,6 +120,26 @@ class Operator:
 
     def __rmul__(self, scalar: complex) -> "Operator":
         return Operator(scalar * self.mat)
+
+
+@dataclass(frozen=True)
+class IndexReversal:
+    """The index reversal J (J_ij = 1 where i + j = N - 1): the grid reflection x -> -x.
+
+    Held as its dimension. J X and X J are flips of the rows and the columns
+    of X, with no product; J is real, symmetric and J^2 = I exactly, so it
+    needs none of the checks a parity matrix gets. .mat builds the dense J
+    for a caller that needs one.
+    """
+
+    dim: int
+
+    @property
+    def mat(self) -> np.ndarray:
+        return np.eye(self.dim, dtype=complex)[::-1]
+
+    def norm(self) -> float:
+        return 1.0
 
 
 def _coerce(x, dim: int) -> np.ndarray:
@@ -198,6 +240,219 @@ def _from_eigenbasis(uf: np.ndarray, u: np.ndarray, in_frame: bool) -> Operator:
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
+
+
+def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray) -> np.ndarray:
+    """[T, X] for the symmetric T with diag on the diagonal and off on both neighbours.
+
+    Rows and columns of T X and X T are summed as the dense product sums them:
+    the diagonal term, then the lower and the upper neighbour. Works on the
+    real view of X, where one complex column is two real ones.
+    """
+    xr = np.ascontiguousarray(x, dtype=complex).view(float)
+    oxr = off * xr
+    rows = diag * xr
+    rows[1:] += oxr[:-1]
+    rows[:-1] += oxr[1:]
+    cols = diag * xr
+    cols[:, 2:] += oxr[:, :-2]
+    cols[:, :-2] += oxr[:, 2:]
+    rows -= cols
+    return rows.view(complex)
+
+
+class SplitHamiltonian:
+    """H = H0 + epsilon * H1 with Hermitian H0 and anti-Hermitian H1.
+
+    Built from two dense Operators, or by SplitHamiltonian.tridiagonal from
+    O(N) data: H0 as the real coefficients of a symmetric tridiagonal stencil
+    and H1 = i diag(v) as the real vector v. Both forms answer the same
+    questions: [H0, X] and [H1, X] (a stencil and an elementwise product in
+    the structured form), the products with H at epsilon that the checks
+    need (H^dagger X - X H, [H, X] and X H), the max-norms of H0 and H1, and
+    X + s H1; the commutators and the residual also row by row. .H0, .H1 and
+    total() give dense Operators, which the structured form builds only when
+    they are asked for.
+    """
+
+    def __init__(self, H0: Operator, H1: Operator, epsilon: float):
+        if H0.dim != H1.dim:
+            raise ShapeError(f"dimension mismatch: {H0.dim} vs {H1.dim}")
+        h0, h1 = H0.mat, H1.mat
+        # is_hermitian cannot overflow, so an entry near the float limit still
+        # names the rule; i H1 is Hermitian exactly when H1 is anti-Hermitian
+        if not is_hermitian(h0):
+            raise StructureError("H0 must be Hermitian")
+        if not is_hermitian(1j * h1):
+            raise StructureError("H1 must be anti-Hermitian")
+        self._dense = (H0, H1)
+        self._stencil = None
+        self.epsilon = epsilon
+
+    @classmethod
+    def tridiagonal(cls, diag: float, off: float, v, epsilon: float) -> "SplitHamiltonian":
+        """H0 with diag on the diagonal and off on both neighbours, H1 = i diag(v).
+
+        A real stencil is Hermitian and i diag(v) with real v anti-Hermitian,
+        so validation is the O(N) check that the coefficients and v are real
+        and finite. The dense forms carry the labels of the grid Schroedinger
+        split, "p^2" and "i v(x)".
+        """
+        v = np.array(v)
+        if np.iscomplexobj(v) or np.iscomplexobj([diag, off]):
+            raise StructureError("a tridiagonal split needs real stencil coefficients and real v")
+        if v.ndim != 1 or v.size < 2:
+            raise ShapeError(f"v must be a 1-D vector of at least 2 entries, got shape {v.shape}")
+        v = v.astype(float)
+        if not (np.all(np.isfinite(v)) and np.isfinite(diag) and np.isfinite(off)):
+            raise NonFiniteError("operator entries must be finite")
+        v.setflags(write=False)
+        split = cls.__new__(cls)
+        split._dense = None
+        split._stencil = (float(diag), float(off), v)
+        split.epsilon = epsilon
+        return split
+
+    @property
+    def dim(self) -> int:
+        return self._dense[0].dim if self._stencil is None else self._stencil[2].size
+
+    @property
+    def is_stencil(self) -> bool:
+        """True for the structured form, built by tridiagonal."""
+        return self._stencil is not None
+
+    def at(self, epsilon: float) -> "SplitHamiltonian":
+        """The same H0 and H1 at another epsilon, sharing their data."""
+        split = copy.copy(self)
+        split.epsilon = epsilon
+        return split
+
+    def _h0_matrix(self) -> np.ndarray:
+        """A fresh complex copy of H0."""
+        if self._stencil is None:
+            return self._dense[0].mat.copy()
+        diag, off, v = self._stencil
+        n = v.size
+        h = np.zeros((n, n), dtype=complex)
+        h.flat[:: n + 1] = diag
+        h.flat[1 :: n + 1] = off
+        h.flat[n :: n + 1] = off
+        return h
+
+    @property
+    def H0(self) -> Operator:
+        if self._stencil is None:
+            return self._dense[0]
+        return Operator(self._h0_matrix(), label="p^2")
+
+    @property
+    def H1(self) -> Operator:
+        if self._stencil is None:
+            return self._dense[1]
+        return Operator(1j * np.diag(self._stencil[2]), label="i v(x)")
+
+    def h0_norm(self) -> float:
+        """max_norm of H0."""
+        if self._stencil is None:
+            return max_norm(self._dense[0].mat)
+        diag, off, _ = self._stencil
+        return max(abs(diag), abs(off))
+
+    def h1_norm(self) -> float:
+        """max_norm of H1."""
+        if self._stencil is None:
+            return max_norm(self._dense[1].mat)
+        return max_norm(self._stencil[2])
+
+    def h0_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start:stop of [H0, X]; all of [H0, X] by default.
+
+        In the structured form a row of [H0, X] reads only the rows of X next
+        to it, so the rows come from a slab of X with one halo row on each
+        side, each entry summed exactly as in the whole commutator.
+        """
+        n = x.shape[0]
+        stop = n if stop is None else stop
+        if self._stencil is None:
+            h0 = self._dense[0].mat
+            if start == 0 and stop == n:
+                return commutator(h0, x)
+            return h0[start:stop] @ x - x[start:stop] @ h0
+        diag, off, _ = self._stencil
+        lo, hi = max(start - 1, 0), min(stop + 1, n)
+        return _tridiagonal_commutator(diag, off, x[lo:hi])[start - lo : stop - lo]
+
+    def h1_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start:stop of [H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
+        return self._h1_rows(x, start, stop, -1.0)
+
+    def _h1_rows(self, x: np.ndarray, start: int, stop: int | None, sign: float) -> np.ndarray:
+        """Rows start:stop of H1 X + sign X H1, for sign -1 (commutator) or +1 (anticommutator)."""
+        n = x.shape[0]
+        stop = n if stop is None else stop
+        if self._stencil is None:
+            h1 = self._dense[1].mat
+            if start == 0 and stop == n and sign < 0:
+                return commutator(h1, x)
+            return h1[start:stop] @ x + sign * (x[start:stop] @ h1)
+        iv = 1j * self._stencil[2]
+        rows = x[start:stop]
+        return iv[start:stop, None] * rows + sign * (rows * iv[None, :])
+
+    def adjoint_residual(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start:stop of H^dagger X - X H for H = H0 + epsilon H1.
+
+        With H0 Hermitian and H1 anti-Hermitian that is [H0, X] - epsilon {H1, X},
+        and for H1 = i diag(v), {H1, X}_ij = i (v_i + v_j) X_ij: in the
+        structured form a stencil and an elementwise product, no matrix product.
+        """
+        r = self.h0_commutator(x, start, stop)
+        r -= self.epsilon * self._h1_rows(x, start, stop, 1.0)
+        return r
+
+    def total_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start:stop of [H, X] = [H0, X] + epsilon [H1, X]."""
+        r = self.h0_commutator(x, start, stop)
+        r += self.epsilon * self.h1_commutator(x, start, stop)
+        return r
+
+    def right_multiply(self, x: np.ndarray) -> np.ndarray:
+        """X H for H = H0 + epsilon H1.
+
+        In the structured form column j of X H0 reads only columns j - 1, j
+        and j + 1 of X, summed in the order of _tridiagonal_commutator's
+        column pass, and X H1 scales column j by i v_j.
+        """
+        if self._stencil is None:
+            return x @ self.total().mat
+        diag, off, v = self._stencil
+        xr = np.ascontiguousarray(x, dtype=complex).view(float)
+        oxr = off * xr
+        cols = diag * xr
+        cols[:, 2:] += oxr[:, :-2]
+        cols[:, :-2] += oxr[:, 2:]
+        y = cols.view(complex)
+        y += x * (1j * (self.epsilon * v))
+        return y
+
+    def add_h1(self, x: np.ndarray, scale: float, start: int = 0) -> np.ndarray:
+        """x += scale * H1 in place; returns x.
+
+        x is complex and holds rows start:start + len(x) of an N x N array,
+        all N rows by default.
+        """
+        rows = slice(start, start + x.shape[0])
+        if self._stencil is None:
+            x += scale * self._dense[1].mat[rows]
+        else:
+            i = np.arange(x.shape[0])
+            x[i, start + i] += scale * (1j * self._stencil[2][rows])
+        return x
+
+    def total(self, epsilon: float | None = None) -> Operator:
+        e = self.epsilon if epsilon is None else epsilon
+        return Operator(self.add_h1(self._h0_matrix(), e))
 
 
 def nested_commutator(H: Operator, Q: Operator, k: int) -> Operator:

@@ -33,6 +33,7 @@ from .errors import (
 from .operators import (
     DEFAULT_TOL,
     Operator,
+    SplitHamiltonian,
     Tolerance,
     commutator,
     half_difference_norm,
@@ -43,160 +44,6 @@ from .operators import (
 from .spectral import MetricOperator, Provenance, pseudo_hermiticity_residual
 
 NOISE_FLOOR = 1e-13
-
-
-def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray) -> np.ndarray:
-    """[T, X] for the symmetric T with diag on the diagonal and off on both neighbours.
-
-    Rows and columns of T X and X T are summed as the dense product sums them:
-    the diagonal term, then the lower and the upper neighbour. Works on the
-    real view of X, where one complex column is two real ones.
-    """
-    xr = np.ascontiguousarray(x, dtype=complex).view(float)
-    oxr = off * xr
-    rows = diag * xr
-    rows[1:] += oxr[:-1]
-    rows[:-1] += oxr[1:]
-    cols = diag * xr
-    cols[:, 2:] += oxr[:, :-2]
-    cols[:, :-2] += oxr[:, 2:]
-    rows -= cols
-    return rows.view(complex)
-
-
-class SplitHamiltonian:
-    """H = H0 + epsilon * H1 with Hermitian H0 and anti-Hermitian H1.
-
-    Built from two dense Operators, or by SplitHamiltonian.tridiagonal from
-    O(N) data: H0 as the real coefficients of a symmetric tridiagonal stencil
-    and H1 = i diag(v) as the real vector v. Both forms answer the same
-    questions: [H0, X] and [H1, X] (a stencil and an elementwise product in
-    the structured form), the max-norms of H0 and H1, and X + s H1. .H0, .H1
-    and total() give dense Operators, which the structured form builds only
-    when they are asked for.
-    """
-
-    def __init__(self, H0: Operator, H1: Operator, epsilon: float):
-        if H0.dim != H1.dim:
-            raise ShapeError(f"dimension mismatch: {H0.dim} vs {H1.dim}")
-        h0, h1 = H0.mat, H1.mat
-        # is_hermitian cannot overflow, so an entry near the float limit still
-        # names the rule; i H1 is Hermitian exactly when H1 is anti-Hermitian
-        if not is_hermitian(h0):
-            raise StructureError("H0 must be Hermitian")
-        if not is_hermitian(1j * h1):
-            raise StructureError("H1 must be anti-Hermitian")
-        self._dense = (H0, H1)
-        self._stencil = None
-        self.epsilon = epsilon
-
-    @classmethod
-    def tridiagonal(cls, diag: float, off: float, v, epsilon: float) -> "SplitHamiltonian":
-        """H0 with diag on the diagonal and off on both neighbours, H1 = i diag(v).
-
-        A real stencil is Hermitian and i diag(v) with real v anti-Hermitian,
-        so validation is the O(N) check that the coefficients and v are real
-        and finite. The dense forms carry the labels of the grid Schroedinger
-        split, "p^2" and "i v(x)".
-        """
-        v = np.array(v)
-        if np.iscomplexobj(v) or np.iscomplexobj([diag, off]):
-            raise StructureError("a tridiagonal split needs real stencil coefficients and real v")
-        if v.ndim != 1 or v.size < 2:
-            raise ShapeError(f"v must be a 1-D vector of at least 2 entries, got shape {v.shape}")
-        v = v.astype(float)
-        if not (np.all(np.isfinite(v)) and np.isfinite(diag) and np.isfinite(off)):
-            raise NonFiniteError("operator entries must be finite")
-        v.setflags(write=False)
-        split = cls.__new__(cls)
-        split._dense = None
-        split._stencil = (float(diag), float(off), v)
-        split.epsilon = epsilon
-        return split
-
-    @property
-    def dim(self) -> int:
-        return self._dense[0].dim if self._stencil is None else self._stencil[2].size
-
-    def _h0_matrix(self) -> np.ndarray:
-        """A fresh complex copy of H0."""
-        if self._stencil is None:
-            return self._dense[0].mat.copy()
-        diag, off, v = self._stencil
-        n = v.size
-        h = np.zeros((n, n), dtype=complex)
-        h.flat[:: n + 1] = diag
-        h.flat[1 :: n + 1] = off
-        h.flat[n :: n + 1] = off
-        return h
-
-    @property
-    def H0(self) -> Operator:
-        if self._stencil is None:
-            return self._dense[0]
-        return Operator(self._h0_matrix(), label="p^2")
-
-    @property
-    def H1(self) -> Operator:
-        if self._stencil is None:
-            return self._dense[1]
-        return Operator(1j * np.diag(self._stencil[2]), label="i v(x)")
-
-    def h0_norm(self) -> float:
-        """max_norm of H0."""
-        if self._stencil is None:
-            return max_norm(self._dense[0].mat)
-        diag, off, _ = self._stencil
-        return max(abs(diag), abs(off))
-
-    def h1_norm(self) -> float:
-        """max_norm of H1."""
-        if self._stencil is None:
-            return max_norm(self._dense[1].mat)
-        return max_norm(self._stencil[2])
-
-    def h0_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start:stop of [H0, X]; all of [H0, X] by default.
-
-        In the structured form a row of [H0, X] reads only the rows of X next
-        to it, so the rows come from a slab of X with one halo row on each
-        side, each entry summed exactly as in the whole commutator.
-        """
-        n = x.shape[0]
-        stop = n if stop is None else stop
-        if self._stencil is None:
-            h0 = self._dense[0].mat
-            if start == 0 and stop == n:
-                return commutator(h0, x)
-            return h0[start:stop] @ x - x[start:stop] @ h0
-        diag, off, _ = self._stencil
-        lo, hi = max(start - 1, 0), min(stop + 1, n)
-        return _tridiagonal_commutator(diag, off, x[lo:hi])[start - lo : stop - lo]
-
-    def h1_commutator(self, x: np.ndarray) -> np.ndarray:
-        """[H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
-        if self._stencil is None:
-            return commutator(self._dense[1].mat, x)
-        iv = 1j * self._stencil[2]
-        return iv[:, None] * x - x * iv[None, :]
-
-    def add_h1(self, x: np.ndarray, scale: float, start: int = 0) -> np.ndarray:
-        """x += scale * H1 in place; returns x.
-
-        x is complex and holds rows start:start + len(x) of an N x N array,
-        all N rows by default.
-        """
-        rows = slice(start, start + x.shape[0])
-        if self._stencil is None:
-            x += scale * self._dense[1].mat[rows]
-        else:
-            i = np.arange(x.shape[0])
-            x[i, start + i] += scale * (1j * self._stencil[2][rows])
-        return x
-
-    def total(self, epsilon: float | None = None) -> Operator:
-        e = self.epsilon if epsilon is None else epsilon
-        return Operator(self.add_h1(self._h0_matrix(), e))
 
 
 @dataclass(frozen=True)
@@ -281,10 +128,33 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
+def _graded(x: np.ndarray) -> tuple[np.ndarray, complex] | None:
+    """(a, p) with x = p a, a real and p = 1 or 1j, if x is purely real or purely imaginary.
+
+    On the Schroedinger grid H0 is real and H1 imaginary, so Q_m and R_m are
+    i^m times a real matrix and their products can run in real arithmetic.
+    """
+    if not x.imag.any():
+        return x.real, 1 + 0j
+    if not x.real.any():
+        return x.imag, 1j
+    return None
+
+
+def _graded_commutator(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """commutator(x, q), as one real commutator times a phase when x and q are each graded."""
+    gx, gq = _graded(x), _graded(q)
+    if gx is None or gq is None:
+        return commutator(x, q)
+    (a, p), (b, s) = gx, gq
+    return (p * s) * commutator(a, b)
+
+
 def _chain_sum(split: SplitHamiltonian, terms: list, m: int):
     """order_residual's sum over the given Q_j; chains through a missing Q_j are skipped.
 
-    The first link of each chain, [H0, Q_j] or [H1, Q_j], goes through the split.
+    The first link of each chain, [H0, Q_j] or [H1, Q_j], goes through the
+    split; a later link runs in real arithmetic when its operands are graded.
     """
     n = split.dim
     # H - H^dagger = 2 eps H1 enters at order 1; elsewhere 0 + array needs no zero matrix
@@ -295,7 +165,7 @@ def _chain_sum(split: SplitHamiltonian, terms: list, m: int):
                 continue
             x = head_commutator(terms[comp[0] - 1])
             for j in comp[1:]:
-                x = commutator(x, terms[j - 1])
+                x = _graded_commutator(x, terms[j - 1])
             res = res + x / math.factorial(len(comp))
     return res
 
@@ -367,9 +237,18 @@ def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> 
 def _sylvester_eigenbasis(
     eigensystem: tuple[np.ndarray, np.ndarray], r: np.ndarray, tol: Tolerance
 ) -> Operator:
-    """sylvester_solve given H0's (E, U); the inputs are already checked."""
+    """sylvester_solve given H0's (E, U); the inputs are already checked.
+
+    With U real and R = p A graded (A real, p = 1 or i), both basis changes
+    U^T A U and U Q~ U^T run in real arithmetic and the phase is applied once.
+    """
     e, u = eigensystem
-    rt = u.conj().T @ r @ u
+    graded = _graded(r) if np.isrealobj(u) else None
+    if graded is None:
+        rt = u.conj().T @ r @ u
+    else:
+        a, phase = graded
+        rt = u.T @ a @ u
     gaps = e[:, None] - e[None, :]
     degenerate = np.abs(gaps) <= tol.abs_tol
     blocked = degenerate & (np.abs(rt) > tol.bound(max_norm(r)))
@@ -380,8 +259,12 @@ def _sylvester_eigenbasis(
             f"degenerate pair (m={i}, n={j}) with E_m = E_n = {e[i]:.12g}"
         )
     qt = np.where(degenerate, 0.0, rt / np.where(degenerate, 1.0, gaps))
-    qm = u @ qt @ u.conj().T
-    return Operator((qm + qm.conj().T) / 2)
+    if graded is None:
+        qm = u @ qt @ u.conj().T
+        return Operator((qm + qm.conj().T) / 2)
+    qm = u @ qt @ u.T
+    # the Hermitian part of p A is p (A + A^T) / 2 for p = 1, p (A - A^T) / 2 for p = i
+    return Operator(phase * ((qm + qm.T) / 2 if phase == 1 else (qm - qm.T) / 2))
 
 
 def solve_q_series(
@@ -503,7 +386,7 @@ def residual_curve(split: SplitHamiltonian, q: QSeries, eps_list) -> list[tuple[
     out = []
     for e in np.asarray(eps_list, dtype=float):
         eta = metric_from_series(q, e)
-        out.append((float(e), pseudo_hermiticity_residual(split.total(e), eta)))
+        out.append((float(e), pseudo_hermiticity_residual(split.at(e), eta)))
     return out
 
 

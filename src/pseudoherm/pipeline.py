@@ -29,9 +29,8 @@ from .config import (
     WaveTask,
 )
 from .errors import DomainError, NonFiniteError, PseudohermError
-from .operators import Operator, Tolerance, max_norm
+from .operators import IndexReversal, Operator, SplitHamiltonian, Tolerance, max_norm
 from .perturbation import (
-    SplitHamiltonian,
     curve_slope,
     metric_from_series,
     residual_curve,
@@ -42,6 +41,7 @@ from .spectral import (
     _equivalent_hermitian,
     biorthonormal_eigensystem,
     c_operator,
+    parity_pseudo_hermiticity_residual,
     pseudo_hermiticity_residual,
     pseudo_hermiticity_threshold,
     spectral_metric,
@@ -105,27 +105,36 @@ class _RunContext:
                 )
         return self.split
 
-    def parity_matrix(self) -> Operator | None:
+    def products(self, H: Operator):
+        """What the checks multiply by H: the grid split of a Schroedinger model, else H itself."""
+        if isinstance(self.spec.model, SchroedingerModel):
+            return self.get_split()
+        return H
+
+    def parity_matrix(self) -> Operator | IndexReversal | None:
+        """The spec's parity: its matrix, or for grid_reflection the index reversal, held as N."""
         p = self.spec.parity
-        if p is None:
-            return None
-        if isinstance(p, Operator):
+        if p is None or isinstance(p, Operator):
             return p
-        m = self.spec.model
-        return Operator(np.eye(m.N)[::-1].copy(), label="grid reflection")
+        return IndexReversal(self.spec.model.N)
 
 
 def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     H = ctx.hamiltonian()
+    Hx = ctx.products(H)
     sys = biorthonormal_eigensystem(H, ctx.tol)
     eta = spectral_metric(sys, ctx.tol)
     threshold = pseudo_hermiticity_threshold(H, eta)
-    residual = pseudo_hermiticity_residual(H, eta)
+    residual = pseudo_hermiticity_residual(Hx, eta)
     verdicts.append(_verdict("pseudo_hermiticity_residual", residual, threshold))
-    h, _rho = _equivalent_hermitian(H, eta, residual, threshold, ctx.tol)
-    herm_defect = max_norm(h.mat - h.mat.conj().T)
-    verdicts.append(_verdict("equivalent_hermitian_defect", herm_defect,
-                             RESIDUAL_REL * max(1.0, max_norm(h.mat))))
+    # h is kept only for its two norms and rho not at all: the parity block
+    # below sets the task's peak memory, and each N x N array held across it
+    # adds to that peak
+    h = _equivalent_hermitian(Hx, eta, residual, threshold, ctx.tol)[0].mat
+    herm_defect = max_norm(h - h.conj().T)
+    h_bound = RESIDUAL_REL * max(1.0, max_norm(h))
+    del h
+    verdicts.append(_verdict("equivalent_hermitian_defect", herm_defect, h_bound))
     completeness = sys.completeness_defect()
     verdicts.append(_verdict("completeness_defect", completeness, threshold))
     data = {
@@ -135,14 +144,14 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     }
     P = ctx.parity_matrix()
     if P is not None:
-        C, comm, invol = c_operator(eta, P, H, ctx.tol)
-        p_residual = max_norm(H.mat.conj().T @ P.mat - P.mat @ H.mat)
+        C, comm, invol = c_operator(eta, P, Hx, ctx.tol)
+        p_residual = parity_pseudo_hermiticity_residual(H, P)
         data["c_operator"] = {
             "parity_pseudo_hermiticity_residual": float(p_residual),
             "commutation_residual": float(comm),
             "involution_defect": float(invol),
         }
-        if p_residual <= 1e-10 * max(1.0, max_norm(H.mat) * max_norm(P.mat)):
+        if p_residual <= 1e-10 * max(1.0, max_norm(H.mat) * P.norm()):
             verdicts.append(_verdict("c_commutes_with_H", comm,
                                      RESIDUAL_REL * max(1.0, max_norm(H.mat))))
     return data
@@ -168,7 +177,7 @@ def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list)
             "threshold": float(ctx.tol.abs_tol),
         }
     )
-    residuals[split.epsilon] = pseudo_hermiticity_residual(split.total(), eta)
+    residuals[split.epsilon] = pseudo_hermiticity_residual(split, eta)
     data = {
         "order": task.order,
         "order_residuals": [float(r) for r, _ in q.order_checks],

@@ -66,6 +66,26 @@ def canonical_json(report: dict) -> str:
     return _serialize(report, 0) + "\n"
 
 
+# The common file-system limit on the length of one file name.
+MAX_FILE_NAME_BYTES = 255
+# What emit appends to a report's name: the JSON document, and the CSV series
+# of the task kinds that produce one (<name>_<task>_<series>.csv).
+FILE_SUFFIXES = (
+    "_report.json",
+    "_spectral_spectrum.csv",
+    "_scaling_curve.csv",
+    "_wave_kernel_slice.csv",
+)
+
+
+def longest_file_name_bytes(name: str) -> int:
+    """UTF-8 length of the longest file name emit can write for a report called name.
+
+    Raises UnicodeEncodeError when name is not UTF-8 encodable (a lone surrogate).
+    """
+    return len(name.encode("utf-8")) + max(len(s) for s in FILE_SUFFIXES)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)

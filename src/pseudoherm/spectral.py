@@ -31,8 +31,12 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_TOL,
+    IndexReversal,
     Operator,
+    SplitHamiltonian,
     Tolerance,
+    _max_norm_rows,
+    from_pt_frame,
     from_pt_frame_columns,
     herm_sqrt_inv,
     is_hermitian,
@@ -167,8 +171,24 @@ def spectral_metric(sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOL) -> M
     return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"), eig_range)
 
 
-def pseudo_hermiticity_residual(H: Operator, eta) -> float:
+def _stencil(H) -> SplitHamiltonian | None:
+    """H if it is a structured grid split, whose products with H are stencils; else None."""
+    return H if isinstance(H, SplitHamiltonian) and H.is_stencil else None
+
+
+def _dense(H) -> np.ndarray:
+    """The dense matrix of H, an Operator or a SplitHamiltonian at its epsilon."""
+    return H.total().mat if isinstance(H, SplitHamiltonian) else H.mat
+
+
+def pseudo_hermiticity_residual(H, eta) -> float:
     """||H^dagger eta - eta H|| in max-norm (multiplied-through form).
+
+    H is an Operator, or a SplitHamiltonian standing for H0 + epsilon H1 at
+    its epsilon. For a structured grid split the residual is
+    [H0, eta] - epsilon i (v_i + v_j) eta_ij: a stencil and an elementwise
+    product, reduced ROW_BLOCK rows at a time with no N x N temporary. A
+    dense split, or an Operator, takes the two dense products.
 
     Raises InvertibilityError when eta is numerically singular: its smallest
     singular value is at or below DEFAULT_TOL.bound(largest). For a metric
@@ -178,10 +198,9 @@ def pseudo_hermiticity_residual(H: Operator, eta) -> float:
     Operator, or a MetricOperator without eig_range) they come from an SVD
     of eta.
     """
-    h = H.mat
     e = _metric_matrix(eta)
-    if e.shape != h.shape:
-        raise ShapeError(f"dimension mismatch: {e.shape} vs {h.shape}")
+    if e.shape != (H.dim, H.dim):
+        raise ShapeError(f"dimension mismatch: {e.shape} vs {(H.dim, H.dim)}")
     if isinstance(eta, MetricOperator) and eta.eig_range is not None:
         lo, hi = eta.eig_range
     else:
@@ -189,6 +208,10 @@ def pseudo_hermiticity_residual(H: Operator, eta) -> float:
         lo, hi = sv[-1], sv[0]
     if lo <= DEFAULT_TOL.bound(hi):
         raise InvertibilityError(f"metric is numerically singular (smallest sv {lo:.3e})")
+    split = _stencil(H)
+    if split is not None:
+        return _max_norm_rows(lambda start, stop: split.adjoint_residual(e, start, stop), H.dim)
+    h = _dense(H)
     return max_norm(h.conj().T @ e - e @ h)
 
 
@@ -209,28 +232,28 @@ def equivalent_hermitian(H: Operator, eta, tol: Tolerance = DEFAULT_TOL) -> tupl
 
 
 def _equivalent_hermitian(
-    H: Operator, eta, residual: float, threshold: float, tol: Tolerance
+    H, eta, residual: float, threshold: float, tol: Tolerance
 ) -> tuple[Operator, Operator]:
-    """equivalent_hermitian given eta's residual and threshold, for a caller that has them."""
+    """equivalent_hermitian given eta's residual and threshold, for a caller that has them.
+
+    H is an Operator or a SplitHamiltonian; for a structured grid split
+    rho H is a column stencil, which leaves one product.
+    """
     if residual > threshold:
         raise ResidualError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds threshold {threshold:.3e}"
         )
     rho, rho_inv = herm_sqrt_inv(Operator(_metric_matrix(eta)), tol)
-    h = rho.mat @ H.mat @ rho_inv.mat
-    return Operator(h), rho
+    split = _stencil(H)
+    rho_h = rho.mat @ _dense(H) if split is None else split.right_multiply(rho.mat)
+    return Operator(rho_h @ rho_inv.mat), rho
 
 
-def c_operator(eta, P: Operator, H: Operator | None = None, tol: Tolerance = DEFAULT_TOL):
-    """C = eta^{-1} P with diagnostics.
-
-    Returns (C, commutation_residual, involution_defect). The commutation
-    residual ||[C, H]|| needs H and is None when H is omitted; it is only
-    meaningful when H is P-pseudo-Hermitian. The involution defect
-    ||C^2 - I|| is diagnostic only: it vanishes just for restricted metric
-    choices, so it is reported and never asserted.
-    """
+def _checked_parity(P, tol: Tolerance) -> np.ndarray:
+    """P's dense matrix, once P is checked to be a Hermitian involution; J is one exactly."""
     p = P.mat
+    if isinstance(P, IndexReversal):
+        return p
     if not is_hermitian(p, tol):
         raise StructureError("P is not Hermitian within tolerance")
     scale = max_norm(p)
@@ -240,13 +263,52 @@ def c_operator(eta, P: Operator, H: Operator | None = None, tol: Tolerance = DEF
     # an inf bound (scale^2 past the float limit) would otherwise pass
     if not (np.isfinite(invol_defect) and invol_defect <= tol.bound(scale * scale)):
         raise StructureError("P is not an involution (P^2 != I within tolerance)")
+    return p
+
+
+def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
+    """C = eta^{-1} P with diagnostics.
+
+    Returns (C, commutation_residual, involution_defect). The commutation
+    residual ||[C, H]|| needs H and is None when H is omitted; it is only
+    meaningful when H is P-pseudo-Hermitian. The involution defect
+    ||C^2 - I|| is diagnostic only: it vanishes just for restricted metric
+    choices, so it is reported and never asserted.
+
+    P is an Operator, checked to be a Hermitian involution, or the
+    IndexReversal J, which is one exactly. For J and an eta with a PT frame
+    (operators.pt_frame), S^dagger J S = J, so C = S (Y^{-1} J) S^dagger with
+    Y = S^dagger eta S real: a real solve, and C^2 - I = S (X^2 - I) S^dagger
+    for X = Y^{-1} J. H is an Operator or a SplitHamiltonian; for a
+    structured grid split, [C, H] = -[H0, C] - epsilon [H1, C] is a stencil
+    and an elementwise product, reduced in row blocks.
+    """
     e = _metric_matrix(eta)
-    c = np.linalg.solve(e, p)
+    n = e.shape[0]
+    frame = pt_frame(e) if isinstance(P, IndexReversal) else None
+    if frame is None:
+        c = np.linalg.solve(e, _checked_parity(P, tol))
+        invol = max_norm(c @ c - np.eye(n))
+    else:
+        x = np.linalg.solve(frame, np.eye(n)[::-1])
+        c = from_pt_frame(x)
+        invol = max_norm(from_pt_frame(x @ x - np.eye(n)))
     comm = None
-    if H is not None:
-        comm = max_norm(c @ H.mat - H.mat @ c)
-    invol = max_norm(c @ c - np.eye(c.shape[0]))
+    split = _stencil(H)
+    if split is not None:
+        comm = _max_norm_rows(lambda start, stop: split.total_commutator(c, start, stop), n)
+    elif H is not None:
+        h = _dense(H)
+        comm = max_norm(c @ h - h @ c)
     return Operator(c), comm, invol
+
+
+def parity_pseudo_hermiticity_residual(H: Operator, P) -> float:
+    """||H^dagger P - P H|| in max-norm; for the IndexReversal J, H^dagger J and J H are flips of H."""
+    h = H.mat
+    if isinstance(P, IndexReversal):
+        return max_norm(h.conj().T[:, ::-1] - h[::-1])
+    return max_norm(h.conj().T @ P.mat - P.mat @ h)
 
 
 def metric_factorization(eta, tol: Tolerance = DEFAULT_TOL) -> Operator:

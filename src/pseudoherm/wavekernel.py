@@ -21,14 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .operators import Operator
-from .perturbation import SplitHamiltonian
+from .operators import ROW_BLOCK, Operator, SplitHamiltonian
 
 CONSTRAINT_TOL = 1e-10
-# rows per block of offdiagonal_commutator_check: a fixed size that keeps the
-# check's temporaries near 4 MB at N = 2049 (the stencil's float arrays of
-# 34 x 2N, against 67 MB for M)
-CHECK_BLOCK_ROWS = 32
 
 
 def _potential_values(x: np.ndarray, breaks: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -314,8 +309,8 @@ def offdiagonal_commutator_check(
     Entries with |i-j| <= band_exclude, min(i,j) <= 2 or max(i,j) >= N-3 are
     excluded: the delta source lives on the diagonal band and Dirichlet
     truncation pollutes the outermost rows. The kept rows [3, N - 3) are
-    taken CHECK_BLOCK_ROWS at a time, so the check holds a few rows of M's
-    size, not N x N arrays: each block's rows of [H0, M] + 2 H1 come from
+    taken ROW_BLOCK (32) at a time, so the check holds a few rows of M's
+    size, not N x N arrays (near 4 MB at N = 2049, against 67 MB for M): each block's rows of [H0, M] + 2 H1 come from
     split.h0_commutator and split.add_h1 over those rows, the block's band
     entries are zeroed, and its maximum over columns [3, N - 3) is kept. The
     block maxima are combined so that a NaN an overflow leaves off the band
@@ -341,8 +336,8 @@ def offdiagonal_commutator_check(
     offsets = np.arange(-width, width + 1)
     peaks = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(lo, hi, CHECK_BLOCK_ROWS):
-            stop = min(start + CHECK_BLOCK_ROWS, hi)
+        for start in range(lo, hi, ROW_BLOCK):
+            stop = min(start + ROW_BLOCK, hi)
             block = np.abs(split.add_h1(split.h0_commutator(M.mat, start, stop), 2.0, start))
             rows = np.arange(start, stop)[:, None]
             # band columns past either edge clip to columns 0 and N - 1, which are not kept

@@ -3,7 +3,7 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-COUNTED_LINALG = ("svd", "eig", "eigvals", "eigh", "eigvalsh", "cond")
+COUNTED_LINALG = ("svd", "eig", "eigvals", "eigh", "eigvalsh", "cond", "solve", "inv")
 
 
 class LinalgCounter(Counter):

@@ -1,5 +1,7 @@
 import io
 import json
+import sys
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -148,15 +150,38 @@ def test_run_model_spec_factorizes_once(linalg_counter):
     # the spectral eta's range), one eigh each for H0, rho = eta^(1/2) and the
     # four distinct e^(-Q(eps)) (the scaling curve reuses the perturbative
     # task's eps = 0.1); no second look at a spectrum already computed. The
-    # grid H, Q(eps) and eta are PT-symmetric, so eig and eigh run real.
+    # grid H, Q(eps) and eta are PT-symmetric, so eig and eigh run real, and
+    # so does the one solve, C = eta^(-1) J in eta's frame; the one inv is
+    # the left eigenvectors' inv(psi).
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
     got = dict(linalg_counter)
     assert got.get("eig", 0) == 1
     assert got.get("svd", 0) <= 1
     assert got.get("eigh", 0) <= 6
+    assert got.get("solve", 0) == got.get("inv", 0) == 1, got
     assert got.get("eigvals", 0) == got.get("eigvalsh", 0) == got.get("cond", 0) == 0, got
     assert linalg_counter.complex_calls("eig") == linalg_counter.complex_calls("eigh") == 0
+    assert linalg_counter.complex_calls("solve") == 0
+
+
+def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
+    # the grid H is built once, for the spectral task's eig; every other
+    # product with H is a stencil, and grid_reflection is the index flip J,
+    # which no Operator holds
+    totals = []
+    real_total = SplitHamiltonian.total
+    monkeypatch.setattr(SplitHamiltonian, "total",
+                        lambda self, *args: totals.append(args) or real_total(self, *args))
+    made = []
+    real_init = operators.Operator.__post_init__
+    monkeypatch.setattr(operators.Operator, "__post_init__",
+                        lambda self: real_init(self) or made.append(self.mat))
+    report = run_model_spec(load_spec(shipped("step_potential.json")))
+    assert report["all_passed"] is True
+    assert len(totals) == 1
+    j = np.eye(129)[::-1]
+    assert not any(m.shape == j.shape and np.array_equal(m, j) for m in made)
 
 
 @pytest.mark.parametrize("abs_tol", [None, 1.0])
@@ -186,18 +211,27 @@ def test_run_model_spec_checks_each_order_once(monkeypatch):
     # [H0, Q_m] - R_m one; no second expansion of the order sums. The grid
     # split takes [H0, .] and [H1, .] itself, so its entry points count too,
     # and the wave task's off-band check adds one [H0, M] row block per 32 of
-    # the N - 6 = 123 rows it keeps: 4 blocks.
-    calls = []
+    # the N - 6 = 123 rows it keeps: 4 blocks. The metric checks are counted
+    # apart, by their caller: each of the 5 residuals H^dagger eta - eta H
+    # takes one [H0, eta] row block per 32 of the N = 129 rows (5 blocks),
+    # and the one [C, H] takes one [H0, C] and one [H1, C] block per 32 rows.
+    calls = Counter()
+
+    def counted(f):
+        def call(*args):
+            calls[sys._getframe(1).f_code.co_name] += 1
+            return f(*args)
+        return call
+
     for module in (operators, perturbation):
-        real = module.commutator
-        monkeypatch.setattr(module, "commutator", lambda a, b, f=real: calls.append(1) or f(a, b))
+        monkeypatch.setattr(module, "commutator", counted(module.commutator))
     for name in ("h0_commutator", "h1_commutator"):
-        real = getattr(SplitHamiltonian, name)
-        monkeypatch.setattr(SplitHamiltonian, name,
-                            lambda self, *args, f=real: calls.append(1) or f(self, *args))
+        monkeypatch.setattr(SplitHamiltonian, name, counted(getattr(SplitHamiltonian, name)))
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
-    assert len(calls) == 5 + 4
+    metric_checks = {"adjoint_residual": 5 * 5, "total_commutator": 2 * 5}
+    assert {name: calls.pop(name, 0) for name in metric_checks} == metric_checks
+    assert sum(calls.values()) == 5 + 4, calls
 
 
 @pytest.mark.parametrize(

@@ -383,6 +383,72 @@ def test_hostile_spec_fails_with_spec_error_naming_the_path(case, tmp_path, caps
     assert f"error: {path}:" in capsys.readouterr().err
 
 
+# spec texts nested past the parser's recursion limit, and a node nested
+# deep enough that quoting it in a message would recurse; json.dumps cannot
+# write either, so they are spelled out
+DEEP_SPEC_TEXTS = {
+    "deep_top_level": "[" * 100000 + "]" * 100000,
+    "deep_field": json.dumps(schro()).replace(
+        '"breakpoints": [-1.0, 0.0, 1.0]', '"breakpoints": [' + "[" * 990 + "]" * 990 + "]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_SPEC_TEXTS))
+def test_deeply_nested_spec_fails_with_spec_error(case, tmp_path, capsys):
+    text = DEEP_SPEC_TEXTS[case]
+    assert "[" * 990 in text
+    with pytest.raises(SpecError, match=r"^\$: arrays or objects are nested too deeply"):
+        load_spec(io.StringIO(text))
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert main(["validate", str(spec)]) == 2
+    assert "error: $: arrays or objects are nested too deeply" in capsys.readouterr().err
+
+
+# the longest name whose longest report file, <name>_spectral_spectrum.csv or
+# <name>_wave_kernel_slice.csv, fits in 255 bytes
+LONGEST_NAME_BYTES = 255 - len("_spectral_spectrum.csv")
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["n" * 300, "\ud800", "n" * (LONGEST_NAME_BYTES + 1), "\u00e9" * (LONGEST_NAME_BYTES // 2 + 1)],
+    ids=["300_characters", "lone_surrogate", "one_byte_over", "one_byte_over_in_two_byte_characters"],
+)
+def test_spec_name_the_file_system_cannot_take_is_refused(name, tmp_path, capsys, monkeypatch):
+    doc = minimal_spec(name=name)
+    with pytest.raises(SpecError, match=r"^\$\.name:"):
+        load_doc(doc)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    monkeypatch.setattr("pseudoherm.cli.run_model_spec", lambda *a, **k: pytest.fail("a task ran"))
+    out = tmp_path / "out"
+    for fmt in ("json", "csv"):
+        assert main(["run", str(spec), "--out", str(out), "--format", fmt]) == 2
+        assert "error: $.name:" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", str(spec)]) == 2
+    assert "error: $.name:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name", ["n" * LONGEST_NAME_BYTES, "\u00e9" * (LONGEST_NAME_BYTES // 2) + "n"],
+    ids=["one_byte_characters", "two_byte_characters"],
+)
+def test_longest_accepted_spec_name_writes_its_report(name, tmp_path):
+    assert len(name.encode("utf-8")) == LONGEST_NAME_BYTES
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(minimal_spec(name=name)))
+    for fmt, suffix in (("json", "_report.json"), ("csv", "_spectral_spectrum.csv")):
+        out = tmp_path / fmt
+        assert main(["run", str(spec), "--out", str(out), "--format", fmt]) == 0
+        assert [p.name for p in out.iterdir()] == [name + suffix]
+    assert len((name + "_spectral_spectrum.csv").encode("utf-8")) == 255
+
+
 def test_matrix_entries_keep_their_bits():
     # the reference is the entry-by-entry complex(re, im) build
     rows = [[[-0.0, 0.0], [3, -7], [2**60 + 1, -(2**70)]],
