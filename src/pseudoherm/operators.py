@@ -103,23 +103,8 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def adjoint(self) -> "Operator":
-        return Operator(self.mat.conj().T)
-
     def norm(self) -> float:
         return max_norm(self.mat)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat + _coerce(other, self.dim))
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat - _coerce(other, self.dim))
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self.mat @ _coerce(other, self.dim))
-
-    def __rmul__(self, scalar: complex) -> "Operator":
-        return Operator(scalar * self.mat)
 
 
 @dataclass(frozen=True)
@@ -140,13 +125,6 @@ class IndexReversal:
 
     def norm(self) -> float:
         return 1.0
-
-
-def _coerce(x, dim: int) -> np.ndarray:
-    m = x.mat if isinstance(x, Operator) else np.asarray(x)
-    if m.shape != (dim, dim):
-        raise ShapeError(f"dimension mismatch: {m.shape} vs ({dim}, {dim})")
-    return m
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -487,17 +465,12 @@ def bch_conjugate(H: Operator, Q: Operator, k_max: int) -> Operator:
     return Operator(acc)
 
 
-def herm_exp(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:
-    """e^(-Q) for Hermitian Q via unitary diagonalization; Hermitian positive definite."""
-    return herm_exp_eig(Q, tol)[0]
-
-
 def herm_exp_eig(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, np.ndarray]:
     """(e^(-Q), w) with w the ascending eigenvalues of Q, so e^(-Q) has spectrum e^(-w)."""
     q = _as_matrix(Q)
     if not is_hermitian(q, tol):
         raise StructureError(
-            f"herm_exp requires a Hermitian argument, "
+            f"herm_exp_eig requires a Hermitian argument, "
             f"defect {2 * half_difference_norm(q, q.conj().T):.3e}"
         )
     w, u, in_frame = _eigh_hermitian_part(q)
@@ -517,25 +490,3 @@ def herm_sqrt_inv(M: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, 
         raise PositivityError(f"matrix not positive definite: eigenvalue {w[0]:.6e}")
     r = np.sqrt(w)
     return _from_eigenbasis(u * r, u, in_frame), _from_eigenbasis(u / r, u, in_frame)
-
-
-@dataclass(frozen=True)
-class StructureFlags:
-    hermitian: bool
-    anti_hermitian: bool
-    positive_definite: bool
-    invertible: bool
-
-
-def classify(M: Operator, tol: Tolerance = DEFAULT_TOL) -> StructureFlags:
-    """Tolerance-based structural flags; purely diagnostic, never raises."""
-    m = _as_matrix(M)
-    herm = is_hermitian(m, tol)
-    anti = is_hermitian(1j * m, tol)
-    sv = np.linalg.svd(m, compute_uv=False)
-    invertible = bool(sv[-1] > tol.bound(sv[0]))
-    pd = False
-    if herm:
-        w = np.linalg.eigvalsh(m / 2 + m.conj().T / 2)
-        pd = bool(w[0] > tol.abs_tol)
-    return StructureFlags(herm, anti, pd, invertible)

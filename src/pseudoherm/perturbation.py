@@ -214,11 +214,12 @@ def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh((h + h.conj().T) / 2)
 
 
-def _check_sylvester(h0: np.ndarray, r: np.ndarray, tol: Tolerance) -> None:
-    if h0.shape != r.shape:
-        raise ShapeError(f"dimension mismatch: {h0.shape} vs {r.shape}")
+def _check_h0(h0: np.ndarray, tol: Tolerance) -> None:
     if not is_hermitian(h0, tol):
         raise StructureError("H0 must be Hermitian")
+
+
+def _check_source(r: np.ndarray, tol: Tolerance) -> None:
     if not is_hermitian(1j * r, tol):
         raise StructureError("source R must be anti-Hermitian")
 
@@ -230,7 +231,10 @@ def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> 
     abs_tol count as degenerate and their entries are gauged to zero, which
     is only consistent when the source vanishes there (Fredholm condition).
     """
-    _check_sylvester(H0.mat, R.mat, tol)
+    if H0.mat.shape != R.mat.shape:
+        raise ShapeError(f"dimension mismatch: {H0.mat.shape} vs {R.mat.shape}")
+    _check_h0(H0.mat, tol)
+    _check_source(R.mat, tol)
     return _sylvester_eigenbasis(_hermitian_eigh(H0.mat), R.mat, tol)
 
 
@@ -284,6 +288,7 @@ def solve_q_series(
         raise DomainError(f"ell must be >= 1, got {ell}")
     gauge = gauge or {}
     h0 = split.H0.mat
+    _check_h0(h0, tol)
     h0_norm = split.h0_norm()
     terms: tuple = ()
     glog = []
@@ -293,7 +298,7 @@ def solve_q_series(
     h0_eig = _hermitian_eigh(h0)
     for m in range(1, ell + 1):
         rm = order_equation_rhs(split, QSeries(terms) if terms else None, m, tol)
-        _check_sylvester(h0, rm.mat, tol)
+        _check_source(rm.mat, tol)
         qm = _sylvester_eigenbasis(h0_eig, rm.mat, tol)
         entry = {"order": m, "gauge": "minimal", "rhs_norm": max_norm(rm.mat)}
         if m in gauge:
@@ -340,45 +345,28 @@ def _decreasing_eps(eps_list) -> np.ndarray:
     return eps
 
 
-def _fit_slope(eps: np.ndarray, residuals: np.ndarray) -> float:
-    """Least-squares slope of log residual vs log eps.
+def curve_slope(curve) -> float:
+    """Least-squares slope of log residual vs log eps over a residual_curve result.
 
-    Called directly by the public fitting functions: the noise-floor warning
-    names their caller's line (stacklevel 3).
+    The truncation bound gives a slope >= order + 1, which is not always
+    attained: for Hermitian H0 and anti-Hermitian H1 the eps^2 coefficient
+    [H1,Q1] + (1/2)[[H0,Q1],Q1] vanishes for every order-1 solution, so the
+    order-1 slope is 3, not 2. order_residual on a series padded with zero
+    terms gives the exact leading order. Warns (naming the caller's line) and
+    still returns the slope when any residual sits at the noise floor, where
+    the fit is indeterminate.
     """
+    eps = _decreasing_eps([e for e, _ in curve])
+    residuals = np.asarray([r for _, r in curve], dtype=float)
     if np.any(residuals < NOISE_FLOOR):
         warnings.warn(
             f"residuals reach the noise floor (min {residuals.min():.3e}); "
             "scaling slope is indeterminate",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     slope, _ = np.polyfit(np.log(eps), np.log(np.maximum(residuals, 1e-300)), 1)
     return float(slope)
-
-
-def curve_slope(curve) -> float:
-    """scaling_exponent's fit applied to an existing residual_curve result."""
-    eps = _decreasing_eps([e for e, _ in curve])
-    return _fit_slope(eps, np.asarray([r for _, r in curve], dtype=float))
-
-
-def scaling_exponent(split: SplitHamiltonian, q: QSeries, eps_list) -> float:
-    """Least-squares slope of log residual vs log eps; expected >= order + 1.
-
-    The bound is not always attained: for Hermitian H0 and anti-Hermitian H1
-    the eps^2 coefficient [H1,Q1] + (1/2)[[H0,Q1],Q1] vanishes for every
-    order-1 solution, so the order-1 slope is 3, not 2. order_residual on a
-    series padded with zero terms gives the exact leading order.
-
-    Equals curve_slope(residual_curve(split, q, eps_list)) bitwise; a caller
-    that already holds the curve should fit it with curve_slope instead.
-    Warns (and still returns the slope) when any residual sits at the noise
-    floor, where the fit is indeterminate.
-    """
-    eps = _decreasing_eps(eps_list)
-    residuals = np.asarray([r for _, r in residual_curve(split, q, eps)])
-    return _fit_slope(eps, residuals)
 
 
 def residual_curve(split: SplitHamiltonian, q: QSeries, eps_list) -> list[tuple[float, float]]:

@@ -67,8 +67,9 @@ class BiorthonormalSystem:
         return self.eigenvalues.size
 
     def spectrum_is_real(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """spectrum_is_real's rule applied to the eigenvalues already computed."""
-        return _is_real(self.eigenvalues, tol)
+        """|Im E| <= tol.bound(max |E|) for every eigenvalue E already computed."""
+        w = self.eigenvalues
+        return bool(np.abs(w.imag).max() <= tol.bound(np.abs(w).max()))
 
     def gram_defect(self) -> float:
         g = self.left_vectors.conj().T @ self.right_vectors
@@ -144,14 +145,6 @@ def biorthonormal_eigensystem(H: Operator, tol: Tolerance = DEFAULT_TOL) -> Bior
         )
     phi = np.linalg.inv(v).conj().T
     return BiorthonormalSystem(w, v, phi, sv)
-
-
-def _is_real(w: np.ndarray, tol: Tolerance) -> bool:
-    return bool(np.abs(w.imag).max() <= tol.bound(np.abs(w).max()))
-
-
-def spectrum_is_real(H: Operator, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return _is_real(np.linalg.eigvals(H.mat), tol)
 
 
 def spectral_metric(sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOL) -> MetricOperator:
@@ -311,7 +304,7 @@ def parity_pseudo_hermiticity_residual(H: Operator, P) -> float:
     return max_norm(h.conj().T @ P.mat - P.mat @ h)
 
 
-def metric_factorization(eta, tol: Tolerance = DEFAULT_TOL) -> Operator:
+def metric_factorization(eta) -> Operator:
     """Upper-triangular O with O^dagger O = eta (Cholesky factor)."""
     e = _metric_matrix(eta)
     try:
@@ -347,9 +340,7 @@ def metric_intertwiner(eta1, eta2, H: Operator, tol: Tolerance = DEFAULT_TOL) ->
     return Operator(a)
 
 
-def symmetry_rescaled_metric(
-    sys: BiorthonormalSystem, scales, tol: Tolerance = DEFAULT_TOL
-) -> MetricOperator:
+def symmetry_rescaled_metric(sys: BiorthonormalSystem, scales) -> MetricOperator:
     """sum_n s_n |phi_n><phi_n| for positive s_n: another valid metric for H."""
     s = np.asarray(scales, dtype=float)
     if s.shape != (sys.dim,):

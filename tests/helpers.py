@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import pseudoherm
-from pseudoherm import Operator, SplitHamiltonian
+from pseudoherm import Operator, SplitHamiltonian, Tolerance, is_hermitian
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -31,6 +31,17 @@ def run_python(args, blas_threads=None):
     if blas_threads is not None:
         env.update({var: str(blas_threads) for var in BLAS_THREAD_VARS})
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def positive_definite(m, tol=Tolerance()):
+    """Reference rule: m is Hermitian and eigvalsh's smallest eigenvalue exceeds tol.abs_tol."""
+    return is_hermitian(m, tol) and bool(np.linalg.eigvalsh((m + m.conj().T) / 2)[0] > tol.abs_tol)
+
+
+def spectrum_is_real(m, tol=Tolerance()):
+    """Reference rule on a fresh eigvals of m: |Im E| <= tol.bound(max |E|)."""
+    w = np.linalg.eigvals(m)
+    return bool(np.abs(w.imag).max() <= tol.bound(np.abs(w).max()))
 
 
 def random_diagonalizable(dim, rng, cond_cap=100.0, spread=5.0):

@@ -29,6 +29,7 @@ from pseudoherm import (
     QSeries,
     biorthonormal_eigensystem,
     c_operator,
+    curve_slope,
     discretize_schroedinger,
     equivalent_hermitian,
     general_kernel,
@@ -47,7 +48,7 @@ from pseudoherm import (
     particular_kernel_q1,
     pseudo_hermiticity_residual,
     random_admissible_split,
-    scaling_exponent,
+    residual_curve,
     solve_q_series,
     spectral_metric,
     step_potential,
@@ -155,7 +156,7 @@ def test_metric_series_residual_scaling():
         # the order-2 gauge is what makes the eps^4 term of the order-3 truncation nonzero
         gauge = {2: commuting_gauge(split, rng, scale=0.4)} if ell == 3 else None
         series = solve_q_series(split, ell, gauge=gauge)
-        slopes[ell] = scaling_exponent(split, series, eps)
+        slopes[ell] = curve_slope(residual_curve(split, series, eps))
         # exact residual coefficients of the truncation: pad Q with zero terms
         padded = QSeries(series.terms + (zero,) * 3)
         coeffs = {

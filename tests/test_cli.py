@@ -14,7 +14,6 @@ from pseudoherm import (
     Tolerance,
     biorthonormal_eigensystem,
     canonical_json,
-    classify,
     discretize_schroedinger,
     equivalent_hermitian,
     load_spec,
@@ -22,12 +21,11 @@ from pseudoherm import (
     run_model_spec,
     solve_q_series,
     spectral_metric,
-    spectrum_is_real,
 )
 from pseudoherm import errors, operators, perturbation, pipeline, spectral
 from pseudoherm.cli import main
 
-from helpers import run_cli, run_python
+from helpers import positive_definite, run_cli, run_python, spectrum_is_real
 
 
 def shipped(name):
@@ -246,7 +244,7 @@ def test_report_spectrum_is_real_matches_spectrum_is_real(name):
         H = discretize_schroedinger(m.potential, m.L, m.N, m.epsilon).total()
     else:
         H = m.H
-    assert task["data"]["spectrum_is_real"] is spectrum_is_real(H, spec.tolerance)
+    assert task["data"]["spectrum_is_real"] is spectrum_is_real(H.mat, spec.tolerance)
 
 
 def _nonnormal_spec(tmp_path, t):
@@ -300,7 +298,7 @@ def test_perturbative_metric_not_positive_definite_verdict(tmp_path):
     split = SplitHamiltonian(m.H0, m.H1, m.epsilon)
     eta = metric_from_series(solve_q_series(split, 1, tol=tol), m.epsilon)
     assert verdict["ok"] is False
-    assert verdict["ok"] is classify(eta.op, tol).positive_definite
+    assert verdict["ok"] is positive_definite(eta.mat, tol)
     assert verdict["value"] == pytest.approx(np.exp(-8.0), rel=1e-12)
 
 
@@ -527,6 +525,14 @@ def test_cli_import_loads_no_jsonschema():
     proc = run_python(["-c", "import sys, pseudoherm.cli; print('jsonschema' in sys.modules)"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_public_names_resolve_once():
+    import pseudoherm
+
+    names = pseudoherm.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(pseudoherm, n)] == []
 
 
 def test_cli_validate(tmp_path, capsys):

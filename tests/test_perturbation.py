@@ -13,7 +13,7 @@ from pseudoherm import (
     QSeries,
     SplitHamiltonian,
     StructureError,
-    classify,
+    Tolerance,
     commutator,
     curve_slope,
     master_formula_coefficients,
@@ -26,13 +26,12 @@ from pseudoherm import (
     pseudo_hermiticity_residual,
     random_admissible_split,
     residual_curve,
-    scaling_exponent,
     solve_q_series,
     sylvester_solve,
 )
 from pseudoherm import perturbation
 
-from helpers import commuting_gauge, fixed_split
+from helpers import commuting_gauge, fixed_split, positive_definite
 
 
 def test_split_structure_validation():
@@ -334,7 +333,7 @@ def test_metric_from_series_positive_definite():
     split = fixed_split(5, seed=7)
     series = solve_q_series(split, 2)
     eta = metric_from_series(series, 0.1)
-    assert classify(eta.op).positive_definite
+    assert positive_definite(eta.mat)
     assert eta.provenance.kind == "perturbative"
     assert eta.provenance.order == 2
     assert eta.provenance.epsilon == 0.1
@@ -352,39 +351,44 @@ def test_residual_curve_and_scaling_exponent():
     assert [e for e, _ in curve] == eps
     rs = [r for _, r in curve]
     assert all(rs[i] > rs[i + 1] for i in range(3))
-    slope = scaling_exponent(split, series, eps)
+    slope = curve_slope(curve)
     assert 2.6 < slope < 3.4  # odd-gauge series gains one extra order
-    assert slope == curve_slope(curve)  # the pipeline fits the curve it holds
 
 
 def test_scaling_exponent_input_validation():
     split = fixed_split(4, seed=9)
     series = solve_q_series(split, 1)
     with pytest.raises(DomainError):
-        scaling_exponent(split, series, [0.1, 0.05])
+        curve_slope(residual_curve(split, series, [0.1, 0.05]))
     with pytest.raises(DomainError):
-        scaling_exponent(split, series, [0.05, 0.1, 0.2])
-
-
-def test_scaling_exponent_noise_floor_warning():
-    # an exactly commuting pair has zero residual at every epsilon
-    h0 = Operator(np.diag([1.0, 2.0]))
-    h1 = Operator(np.zeros((2, 2)))
-    split = SplitHamiltonian(h0, h1, 0.1)
-    series = QSeries((Operator(np.zeros((2, 2))),))
-    with pytest.warns(RuntimeWarning):
-        scaling_exponent(split, series, [0.1, 0.05, 0.025])
+        curve_slope(residual_curve(split, series, [0.05, 0.1, 0.2]))
 
 
 def test_noise_floor_warning_names_the_caller():
+    # an exactly commuting pair has zero residual at every epsilon
     split = SplitHamiltonian(Operator(np.diag([1.0, 2.0])), Operator(np.zeros((2, 2))), 0.1)
     series = QSeries((Operator(np.zeros((2, 2))),))
-    eps = [0.1, 0.05, 0.025]
-    curve = residual_curve(split, series, eps)
-    for fit in (lambda: scaling_exponent(split, series, eps), lambda: curve_slope(curve)):
-        with pytest.warns(RuntimeWarning) as record:
-            fit()
-        assert record[0].filename == __file__
+    curve = residual_curve(split, series, [0.1, 0.05, 0.025])
+    with pytest.warns(RuntimeWarning) as record:
+        curve_slope(curve)
+    assert record[0].filename == __file__
+
+
+def test_solve_q_series_checks_h0_once_before_the_orders(monkeypatch):
+    # H0 and H1 pass SplitHamiltonian's default-tolerance checks but fail a
+    # tighter one: the H0 rule, checked before the order loop, reports first,
+    # ahead of the order-1 source's anti-Hermiticity
+    h0 = np.array([[1.0, 1e-12], [0.0, 2.0]])
+    h1 = np.array([[0.0, 1.0], [-1.0 + 1e-12, 0.0]])
+    split = SplitHamiltonian(Operator(h0), Operator(h1), 0.1)
+    tight = Tolerance(1e-15, 1e-15)
+    with pytest.raises(StructureError, match="H0 must be Hermitian"):
+        solve_q_series(split, 1, tol=tight)
+    seen = []
+    check = perturbation._check_h0
+    monkeypatch.setattr(perturbation, "_check_h0", lambda h, tol: seen.append(h) or check(h, tol))
+    solve_q_series(fixed_split(5, seed=3), 3)
+    assert len(seen) == 1
 
 
 def test_solve_q_series_diagonalizes_h0_once(monkeypatch):
