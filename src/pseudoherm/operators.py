@@ -428,9 +428,8 @@ class SplitHamiltonian:
             x[i, start + i] += scale * (1j * self._stencil[2][rows])
         return x
 
-    def total(self, epsilon: float | None = None) -> Operator:
-        e = self.epsilon if epsilon is None else epsilon
-        return Operator(self.add_h1(self._h0_matrix(), e))
+    def total(self) -> Operator:
+        return Operator(self.add_h1(self._h0_matrix(), self.epsilon))
 
 
 def nested_commutator(H: Operator, Q: Operator, k: int) -> Operator:

@@ -303,7 +303,7 @@ def solve_q_series(
         entry = {"order": m, "gauge": "minimal", "rhs_norm": max_norm(rm.mat)}
         if m in gauge:
             g = gauge[m].mat
-            if max_norm(g - g.conj().T) > tol.bound(max_norm(g)):
+            if not is_hermitian(g, tol):
                 raise GaugeError(f"order-{m} gauge term is not Hermitian")
             if max_norm(split.h0_commutator(g)) > tol.bound(h0_norm * max(1.0, max_norm(g))):
                 raise GaugeError(f"order-{m} gauge term does not commute with H0")

@@ -29,7 +29,7 @@ from .config import (
     WaveTask,
 )
 from .errors import DomainError, NonFiniteError, PseudohermError
-from .operators import IndexReversal, Operator, SplitHamiltonian, Tolerance, max_norm
+from .operators import IndexReversal, Operator, SplitHamiltonian, max_norm
 from .perturbation import (
     curve_slope,
     metric_from_series,
@@ -54,7 +54,6 @@ from .wavekernel import (
     kernel_to_matrix,
     offdiagonal_commutator_check,
     particular_kernel_q1,
-    potential_antiderivative,
 )
 
 JUMP_TOL = 1e-10
@@ -77,9 +76,9 @@ def _pairs(z: np.ndarray) -> list:
 
 
 class _RunContext:
-    def __init__(self, spec: ModelSpec, seed: int, tol: Tolerance):
+    def __init__(self, spec: ModelSpec, seed: int):
         self.spec = spec
-        self.tol = tol
+        self.tol = spec.tolerance
         self.rng = np.random.default_rng(seed)
         self.split = None  # SplitHamiltonian for split-capable models
         # (order, QSeries, {epsilon: metric residual}) from the perturbative task
@@ -122,7 +121,7 @@ class _RunContext:
 def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     H = ctx.hamiltonian()
     Hx = ctx.products(H)
-    sys = biorthonormal_eigensystem(H, ctx.tol)
+    sys = biorthonormal_eigensystem(H)
     eta = spectral_metric(sys, ctx.tol)
     threshold = pseudo_hermiticity_threshold(H, eta)
     residual = pseudo_hermiticity_residual(Hx, eta)
@@ -229,9 +228,8 @@ def _wave_task(ctx: _RunContext, verdicts: list) -> dict:
     v = model.potential
     split = ctx.get_split()
     K = particular_kernel_q1(v)
-    V = potential_antiderivative(v)
     grid = grid_points(model.L, model.N)
-    vmax = float(np.abs(V(grid)).max())
+    vmax = float(np.abs(v.antiderivative(grid)).max())
     herm = hermiticity_defect(K, samples=400, rng=ctx.rng)
     verdicts.append(
         _verdict("kernel_hermiticity_defect", herm, KERNEL_HERM_TOL * max(1.0, vmax))
@@ -262,10 +260,9 @@ def _wave_task(ctx: _RunContext, verdicts: list) -> dict:
     return data
 
 
-def run_model_spec(spec: ModelSpec, seed: int = 0, abs_tol: float | None = None) -> dict:
+def run_model_spec(spec: ModelSpec, seed: int = 0) -> dict:
     """Execute the spec's tasks and assemble the report dict."""
-    tol = spec.tolerance if abs_tol is None else Tolerance(abs_tol, spec.tolerance.rel_tol)
-    ctx = _RunContext(spec, seed, tol)
+    ctx = _RunContext(spec, seed)
     records = []
     for task in spec.tasks:
         record = {"task": task.kind, "ok": True, "error": None, "data": {}, "verdicts": []}
@@ -298,7 +295,7 @@ def run_model_spec(spec: ModelSpec, seed: int = 0, abs_tol: float | None = None)
             "spec_sha256": spec.sha256,
             "seed": int(seed),
             "version": __version__,
-            "tolerance": {"abs_tol": tol.abs_tol, "rel_tol": tol.rel_tol},
+            "tolerance": {"abs_tol": ctx.tol.abs_tol, "rel_tol": ctx.tol.rel_tol},
         },
         "tasks": records,
         "all_passed": all(r["ok"] for r in records),

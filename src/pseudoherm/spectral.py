@@ -112,7 +112,7 @@ def _metric_matrix(eta) -> np.ndarray:
     return np.asarray(eta, dtype=complex)
 
 
-def biorthonormal_eigensystem(H: Operator, tol: Tolerance = DEFAULT_TOL) -> BiorthonormalSystem:
+def biorthonormal_eigensystem(H: Operator) -> BiorthonormalSystem:
     """Diagonalize H; sort by (Re E, Im E, original index); gauge-fix psi.
 
     The left family is phi = inv(psi)^dagger, so the Gram identity and

@@ -15,7 +15,7 @@ enforced by HomogeneousPair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -34,15 +34,6 @@ def _potential_values(x: np.ndarray, breaks: np.ndarray, vals: np.ndarray) -> np
     return np.where(left != right, avg, vals[right])
 
 
-def _antiderivative_values(
-    x: np.ndarray, breaks: np.ndarray, vknots: np.ndarray, vals: np.ndarray
-) -> np.ndarray:
-    """Continuous piecewise-linear V with V(breaks[i]) = vknots[i], slope vals[i+1] right of it."""
-    idx = np.searchsorted(breaks, x, side="right") - 1
-    anchored = np.maximum(idx, 0)
-    return vknots[anchored] + vals[anchored + (idx >= 0)] * (x - breaks[anchored])
-
-
 @dataclass(frozen=True)
 class PiecewisePotential:
     """Piecewise-constant v: values[i] on (breakpoints[i-1], breakpoints[i]).
@@ -53,6 +44,7 @@ class PiecewisePotential:
 
     breakpoints: np.ndarray
     values: np.ndarray
+    _knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = np.array(self.breakpoints, dtype=float)
@@ -67,10 +59,16 @@ class PiecewisePotential:
             raise DomainError("breakpoints must be strictly increasing")
         if v[0] != 0.0 or v[-1] != 0.0:
             raise DomainError("outermost values must be 0 (compact support)")
-        b.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "breakpoints", b)
-        object.__setattr__(self, "values", v)
+        # V at each breakpoint, anchored so that V(0) = 0
+        w = np.concatenate(([0.0], np.cumsum(v[1:-1] * np.diff(b))))
+        if 0.0 <= b[0]:
+            v0 = w[0] + v[0] * (0.0 - b[0])
+        else:
+            i = int(np.searchsorted(b, 0.0, side="right") - 1)
+            v0 = w[i] + v[i + 1] * (0.0 - b[i])
+        for name, arr in (("breakpoints", b), ("values", v), ("_knots", w - v0)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -81,75 +79,19 @@ class PiecewisePotential:
         out = _potential_values(arr, self.breakpoints, self.values)
         return out if np.ndim(x) else float(out[0])
 
+    def antiderivative(self, x):
+        """Continuous piecewise-linear V(x) = int_0^x v(u) du with V(0) = 0."""
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        b, vals = self.breakpoints, self.values
+        idx = np.searchsorted(b, arr, side="right") - 1
+        anchored = np.maximum(idx, 0)  # V(b[i]) = _knots[i], slope vals[i+1] right of it
+        out = self._knots[anchored] + vals[anchored + (idx >= 0)] * (arr - b[anchored])
+        return out if np.ndim(x) else float(out[0])
+
 
 def step_potential() -> PiecewisePotential:
     """v = -sign(x) on [-1, 1], zero outside."""
     return PiecewisePotential(np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, -1.0, 0.0]))
-
-
-def _antider_knots(v: PiecewisePotential) -> np.ndarray:
-    """V at each breakpoint, anchored so that V(0) = 0."""
-    b, vals = v.breakpoints, v.values
-    w = np.concatenate(([0.0], np.cumsum(vals[1:-1] * np.diff(b))))
-    if 0.0 <= b[0]:
-        v0 = w[0] + vals[0] * (0.0 - b[0])
-    else:
-        i = int(np.searchsorted(b, 0.0, side="right") - 1)
-        v0 = w[i] + vals[i + 1] * (0.0 - b[i])
-    return w - v0
-
-
-def potential_antiderivative(v: PiecewisePotential) -> Callable:
-    """Continuous piecewise-linear V(x) = int_0^x v(u) du with V(0) = 0."""
-    knots = _antider_knots(v)
-
-    def V(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = _antiderivative_values(arr, v.breakpoints, knots, v.values)
-        return out if np.ndim(x) else float(out[0])
-
-    return V
-
-
-@dataclass(frozen=True)
-class KernelFunction:
-    """Two-variable kernel.
-
-    evaluator maps broadcastable (x, y) to complex values; domain_box is the
-    half-width of the box the kernel is meant to be sampled on. A kernel of
-    the form F((x+y)/2) sign(x-y) carries F as midpoint_profile, mapping an
-    array of s to F(s), so that kernel_to_matrix needs F at 2N - 1 points
-    only; it is None for any other kernel.
-    """
-
-    evaluator: Callable
-    domain_box: float
-    midpoint_profile: Callable | None = None
-
-    def __call__(self, x, y):
-        return self.evaluator(x, y)
-
-    def on_grid(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self.evaluator(xs[:, None], ys[None, :])
-
-
-def particular_kernel_q1(v: PiecewisePotential) -> KernelFunction:
-    """(i/2) V((x+y)/2) sign(x-y); particular solution with sign(0) = 0."""
-    knots = _antider_knots(v)
-    box = max(3.0, abs(v.breakpoints[0]) + 2.0, abs(v.breakpoints[-1]) + 2.0)
-
-    def ev(x, y):
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        s2 = (0.5 * (xb + yb)).ravel()
-        vv = _antiderivative_values(s2, v.breakpoints, knots, v.values)
-        sgn = np.sign(xb - yb).ravel()
-        out = (0.5j * (vv * sgn)).reshape(xb.shape)
-        return out if out.shape else complex(out)
-
-    def profile(s):
-        return 0.5j * _antiderivative_values(s, v.breakpoints, knots, v.values)
-
-    return KernelFunction(ev, domain_box=box, midpoint_profile=profile)
 
 
 @dataclass(frozen=True)
@@ -167,11 +109,6 @@ class HomogeneousPair:
     g: Callable
     c: float = 0.0
 
-    @classmethod
-    def zero(cls) -> "HomogeneousPair":
-        return cls(f=lambda t: np.zeros_like(t, dtype=complex),
-                   g=lambda s: np.zeros_like(s, dtype=complex), c=0.0)
-
     def constraint_defects(self, box: float = 3.0, n: int = 201) -> tuple[float, float, float]:
         """Max violation of each Hermiticity constraint on a symmetric grid."""
         x = np.linspace(-box, box, n)
@@ -187,33 +124,55 @@ class HomogeneousPair:
         return max(self.constraint_defects(box=box)) <= tol
 
 
-def general_kernel(
-    particular: KernelFunction, hom: HomogeneousPair, validate: bool = True
-) -> KernelFunction:
-    """particular(x,y) + f(x-y) + g(x+y), validated to stay Hermitian.
+@dataclass(frozen=True)
+class KernelFunction:
+    """K(x, y) = F((x+y)/2) sign(x-y) + f(x-y) + g(x+y), with sign(0) = 0.
 
-    validate=False skips the constraint check, e.g. to measure the
-    hermiticity_defect a broken pair actually produces.
+    The d'Alembert form of every solution of the first-order wave equation:
+    profile maps an array of s to F(s), the particular solution's part; hom
+    is the homogeneous pair (f, g), or None for the particular solution
+    alone. domain_box is the half-width of the box the kernel is meant to be
+    sampled on. Each of F, f and g is a function of one variable, so
+    kernel_to_matrix needs each at 2N - 1 points only.
     """
-    if validate:
-        d1, d2, d3 = hom.constraint_defects(box=particular.domain_box)
-        if max(d1, d2, d3) > CONSTRAINT_TOL:
-            raise StructureError(
-                "homogeneous pair breaks kernel Hermiticity: "
-                f"Re-f-even defect {d1:.3e}, Im-g-const defect {d2:.3e}, "
-                f"Im-f-reflection defect {d3:.3e}"
-            )
 
-    def ev(x, y):
+    profile: Callable
+    domain_box: float
+    hom: HomogeneousPair | None = None
+
+    def __call__(self, x, y):
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        out = (
-            np.asarray(particular.evaluator(xb, yb), dtype=complex)
-            + np.asarray(hom.f(xb - yb), dtype=complex)
-            + np.asarray(hom.g(xb + yb), dtype=complex)
-        )
+        out = np.asarray(self.profile(0.5 * (xb + yb)), dtype=complex) * np.sign(xb - yb)
+        if self.hom is not None:
+            out = out + np.asarray(self.hom.f(xb - yb), dtype=complex)
+            out = out + np.asarray(self.hom.g(xb + yb), dtype=complex)
         return out if out.shape else complex(out)
 
-    return KernelFunction(ev, particular.domain_box)
+
+def particular_kernel_q1(v: PiecewisePotential) -> KernelFunction:
+    """(i/2) V((x+y)/2) sign(x-y); particular solution with sign(0) = 0."""
+    box = max(3.0, abs(v.breakpoints[0]) + 2.0, abs(v.breakpoints[-1]) + 2.0)
+    return KernelFunction(lambda s: 0.5j * v.antiderivative(s), box)
+
+
+def general_kernel(particular: KernelFunction, hom: HomogeneousPair) -> KernelFunction:
+    """particular(x,y) + f(x-y) + g(x+y), validated to stay Hermitian.
+
+    Raises StructureError if hom breaks a Hermiticity constraint on the
+    kernel's box, or if particular already carries a pair. A kernel with an
+    unchecked pair, e.g. to measure the hermiticity_defect a broken pair
+    actually produces, is KernelFunction(profile, domain_box, hom).
+    """
+    if particular.hom is not None:
+        raise StructureError("kernel already carries a homogeneous pair")
+    d1, d2, d3 = hom.constraint_defects(box=particular.domain_box)
+    if max(d1, d2, d3) > CONSTRAINT_TOL:
+        raise StructureError(
+            "homogeneous pair breaks kernel Hermiticity: "
+            f"Re-f-even defect {d1:.3e}, Im-g-const defect {d2:.3e}, "
+            f"Im-f-reflection defect {d3:.3e}"
+        )
+    return KernelFunction(particular.profile, particular.domain_box, hom)
 
 
 def hermiticity_defect(K: KernelFunction, samples: int, rng=None) -> float:
@@ -241,9 +200,8 @@ def jump_condition_defect(
     if delta <= 0:
         raise DomainError(f"delta must be positive, got {delta}")
     xs = np.asarray(xs, dtype=float)
-    V = potential_antiderivative(v)
     jump = K(xs + delta, xs - delta) - K(xs - delta, xs + delta)
-    return float(np.abs(jump - 1j * np.asarray(V(xs))).max())
+    return float(np.abs(jump - 1j * np.asarray(v.antiderivative(xs))).max())
 
 
 def discretize_schroedinger(
@@ -278,26 +236,33 @@ def grid_points(L: float, N: int) -> np.ndarray:
 def kernel_to_matrix(K: KernelFunction, L: float, N: int) -> Operator:
     """Quadrature bridge M_ij = K(x_i, x_j) dx on the discretization grid.
 
-    A kernel with a midpoint_profile F is filled as a Hankel matrix: on the
-    uniform grid (x_i + x_j)/2 depends only on i + j, so F is evaluated at
-    the 2N - 1 midpoints 0.5 (x[k//2] + x[(k+1)//2]) and M_ij = F_{i+j}
-    sign(i - j) dx, with no N x N argument, sign or value array. Where N - 1
-    is a power of two the grid sums are exact and M equals the on_grid fill
-    bit for bit; elsewhere the two agree to rounding. Any other kernel is
-    evaluated at all N^2 grid points through on_grid.
+    On the uniform grid x_i + x_j depends only on i + j and x_i - x_j only
+    on i - j, so K's d'Alembert form fills M from 2N - 1 samples of each of
+    F, f and g, with no N x N argument, sign or value array: F at the
+    midpoints 0.5 (x[k//2] + x[(k+1)//2]) gives the Hankel part
+    F_{i+j} sign(i - j) dx, and a pair adds the Toeplitz part f_{i-j} dx and
+    the Hankel part g_{i+j} dx. Where N - 1 is a power of two the grid sums
+    and differences are exact and M equals K(x_i, x_j) dx bit for bit;
+    elsewhere the two agree to rounding.
     """
     xs = grid_points(L, N)
     dx = 2.0 * L / (N - 1)
-    if K.midpoint_profile is None:
-        return Operator(K.on_grid(xs, xs) * dx)
     k = np.arange(2 * N - 1)
-    f = np.asarray(K.midpoint_profile(0.5 * (xs[k // 2] + xs[(k + 1) // 2])), dtype=complex) * dx
-    hankel = np.lib.stride_tricks.sliding_window_view(f, N)  # hankel[i, j] = f[i + j]
+    sums = xs[k // 2] + xs[(k + 1) // 2]  # x_i + x_j for i + j = k
+    window = np.lib.stride_tricks.sliding_window_view
+    prof = np.asarray(K.profile(0.5 * sums), dtype=complex) * dx
+    hankel = window(prof, N)  # hankel[i, j] = prof[i + j]
     m = np.empty((N, N), dtype=complex)
     for i in range(N):
         m[i, :i] = hankel[i, :i]
         m[i, i] = 0.0
         np.negative(hankel[i, i + 1 :], out=m[i, i + 1 :])
+    if K.hom is not None:
+        d = k - (N - 1)
+        diffs = xs[np.maximum(d, 0)] - xs[np.maximum(-d, 0)]  # x_i - x_j for i - j = d
+        toeplitz = window(np.asarray(K.hom.f(diffs), dtype=complex)[::-1] * dx, N)[::-1]
+        m += toeplitz  # toeplitz[i, j] = f_{i-j} dx
+        m += window(np.asarray(K.hom.g(sums), dtype=complex) * dx, N)
     return Operator(m)
 
 
@@ -322,10 +287,11 @@ def offdiagonal_commutator_check(
     the uniform grid any fill F(x+y) sign(x-y) + f(x-y) + g(x+y) makes the
     stencil entries cancel in pairs (the discrete d'Alembert identity), so the
     defect is identically zero up to rounding at every N. kernel_to_matrix's
-    Hankel fill has entries that depend on i + j alone, so its row and column
-    passes round alike and the pipeline's defect is exactly 0 at every N. It
-    guards the grid fill (a kernel not of that form leaves an O(1) defect) and
-    does not measure convergence; the discretization error lives on the band.
+    fill of a kernel with no pair has entries that depend on i + j alone, so
+    its row and column passes round alike and the pipeline's defect is
+    exactly 0 at every N. It guards the grid fill (a kernel not of that form
+    leaves an O(1) defect) and does not measure convergence; the
+    discretization error lives on the band.
     The pipeline's offdiagonal_commutator_defect verdict reports this value.
     """
     if band_exclude < 2:

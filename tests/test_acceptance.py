@@ -25,6 +25,7 @@ import numpy as np
 
 from pseudoherm import (
     HomogeneousPair,
+    KernelFunction,
     Operator,
     QSeries,
     biorthonormal_eigensystem,
@@ -329,7 +330,7 @@ def test_kernel_hermiticity_classification():
     for i in range(100):
         expect_valid = i % 2 == 0
         pair = valid_pair() if expect_valid else broken_pair(i % 3)
-        kernel = general_kernel(K, pair, validate=False)
+        kernel = KernelFunction(K.profile, K.domain_box, pair)
         defect = hermiticity_defect(kernel, samples=200, rng=np.random.default_rng(i))
         if (defect <= 1e-10) == expect_valid:
             correct += 1

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import sys
@@ -170,7 +171,7 @@ def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
     totals = []
     real_total = SplitHamiltonian.total
     monkeypatch.setattr(SplitHamiltonian, "total",
-                        lambda self, *args: totals.append(args) or real_total(self, *args))
+                        lambda self: totals.append(self) or real_total(self))
     made = []
     real_init = operators.Operator.__post_init__
     monkeypatch.setattr(operators.Operator, "__post_init__",
@@ -186,7 +187,10 @@ def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
 def test_run_model_spec_without_parity_stays_complex(abs_tol, linalg_counter):
     # random_real_spectrum is not PT-symmetric under the index reversal, and a
     # loose --tol does not change which matrices enter the real frame
-    run_model_spec(load_spec(shipped("random_real_spectrum.json")), abs_tol=abs_tol)
+    spec = load_spec(shipped("random_real_spectrum.json"))
+    if abs_tol is not None:
+        spec = dataclasses.replace(spec, tolerance=Tolerance(abs_tol, spec.tolerance.rel_tol))
+    run_model_spec(spec)
     assert linalg_counter["eig"] == linalg_counter.complex_calls("eig") == 1
     assert linalg_counter["eigh"] == linalg_counter.complex_calls("eigh") >= 1
 
@@ -291,7 +295,7 @@ def _stiff_split_spec(tmp_path, a):
 def test_perturbative_metric_not_positive_definite_verdict(tmp_path):
     spec = _stiff_split_spec(tmp_path, 4.0)  # smallest eigenvalue e^-8 = 3.4e-4
     tol = Tolerance(1e-3, spec.tolerance.rel_tol)
-    (task,) = run_model_spec(spec, abs_tol=tol.abs_tol)["tasks"]
+    (task,) = run_model_spec(dataclasses.replace(spec, tolerance=tol))["tasks"]
     assert task["error"] is None
     verdict = next(v for v in task["verdicts"] if v["name"] == "metric_positive_definite")
     m = spec.model

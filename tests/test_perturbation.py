@@ -64,7 +64,7 @@ def test_split_total():
     split = fixed_split(4, seed=1)
     t = split.total()
     assert np.array_equal(t.mat, split.H0.mat + split.epsilon * split.H1.mat)
-    t2 = split.total(0.5)
+    t2 = split.at(0.5).total()
     assert np.array_equal(t2.mat, split.H0.mat + 0.5 * split.H1.mat)
 
 
@@ -301,6 +301,19 @@ def test_solve_q_series_rejects_bad_gauge():
         solve_q_series(split, 2, gauge={2: non_commuting})
 
 
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gauge_check_near_the_float_limit():
+    # g - g^dagger overflows at entries +-1e308; the Hermiticity check halves
+    # before it subtracts, so the gauge is refused as non-Hermitian, with no
+    # overflow warning and no NonFiniteError
+    split = fixed_split(3, seed=5)
+    g = np.zeros((3, 3), dtype=complex)
+    g[0, 1] = g[1, 0] = 1e308
+    g[0, 2], g[2, 0] = 1e308, -1e308
+    with pytest.raises(GaugeError, match="not Hermitian"):
+        solve_q_series(split, 1, gauge={1: Operator(g)})
+
 def test_solve_q_series_rejects_bad_order():
     with pytest.raises(DomainError):
         solve_q_series(fixed_split(3, seed=6), 0)
@@ -337,7 +350,7 @@ def test_metric_from_series_positive_definite():
     assert eta.provenance.kind == "perturbative"
     assert eta.provenance.order == 2
     assert eta.provenance.epsilon == 0.1
-    res = pseudo_hermiticity_residual(split.total(0.1), eta)
+    res = pseudo_hermiticity_residual(split.at(0.1).total(), eta)
     assert res < 1e-3  # truncation error, not roundoff
     w = np.linalg.eigvalsh(eta.mat)
     assert np.allclose(eta.eig_range, (w[0], w[-1]), rtol=1e-12, atol=0)
@@ -470,7 +483,7 @@ def test_full_conjugation_residual_consistent_with_orders():
     w, u = np.linalg.eigh(q.mat)
     em = (u * np.exp(-w)) @ u.conj().T
     ep = (u * np.exp(w)) @ u.conj().T
-    h = split.total(eps).mat
+    h = split.at(eps).total().mat
     exact = max_norm(em @ h @ ep - h.conj().T)
     padded = QSeries(series.terms + (Operator(np.zeros((4, 4))),))
     r3 = max_norm(order_residual(split, padded, 3).mat)

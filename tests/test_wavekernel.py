@@ -6,6 +6,7 @@ import pytest
 from pseudoherm import (
     DomainError,
     HomogeneousPair,
+    KernelFunction,
     Operator,
     StructureError,
     commutator,
@@ -18,7 +19,6 @@ from pseudoherm import (
     max_norm,
     offdiagonal_commutator_check,
     particular_kernel_q1,
-    potential_antiderivative,
     step_potential,
     PiecewisePotential,
     SplitHamiltonian,
@@ -61,12 +61,12 @@ def test_step_potential_values():
     assert v(np.array([1.0]))[0] == -0.5
     assert v(np.array([-1.0]))[0] == 0.5
     assert v.support == (-1.0, 1.0)
-    assert potential_antiderivative(v)(0.0) == 0.0  # the anchor is exact
+    assert v.antiderivative(0.0) == 0.0  # the anchor is exact
 
 
 def test_antiderivative_of_step():
     v = step_potential()
-    V = potential_antiderivative(v)
+    V = v.antiderivative
     xs = np.array([0.0, 0.5, 1.0, 3.0, -0.5, -1.0, -3.0])
     expected = np.array([0.0, -0.5, -1.0, -1.0, -0.5, -1.0, -1.0])
     assert np.allclose(V(xs), expected, rtol=0, atol=1e-15)
@@ -90,9 +90,9 @@ def test_particular_kernel_matches_closed_form():
 def test_particular_kernel_scalar_and_grid_paths_agree():
     K = particular_kernel_q1(step_potential())
     xs = np.linspace(-2.5, 2.5, 21)  # step 0.25, grid-aligned spot points
-    grid = K.on_grid(xs, xs)
-    direct = np.asarray(K(xs[:, None], xs[None, :]))
-    assert np.array_equal(grid, direct)
+    grid = K(xs[:, None], xs[None, :])
+    assert grid.shape == (21, 21)
+    assert np.array_equal(grid, [[K(x, y) for y in xs] for x in xs])
     val = K(1.25, -0.75)
     assert isinstance(val, complex)
     assert val == complex(grid[15, 7])
@@ -106,7 +106,6 @@ def test_kernel_hermiticity():
 
 
 def test_homogeneous_pair_constraints():
-    assert HomogeneousPair.zero().is_valid()
     assert sin_gauge_pair().is_valid()
     d1, d2, d3 = sin_gauge_pair().constraint_defects()
     assert max(d1, d2, d3) < 1e-15
@@ -132,17 +131,18 @@ def test_general_kernel_validates_and_sums():
     assert hermiticity_defect(G, samples=500) < 1e-14
     with pytest.raises(StructureError):
         general_kernel(K, HomogeneousPair(f=lambda t: t + 0j, g=sin_gauge_pair().g, c=0.0))
-    # validation can be bypassed to study broken pairs
-    broken = general_kernel(
-        K, HomogeneousPair(f=lambda t: t + 0j, g=sin_gauge_pair().g, c=0.0), validate=False
+    # the constructor takes a pair unchecked, to study broken pairs
+    broken = KernelFunction(
+        K.profile, K.domain_box, HomogeneousPair(f=lambda t: t + 0j, g=sin_gauge_pair().g, c=0.0)
     )
     assert hermiticity_defect(broken, samples=500) > 1e-3
 
 
-def test_general_kernel_grid_path_matches_evaluator():
-    K = general_kernel(particular_kernel_q1(step_potential()), sin_gauge_pair())
-    xs = np.linspace(-2, 2, 17)
-    assert max_norm(K.on_grid(xs, xs) - np.asarray(K(xs[:, None], xs[None, :]))) == 0.0
+def test_general_kernel_refuses_a_kernel_that_carries_a_pair():
+    # adding a second pair would replace the first, not add to it
+    G = general_kernel(particular_kernel_q1(step_potential()), sin_gauge_pair())
+    with pytest.raises(StructureError, match="already carries"):
+        general_kernel(G, sin_gauge_pair())
 
 
 def test_jump_condition_bare_kernel_exact():
@@ -274,7 +274,7 @@ def test_grid_split_dense_forms_match_dense_construction(N):
     assert np.array_equal(split.H0.mat, h0)
     assert np.array_equal(split.H1.mat, h1)
     assert np.array_equal(split.total().mat, h0 + 0.1 * h1)
-    assert np.array_equal(split.total(0.37).mat, h0 + 0.37 * h1)
+    assert np.array_equal(split.at(0.37).total().mat, h0 + 0.37 * h1)
     assert split.h0_norm() == max_norm(h0)
     assert split.h1_norm() == max_norm(h1)
 
@@ -384,30 +384,55 @@ def test_offdiagonal_check_nan_in_a_later_block(form):
     assert np.isnan(offdiagonal_commutator_check(split, Operator(m), band_exclude=2))
 
 
-@pytest.mark.parametrize("N", [16, 17, 100, 129, 513, 2049])
+def even_gauge_pair():
+    # Re f even, Im f = -c, Im g = c: a pair with all three parts nonzero
+    return HomogeneousPair(
+        f=lambda t: np.cos(t) - 0.3j,
+        g=lambda s: 0.5 * s**2 + 0.3j,
+        c=0.3,
+    )
+
+
+@pytest.mark.parametrize("N", [16, 17, 33, 100, 129, 513, 2049])
 def test_hankel_fill_matches_the_on_grid_fill(N):
-    # when N - 1 is a power of two the grid sums are exact and the Hankel fill
-    # is the N^2-point fill bit for bit; elsewhere the midpoints round apart.
-    # Either way M is antisymmetric bit for bit and the off-band defect is 0.
+    # the O(N) fill against the pointwise fill K(x_i, x_j) dx, for the bare
+    # kernel and for kernels with a pair: when N - 1 is a power of two the
+    # grid sums and differences are exact and the fills agree bit for bit;
+    # elsewhere they round apart. The bare kernel's M is antisymmetric bit for
+    # bit and its off-band defect is exactly 0.
     v = step_potential()
     K = particular_kernel_q1(v)
-    m = kernel_to_matrix(K, 4.0, N).mat
     xs = grid_points(4.0, N)
-    ref = K.on_grid(xs, xs) * (8.0 / (N - 1))
-    if (N - 1) & (N - 2) == 0:
-        assert np.array_equal(m, ref)
-    else:
-        assert max_norm(m - ref) <= 1e-15 * max_norm(m)
-    assert np.array_equal(m, -m.T)
     split = discretize_schroedinger(v, 4.0, N)
-    assert offdiagonal_commutator_check(split, Operator(m), band_exclude=2) == 0.0
+    for kernel in (K, general_kernel(K, sin_gauge_pair()), general_kernel(K, even_gauge_pair())):
+        m = kernel_to_matrix(kernel, 4.0, N).mat
+        ref = kernel(xs[:, None], xs[None, :]) * (8.0 / (N - 1))
+        if (N - 1) & (N - 2) == 0:
+            assert np.array_equal(m, ref)
+        else:
+            assert max_norm(m - ref) <= 1e-15 * max_norm(m)
+        if kernel.hom is None:
+            assert np.array_equal(m, -m.T)
+            assert offdiagonal_commutator_check(split, Operator(m), band_exclude=2) == 0.0
 
 
-def test_kernels_without_a_midpoint_profile_fill_on_the_grid():
-    K = general_kernel(particular_kernel_q1(step_potential()), sin_gauge_pair())
-    assert K.midpoint_profile is None
-    xs = grid_points(4.0, 33)
-    assert np.array_equal(kernel_to_matrix(K, 4.0, 33).mat, K.on_grid(xs, xs) * 0.25)
+def test_kernel_to_matrix_samples_each_part_at_2n_minus_1_points():
+    # F, f and g are each evaluated on at most 2N - 1 points, never on N^2
+    sizes = {"F": [], "f": [], "g": []}
+
+    def recording(name, fn):
+        return lambda z: sizes[name].append(np.size(z)) or fn(z)
+
+    K = particular_kernel_q1(step_potential())
+    pair = even_gauge_pair()
+    gauged = KernelFunction(
+        recording("F", K.profile),
+        K.domain_box,
+        HomogeneousPair(recording("f", pair.f), recording("g", pair.g), pair.c),
+    )
+    N = 129
+    kernel_to_matrix(gauged, 4.0, N)
+    assert all(sizes[name] and max(sizes[name]) <= 2 * N - 1 for name in sizes), sizes
 
 
 def test_wave_fill_and_check_memory_at_n2049():
