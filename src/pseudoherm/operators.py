@@ -79,19 +79,42 @@ def _max_norm_rows(rows, n: int) -> float:
     return max(max_norm(rows(s, min(s + ROW_BLOCK, n))) for s in range(0, n, ROW_BLOCK))
 
 
+class _Fresh:
+    """An array the package has just built and holds nowhere else (Operator._own)."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 @dataclass(frozen=True)
 class Operator:
     """Square complex matrix with an optional label.
 
     The underlying array is copied and frozen, so instances can be shared
-    freely between threads and used as fixed reference values in tests.
+    freely between threads and used as fixed reference values in tests. An
+    array the package has just built is frozen in place instead (_own).
     """
 
     mat: np.ndarray
     label: str | None = field(default=None, compare=False)
 
+    @classmethod
+    def _own(cls, m: np.ndarray) -> "Operator":
+        """Operator(m) without the copy, for a fresh array no caller can reach.
+
+        m is frozen in place when it is complex and C-ordered, and copied
+        like any other array otherwise; the checks are the constructor's.
+        """
+        return cls(_Fresh(m))
+
     def __post_init__(self):
-        m = np.array(self.mat, dtype=complex, order="C")
+        m = self.mat
+        if isinstance(m, _Fresh):
+            m = np.ascontiguousarray(m.array, dtype=complex)
+        else:
+            m = np.array(m, dtype=complex, order="C")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"operator must be square, got shape {m.shape}")
         if not np.all(np.isfinite(m.view(float))):
@@ -207,13 +230,18 @@ def _eigh_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return w, u, False
 
 
+def _symmetric_product(uf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The symmetric part of (u F) u^T for real u and uf = u F, F diagonal."""
+    x = uf @ u.T
+    return x / 2 + x.T / 2
+
+
 def _from_eigenbasis(uf: np.ndarray, u: np.ndarray, in_frame: bool) -> Operator:
     """The Hermitian part of (U F) U^dagger for uf = u F, F diagonal; U = S u when in_frame."""
     if in_frame:
-        x = uf @ u.T
-        return Operator(from_pt_frame(x / 2 + x.T / 2))
+        return Operator._own(from_pt_frame(_symmetric_product(uf, u)))
     x = uf @ u.conj().T
-    return Operator((x + x.conj().T) / 2)
+    return Operator._own((x + x.conj().T) / 2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -413,6 +441,34 @@ class SplitHamiltonian:
         y = cols.view(complex)
         y += x * (1j * (self.epsilon * v))
         return y
+
+    def frame_right_multiply(self, y: np.ndarray) -> np.ndarray | None:
+        """Y F for a real Y and F = to_pt_frame(H), when H has a PT frame (pt_frame); else None.
+
+        In the structured form H0 is real and persymmetric, so F = H0 + A
+        with A the anti-diagonal a_i = epsilon (v_{N-1-i} - v_i) / 2, and
+        Y F is a real column stencil plus the flipped columns of Y scaled by
+        a, with no N x N complex array. pt_frame's rule reads
+        H - J conj(H) J = i epsilon diag(v + v reversed) in O(N).
+        """
+        if self._stencil is None:
+            f = pt_frame(self.total().mat)
+            return None if f is None else y @ f
+        diag, off, v = self._stencil
+        eps = self.epsilon
+        with np.errstate(over="ignore", invalid="ignore"):
+            odd = abs(eps) * np.abs(v + v[::-1]).max()
+            h_norm = max(abs(off), float(np.hypot(diag, abs(eps) * np.abs(v).max())))
+            a = eps * v[::-1] / 2 - eps * v / 2
+        bound = PT_FRAME_ULPS * v.size * np.finfo(float).eps * h_norm
+        if not (np.isfinite(a).all() and odd <= bound):
+            return None
+        oy = off * y
+        cols = diag * y
+        cols[:, 1:] += oy[:, :-1]
+        cols[:, :-1] += oy[:, 1:]
+        cols += (y * a)[:, ::-1]
+        return cols
 
     def add_h1(self, x: np.ndarray, scale: float, start: int = 0) -> np.ndarray:
         """x += scale * H1 in place; returns x.

@@ -197,7 +197,12 @@ def order_equation_rhs(
     lower = () if q_lower is None else q_lower.terms
     if len(lower) != m - 1:
         raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {len(lower)}")
-    r = -_chain_sum(split, [t.mat for t in lower], m)
+    return _order_rhs(split, [t.mat for t in lower], m, tol)
+
+
+def _order_rhs(split: SplitHamiltonian, lower: list, m: int, tol: Tolerance) -> Operator:
+    """order_equation_rhs given the m - 1 lower-order matrices, already checked Hermitian."""
+    r = -_chain_sum(split, lower, m)
     defect = 2 * half_difference_norm(r, -r.conj().T)
     if defect > tol.bound(max(max_norm(r), split.h1_norm())):
         raise ConsistencyError(
@@ -297,7 +302,7 @@ def solve_q_series(
     # solve, so it adds nothing to the memory held by later tasks
     h0_eig = _hermitian_eigh(h0)
     for m in range(1, ell + 1):
-        rm = order_equation_rhs(split, QSeries(terms) if terms else None, m, tol)
+        rm = _order_rhs(split, [t.mat for t in terms], m, tol)
         _check_source(rm.mat, tol)
         qm = _sylvester_eigenbasis(h0_eig, rm.mat, tol)
         entry = {"order": m, "gauge": "minimal", "rhs_norm": max_norm(rm.mat)}

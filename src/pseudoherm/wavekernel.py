@@ -24,6 +24,8 @@ from .errors import DomainError, StructureError
 from .operators import ROW_BLOCK, Operator, SplitHamiltonian
 
 CONSTRAINT_TOL = 1e-10
+# samples of HomogeneousPair.constraint_defects on [-box, box]
+CONSTRAINT_SAMPLES = 201
 
 
 def _potential_values(x: np.ndarray, breaks: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -109,7 +111,9 @@ class HomogeneousPair:
     g: Callable
     c: float = 0.0
 
-    def constraint_defects(self, box: float = 3.0, n: int = 201) -> tuple[float, float, float]:
+    def constraint_defects(
+        self, box: float = 3.0, n: int = CONSTRAINT_SAMPLES
+    ) -> tuple[float, float, float]:
         """Max violation of each Hermiticity constraint on a symmetric grid."""
         x = np.linspace(-box, box, n)
         fx = np.asarray(self.f(x), dtype=complex)
@@ -158,14 +162,17 @@ def particular_kernel_q1(v: PiecewisePotential) -> KernelFunction:
 def general_kernel(particular: KernelFunction, hom: HomogeneousPair) -> KernelFunction:
     """particular(x,y) + f(x-y) + g(x+y), validated to stay Hermitian.
 
-    Raises StructureError if hom breaks a Hermiticity constraint on the
-    kernel's box, or if particular already carries a pair. A kernel with an
-    unchecked pair, e.g. to measure the hermiticity_defect a broken pair
-    actually produces, is KernelFunction(profile, domain_box, hom).
+    On the kernel's box [-b, b], x - y and x + y range over [-2b, 2b], so
+    the constraints are checked there, at constraint_defects' default
+    sample spacing. Raises StructureError if hom breaks one, or if
+    particular already carries a pair. A kernel with an unchecked pair, e.g.
+    to measure the hermiticity_defect a broken pair actually produces, is
+    KernelFunction(profile, domain_box, hom).
     """
     if particular.hom is not None:
         raise StructureError("kernel already carries a homogeneous pair")
-    d1, d2, d3 = hom.constraint_defects(box=particular.domain_box)
+    box = 2 * particular.domain_box
+    d1, d2, d3 = hom.constraint_defects(box=box, n=2 * CONSTRAINT_SAMPLES - 1)
     if max(d1, d2, d3) > CONSTRAINT_TOL:
         raise StructureError(
             "homogeneous pair breaks kernel Hermiticity: "
@@ -263,7 +270,7 @@ def kernel_to_matrix(K: KernelFunction, L: float, N: int) -> Operator:
         toeplitz = window(np.asarray(K.hom.f(diffs), dtype=complex)[::-1] * dx, N)[::-1]
         m += toeplitz  # toeplitz[i, j] = f_{i-j} dx
         m += window(np.asarray(K.hom.g(sums), dtype=complex) * dx, N)
-    return Operator(m)
+    return Operator._own(m)
 
 
 def offdiagonal_commutator_check(

@@ -23,7 +23,13 @@ from pseudoherm import (
     solve_q_series,
     spectral_metric,
 )
-from pseudoherm.operators import DEFAULT_TOL, IndexReversal, commutator
+from pseudoherm.operators import (
+    DEFAULT_TOL,
+    IndexReversal,
+    commutator,
+    from_pt_frame_columns,
+    pt_frame,
+)
 from pseudoherm.perturbation import _graded_commutator, _sylvester_eigenbasis, order_equation_rhs
 from pseudoherm.spectral import _equivalent_hermitian, parity_pseudo_hermiticity_residual
 from pseudoherm.wavekernel import step_potential
@@ -89,15 +95,44 @@ def test_residual_and_commutator_norms_match_dense_formula(N):
     assert abs(got - c_operator(eta, dense_flip(N), Operator(h))[1]) <= rounding
 
 
+def phi_phi_dagger_metric(h):
+    """The spectral metric as it was built before the frame factors: the frame
+    eig's complex eigenvectors psi = S v, gauge-fixed, phi = inv(psi)^dagger and
+    eta = phi phi^dagger."""
+    w, v = np.linalg.eig(pt_frame(h))
+    v = from_pt_frame_columns(v)
+    order = np.lexsort((np.arange(w.size), w.imag, w.real))
+    v = v[:, order] / np.linalg.norm(v[:, order], axis=0)
+    for n in range(w.size):
+        col = v[:, n]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        v[:, n] = col / (col[nz] / abs(col[nz]))
+    sv = np.linalg.svd(v, compute_uv=False)
+    phi = np.linalg.inv(v).conj().T
+    eta = phi @ phi.conj().T
+    return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"),
+                          (float(sv[0] ** -2), float(sv[-1] ** -2)))
+
+
 @pytest.mark.parametrize("N", [129, 513])
 def test_pipeline_norms_are_bitwise_dense_where_the_stencil_is_exact(N):
-    # N - 1 a power of two: on the metrics the pipeline builds, the residuals
-    # and [C, H] read as the dense products read them, bit for bit
+    # N - 1 a power of two: on the phi phi^dagger metric and the perturbative
+    # metrics, the residuals and [C, H] read as the dense products read them,
+    # bit for bit. On the metric formed from the frame factors they agree
+    # within rounding of |H| |eta| (at N = 129 they differ in the last bits).
     split = grid_split(N)
     H = split.total()
-    eta = spectral_metric(biorthonormal_eigensystem(H))
+    eta = phi_phi_dagger_metric(H.mat)
     assert pseudo_hermiticity_residual(split, eta) == pseudo_hermiticity_residual(H, eta)
     assert c_operator(eta, dense_flip(N), split)[1] == c_operator(eta, dense_flip(N), H)[1]
+    eta = spectral_metric(biorthonormal_eigensystem(H))
+    rounding = 8 * EPS * max_norm(H.mat) * max_norm(eta.mat)
+    residuals = pseudo_hermiticity_residual(split, eta), pseudo_hermiticity_residual(H, eta)
+    assert abs(residuals[0] - residuals[1]) <= rounding
+    c_norm = max_norm(c_operator(eta, dense_flip(N))[0].mat)
+    assert abs(c_operator(eta, dense_flip(N), split)[1] - c_operator(eta, dense_flip(N), H)[1]) <= (
+        8 * EPS * max_norm(H.mat) * c_norm
+    )
     q = solve_q_series(split, 2)
     for e in (0.1, 0.0125):
         eta = metric_from_series(q, e)
@@ -146,11 +181,15 @@ def test_c_operator_in_the_frame_matches_the_complex_solve(N, linalg_counter):
     linalg_counter.clear()
     linalg_counter.dtypes.clear()
     c, comm, invol = c_operator(eta, IndexReversal(N), split)
+    assert linalg_counter["solve"] == 0  # no solve on the frame path
+    # the same eta without its frame eigensystem: one real solve in eta's frame
+    c_solve, _, invol_solve = c_operator(MetricOperator(eta.op, eta.provenance), IndexReversal(N))
+    assert linalg_counter.dtypes["solve"] == [np.dtype(float)]
     c_ref, comm_ref, invol_ref = c_operator(eta, dense_flip(N), H)
-    assert linalg_counter.dtypes["solve"] == [np.dtype(float), np.dtype(complex)]
     cond = eta.eig_range[1] / eta.eig_range[0]
-    assert max_norm(c.mat - c_ref.mat) <= 64 * N * EPS * cond * max_norm(c_ref.mat)
-    assert abs(invol - invol_ref) <= 64 * N * EPS * cond * max_norm(c_ref.mat) ** 2
+    for got, got_invol in ((c, invol), (c_solve, invol_solve)):
+        assert max_norm(got.mat - c_ref.mat) <= 64 * N * EPS * cond * max_norm(c_ref.mat)
+        assert abs(got_invol - invol_ref) <= 64 * N * EPS * cond * max_norm(c_ref.mat) ** 2
     assert comm <= 1e-8 * max_norm(H.mat) and comm_ref <= 1e-8 * max_norm(H.mat)
 
 
@@ -176,6 +215,25 @@ def test_explicit_parity_and_frameless_eta_keep_the_complex_solve(linalg_counter
         c_ref, comm_ref, invol_ref = old_c_operator(e, pm, hm)
         assert np.array_equal(c.mat, c_ref) and (comm, invol) == (comm_ref, invol_ref)
     assert linalg_counter.complex_calls("solve") == linalg_counter["solve"] == 4
+
+
+@pytest.mark.parametrize("N", [16, 129])
+def test_frame_right_multiply_is_the_product_with_the_frame_matrix(N):
+    # Y F for F = S^dagger H S: a real stencil on the grid split, the product
+    # with pt_frame(H) on the dense split; neither forms a complex matrix
+    y = random_hermitian(N, seed=N).real
+    for form in ("stencil", "dense"):
+        split = grid_split(N, form)
+        f = pt_frame(split.total().mat)
+        got = split.frame_right_multiply(y)
+        assert got.dtype == float
+        assert max_norm(got - y @ f) <= 8 * EPS * max_norm(y) * max_norm(f)
+    # an even v is not PT-symmetric: no frame, in either form
+    even = SplitHamiltonian.tridiagonal(2.0, -1.0, np.abs(np.linspace(-1.0, 1.0, N)), 0.1)
+    assert pt_frame(even.total().mat) is None
+    assert even.frame_right_multiply(y) is None
+    dense_even = SplitHamiltonian(even.H0, even.H1, even.epsilon)
+    assert dense_even.frame_right_multiply(y) is None
 
 
 def test_equivalent_hermitian_column_stencil_matches_the_product():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoherm import (
+    NonFiniteError,
     Operator,
     PositivityError,
     ShapeError,
@@ -37,12 +38,27 @@ def test_operator_rejects_nonfinite():
 
 
 def test_operator_is_frozen_copy():
+    # a caller's complex C-ordered array, the kind Operator._own freezes in
+    # place, is still copied: the caller keeps a writeable handle on it
     src = np.eye(2, dtype=complex)
     op = Operator(src)
     src[0, 0] = 5.0
-    assert op.mat[0, 0] == 1.0
+    assert op.mat[0, 0] == 1.0 and src.flags.writeable
     with pytest.raises(ValueError):
         op.mat[0, 0] = 2.0
+
+
+def test_own_freezes_a_fresh_array_in_place():
+    fresh = np.eye(3, dtype=complex)
+    op = Operator._own(fresh)
+    assert op.mat is fresh and not fresh.flags.writeable
+    # any other array is copied, and every array is checked as Operator checks it
+    for other in (np.eye(3), np.eye(3, dtype=complex)[:, ::-1]):
+        assert Operator._own(other).mat is not other and other.flags.writeable
+    with pytest.raises(ShapeError):
+        Operator._own(np.zeros((2, 3), dtype=complex))
+    with pytest.raises(NonFiniteError):
+        Operator._own(np.full((2, 2), np.nan + 0j))
 
 
 def test_operator_arithmetic_and_adjoint():

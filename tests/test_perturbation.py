@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -402,6 +403,24 @@ def test_solve_q_series_checks_h0_once_before_the_orders(monkeypatch):
     monkeypatch.setattr(perturbation, "_check_h0", lambda h, tol: seen.append(h) or check(h, tol))
     solve_q_series(fixed_split(5, seed=3), 3)
     assert len(seen) == 1
+
+
+def test_solve_q_series_checks_each_term_once(monkeypatch):
+    # the order sources take the lower terms as they were solved; only the
+    # returned QSeries checks that Q_1 .. Q_3 are Hermitian, once each (it was
+    # 1 + 2 + 3 = 6 checks when every order wrapped its lower terms in a QSeries)
+    term_checks = []
+    real = perturbation.is_hermitian
+
+    def counted(m, *args):
+        if sys._getframe(1).f_code.co_name == "__post_init__":
+            term_checks.append(m)
+        return real(m, *args)
+
+    monkeypatch.setattr(perturbation, "is_hermitian", counted)
+    q = solve_q_series(fixed_split(6, seed=3), 3)
+    assert len(term_checks) == 3
+    assert all(seen is term.mat for seen, term in zip(term_checks, q.terms))
 
 
 def test_solve_q_series_diagonalizes_h0_once(monkeypatch):

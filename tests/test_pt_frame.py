@@ -3,7 +3,9 @@
 A PT-symmetric X (J conj(X) J == X) is real in the basis S. The maps are
 checked against the dense change of basis, and the three factorizations
 that use them (biorthonormal_eigensystem, herm_exp_eig, herm_sqrt_inv)
-against the complex path they replace, written out here as references.
+against the complex path they replace, written out here as references; so
+are eta, rho, h and C as the spectral task forms them from the real SVD of
+the frame eigenvectors.
 """
 
 import warnings
@@ -17,12 +19,22 @@ from pseudoherm import (
     Operator,
     RealityError,
     biorthonormal_eigensystem,
+    c_operator,
+    equivalent_hermitian,
     herm_exp_eig,
     herm_sqrt_inv,
     max_norm,
     spectral_metric,
 )
-from pseudoherm.operators import Tolerance, from_pt_frame, pt_frame, to_pt_frame
+from pseudoherm.operators import (
+    IndexReversal,
+    Tolerance,
+    from_pt_frame,
+    from_pt_frame_columns,
+    pt_frame,
+    to_pt_frame,
+)
+from pseudoherm.spectral import COND_CAP, _equivalent_hermitian
 
 DIMS = (2, 16, 129)
 EPS = np.finfo(float).eps
@@ -173,6 +185,95 @@ def test_eigensystem_in_the_frame_matches_the_complex_path(n, linalg_counter):
     assert max_norm(residual) <= 64 * n * EPS * max_norm(w)
 
 
+@pytest.mark.parametrize("n", DIMS)
+def test_spectral_objects_from_the_frame_factors_match_the_complex_path(n, linalg_counter):
+    # eta, rho, h and C from the one real SVD W = U Sigma V^T of the frame
+    # eigenvectors, against phi phi^dagger, eigh, a complex product and a
+    # complex solve on the complex path's phi, written out here
+    rng = np.random.default_rng(800 + n)
+    p = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    h = from_pt_frame((p * np.arange(1.0, n + 1.0)) @ np.linalg.inv(p))
+    H = Operator(h)
+    linalg_counter.clear()
+    linalg_counter.dtypes.clear()
+    sys = biorthonormal_eigensystem(H)
+    eta = spectral_metric(sys)
+    h_eq, rho = equivalent_hermitian(H, eta)
+    c, _, invol = c_operator(eta, IndexReversal(n))
+    # one real eig and one real SVD; no inv, solve or eigh
+    assert dict(linalg_counter) == {"eig": 1, "svd": 1}
+    assert linalg_counter.dtypes["eig"] == linalg_counter.dtypes["svd"] == [np.dtype(float)]
+    w, v, phi, sv = eigensystem_reference(h)
+    cond = sv[0] / sv[-1]
+    rounding = 256 * n * EPS * cond**2
+    eta_ref = phi @ phi.conj().T
+    eta_ref = (eta_ref + eta_ref.conj().T) / 2
+    rho_ref, _ = herm_function_reference(eta_ref, np.sqrt)
+    rho_inv_ref, _ = herm_function_reference(eta_ref, lambda w: 1 / np.sqrt(w))
+    h_ref = rho_ref @ h @ rho_inv_ref
+    c_ref = np.linalg.solve(eta_ref, np.eye(n)[::-1])
+    for got, ref in ((eta.mat, eta_ref), (rho.mat, rho_ref), (h_eq.mat, h_ref), (c.mat, c_ref)):
+        assert max_norm(got - ref) <= rounding * max_norm(ref)
+    assert abs(invol - max_norm(c_ref @ c_ref - np.eye(n))) <= rounding * max_norm(c_ref) ** 2
+    assert np.array_equal(eta.mat, eta.mat.conj().T) and np.array_equal(rho.mat, rho.mat.conj().T)
+    for got, ref in zip(eta.eig_range, (sv[0] ** -2, sv[-1] ** -2)):
+        assert abs(got - ref) <= 64 * n * EPS * cond * ref
+    # the defects were taken on the eig's W; the complex path's, and those of
+    # the vectors formed later from U Sigma V^T, are rounding as well
+    psi_formed, phi_formed = sys.right_vectors, sys.left_vectors
+    for got, ref in ((psi_formed, v), (phi_formed, phi)):
+        assert max_norm(got - ref) <= 256 * n * EPS * cond * max_norm(ref)
+    gram_ref = max_norm(phi.conj().T @ v - np.eye(n))
+    complete_ref = max_norm(v @ phi.conj().T - np.eye(n))
+    gram_formed = max_norm(phi_formed.conj().T @ psi_formed - np.eye(n))
+    complete_formed = max_norm(psi_formed @ phi_formed.conj().T - np.eye(n))
+    for defect in (sys.gram_defect(), sys.completeness_defect(), gram_ref, complete_ref,
+                   gram_formed, complete_formed):
+        assert defect <= 64 * n * EPS * cond
+
+
+def test_equivalent_hermitian_of_an_h_without_a_frame_takes_the_complex_product():
+    # a metric with its frame eigensystem, given an H that is not PT-symmetric:
+    # h = rho H rho^-1 cannot be formed in the frame, and is formed as the product
+    rng = np.random.default_rng(9)
+    n = 16
+    p = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    eta = spectral_metric(biorthonormal_eigensystem(
+        Operator(from_pt_frame((p * np.arange(1.0, n + 1.0)) @ np.linalg.inv(p)))))
+    other = random_complex(n, rng)
+    assert pt_frame(other) is None
+    h, rho = _equivalent_hermitian(Operator(other), eta, 0.0, 1.0, Tolerance())
+    rho_inv = from_pt_frame(np.linalg.inv(to_pt_frame(rho.mat)))
+    assert max_norm(h.mat - rho.mat @ other @ rho_inv) <= 1e-12 * max_norm(h.mat)
+
+
+def test_cond_cap_flips_where_the_complex_svd_flips():
+    # the gain/loss dimer [[i g, 1], [1, -i g]] (J = sigma_x) has the real
+    # spectrum +-sqrt(1 - g^2) and eigenvector condition sqrt((1 + g)/(1 - g)),
+    # which crosses COND_CAP = 1e8 between the last two floats below the
+    # exceptional point g = 1. The reference is the complex path on the same
+    # frame eig: the complex eigenvectors S v with unit columns, gauge-fixed,
+    # and their complex SVD.
+    refused = []
+    for g in [0.5, 1 - 1e-12, 1 - 1e-15] + [1 - k * EPS / 2 for k in (8, 4, 3, 2, 1)]:
+        h = np.array([[1j * g, 1.0], [1.0, -1j * g]])
+        w, v = np.linalg.eig(pt_frame(h))
+        assert np.isrealobj(w)  # the unbroken phase, up to the last float
+        v = from_pt_frame_columns(v[:, np.argsort(w)])
+        v = v / np.linalg.norm(v, axis=0)
+        v = v / (v[0] / np.abs(v[0]))
+        sv = np.linalg.svd(v, compute_uv=False)
+        expect = bool(sv[0] / sv[-1] > COND_CAP)
+        try:
+            biorthonormal_eigensystem(Operator(h))
+            got = False
+        except DiagonalizabilityError:
+            got = True
+        assert got is expect, g
+        refused.append(got)
+    assert refused == [False] * 7 + [True]
+
+
 def test_eigensystem_without_pt_symmetry_is_unchanged(linalg_counter):
     rng = np.random.default_rng(5)
     h = random_complex(16, rng)
@@ -230,7 +331,7 @@ def test_the_caller_tolerance_does_not_open_the_frame(n, linalg_counter):
 
 
 @pytest.mark.parametrize("n", (2, 16))
-def test_broken_pt_phase_keeps_its_complex_spectrum(n):
+def test_broken_pt_phase_keeps_its_complex_spectrum(n, linalg_counter):
     # Y real with the conjugate pairs a_k +- i b_k: H = S Y S^dagger is PT-symmetric
     # but its spectrum is not real
     rng = np.random.default_rng(500 + n)
@@ -240,7 +341,13 @@ def test_broken_pt_phase_keeps_its_complex_spectrum(n):
         y[k : k + 2, k : k + 2] = [[a, b], [-b, a]]
     p = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
     h = from_pt_frame(p @ y @ np.linalg.inv(p))
+    linalg_counter.clear()
+    linalg_counter.dtypes.clear()
     sys = biorthonormal_eigensystem(Operator(h))
+    # the frame eig is real; its complex eigenvalues keep the complex svd and inv
+    assert linalg_counter.dtypes["eig"] == [np.dtype(float)]
+    assert linalg_counter.dtypes["svd"] == linalg_counter.dtypes["inv"] == [np.dtype(complex)]
+    assert sys.frame is None
     expect = np.linalg.eigvals(h)
     assert max(np.abs(expect - e).min() for e in sys.eigenvalues) <= 1e-12 * n
     # exact conjugate pairs, in (Re, Im) order

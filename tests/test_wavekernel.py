@@ -138,6 +138,19 @@ def test_general_kernel_validates_and_sums():
     assert hermiticity_defect(broken, samples=500) > 1e-3
 
 
+def test_general_kernel_checks_the_pair_where_the_kernel_evaluates_it():
+    # on the box [-3, 3], f(x - y) is evaluated out to |t| = 6; this f breaks
+    # Re f(-t) = Re f(t) only beyond |t| > 3.5, where a check on [-3, 3]
+    # never looks, and the kernel it makes is far from Hermitian
+    K = particular_kernel_q1(step_potential())
+    pair = HomogeneousPair(f=lambda t: np.where(np.abs(t) > 3.5, t, 0) + 0j,
+                           g=lambda s: np.zeros_like(s, dtype=complex))
+    assert K.domain_box == 3.0 and max(pair.constraint_defects(box=3.0)) == 0.0
+    assert hermiticity_defect(KernelFunction(K.profile, K.domain_box, pair), samples=400) > 1.0
+    with pytest.raises(StructureError, match="Re-f-even defect"):
+        general_kernel(K, pair)
+
+
 def test_general_kernel_refuses_a_kernel_that_carries_a_pair():
     # adding a second pair would replace the first, not add to it
     G = general_kernel(particular_kernel_q1(step_potential()), sin_gauge_pair())
@@ -436,9 +449,9 @@ def test_kernel_to_matrix_samples_each_part_at_2n_minus_1_points():
 
 
 def test_wave_fill_and_check_memory_at_n2049():
-    # M is a 67 MB complex matrix at N = 2049. The fill holds M and the copy
-    # Operator freezes, with no N x N argument, sign or value array; the check
-    # holds a few rows of M per block, not N x N arrays.
+    # M is a 67 MB complex matrix at N = 2049. The fill holds M alone, frozen
+    # in place (Operator._own), with no copy and no N x N argument, sign or
+    # value array; the check holds a few rows of M per block, not N x N arrays.
     N = 2049
     v = step_potential()
     split = discretize_schroedinger(v, 4.0, N)
@@ -454,7 +467,7 @@ def test_wave_fill_and_check_memory_at_n2049():
         _, check_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fill_peak < 2.5 * size
+    assert fill_peak < 1.5 * size
     assert check_peak - held < 16_000_000
 
 
