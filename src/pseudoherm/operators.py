@@ -230,6 +230,18 @@ def _eigh_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     return w, u, False
 
 
+def _hermitian_eigensystem(
+    m: np.ndarray, tol: Tolerance, caller: str
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """_eigh_hermitian_part(m), once m is checked to be Hermitian within tol; caller names the rule."""
+    if not is_hermitian(m, tol):
+        raise StructureError(
+            f"{caller} requires a Hermitian argument, "
+            f"defect {2 * half_difference_norm(m, m.conj().T):.3e}"
+        )
+    return _eigh_hermitian_part(m)
+
+
 def _symmetric_product(uf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The symmetric part of (u F) u^T for real u and uf = u F, F diagonal."""
     x = uf @ u.T
@@ -445,15 +457,12 @@ class SplitHamiltonian:
     def frame_right_multiply(self, y: np.ndarray) -> np.ndarray | None:
         """Y F for a real Y and F = to_pt_frame(H), when H has a PT frame (pt_frame); else None.
 
-        In the structured form H0 is real and persymmetric, so F = H0 + A
+        For the structured form. H0 is real and persymmetric, so F = H0 + A
         with A the anti-diagonal a_i = epsilon (v_{N-1-i} - v_i) / 2, and
         Y F is a real column stencil plus the flipped columns of Y scaled by
         a, with no N x N complex array. pt_frame's rule reads
         H - J conj(H) J = i epsilon diag(v + v reversed) in O(N).
         """
-        if self._stencil is None:
-            f = pt_frame(self.total().mat)
-            return None if f is None else y @ f
         diag, off, v = self._stencil
         eps = self.epsilon
         with np.errstate(over="ignore", invalid="ignore"):
@@ -522,25 +531,13 @@ def bch_conjugate(H: Operator, Q: Operator, k_max: int) -> Operator:
 
 def herm_exp_eig(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, np.ndarray]:
     """(e^(-Q), w) with w the ascending eigenvalues of Q, so e^(-Q) has spectrum e^(-w)."""
-    q = _as_matrix(Q)
-    if not is_hermitian(q, tol):
-        raise StructureError(
-            f"herm_exp_eig requires a Hermitian argument, "
-            f"defect {2 * half_difference_norm(q, q.conj().T):.3e}"
-        )
-    w, u, in_frame = _eigh_hermitian_part(q)
+    w, u, in_frame = _hermitian_eigensystem(_as_matrix(Q), tol, "herm_exp_eig")
     return _from_eigenbasis(u * np.exp(-w), u, in_frame), w
 
 
 def herm_sqrt_inv(M: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
     """(M^{1/2}, M^{-1/2}) for Hermitian positive-definite M."""
-    m = _as_matrix(M)
-    if not is_hermitian(m, tol):
-        raise StructureError(
-            f"herm_sqrt_inv requires a Hermitian argument, "
-            f"defect {2 * half_difference_norm(m, m.conj().T):.3e}"
-        )
-    w, u, in_frame = _eigh_hermitian_part(m)
+    w, u, in_frame = _hermitian_eigensystem(_as_matrix(M), tol, "herm_sqrt_inv")
     if w[0] <= tol.abs_tol:
         raise PositivityError(f"matrix not positive definite: eigenvalue {w[0]:.6e}")
     r = np.sqrt(w)

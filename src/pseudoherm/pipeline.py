@@ -123,6 +123,15 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     Hx = ctx.products(H)
     sys = biorthonormal_eigensystem(H)
     eta = spectral_metric(sys, ctx.tol)
+    # everything the report needs from the system is read here, and the
+    # system (its V^H, N x N) is dropped before the steps that set the peak
+    data = {
+        "spectrum": _pairs(sys.eigenvalues),
+        "spectrum_is_real": sys.spectrum_is_real(ctx.tol),
+        "gram_defect": float(sys.gram_defect()),
+    }
+    completeness = sys.completeness_defect()
+    del sys
     threshold = pseudo_hermiticity_threshold(H, eta)
     residual = pseudo_hermiticity_residual(Hx, eta)
     verdicts.append(_verdict("pseudo_hermiticity_residual", residual, threshold))
@@ -134,13 +143,7 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     h_bound = RESIDUAL_REL * max(1.0, max_norm(h))
     del h
     verdicts.append(_verdict("equivalent_hermitian_defect", herm_defect, h_bound))
-    completeness = sys.completeness_defect()
     verdicts.append(_verdict("completeness_defect", completeness, threshold))
-    data = {
-        "spectrum": _pairs(sys.eigenvalues),
-        "spectrum_is_real": sys.spectrum_is_real(ctx.tol),
-        "gram_defect": float(sys.gram_defect()),
-    }
     P = ctx.parity_matrix()
     if P is not None:
         C, comm, invol = c_operator(eta, P, Hx, ctx.tol)

@@ -8,8 +8,11 @@ intertwiners between metrics, rescaled metric families) live here.
 
 Normalization gauge: each psi_n has unit Euclidean norm with its first
 nonzero component rotated positive real; phi_n is then fixed by the
-biorthonormality condition. The metric is not unique; the remaining freedom
-is exposed through symmetry_rescaled_metric instead of being hidden.
+biorthonormality condition. A psi formed from the system's factors
+(BiorthonormalSystem) meets the gauge to rounding: its first component is
+positive real up to the rounding of U Sigma V^H. The metric is not unique;
+the remaining freedom is exposed through symmetry_rescaled_metric instead of
+being hidden.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .operators import (
     SplitHamiltonian,
     Tolerance,
     _from_eigenbasis,
+    _hermitian_eigensystem,
     _max_norm_rows,
     _symmetric_product,
     from_pt_frame,
@@ -53,37 +57,34 @@ RESIDUAL_REL = 1e-8
 
 
 class BiorthonormalSystem:
-    """Eigenvalues with right (psi) and left (phi) eigenvector columns.
+    """Eigenvalues with right (psi) and left (phi) eigenvector columns, held as factors.
 
-    right_singular_values are the descending singular values of psi.
-
-    A system built in the PT frame (see biorthonormal_eigensystem) holds the
-    real factors of psi instead of psi and phi: psi = S W D^-1, with W real
-    and D the diagonal of gauge phases, and W = U Sigma V^T its SVD, so
-    phi = S W^-T D^-1 with W^-T = U Sigma^-1 V^T. frame is then (U, sigma),
-    else None. right_vectors and left_vectors are formed from the factors
-    when first asked for, W as U Sigma V^T; gram_defect and
-    completeness_defect were taken when the system was built, on the eig's
-    W and the W^-T that forms phi.
+    W is the eigenvector matrix with unit columns and W = U Sigma V^H its
+    SVD (factors = (U, sigma, V^H)); D is the diagonal of gauge phases.
+    Then psi = B W D^-1 and phi = B W^-H D^-1 with W^-H = U Sigma^-1 V^H,
+    where B is the frame basis S for a system built in the PT frame (W
+    real, in_frame) and the identity otherwise (W complex). psi has W's
+    singular values, so right_singular_values are sigma, descending.
+    right_vectors and left_vectors are formed from the factors when first
+    asked for; gram_defect and completeness_defect were taken when the
+    system was built, on the eig's W and W^-H.
     """
 
-    def __init__(self, eigenvalues, right_vectors, left_vectors, right_singular_values):
+    def __init__(self, eigenvalues, factors, phases, in_frame: bool, defects):
         self.eigenvalues = eigenvalues
-        self.right_singular_values = right_singular_values
-        self._vectors = (right_vectors, left_vectors)
-        self.frame = None
-        self._vt_phases = None  # (V^T, D) of a system built in the PT frame
-        self._defects = None  # (gram, completeness) of a system built in the PT frame
-
-    @classmethod
-    def _in_frame(cls, eigenvalues, u, sv, vt, phases, defects) -> "BiorthonormalSystem":
-        sys = cls(eigenvalues, None, None, sv)
-        sys.frame, sys._vt_phases, sys._defects = (u, sv), (vt, phases), defects
-        return sys
+        self.factors = factors
+        self.phases = phases
+        self.in_frame = in_frame
+        self._defects = defects  # (gram, completeness)
+        self._vectors = None
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def right_singular_values(self) -> np.ndarray:
+        return self.factors[1]
 
     @property
     def right_vectors(self) -> np.ndarray:
@@ -94,29 +95,30 @@ class BiorthonormalSystem:
         return self._formed()[1]
 
     def _formed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, phi), formed from the frame factors on the first call and kept."""
-        if self._vectors[0] is None:
-            (u, sv), (vt, phases) = self.frame, self._vt_phases
-            columns = [(u * sv) @ vt, (u / sv) @ vt]  # W and W^-T
-            self._vectors = tuple(from_pt_frame_columns(w) / (np.sqrt(2) * phases) for w in columns)
+        """(psi, phi), formed from the factors on the first call and kept."""
+        if self._vectors is None:
+            u, sv, vh = self.factors
+            columns = [(u * sv) @ vh, (u / sv) @ vh]  # W and W^-H
+            if self.in_frame:
+                columns = [from_pt_frame_columns(w) / np.sqrt(2) for w in columns]
+            self._vectors = tuple(w / self.phases for w in columns)
         return self._vectors
+
+    def _first_off_real(self, tol: Tolerance) -> int | None:
+        """Index of the first E with |Im E| > tol.bound(max |E|), or None."""
+        w = self.eigenvalues
+        off = ~(np.abs(w.imag) <= tol.bound(np.abs(w).max()))
+        return int(np.argmax(off)) if off.any() else None
 
     def spectrum_is_real(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """|Im E| <= tol.bound(max |E|) for every eigenvalue E already computed."""
-        w = self.eigenvalues
-        return bool(np.abs(w.imag).max() <= tol.bound(np.abs(w).max()))
+        return self._first_off_real(tol) is None
 
     def gram_defect(self) -> float:
-        if self._defects is not None:
-            return self._defects[0]
-        g = self.left_vectors.conj().T @ self.right_vectors
-        return max_norm(g - np.eye(self.dim))
+        return self._defects[0]
 
     def completeness_defect(self) -> float:
-        if self._defects is not None:
-            return self._defects[1]
-        s = self.right_vectors @ self.left_vectors.conj().T
-        return max_norm(s - np.eye(self.dim))
+        return self._defects[1]
 
 
 @dataclass(frozen=True)
@@ -137,9 +139,10 @@ class MetricOperator:
     op: Operator
     provenance: Provenance
     eig_range: tuple[float, float] | None = None
-    # (lam, u), real, with eta = S u diag(lam) u^T S^dagger and lam ascending,
-    # when the constructor built eta that way in the PT frame; else None
-    frame: tuple[np.ndarray, np.ndarray] | None = None
+    # (lam, u, in_frame) with eta = U diag(lam) U^dagger, lam ascending, and
+    # U = S u (u real) when in_frame, else u: the eigensystem the constructor
+    # built eta from, or None
+    eigensystem: tuple[np.ndarray, np.ndarray, bool] | None = None
 
     @property
     def mat(self) -> np.ndarray:
@@ -157,34 +160,48 @@ def _metric_matrix(eta) -> np.ndarray:
 def biorthonormal_eigensystem(H: Operator) -> BiorthonormalSystem:
     """Diagonalize H; sort by (Re E, Im E, original index); gauge-fix psi.
 
-    The left family is phi = inv(psi)^dagger, so the Gram identity and
-    completeness hold by construction, degenerate blocks included. An H with
-    a PT frame (operators.pt_frame) is diagonalized there, as the real matrix
-    S^dagger H S; its eigenvectors v give psi = S v. When every eigenvalue is
-    real, numpy's eig returns a real v, and the system is built from the
-    real factors of v (_frame_eigensystem).
+    An H with a PT frame (operators.pt_frame) is diagonalized there, as the
+    real matrix S^dagger H S. When every eigenvalue is real, numpy's eig
+    returns a real v, and the system is built in the frame: W = v, psi = S W.
+    Otherwise (a broken PT phase, or no frame) W is the complex eigenvector
+    matrix, S v or H's own, and psi = W. Either way W is sorted and given
+    unit columns in its own buffer, and one SVD W = U Sigma V^H gives sigma
+    and W^-H = U Sigma^-1 V^H, so phi = inv(psi)^dagger and the Gram
+    identity and completeness hold to rounding, degenerate blocks included.
+    The gauge phase of column n is the first entry of B W_n over its
+    modulus: |W| entrywise, or in the frame hypot(W_k, W_{N-1-k}) =
+    sqrt(2) |(S W)_k|, so no S W is formed. The defects are
+    max|D (W^-1 W - I) D^-1| = max|W^-1 W - I| and max|B (W W^-1 - I) B^dagger|,
+    one product each on W^-H.
     """
     frame = pt_frame(H.mat)
     if frame is not None:
         w, v = np.linalg.eig(frame)
         del frame
-        if np.isrealobj(w):
-            return _frame_eigensystem(w, v)
-        v = from_pt_frame_columns(v)  # the normalization below removes the sqrt(2)
+        in_frame = np.isrealobj(w)
+        if not in_frame:
+            v = from_pt_frame_columns(v)  # the normalization below removes the sqrt(2)
     else:
         w, v = np.linalg.eig(H.mat)
+        in_frame = False
     order = np.lexsort((np.arange(w.size), w.imag, w.real))
-    w, v = w[order], v[:, order]
-    v = v / np.linalg.norm(v, axis=0)
-    for n in range(w.size):
-        col = v[:, n]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        phase = col[nz] / abs(col[nz])
-        v[:, n] = col / phase
-    sv = np.linalg.svd(v, compute_uv=False)
+    w = w[order].astype(complex)
+    v[:] = v[:, order]
+    v /= np.linalg.norm(v, axis=0)
+    n = w.size
+    cols = np.arange(n)
+    modulus = np.hypot(v, v[::-1]) if in_frame else np.abs(v)
+    first = np.argmax(modulus > 1e-12 * modulus.max(axis=0), axis=0)
+    top = v[first, cols] + 1j * v[n - 1 - first, cols] if in_frame else v[first, cols]
+    phases = top / modulus[first, cols]
+    del modulus
+    u, sv, vh = np.linalg.svd(v)
     _check_condition(sv)
-    phi = np.linalg.inv(v).conj().T
-    return BiorthonormalSystem(w, v, phi, sv)
+    inv_h = (u / sv) @ vh
+    gram = max_norm(_minus_identity(inv_h.conj().T @ v))
+    completeness = _minus_identity(v @ inv_h.conj().T)
+    completeness = max_norm(from_pt_frame(completeness) if in_frame else completeness)
+    return BiorthonormalSystem(w, (u, sv, vh), phases, in_frame, (gram, completeness))
 
 
 def _check_condition(sv: np.ndarray) -> None:
@@ -197,35 +214,6 @@ def _check_condition(sv: np.ndarray) -> None:
         )
 
 
-def _frame_eigensystem(w: np.ndarray, v: np.ndarray) -> BiorthonormalSystem:
-    """biorthonormal_eigensystem for the real eigenpairs (w, v) of the frame matrix.
-
-    W is v sorted, with unit columns, formed in v's own buffer; S W has
-    unit columns too, and its entry k has modulus
-    hypot(W_k, W_{N-1-k}) / sqrt(2), so the gauge phases D come without
-    forming S W. One real SVD W = U Sigma V^T gives sigma (psi = S W D^-1
-    has W's singular values), and W^-T = U Sigma^-1 V^T, which forms phi.
-    The Gram and completeness defects are max|D (W^-1 W - I) D^-1| =
-    max|W^-1 W - I| and max|S (W W^-1 - I) S^dagger|, one real product each.
-    """
-    order = np.lexsort((np.arange(w.size), w))
-    w = w[order].astype(complex)
-    v[:] = v[:, order]
-    v /= np.linalg.norm(v, axis=0)
-    n = w.size
-    cols = np.arange(n)
-    modulus = np.hypot(v, v[::-1])  # sqrt(2) |(S W)_k|
-    first = np.argmax(modulus > 1e-12 * modulus.max(axis=0), axis=0)
-    phases = (v[first, cols] + 1j * v[n - 1 - first, cols]) / modulus[first, cols]
-    del modulus
-    u, sv, vt = np.linalg.svd(v)
-    _check_condition(sv)
-    inv_t = (u / sv) @ vt
-    gram = max_norm(_minus_identity(inv_t.T @ v))
-    completeness = max_norm(from_pt_frame(_minus_identity(v @ inv_t.T)))
-    return BiorthonormalSystem._in_frame(w, u, sv, vt, phases, (gram, completeness))
-
-
 def _minus_identity(x: np.ndarray) -> np.ndarray:
     """x - I, in place."""
     x.flat[:: x.shape[0] + 1] -= 1.0
@@ -233,30 +221,24 @@ def _minus_identity(x: np.ndarray) -> np.ndarray:
 
 
 def spectral_metric(sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOL) -> MetricOperator:
-    """eta = sum_n |phi_n><phi_n|; requires a real spectrum.
+    """eta = sum_n |phi_n><phi_n|; requires a real spectrum (sys.spectrum_is_real).
 
-    Since phi = inv(psi)^dagger, eta's eigenvalues are 1/sigma^2 over the
-    singular values sigma of psi; the metric carries their range. For a
-    system built in the PT frame, eta = phi phi^dagger = S W^-T W^-1 S^dagger
-    = S U Sigma^-2 U^T S^dagger, formed from U with no complex product, and
-    the metric carries that eigensystem (sigma^-2, U) as its frame.
+    phi phi^dagger = B W^-H D^-1 D^-H W^-1 B^dagger = B U Sigma^-2 U^dagger B^dagger,
+    formed from U (in the frame with no complex product), so eta's
+    eigenvalues are 1/sigma^2 over the singular values sigma of psi. The
+    metric carries their range and the eigensystem (sigma^-2, U, in_frame).
     """
-    scale = np.abs(sys.eigenvalues).max()
-    for n, e in enumerate(sys.eigenvalues):
-        if abs(e.imag) > tol.bound(scale):
-            raise RealityError(f"eigenvalue E_{n} = {e:.12g} is not real within tolerance")
-    sv = sys.right_singular_values
+    first = sys._first_off_real(tol)
+    if first is not None:
+        e = sys.eigenvalues[first]
+        raise RealityError(f"eigenvalue E_{first} = {e:.12g} is not real within tolerance")
+    u, sv, _ = sys.factors
     eig_range = (float(sv[0] ** -2), float(sv[-1] ** -2))
-    if sys.frame is not None:
-        u = sys.frame[0]
-        lam = sv**-2.0
-        return MetricOperator(
-            _from_eigenbasis(u * lam, u, True), Provenance("spectral"), eig_range, (lam, u)
-        )
-    phi = sys.left_vectors
-    eta = phi @ phi.conj().T
-    eta = Operator._own((eta + eta.conj().T) / 2)
-    return MetricOperator(eta, Provenance("spectral"), eig_range)
+    lam = sv**-2.0
+    return MetricOperator(
+        _from_eigenbasis(u * lam, u, sys.in_frame), Provenance("spectral"), eig_range,
+        (lam, u, sys.in_frame),
+    )
 
 
 def _stencil(H) -> SplitHamiltonian | None:
@@ -324,19 +306,41 @@ def _equivalent_hermitian(
 ) -> tuple[Operator, Operator]:
     """equivalent_hermitian given eta's residual and threshold, for a caller that has them.
 
-    H is an Operator or a SplitHamiltonian; for a structured grid split
-    rho H is a column stencil, which leaves one product. A metric that
-    carries its frame eigensystem needs no factorization
-    (_frame_equivalent_hermitian).
+    eta = U diag(lam) U^dagger from the eigensystem the metric carries, or,
+    for a metric without one, from _hermitian_eigensystem (one eigh, in the
+    frame when eta has one); the positivity rule is on lam. Then
+    rho = U lam^(1/2) U^dagger and rho^-1 = U lam^(-1/2) U^dagger. With
+    U = S u in the frame and an H that has one, F = S^dagger H S, h is
+    S (Y F Y^-1) S^dagger with Y = u lam^(1/2) u^T, all real: Y F is a
+    product with F, or for a grid split a real column stencil
+    (_frame_right_multiply). Otherwise h is the complex product
+    (rho H) rho^-1, where rho H is a column stencil for a grid split.
     """
     if residual > threshold:
         raise ResidualError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds threshold {threshold:.3e}"
         )
-    if isinstance(eta, MetricOperator) and eta.frame is not None:
-        return _frame_equivalent_hermitian(H, eta.frame, tol)
-    rho, rho_inv = herm_sqrt_inv(Operator(_metric_matrix(eta)), tol)
-    return Operator._own(_right_multiply(H, rho.mat) @ rho_inv.mat), rho
+    if isinstance(eta, MetricOperator) and eta.eigensystem is not None:
+        lam, u, in_frame = eta.eigensystem
+    else:
+        lam, u, in_frame = _hermitian_eigensystem(_metric_matrix(eta), tol, "equivalent_hermitian")
+    if lam[0] <= tol.abs_tol:
+        raise PositivityError(f"matrix not positive definite: eigenvalue {lam[0]:.6e}")
+    r = np.sqrt(lam)
+    if in_frame:
+        y = _symmetric_product(u * r, u)
+        yf = _frame_right_multiply(H, y)
+        if yf is not None:
+            # h before rho, each frame matrix dropped once used: this step
+            # sets the spectral task's peak memory
+            x = yf @ _symmetric_product(u / r, u)
+            del yf
+            h = Operator._own(from_pt_frame(x))
+            del x
+            return h, Operator._own(from_pt_frame(y))
+    rho = _from_eigenbasis(u * r, u, in_frame)
+    h = _right_multiply(H, rho.mat) @ _from_eigenbasis(u / r, u, in_frame).mat
+    return Operator._own(h), rho
 
 
 def _right_multiply(H, x: np.ndarray) -> np.ndarray:
@@ -345,37 +349,18 @@ def _right_multiply(H, x: np.ndarray) -> np.ndarray:
     return x @ _dense(H) if split is None else split.right_multiply(x)
 
 
-def _frame_equivalent_hermitian(H, frame, tol: Tolerance) -> tuple[Operator, Operator]:
-    """(h, rho) from eta = S U diag(lam) U^T S^dagger, with no factorization.
+def _frame_right_multiply(H, y: np.ndarray) -> np.ndarray | None:
+    """Y F for a real Y and F = S^dagger H S, when H has a PT frame (pt_frame); else None.
 
-    rho = S Y S^dagger with Y = U lam^(1/2) U^T, and rho^-1 = S Y^-1 S^dagger.
-    For an H with a PT frame, F = S^dagger H S, h = S (Y F Y^-1) S^dagger,
-    all real: Y F is a product with F, or for a grid split a real column
-    stencil (SplitHamiltonian.frame_right_multiply). An H without a frame
-    takes the complex product (rho H) rho^-1. The positivity rule is
-    herm_sqrt_inv's, on lam.
+    A real column stencil for a structured grid split
+    (SplitHamiltonian.frame_right_multiply), else the product with the
+    frame matrix of H's dense matrix.
     """
-    lam, u = frame
-    if lam[0] <= tol.abs_tol:
-        raise PositivityError(f"matrix not positive definite: eigenvalue {lam[0]:.6e}")
-    r = np.sqrt(lam)
-    y = _symmetric_product(u * r, u)
-    y_inv = _symmetric_product(u / r, u)
-    if isinstance(H, SplitHamiltonian):
-        yf = H.frame_right_multiply(y)
-    else:
-        f = pt_frame(H.mat)
-        yf = None if f is None else y @ f
-    if yf is None:
-        rho = Operator._own(from_pt_frame(y))
-        return Operator._own(_right_multiply(H, rho.mat) @ from_pt_frame(y_inv)), rho
-    # h before rho, each frame matrix dropped once used: this step sets the
-    # spectral task's peak memory
-    x = yf @ y_inv
-    del yf, y_inv
-    h = Operator._own(from_pt_frame(x))
-    del x
-    return h, Operator._own(from_pt_frame(y))
+    split = _stencil(H)
+    if split is not None:
+        return split.frame_right_multiply(y)
+    f = pt_frame(_dense(H))
+    return None if f is None else y @ f
 
 
 def _checked_parity(P, tol: Tolerance) -> np.ndarray:
@@ -405,31 +390,25 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     choices, so it is reported and never asserted.
 
     P is an Operator, checked to be a Hermitian involution, or the
-    IndexReversal J, which is one exactly. For J and an eta with a PT frame
-    (operators.pt_frame), S^dagger J S = J, so C = S X S^dagger with
-    X = Y^{-1} J and Y = S^dagger eta S real, and C^2 - I = S (X^2 - I) S^dagger.
-    Y^{-1} is U lam^-1 U^T, one real product, when eta carries its frame
-    eigensystem (lam, U), and a real solve otherwise. H is an Operator or a
-    SplitHamiltonian; for a structured grid split, [C, H] = -[H0, C] -
-    epsilon [H1, C] is a stencil and an elementwise product, reduced in row
-    blocks.
+    IndexReversal J, which is one exactly. For J and an eta that carries its
+    eigensystem in the PT frame, eta = S u diag(lam) u^T S^dagger, and
+    S^dagger J S = J, so C = S X S^dagger with X = (u lam^-1 u^T) J real,
+    one real product, and C^2 - I = S (X^2 - I) S^dagger. Any other eta or P
+    takes the complex solve. H is an Operator or a SplitHamiltonian; for a
+    structured grid split, [C, H] = -[H0, C] - epsilon [H1, C] is a stencil
+    and an elementwise product, reduced in row blocks.
     """
     e = _metric_matrix(eta)
     n = e.shape[0]
-    if not isinstance(P, IndexReversal):
-        x = None
-    elif isinstance(eta, MetricOperator) and eta.frame is not None:
-        lam, u = eta.frame
+    system = eta.eigensystem if isinstance(eta, MetricOperator) else None
+    if isinstance(P, IndexReversal) and system is not None and system[2]:
+        lam, u, _ = system
         x = _symmetric_product(u / lam, u)[:, ::-1]
-    else:
-        frame = pt_frame(e)
-        x = None if frame is None else np.linalg.solve(frame, np.eye(n)[::-1])
-    if x is None:
-        c = np.linalg.solve(e, _checked_parity(P, tol))
-        invol = max_norm(c @ c - np.eye(n))
-    else:
         c = from_pt_frame(x)
         invol = max_norm(from_pt_frame(x @ x - np.eye(n)))
+    else:
+        c = np.linalg.solve(e, _checked_parity(P, tol))
+        invol = max_norm(c @ c - np.eye(n))
     comm = None
     split = _stencil(H)
     if split is not None:

@@ -167,8 +167,9 @@ def test_run_model_spec_factorizes_once(linalg_counter):
 
 def test_spectral_task_memory_at_n513():
     # at N = 513 a complex N x N matrix is 4.2 MB. The spectral task holds H,
-    # the metric and the real factors U and V^T of the eigenvectors, and
-    # forms no psi or phi: its traced peak stays under 39.4 MB, the peak of
+    # the metric and the real factor U of the eigenvectors, drops the system
+    # with its V^T once it has read the spectrum and the defects, and forms
+    # no psi or phi: its traced peak stays under 39.4 MB, the peak of
     # the route that held psi and phi and took the complex inv, phi phi^dagger
     # and eigh of eta
     spec = load_spec(shipped("step_potential.json"))
@@ -208,13 +209,16 @@ def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
 @pytest.mark.parametrize("abs_tol", [None, 1.0])
 def test_run_model_spec_without_parity_stays_complex(abs_tol, linalg_counter):
     # random_real_spectrum is not PT-symmetric under the index reversal, and a
-    # loose --tol does not change which matrices enter the real frame
+    # loose --tol does not change which matrices enter the real frame. Its
+    # spectral task factorizes as the frame route does, in complex
+    # arithmetic: one eig, one svd of the eigenvectors, and nothing else
     spec = load_spec(shipped("random_real_spectrum.json"))
     if abs_tol is not None:
         spec = dataclasses.replace(spec, tolerance=Tolerance(abs_tol, spec.tolerance.rel_tol))
     run_model_spec(spec)
     assert linalg_counter["eig"] == linalg_counter.complex_calls("eig") == 1
-    assert linalg_counter["eigh"] == linalg_counter.complex_calls("eigh") >= 1
+    assert linalg_counter["svd"] == linalg_counter.complex_calls("svd") == 1
+    assert dict(linalg_counter) == {"eig": 1, "svd": 1}
 
 
 def test_scaling_reuses_the_perturbative_metric(monkeypatch):

@@ -67,8 +67,13 @@ def herm_function_reference(m, f):
 
 
 def eigensystem_reference(h):
-    """biorthonormal_eigensystem's complex path: eig of H, sorted and gauge-fixed."""
-    w, v = np.linalg.eig(h)
+    """The complex path as it was before the factored route: eig of H, sorted and
+    gauge-fixed one column at a time, its complex SVD without vectors and inv."""
+    return gauged_reference(*np.linalg.eig(h))
+
+
+def gauged_reference(w, v):
+    """eigensystem_reference from the eigenpairs (w, v)."""
     order = np.lexsort((np.arange(w.size), w.imag, w.real))
     w, v = w[order], v[:, order]
     v = v / np.linalg.norm(v, axis=0)
@@ -185,51 +190,70 @@ def test_eigensystem_in_the_frame_matches_the_complex_path(n, linalg_counter):
     assert max_norm(residual) <= 64 * n * EPS * max_norm(w)
 
 
+def random_unitary(n, rng):
+    q, r = np.linalg.qr(random_complex(n, rng))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_spectral_objects_from_the_frame_factors_match_the_complex_path(n, linalg_counter):
-    # eta, rho, h and C from the one real SVD W = U Sigma V^T of the frame
-    # eigenvectors, against phi phi^dagger, eigh, a complex product and a
-    # complex solve on the complex path's phi, written out here
+    # eta, rho, h and C from the one SVD W = U Sigma V^H of the eigenvectors,
+    # against phi phi^dagger, eigh, a complex product and a complex solve on
+    # the complex path's phi, written out here. Two inputs: H = S Y S^dagger
+    # with J, which the frame takes in real arithmetic, and its image
+    # V H V^dagger under a random unitary V with the explicit parity
+    # V J V^dagger, which has no frame and takes the same route in complex
+    # arithmetic (one complex eig and svd, and the complex solve for C)
     rng = np.random.default_rng(800 + n)
     p = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-    h = from_pt_frame((p * np.arange(1.0, n + 1.0)) @ np.linalg.inv(p))
-    H = Operator(h)
-    linalg_counter.clear()
-    linalg_counter.dtypes.clear()
-    sys = biorthonormal_eigensystem(H)
-    eta = spectral_metric(sys)
-    h_eq, rho = equivalent_hermitian(H, eta)
-    c, _, invol = c_operator(eta, IndexReversal(n))
-    # one real eig and one real SVD; no inv, solve or eigh
-    assert dict(linalg_counter) == {"eig": 1, "svd": 1}
-    assert linalg_counter.dtypes["eig"] == linalg_counter.dtypes["svd"] == [np.dtype(float)]
-    w, v, phi, sv = eigensystem_reference(h)
-    cond = sv[0] / sv[-1]
-    rounding = 256 * n * EPS * cond**2
-    eta_ref = phi @ phi.conj().T
-    eta_ref = (eta_ref + eta_ref.conj().T) / 2
-    rho_ref, _ = herm_function_reference(eta_ref, np.sqrt)
-    rho_inv_ref, _ = herm_function_reference(eta_ref, lambda w: 1 / np.sqrt(w))
-    h_ref = rho_ref @ h @ rho_inv_ref
-    c_ref = np.linalg.solve(eta_ref, np.eye(n)[::-1])
-    for got, ref in ((eta.mat, eta_ref), (rho.mat, rho_ref), (h_eq.mat, h_ref), (c.mat, c_ref)):
-        assert max_norm(got - ref) <= rounding * max_norm(ref)
-    assert abs(invol - max_norm(c_ref @ c_ref - np.eye(n))) <= rounding * max_norm(c_ref) ** 2
-    assert np.array_equal(eta.mat, eta.mat.conj().T) and np.array_equal(rho.mat, rho.mat.conj().T)
-    for got, ref in zip(eta.eig_range, (sv[0] ** -2, sv[-1] ** -2)):
-        assert abs(got - ref) <= 64 * n * EPS * cond * ref
-    # the defects were taken on the eig's W; the complex path's, and those of
-    # the vectors formed later from U Sigma V^T, are rounding as well
-    psi_formed, phi_formed = sys.right_vectors, sys.left_vectors
-    for got, ref in ((psi_formed, v), (phi_formed, phi)):
-        assert max_norm(got - ref) <= 256 * n * EPS * cond * max_norm(ref)
-    gram_ref = max_norm(phi.conj().T @ v - np.eye(n))
-    complete_ref = max_norm(v @ phi.conj().T - np.eye(n))
-    gram_formed = max_norm(phi_formed.conj().T @ psi_formed - np.eye(n))
-    complete_formed = max_norm(psi_formed @ phi_formed.conj().T - np.eye(n))
-    for defect in (sys.gram_defect(), sys.completeness_defect(), gram_ref, complete_ref,
-                   gram_formed, complete_formed):
-        assert defect <= 64 * n * EPS * cond
+    h_pt = from_pt_frame((p * np.arange(1.0, n + 1.0)) @ np.linalg.inv(p))
+    unitary = random_unitary(n, rng)
+    h_off = unitary @ h_pt @ unitary.conj().T
+    assert pt_frame(h_off) is None
+    parity = unitary @ np.eye(n)[::-1] @ unitary.conj().T
+    parity = Operator((parity + parity.conj().T) / 2)
+    for h, P, dtype in ((h_pt, IndexReversal(n), float), (h_off, parity, complex)):
+        H = Operator(h)
+        linalg_counter.clear()
+        linalg_counter.dtypes.clear()
+        sys = biorthonormal_eigensystem(H)
+        eta = spectral_metric(sys)
+        h_eq, rho = equivalent_hermitian(H, eta)
+        c, _, invol = c_operator(eta, P)
+        # one eig and one SVD; no inv or eigh, and a solve only for the explicit parity
+        solves = {} if dtype is float else {"solve": 1}
+        assert dict(linalg_counter) == {"eig": 1, "svd": 1, **solves}
+        assert linalg_counter.dtypes["eig"] == linalg_counter.dtypes["svd"] == [np.dtype(dtype)]
+        assert sys.in_frame is (dtype is float)
+        w, v, phi, sv = eigensystem_reference(h)
+        cond = sv[0] / sv[-1]
+        rounding = 256 * n * EPS * cond**2
+        eta_ref = phi @ phi.conj().T
+        eta_ref = (eta_ref + eta_ref.conj().T) / 2
+        rho_ref, _ = herm_function_reference(eta_ref, np.sqrt)
+        rho_inv_ref, _ = herm_function_reference(eta_ref, lambda w: 1 / np.sqrt(w))
+        h_ref = rho_ref @ h @ rho_inv_ref
+        c_ref = np.linalg.solve(eta_ref, P.mat)
+        for got, ref in ((eta.mat, eta_ref), (rho.mat, rho_ref), (h_eq.mat, h_ref), (c.mat, c_ref)):
+            assert max_norm(got - ref) <= rounding * max_norm(ref)
+        assert abs(invol - max_norm(c_ref @ c_ref - np.eye(n))) <= rounding * max_norm(c_ref) ** 2
+        assert np.array_equal(eta.mat, eta.mat.conj().T) and np.array_equal(rho.mat, rho.mat.conj().T)
+        for got, ref in zip(eta.eig_range, (sv[0] ** -2, sv[-1] ** -2)):
+            assert abs(got - ref) <= 64 * n * EPS * cond * ref
+        # the defects were taken on the eig's W; the complex path's, and those of
+        # the vectors formed later from U Sigma V^H, are rounding as well
+        psi_formed, phi_formed = sys.right_vectors, sys.left_vectors
+        for got, ref in ((psi_formed, v), (phi_formed, phi)):
+            assert max_norm(got - ref) <= 256 * n * EPS * cond * max_norm(ref)
+        gram_ref = max_norm(phi.conj().T @ v - np.eye(n))
+        complete_ref = max_norm(v @ phi.conj().T - np.eye(n))
+        gram_formed = max_norm(phi_formed.conj().T @ psi_formed - np.eye(n))
+        complete_formed = max_norm(psi_formed @ phi_formed.conj().T - np.eye(n))
+        assert abs(sys.gram_defect() - gram_ref) <= rounding
+        assert abs(sys.completeness_defect() - complete_ref) <= rounding
+        for defect in (sys.gram_defect(), sys.completeness_defect(), gram_ref, complete_ref,
+                       gram_formed, complete_formed):
+            assert defect <= 64 * n * EPS * cond
 
 
 def test_equivalent_hermitian_of_an_h_without_a_frame_takes_the_complex_product():
@@ -274,14 +298,32 @@ def test_cond_cap_flips_where_the_complex_svd_flips():
     assert refused == [False] * 7 + [True]
 
 
+def assert_matches_the_reference(sys, reference):
+    """sys against gauged_reference's (w, v, phi, sv): the eig's eigenvalues bit
+    for bit, the rest within 256 n eps cond^2."""
+    w, v, phi, sv = reference
+    n = w.size
+    rounding = 256 * n * EPS * (sv[0] / sv[-1]) ** 2
+    assert np.array_equal(sys.eigenvalues, w)
+    for got, ref in ((sys.right_vectors, v), (sys.left_vectors, phi)):
+        assert max_norm(got - ref) <= rounding * max_norm(ref)
+    assert max_norm(sys.right_singular_values - sv) <= rounding * sv[0]
+
+
+def assert_complex_route(linalg_counter, eig_dtype=complex):
+    """One eig (of eig_dtype), one complex svd and no inv since the counter was cleared."""
+    assert linalg_counter.dtypes["eig"] == [np.dtype(eig_dtype)]
+    assert linalg_counter.dtypes["svd"] == [np.dtype(complex)]
+    assert linalg_counter["inv"] == 0
+
+
 def test_eigensystem_without_pt_symmetry_is_unchanged(linalg_counter):
     rng = np.random.default_rng(5)
     h = random_complex(16, rng)
     sys = biorthonormal_eigensystem(Operator(h))
-    w, v, phi, sv = eigensystem_reference(h)
-    assert np.array_equal(sys.eigenvalues, w) and np.array_equal(sys.right_vectors, v)
-    assert np.array_equal(sys.left_vectors, phi) and np.array_equal(sys.right_singular_values, sv)
-    assert linalg_counter.complex_calls("eig") == 2  # the package's call and the reference's
+    assert_complex_route(linalg_counter)
+    assert not sys.in_frame
+    assert_matches_the_reference(sys, eigensystem_reference(h))
 
 
 def near_pt_inputs(n, rng):
@@ -304,11 +346,13 @@ def test_near_pt_inputs_keep_the_complex_path(n, linalg_counter):
     assert np.array_equal(e.mat, herm_function_reference(q, lambda w: np.exp(-w))[0])
     sqrt, _ = herm_sqrt_inv(Operator(m))
     assert np.array_equal(sqrt.mat, herm_function_reference(m, np.sqrt)[0])
-    sys = biorthonormal_eigensystem(Operator(h))
-    w, v, _, _ = eigensystem_reference(h)
-    assert np.array_equal(sys.eigenvalues, w) and np.array_equal(sys.right_vectors, v)
     assert linalg_counter.complex_calls("eigh") == linalg_counter["eigh"]
-    assert linalg_counter.complex_calls("eig") == linalg_counter["eig"]
+    linalg_counter.clear()
+    linalg_counter.dtypes.clear()
+    sys = biorthonormal_eigensystem(Operator(h))
+    assert_complex_route(linalg_counter)
+    assert not sys.in_frame
+    assert_matches_the_reference(sys, eigensystem_reference(h))
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -344,10 +388,12 @@ def test_broken_pt_phase_keeps_its_complex_spectrum(n, linalg_counter):
     linalg_counter.clear()
     linalg_counter.dtypes.clear()
     sys = biorthonormal_eigensystem(Operator(h))
-    # the frame eig is real; its complex eigenvalues keep the complex svd and inv
-    assert linalg_counter.dtypes["eig"] == [np.dtype(float)]
-    assert linalg_counter.dtypes["svd"] == linalg_counter.dtypes["inv"] == [np.dtype(complex)]
-    assert sys.frame is None
+    # the frame eig is real; its complex eigenvalues give the complex
+    # eigenvectors S v, which take the complex svd
+    assert_complex_route(linalg_counter, eig_dtype=float)
+    assert not sys.in_frame
+    w, v = np.linalg.eig(pt_frame(h))
+    assert_matches_the_reference(sys, gauged_reference(w, from_pt_frame_columns(v)))
     expect = np.linalg.eigvals(h)
     assert max(np.abs(expect - e).min() for e in sys.eigenvalues) <= 1e-12 * n
     # exact conjugate pairs, in (Re, Im) order

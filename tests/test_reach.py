@@ -24,6 +24,9 @@ UNREACHED = {
     "master_formula_rhs",  # the master formula's triple sum, against order_equation_rhs
     "metric_factorization",  # the Cholesky factor O with O^dagger O = eta
     "metric_intertwiner",  # the A with eta2 = A^dagger eta1 A between two metrics (claim a)
+    # (M^1/2, M^-1/2) by eigh: metric_intertwiner's; the spectral metric carries
+    # the eigensystem rho is formed from
+    "herm_sqrt_inv",
     "symmetry_rescaled_metric",  # sum_n s_n |phi_n><phi_n|, another metric of H (claim a)
     "step_potential",  # the toy model's potential, which the shipped spec spells out in JSON
     # a trace target of the benchmark's tracer; the pipeline solves in the H0 eigenbasis

@@ -21,6 +21,7 @@ from pseudoherm import (
     symmetry_rescaled_metric,
 )
 from pseudoherm.operators import DEFAULT_TOL
+from pseudoherm.spectral import COND_CAP, _equivalent_hermitian
 from helpers import positive_definite, random_diagonalizable, spectrum_is_real, toy_2x2
 
 
@@ -145,6 +146,37 @@ def test_singular_metric_decision_matches_svd(t, singular):
             assert pseudo_hermiticity_residual(h, metric) < 1e-8 * max_norm(eta.mat) * t
 
 
+# cond(psi) = 2t to rounding, so the cap refuses H from t = 5e7 on: 5e7 itself
+# reads cond 1e8 exactly and is accepted, the next float up is refused
+COND_FLIP = np.nextafter(5e7, np.inf)
+
+
+@pytest.mark.parametrize(
+    "t", [4.9e7, 5e7 - 2 * np.spacing(5e7), 5e7, COND_FLIP, COND_FLIP + np.spacing(5e7), 5.1e7]
+)
+def test_cond_cap_refuses_where_the_gauged_svd_refused(t):
+    # the cap reads sigma from the full SVD of the ungauged eigenvectors W;
+    # the reference is the call it replaces, the singular values alone of the
+    # gauge-fixed psi, written out here
+    h = nonnormal(t).mat
+    w, v = np.linalg.eig(h)
+    order = np.lexsort((np.arange(w.size), w.imag, w.real))
+    v = v[:, order] / np.linalg.norm(v[:, order], axis=0)
+    for n in range(w.size):
+        col = v[:, n]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        v[:, n] = col / (col[nz] / abs(col[nz]))
+    sv = np.linalg.svd(v, compute_uv=False)
+    refused = bool(sv[0] / sv[-1] > COND_CAP)
+    assert refused is bool(t >= COND_FLIP)
+    try:
+        biorthonormal_eigensystem(nonnormal(t))
+        got = False
+    except DiagonalizabilityError:
+        got = True
+    assert got is refused
+
+
 def test_equivalent_hermitian_isospectral():
     rng = np.random.default_rng(14)
     for _ in range(10):
@@ -157,12 +189,22 @@ def test_equivalent_hermitian_isospectral():
         assert max_norm(got - eigs) < 1e-8 * max(1.0, np.abs(eigs).max())
         # rho is the positive square root of eta
         assert max_norm(rho.mat @ rho.mat - eta.mat) < 1e-10 * max(1.0, max_norm(eta.mat))
+        # the same metric as a bare matrix carries no eigensystem: one eigh gives it
+        herm_user, rho_user = equivalent_hermitian(h, eta.mat)
+        assert max_norm(herm_user.mat - herm.mat) < 1e-8 * max(1.0, max_norm(herm.mat))
+        assert max_norm(rho_user.mat - rho.mat) < 1e-10 * max(1.0, max_norm(rho.mat))
 
 
 def test_equivalent_hermitian_rejects_wrong_metric():
     h = Operator(np.array([[1.0, 1.0], [0.0, 2.0]]))
     with pytest.raises(ResidualError):
         equivalent_hermitian(h, np.diag([1.0, 5.0]))
+    # past the residual check, a metric without an eigensystem must be
+    # Hermitian and positive definite
+    with pytest.raises(StructureError, match="equivalent_hermitian requires a Hermitian"):
+        _equivalent_hermitian(h, np.array([[1.0, 1.0], [0.0, 2.0]]), 0.0, 1.0, DEFAULT_TOL)
+    with pytest.raises(PositivityError):
+        _equivalent_hermitian(h, np.diag([1.0, -1.0]), 0.0, 1.0, DEFAULT_TOL)
 
 
 def test_c_operator_toy_family():
