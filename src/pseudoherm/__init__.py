@@ -36,7 +36,6 @@ from .operators import (
     Tolerance,
     bch_conjugate,
     commutator,
-    herm_exp_eig,
     herm_sqrt_inv,
     is_hermitian,
     max_norm,
@@ -135,7 +134,6 @@ __all__ = [
     "equivalent_hermitian",
     "general_kernel",
     "grid_points",
-    "herm_exp_eig",
     "herm_sqrt_inv",
     "hermiticity_defect",
     "is_hermitian",

@@ -4,8 +4,9 @@ Operators are immutable wrappers around square complex ndarrays. Residuals are
 reported in the max-norm (largest absolute entry) so golden values reproduce
 entry-for-entry; the 2-norm is used only for conditioning diagnostics.
 
-Matrix functions of Hermitian arguments (exp, sqrt) go through eigh, never
-through series; the truncated series lives only in bch_conjugate, where the
+Matrix functions of Hermitian arguments (sqrt here, exp in
+metric_from_series) go through eigh (_hermitian_eigensystem), never through
+series; the truncated series lives only in bch_conjugate, where the
 truncation itself is the quantity of interest.
 
 PT frame: with J the index reversal (J^2 = I) and S = (I + iJ)/sqrt(2), a
@@ -28,7 +29,7 @@ explicit parity matrix, keep the dense products.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,17 +89,18 @@ class _Fresh:
         self.array = array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Operator:
     """Square complex matrix with an optional label.
 
     The underlying array is copied and frozen, so instances can be shared
     freely between threads and used as fixed reference values in tests. An
     array the package has just built is frozen in place instead (_own).
+    Operators compare and hash by identity; compare matrices with .mat.
     """
 
     mat: np.ndarray
-    label: str | None = field(default=None, compare=False)
+    label: str | None = None
 
     @classmethod
     def _own(cls, m: np.ndarray) -> "Operator":
@@ -215,31 +217,27 @@ def pt_frame(m: np.ndarray) -> np.ndarray | None:
     return r if np.isfinite(r).all() else None
 
 
-def _eigh_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(w, u, in_frame): eigh of the Hermitian part of m.
+def _hermitian_eigensystem(
+    m: np.ndarray, tol: Tolerance, caller: str
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(w, u, in_frame): eigh of the Hermitian part of m, once m is checked to be
+    Hermitian within tol; caller names the rule.
 
     When m has a PT frame (pt_frame), the symmetric part of its frame matrix
     is factorized in real arithmetic: u is then real and m's eigenvectors
     are S u.
     """
+    if not is_hermitian(m, tol):
+        raise StructureError(
+            f"{caller} requires a Hermitian argument, "
+            f"defect {2 * half_difference_norm(m, m.conj().T):.3e}"
+        )
     r = pt_frame(m)
     if r is not None:
         w, u = np.linalg.eigh(r / 2 + r.T / 2)
         return w, u, True
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
     return w, u, False
-
-
-def _hermitian_eigensystem(
-    m: np.ndarray, tol: Tolerance, caller: str
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """_eigh_hermitian_part(m), once m is checked to be Hermitian within tol; caller names the rule."""
-    if not is_hermitian(m, tol):
-        raise StructureError(
-            f"{caller} requires a Hermitian argument, "
-            f"defect {2 * half_difference_norm(m, m.conj().T):.3e}"
-        )
-    return _eigh_hermitian_part(m)
 
 
 def _symmetric_product(uf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -457,12 +455,16 @@ class SplitHamiltonian:
     def frame_right_multiply(self, y: np.ndarray) -> np.ndarray | None:
         """Y F for a real Y and F = to_pt_frame(H), when H has a PT frame (pt_frame); else None.
 
-        For the structured form. H0 is real and persymmetric, so F = H0 + A
-        with A the anti-diagonal a_i = epsilon (v_{N-1-i} - v_i) / 2, and
-        Y F is a real column stencil plus the flipped columns of Y scaled by
-        a, with no N x N complex array. pt_frame's rule reads
+        The dense form takes the product with pt_frame of the dense H. In the
+        structured form H0 is real and persymmetric, so F = H0 + A with A the
+        anti-diagonal a_i = epsilon (v_{N-1-i} - v_i) / 2, and Y F is a real
+        column stencil plus the flipped columns of Y scaled by a, with no
+        N x N complex array. pt_frame's rule reads
         H - J conj(H) J = i epsilon diag(v + v reversed) in O(N).
         """
+        if self._stencil is None:
+            f = pt_frame(self.total().mat)
+            return None if f is None else y @ f
         diag, off, v = self._stencil
         eps = self.epsilon
         with np.errstate(over="ignore", invalid="ignore"):
@@ -527,12 +529,6 @@ def bch_conjugate(H: Operator, Q: Operator, k_max: int) -> Operator:
         term = commutator(term, q) / k
         acc += term
     return Operator(acc)
-
-
-def herm_exp_eig(Q: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, np.ndarray]:
-    """(e^(-Q), w) with w the ascending eigenvalues of Q, so e^(-Q) has spectrum e^(-w)."""
-    w, u, in_frame = _hermitian_eigensystem(_as_matrix(Q), tol, "herm_exp_eig")
-    return _from_eigenbasis(u * np.exp(-w), u, in_frame), w
 
 
 def herm_sqrt_inv(M: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:

@@ -35,13 +35,13 @@ from .operators import (
     Operator,
     SplitHamiltonian,
     Tolerance,
+    _hermitian_eigensystem,
     commutator,
     half_difference_norm,
-    herm_exp_eig,
     is_hermitian,
     max_norm,
 )
-from .spectral import MetricOperator, Provenance, pseudo_hermiticity_residual
+from .spectral import MetricOperator, Provenance, _metric, pseudo_hermiticity_residual
 
 NOISE_FLOOR = 1e-13
 
@@ -298,9 +298,10 @@ def solve_q_series(
     terms: tuple = ()
     glog = []
     residuals = []
-    # one factorization of H0 serves every order; it is not kept past the
-    # solve, so it adds nothing to the memory held by later tasks
+    # one factorization of H0 serves every order and is not kept past the
+    # solve; the dense H0, held through the orders, would set the solve's peak
     h0_eig = _hermitian_eigh(h0)
+    del h0
     for m in range(1, ell + 1):
         rm = _order_rhs(split, [t.mat for t in terms], m, tol)
         _check_source(rm.mat, tol)
@@ -330,15 +331,12 @@ def solve_q_series(
 def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
     """eta = e^(-sum_j Q_j eps^j): Hermitian positive definite by construction.
 
-    eta's eigenvalues are e^(-w) over the eigenvalues w of Q(eps), so the
-    metric carries (e^(-w_max), e^(-w_min)) as its eig_range.
+    One eigh of Q(eps) = U diag(w) U^dagger (in the PT frame when Q(eps) has
+    one) gives eta = U diag(e^(-w)) U^dagger, and the metric carries that
+    eigensystem (e^(-w), u, in_frame) in eigh order, lam descending.
     """
-    op, w = herm_exp_eig(q.summed(epsilon))
-    return MetricOperator(
-        op,
-        Provenance("perturbative", order=q.order, epsilon=epsilon),
-        (float(np.exp(-w[-1])), float(np.exp(-w[0]))),
-    )
+    w, u, in_frame = _hermitian_eigensystem(q.summed(epsilon).mat, DEFAULT_TOL, "metric_from_series")
+    return _metric(np.exp(-w), u, in_frame, Provenance("perturbative", order=q.order, epsilon=epsilon))
 
 
 def _decreasing_eps(eps_list) -> np.ndarray:
@@ -378,8 +376,8 @@ def residual_curve(split: SplitHamiltonian, q: QSeries, eps_list) -> list[tuple[
     """(epsilon, pseudo-Hermiticity residual) pairs for reporting."""
     out = []
     for e in np.asarray(eps_list, dtype=float):
-        eta = metric_from_series(q, e)
-        out.append((float(e), pseudo_hermiticity_residual(split.at(e), eta)))
+        # one metric (and the eigensystem it carries) is held at a time
+        out.append((float(e), pseudo_hermiticity_residual(split.at(e), metric_from_series(q, e))))
     return out
 
 

@@ -6,13 +6,13 @@ metric eta = sum_n |phi_n><phi_n|, which satisfies H^dagger eta = eta H. All
 derived objects (equivalent Hermitian h, C = eta^{-1} P, Cholesky factor,
 intertwiners between metrics, rescaled metric families) live here.
 
-Normalization gauge: each psi_n has unit Euclidean norm with its first
-nonzero component rotated positive real; phi_n is then fixed by the
-biorthonormality condition. A psi formed from the system's factors
-(BiorthonormalSystem) meets the gauge to rounding: its first component is
-positive real up to the rounding of U Sigma V^H. The metric is not unique;
-the remaining freedom is exposed through symmetry_rescaled_metric instead of
-being hidden.
+The system is held as the SVD W = U Sigma V^H of its eigenvector matrix W
+with unit columns (BiorthonormalSystem); psi and phi are never formed. Every
+metric the package builds carries its eigensystem eta = U diag(lam) U^dagger
+(_metric), from which its eigenvalue range, rho, h and C follow with no
+further factorization. The metric is not unique; the remaining freedom, the
+scales s_n of sum_n s_n |phi_n><phi_n|, is exposed through
+symmetry_rescaled_metric instead of being hidden.
 """
 
 from __future__ import annotations
@@ -60,23 +60,19 @@ class BiorthonormalSystem:
     """Eigenvalues with right (psi) and left (phi) eigenvector columns, held as factors.
 
     W is the eigenvector matrix with unit columns and W = U Sigma V^H its
-    SVD (factors = (U, sigma, V^H)); D is the diagonal of gauge phases.
-    Then psi = B W D^-1 and phi = B W^-H D^-1 with W^-H = U Sigma^-1 V^H,
-    where B is the frame basis S for a system built in the PT frame (W
-    real, in_frame) and the identity otherwise (W complex). psi has W's
-    singular values, so right_singular_values are sigma, descending.
-    right_vectors and left_vectors are formed from the factors when first
-    asked for; gram_defect and completeness_defect were taken when the
-    system was built, on the eig's W and W^-H.
+    SVD (factors = (U, sigma, V^H)). Then psi = B W and phi = B W^-H with
+    W^-H = U Sigma^-1 V^H, where B is the frame basis S for a system built
+    in the PT frame (W real, in_frame) and the identity otherwise (W
+    complex). psi has W's singular values, so right_singular_values are
+    sigma, descending. gram_defect and completeness_defect were taken when
+    the system was built, on the eig's W and W^-H.
     """
 
-    def __init__(self, eigenvalues, factors, phases, in_frame: bool, defects):
+    def __init__(self, eigenvalues, factors, in_frame: bool, defects):
         self.eigenvalues = eigenvalues
         self.factors = factors
-        self.phases = phases
         self.in_frame = in_frame
         self._defects = defects  # (gram, completeness)
-        self._vectors = None
 
     @property
     def dim(self) -> int:
@@ -85,24 +81,6 @@ class BiorthonormalSystem:
     @property
     def right_singular_values(self) -> np.ndarray:
         return self.factors[1]
-
-    @property
-    def right_vectors(self) -> np.ndarray:
-        return self._formed()[0]
-
-    @property
-    def left_vectors(self) -> np.ndarray:
-        return self._formed()[1]
-
-    def _formed(self) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, phi), formed from the factors on the first call and kept."""
-        if self._vectors is None:
-            u, sv, vh = self.factors
-            columns = [(u * sv) @ vh, (u / sv) @ vh]  # W and W^-H
-            if self.in_frame:
-                columns = [from_pt_frame_columns(w) / np.sqrt(2) for w in columns]
-            self._vectors = tuple(w / self.phases for w in columns)
-        return self._vectors
 
     def _first_off_real(self, tol: Tolerance) -> int | None:
         """Index of the first E with |Im E| > tol.bound(max |E|), or None."""
@@ -128,37 +106,44 @@ class Provenance:
     epsilon: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricOperator:
-    """A metric operator eta with its provenance.
+    """A metric operator eta with its provenance; compared and hashed by identity.
 
-    eig_range is eta's (smallest, largest) eigenvalue when the constructor
-    already knows it from its own factorization, else None.
+    eigensystem is (lam, u, in_frame) with eta = U diag(lam) U^dagger and
+    U = S u (u real) when in_frame, else u, for a metric the package builds
+    (_metric); lam is in the order of the factorization that gave it. None
+    for a metric built without one.
     """
 
     op: Operator
     provenance: Provenance
-    eig_range: tuple[float, float] | None = None
-    # (lam, u, in_frame) with eta = U diag(lam) U^dagger, lam ascending, and
-    # U = S u (u real) when in_frame, else u: the eigensystem the constructor
-    # built eta from, or None
     eigensystem: tuple[np.ndarray, np.ndarray, bool] | None = None
 
     @property
     def mat(self) -> np.ndarray:
         return self.op.mat
 
+    @property
+    def eig_range(self) -> tuple[float, float] | None:
+        """eta's (smallest, largest) eigenvalue, read off the eigensystem; None without one."""
+        if self.eigensystem is None:
+            return None
+        lam = self.eigensystem[0]
+        return float(lam.min()), float(lam.max())
+
+
+def _metric(lam: np.ndarray, u: np.ndarray, in_frame: bool, provenance: Provenance) -> MetricOperator:
+    """The metric U diag(lam) U^dagger (U = S u when in_frame), carrying that eigensystem."""
+    return MetricOperator(_from_eigenbasis(u * lam, u, in_frame), provenance, (lam, u, in_frame))
+
 
 def _metric_matrix(eta) -> np.ndarray:
-    if isinstance(eta, MetricOperator):
-        return eta.op.mat
-    if isinstance(eta, Operator):
-        return eta.mat
-    return np.asarray(eta, dtype=complex)
+    return eta.mat if isinstance(eta, (MetricOperator, Operator)) else np.asarray(eta, dtype=complex)
 
 
 def biorthonormal_eigensystem(H: Operator) -> BiorthonormalSystem:
-    """Diagonalize H; sort by (Re E, Im E, original index); gauge-fix psi.
+    """Diagonalize H; sort by (Re E, Im E, original index); factor its eigenvectors.
 
     An H with a PT frame (operators.pt_frame) is diagonalized there, as the
     real matrix S^dagger H S. When every eigenvalue is real, numpy's eig
@@ -168,11 +153,9 @@ def biorthonormal_eigensystem(H: Operator) -> BiorthonormalSystem:
     unit columns in its own buffer, and one SVD W = U Sigma V^H gives sigma
     and W^-H = U Sigma^-1 V^H, so phi = inv(psi)^dagger and the Gram
     identity and completeness hold to rounding, degenerate blocks included.
-    The gauge phase of column n is the first entry of B W_n over its
-    modulus: |W| entrywise, or in the frame hypot(W_k, W_{N-1-k}) =
-    sqrt(2) |(S W)_k|, so no S W is formed. The defects are
-    max|D (W^-1 W - I) D^-1| = max|W^-1 W - I| and max|B (W W^-1 - I) B^dagger|,
-    one product each on W^-H.
+    A phase per column would change neither the metric nor the defects, so
+    none is fixed. The defects are max|W^-1 W - I| and
+    max|B (W W^-1 - I) B^dagger|, one product each on W^-H.
     """
     frame = pt_frame(H.mat)
     if frame is not None:
@@ -188,20 +171,13 @@ def biorthonormal_eigensystem(H: Operator) -> BiorthonormalSystem:
     w = w[order].astype(complex)
     v[:] = v[:, order]
     v /= np.linalg.norm(v, axis=0)
-    n = w.size
-    cols = np.arange(n)
-    modulus = np.hypot(v, v[::-1]) if in_frame else np.abs(v)
-    first = np.argmax(modulus > 1e-12 * modulus.max(axis=0), axis=0)
-    top = v[first, cols] + 1j * v[n - 1 - first, cols] if in_frame else v[first, cols]
-    phases = top / modulus[first, cols]
-    del modulus
     u, sv, vh = np.linalg.svd(v)
     _check_condition(sv)
     inv_h = (u / sv) @ vh
     gram = max_norm(_minus_identity(inv_h.conj().T @ v))
     completeness = _minus_identity(v @ inv_h.conj().T)
     completeness = max_norm(from_pt_frame(completeness) if in_frame else completeness)
-    return BiorthonormalSystem(w, (u, sv, vh), phases, in_frame, (gram, completeness))
+    return BiorthonormalSystem(w, (u, sv, vh), in_frame, (gram, completeness))
 
 
 def _check_condition(sv: np.ndarray) -> None:
@@ -223,22 +199,17 @@ def _minus_identity(x: np.ndarray) -> np.ndarray:
 def spectral_metric(sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOL) -> MetricOperator:
     """eta = sum_n |phi_n><phi_n|; requires a real spectrum (sys.spectrum_is_real).
 
-    phi phi^dagger = B W^-H D^-1 D^-H W^-1 B^dagger = B U Sigma^-2 U^dagger B^dagger,
+    phi phi^dagger = B W^-H W^-1 B^dagger = B U Sigma^-2 U^dagger B^dagger,
     formed from U (in the frame with no complex product), so eta's
     eigenvalues are 1/sigma^2 over the singular values sigma of psi. The
-    metric carries their range and the eigensystem (sigma^-2, U, in_frame).
+    metric carries the eigensystem (sigma^-2, U, in_frame), lam ascending.
     """
     first = sys._first_off_real(tol)
     if first is not None:
         e = sys.eigenvalues[first]
         raise RealityError(f"eigenvalue E_{first} = {e:.12g} is not real within tolerance")
     u, sv, _ = sys.factors
-    eig_range = (float(sv[0] ** -2), float(sv[-1] ** -2))
-    lam = sv**-2.0
-    return MetricOperator(
-        _from_eigenbasis(u * lam, u, sys.in_frame), Provenance("spectral"), eig_range,
-        (lam, u, sys.in_frame),
-    )
+    return _metric(sv**-2.0, u, sys.in_frame, Provenance("spectral"))
 
 
 def _stencil(H) -> SplitHamiltonian | None:
@@ -262,11 +233,11 @@ def pseudo_hermiticity_residual(H, eta) -> float:
 
     Raises InvertibilityError when eta is numerically singular: its smallest
     singular value is at or below DEFAULT_TOL.bound(largest). For a metric
-    the package builds (spectral_metric, metric_from_series) these are the
-    eig_range it carries, eta's known extreme eigenvalues, so no
-    factorization runs here. For a metric a user passes in (a raw array, an
-    Operator, or a MetricOperator without eig_range) they come from an SVD
-    of eta.
+    the package builds (spectral_metric, metric_from_series) these are its
+    eig_range, eta's extreme eigenvalues read off the eigensystem it
+    carries, so no factorization runs here. For a metric a user passes in (a
+    raw array, an Operator, or a MetricOperator without an eigensystem) they
+    come from an SVD of eta.
     """
     e = _metric_matrix(eta)
     if e.shape != (H.dim, H.dim):
@@ -308,7 +279,7 @@ def _equivalent_hermitian(
 
     eta = U diag(lam) U^dagger from the eigensystem the metric carries, or,
     for a metric without one, from _hermitian_eigensystem (one eigh, in the
-    frame when eta has one); the positivity rule is on lam. Then
+    frame when eta has one); the positivity rule is on lam.min(). Then
     rho = U lam^(1/2) U^dagger and rho^-1 = U lam^(-1/2) U^dagger. With
     U = S u in the frame and an H that has one, F = S^dagger H S, h is
     S (Y F Y^-1) S^dagger with Y = u lam^(1/2) u^T, all real: Y F is a
@@ -324,8 +295,8 @@ def _equivalent_hermitian(
         lam, u, in_frame = eta.eigensystem
     else:
         lam, u, in_frame = _hermitian_eigensystem(_metric_matrix(eta), tol, "equivalent_hermitian")
-    if lam[0] <= tol.abs_tol:
-        raise PositivityError(f"matrix not positive definite: eigenvalue {lam[0]:.6e}")
+    if lam.min() <= tol.abs_tol:
+        raise PositivityError(f"matrix not positive definite: eigenvalue {lam.min():.6e}")
     r = np.sqrt(lam)
     if in_frame:
         y = _symmetric_product(u * r, u)
@@ -344,22 +315,19 @@ def _equivalent_hermitian(
 
 
 def _right_multiply(H, x: np.ndarray) -> np.ndarray:
-    """X H: a column stencil for a structured grid split, else the dense product."""
-    split = _stencil(H)
-    return x @ _dense(H) if split is None else split.right_multiply(x)
+    """X H: a SplitHamiltonian answers itself (a column stencil in the structured form)."""
+    return H.right_multiply(x) if isinstance(H, SplitHamiltonian) else x @ H.mat
 
 
 def _frame_right_multiply(H, y: np.ndarray) -> np.ndarray | None:
     """Y F for a real Y and F = S^dagger H S, when H has a PT frame (pt_frame); else None.
 
-    A real column stencil for a structured grid split
-    (SplitHamiltonian.frame_right_multiply), else the product with the
-    frame matrix of H's dense matrix.
+    A SplitHamiltonian answers itself (SplitHamiltonian.frame_right_multiply);
+    an Operator takes the product with the frame matrix of its matrix.
     """
-    split = _stencil(H)
-    if split is not None:
-        return split.frame_right_multiply(y)
-    f = pt_frame(_dense(H))
+    if isinstance(H, SplitHamiltonian):
+        return H.frame_right_multiply(y)
+    f = pt_frame(H.mat)
     return None if f is None else y @ f
 
 
@@ -464,12 +432,17 @@ def metric_intertwiner(eta1, eta2, H: Operator, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def symmetry_rescaled_metric(sys: BiorthonormalSystem, scales) -> MetricOperator:
-    """sum_n s_n |phi_n><phi_n| for positive s_n: another valid metric for H."""
+    """sum_n s_n |phi_n><phi_n| for positive s_n: another valid metric for H.
+
+    That is B W^-H diag(s) W^-1 B^dagger with W^-H = U Sigma^-1 V^H, formed
+    from the system's factors with no factorization (in the frame, a real
+    product); s = 1 gives spectral_metric's eta to rounding.
+    """
     s = np.asarray(scales, dtype=float)
     if s.shape != (sys.dim,):
         raise DomainError(f"need {sys.dim} scales, got shape {s.shape}")
     if np.any(s <= 0):
         raise DomainError(f"scales must be positive, got min {s.min()}")
-    phi = sys.left_vectors
-    eta = (phi * s) @ phi.conj().T
-    return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"))
+    u, sv, vh = sys.factors
+    inv_h = (u / sv) @ vh
+    return MetricOperator(_from_eigenbasis(inv_h * s, inv_h, sys.in_frame), Provenance("spectral"))

@@ -8,7 +8,15 @@ from pathlib import Path
 import numpy as np
 
 import pseudoherm
-from pseudoherm import Operator, SplitHamiltonian, Tolerance, is_hermitian
+from pseudoherm import (
+    Operator,
+    QSeries,
+    SplitHamiltonian,
+    Tolerance,
+    is_hermitian,
+    metric_from_series,
+)
+from pseudoherm.operators import from_pt_frame_columns
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -42,6 +50,37 @@ def spectrum_is_real(m, tol=Tolerance()):
     """Reference rule on a fresh eigvals of m: |Im E| <= tol.bound(max |E|)."""
     w = np.linalg.eigvals(m)
     return bool(np.abs(w.imag).max() <= tol.bound(np.abs(w).max()))
+
+
+def herm_exp(q):
+    """(e^(-Q), e^(-w)): metric_from_series on the one-term series Q at eps = 1,
+    whose summed(1.0) is Q bit for bit; e^(-w) is the eigensystem's lam, w in eigh order."""
+    eta = metric_from_series(QSeries((Operator(q),)), 1.0)
+    return eta.op, eta.eigensystem[0]
+
+
+def reference_phases(v):
+    """Reference gauge rule: the phase of each column's first entry above 1e-12 of its largest."""
+    phases = np.empty(v.shape[1], dtype=complex)
+    for n in range(v.shape[1]):
+        col = v[:, n]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        phases[n] = col[nz] / abs(col[nz])
+    return phases
+
+
+def formed_vectors(sys):
+    """(psi, phi) of a BiorthonormalSystem, formed from its factors W = U Sigma V^H.
+
+    psi = B U Sigma V^H and phi = B U Sigma^-1 V^H, with B = S in the PT
+    frame and the identity otherwise, both divided by psi's reference_phases.
+    """
+    u, sv, vh = sys.factors
+    psi, phi = (u * sv) @ vh, (u / sv) @ vh
+    if sys.in_frame:
+        psi, phi = (from_pt_frame_columns(w) / np.sqrt(2) for w in (psi, phi))
+    phases = reference_phases(psi)
+    return psi / phases, phi / phases
 
 
 def random_diagonalizable(dim, rng, cond_cap=100.0, spread=5.0):

@@ -38,7 +38,7 @@ from pseudoherm.spectral import (
 )
 from pseudoherm.wavekernel import step_potential
 
-from helpers import fixed_split, toy_2x2
+from helpers import fixed_split, reference_phases, toy_2x2
 
 EPS = np.finfo(float).eps
 
@@ -107,15 +107,9 @@ def phi_phi_dagger_metric(h):
     v = from_pt_frame_columns(v)
     order = np.lexsort((np.arange(w.size), w.imag, w.real))
     v = v[:, order] / np.linalg.norm(v[:, order], axis=0)
-    for n in range(w.size):
-        col = v[:, n]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        v[:, n] = col / (col[nz] / abs(col[nz]))
-    sv = np.linalg.svd(v, compute_uv=False)
-    phi = np.linalg.inv(v).conj().T
+    phi = np.linalg.inv(v / reference_phases(v)).conj().T
     eta = phi @ phi.conj().T
-    return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"),
-                          (float(sv[0] ** -2), float(sv[-1] ** -2)))
+    return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"))
 
 
 @pytest.mark.parametrize("N", [129, 513])
@@ -197,6 +191,33 @@ def test_c_operator_in_the_frame_matches_the_complex_solve(N, linalg_counter):
     assert comm <= 1e-8 * max_norm(H.mat) and comm_ref <= 1e-8 * max_norm(H.mat)
 
 
+@pytest.mark.parametrize("N", [16, 129])
+def test_perturbative_metric_carries_its_eigensystem(N, linalg_counter):
+    # the eigh of Q(eps) runs in the frame on the grid and in complex arithmetic
+    # on fixed_split; either way eta's eigensystem reproduces eta and gives its
+    # eig_range, and on the grid C = eta^-1 J needs no solve and no eigh
+    for split, in_frame in ((grid_split(N), True), (fixed_split(N, seed=3), False)):
+        eta = metric_from_series(solve_q_series(split, 2), split.epsilon)
+        lam, u, frame = eta.eigensystem
+        assert frame is in_frame
+        basis = from_pt_frame_columns(u) / np.sqrt(2) if frame else u  # S u in the frame
+        ref = (basis * lam) @ basis.conj().T
+        assert max_norm(eta.mat - ref) <= 64 * N * EPS * max_norm(ref)
+        w = np.linalg.eigvalsh(eta.mat)
+        assert np.allclose(eta.eig_range, (w[0], w[-1]), rtol=64 * N * EPS, atol=0)
+        linalg_counter.clear()
+        linalg_counter.dtypes.clear()
+        c, _, invol = c_operator(eta, IndexReversal(N), split)
+        assert (linalg_counter["solve"], linalg_counter["eigh"]) == (0 if in_frame else 1, 0)
+        # the complex solve on the same eta without its eigensystem, and on a dense J
+        c_solve, _, invol_solve = c_operator(MetricOperator(eta.op, eta.provenance), IndexReversal(N))
+        c_ref, _, invol_ref = c_operator(eta, dense_flip(N), split)
+        cond = eta.eig_range[1] / eta.eig_range[0]
+        for got, got_invol in ((c, invol), (c_solve, invol_solve)):
+            assert max_norm(got.mat - c_ref.mat) <= 64 * N * EPS * cond * max_norm(c_ref.mat)
+            assert abs(got_invol - invol_ref) <= 64 * N * EPS * cond * max_norm(c_ref.mat) ** 2
+
+
 def old_c_operator(e, p, h):
     """c_operator's complex path as it was written before the frame solve."""
     c = np.linalg.solve(e, p)
@@ -223,22 +244,24 @@ def test_explicit_parity_and_frameless_eta_keep_the_complex_solve(linalg_counter
 
 @pytest.mark.parametrize("N", [16, 129])
 def test_frame_right_multiply_is_the_product_with_the_frame_matrix(N):
-    # Y F for F = S^dagger H S: a real stencil on the grid split, and for the
-    # dense split the spectral helper's product with pt_frame(H); neither
-    # forms a complex matrix
+    # Y F for F = S^dagger H S: a real stencil on the grid split, the product
+    # with pt_frame(H) on the dense split and on an Operator; none forms a
+    # complex matrix, and the spectral helper asks the split itself
     y = random_hermitian(N, seed=N).real
     for form in ("stencil", "dense"):
         split = grid_split(N, form)
         f = pt_frame(split.total().mat)
-        got = split.frame_right_multiply(y) if form == "stencil" else _frame_right_multiply(split, y)
-        assert got.dtype == float
-        assert max_norm(got - y @ f) <= 8 * EPS * max_norm(y) * max_norm(f)
+        for got in (split.frame_right_multiply(y), _frame_right_multiply(split, y),
+                    _frame_right_multiply(split.total(), y)):
+            assert got.dtype == float
+            assert max_norm(got - y @ f) <= 8 * EPS * max_norm(y) * max_norm(f)
     # an even v is not PT-symmetric: no frame, in either form
     even = SplitHamiltonian.tridiagonal(2.0, -1.0, np.abs(np.linspace(-1.0, 1.0, N)), 0.1)
     assert pt_frame(even.total().mat) is None
-    assert even.frame_right_multiply(y) is None
     dense_even = SplitHamiltonian(even.H0, even.H1, even.epsilon)
-    assert _frame_right_multiply(dense_even, y) is None
+    for H in (even, dense_even):
+        assert H.frame_right_multiply(y) is None and _frame_right_multiply(H, y) is None
+    assert _frame_right_multiply(even.total(), y) is None
 
 
 def test_equivalent_hermitian_column_stencil_matches_the_product():
@@ -301,7 +324,11 @@ def test_graded_commutator_matches_the_complex_one():
 
 
 def test_metric_operator_residual_needs_no_svd(linalg_counter):
+    # a metric that carries its eigensystem: the singular test reads its range
     split = grid_split(16)
-    eta = MetricOperator(Operator(random_metric(16, seed=3)), Provenance("user"), (1.0, 2.0))
+    q, _ = np.linalg.qr(random_hermitian(16, seed=3) + 1j * np.eye(16))
+    lam = np.linspace(1.0, 2.0, 16)
+    eta = MetricOperator(Operator((q * lam) @ q.conj().T), Provenance("user"), (lam, q, False))
+    assert eta.eig_range == (1.0, 2.0)
     pseudo_hermiticity_residual(split, eta)
     assert linalg_counter["svd"] == 0

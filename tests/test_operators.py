@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from pseudoherm import (
+    MetricOperator,
     NonFiniteError,
     Operator,
     PositivityError,
+    Provenance,
+    QSeries,
     ShapeError,
     StructureError,
     Tolerance,
     bch_conjugate,
     commutator,
-    herm_exp_eig,
     herm_sqrt_inv,
     is_hermitian,
     max_norm,
     nested_commutator,
 )
+
+from helpers import herm_exp
 
 
 def random_hermitian(dim, rng, scale=1.0):
@@ -35,6 +39,16 @@ def test_operator_rejects_nonfinite():
         Operator(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Operator(np.array([[np.inf * 1j, 0.0], [0.0, 1.0]]))
+
+
+def test_operators_and_metrics_compare_and_hash_by_identity():
+    a, b = Operator(np.eye(3)), Operator(np.eye(3))
+    assert a == a and a != b and len({a, a, b}) == 2
+    eta = MetricOperator(a, Provenance("user"))
+    assert eta == eta and eta != MetricOperator(a, Provenance("user")) and len({eta, eta}) == 1
+    # a series keeps its value equality, over its terms' identities
+    assert QSeries((a,)) == QSeries((a,)) != QSeries((b,))
+    assert hash(QSeries((a,))) == hash(QSeries((a,)))
 
 
 def test_operator_is_frozen_copy():
@@ -149,21 +163,19 @@ def test_bch_conjugate_rejects_nonpositive_depth():
 
 
 def test_herm_exp_diagonal_exact():
-    q = Operator(np.diag([0.0, np.log(2.0), -1.0]))
-    out = herm_exp_eig(q)[0].mat
+    out = herm_exp(np.diag([0.0, np.log(2.0), -1.0]))[0].mat
     assert np.allclose(np.diag(out), [1.0, 0.5, np.e], rtol=0, atol=1e-15)
 
 
 def test_herm_exp_rejects_non_hermitian():
     with pytest.raises(StructureError):
-        herm_exp_eig(Operator(np.array([[0.0, 1.0], [0.0, 0.0]])))
+        herm_exp(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_herm_exp_positive_definite():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        q = Operator(random_hermitian(4, rng))
-        w = np.linalg.eigvalsh(herm_exp_eig(q)[0].mat)
+        w = np.linalg.eigvalsh(herm_exp(random_hermitian(4, rng))[0].mat)
         assert w.min() > 0
 
 

@@ -2,10 +2,10 @@
 
 A PT-symmetric X (J conj(X) J == X) is real in the basis S. The maps are
 checked against the dense change of basis, and the three factorizations
-that use them (biorthonormal_eigensystem, herm_exp_eig, herm_sqrt_inv)
-against the complex path they replace, written out here as references; so
-are eta, rho, h and C as the spectral task forms them from the real SVD of
-the frame eigenvectors.
+that use them (biorthonormal_eigensystem, the e^(-Q) of metric_from_series,
+herm_sqrt_inv) against the complex path they replace, written out here as
+references; so are eta, rho, h and C as the spectral task forms them from
+the real SVD of the frame eigenvectors, and the rescaled metrics.
 """
 
 import warnings
@@ -21,10 +21,10 @@ from pseudoherm import (
     biorthonormal_eigensystem,
     c_operator,
     equivalent_hermitian,
-    herm_exp_eig,
     herm_sqrt_inv,
     max_norm,
     spectral_metric,
+    symmetry_rescaled_metric,
 )
 from pseudoherm.operators import (
     IndexReversal,
@@ -35,6 +35,8 @@ from pseudoherm.operators import (
     to_pt_frame,
 )
 from pseudoherm.spectral import COND_CAP, _equivalent_hermitian
+
+from helpers import formed_vectors, herm_exp, reference_phases
 
 DIMS = (2, 16, 129)
 EPS = np.finfo(float).eps
@@ -77,10 +79,7 @@ def gauged_reference(w, v):
     order = np.lexsort((np.arange(w.size), w.imag, w.real))
     w, v = w[order], v[:, order]
     v = v / np.linalg.norm(v, axis=0)
-    for n in range(w.size):
-        col = v[:, n]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        v[:, n] = col / (col[nz] / abs(col[nz]))
+    v = v / reference_phases(v)
     sv = np.linalg.svd(v, compute_uv=False)
     return w, v, np.linalg.inv(v).conj().T, sv
 
@@ -139,11 +138,12 @@ def test_herm_functions_in_the_frame_match_the_complex_path(n, linalg_counter):
     rng = np.random.default_rng(200 + n)
     q = random_pt_hermitian(n, rng)
     m = q @ q + np.eye(n)  # Hermitian positive definite, and PT-symmetric within rounding
-    e, w = herm_exp_eig(Operator(q))
+    e, lam = herm_exp(q)
     sqrt, inv_sqrt = herm_sqrt_inv(Operator(m))
     assert linalg_counter.dtypes["eigh"] == [np.dtype(float)] * 2
     ref_e, ref_w = herm_function_reference(q, lambda w: np.exp(-w))
-    assert max_norm(w - ref_w) <= 64 * n * EPS * max_norm(ref_w)
+    # e^(-w) moves by e^(-w) dw, so lam's error is dw's times its size
+    assert max_norm(lam - np.exp(-ref_w)) <= 64 * n * EPS * max_norm(ref_w) * max_norm(lam)
     assert max_norm(e.mat - ref_e) <= 64 * n * EPS * max_norm(ref_e)
     ref_s, _ = herm_function_reference(m, np.sqrt)
     ref_si, _ = herm_function_reference(m, lambda w: 1 / np.sqrt(w))
@@ -158,9 +158,9 @@ def test_herm_functions_without_pt_symmetry_are_unchanged(n, linalg_counter):
     rng = np.random.default_rng(300 + n)
     z = random_complex(n, rng)
     q = (z + z.conj().T) / 2
-    e, w = herm_exp_eig(Operator(q))
+    e, lam = herm_exp(q)
     ref_e, ref_w = herm_function_reference(q, lambda w: np.exp(-w))
-    assert np.array_equal(e.mat, ref_e) and np.array_equal(w, ref_w)
+    assert np.array_equal(e.mat, ref_e) and np.array_equal(lam, np.exp(-ref_w))
     m = z @ z.conj().T + np.eye(n)
     sqrt, inv_sqrt = herm_sqrt_inv(Operator(m))
     assert np.array_equal(sqrt.mat, herm_function_reference(m, np.sqrt)[0])
@@ -183,10 +183,11 @@ def test_eigensystem_in_the_frame_matches_the_complex_path(n, linalg_counter):
     cond = sv[0] / sv[-1]
     assert np.array_equal(sys.eigenvalues.imag, np.zeros(n))
     assert max_norm(sys.eigenvalues - w) <= 64 * n * EPS * cond * max_norm(w)
-    for got, ref in ((sys.right_vectors, v), (sys.left_vectors, phi)):
+    psi, phi_formed = formed_vectors(sys)
+    for got, ref in ((psi, v), (phi_formed, phi)):
         assert max_norm(got - ref) <= 256 * n * EPS * cond * max_norm(ref)
     assert max_norm(sys.right_singular_values - sv) <= 64 * n * EPS * cond * sv[0]
-    residual = h @ sys.right_vectors - sys.right_vectors * sys.eigenvalues
+    residual = h @ psi - psi * sys.eigenvalues
     assert max_norm(residual) <= 64 * n * EPS * max_norm(w)
 
 
@@ -195,21 +196,27 @@ def random_unitary(n, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-@pytest.mark.parametrize("n", DIMS)
-def test_spectral_objects_from_the_frame_factors_match_the_complex_path(n, linalg_counter):
-    # eta, rho, h and C from the one SVD W = U Sigma V^H of the eigenvectors,
-    # against phi phi^dagger, eigh, a complex product and a complex solve on
-    # the complex path's phi, written out here. Two inputs: H = S Y S^dagger
-    # with J, which the frame takes in real arithmetic, and its image
-    # V H V^dagger under a random unitary V with the explicit parity
-    # V J V^dagger, which has no frame and takes the same route in complex
-    # arithmetic (one complex eig and svd, and the complex solve for C)
-    rng = np.random.default_rng(800 + n)
+def frame_and_rotated(n, rng):
+    """(h_pt, h_off, V): H = S Y S^dagger with Y real and the spectrum 1..n, which
+    the frame takes in real arithmetic, and its image V H V^dagger under a random
+    unitary V, which has no frame and takes the same route in complex arithmetic."""
     p = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
     h_pt = from_pt_frame((p * np.arange(1.0, n + 1.0)) @ np.linalg.inv(p))
     unitary = random_unitary(n, rng)
     h_off = unitary @ h_pt @ unitary.conj().T
     assert pt_frame(h_off) is None
+    return h_pt, h_off, unitary
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_spectral_objects_from_the_frame_factors_match_the_complex_path(n, linalg_counter):
+    # eta, rho, h and C from the one SVD W = U Sigma V^H of the eigenvectors,
+    # against phi phi^dagger, eigh, a complex product and a complex solve on
+    # the complex path's phi, written out here. Two inputs (frame_and_rotated):
+    # H = S Y S^dagger with J, and its rotated image with the explicit parity
+    # V J V^dagger (one complex eig and svd, and the complex solve for C)
+    rng = np.random.default_rng(800 + n)
+    h_pt, h_off, unitary = frame_and_rotated(n, rng)
     parity = unitary @ np.eye(n)[::-1] @ unitary.conj().T
     parity = Operator((parity + parity.conj().T) / 2)
     for h, P, dtype in ((h_pt, IndexReversal(n), float), (h_off, parity, complex)):
@@ -241,8 +248,8 @@ def test_spectral_objects_from_the_frame_factors_match_the_complex_path(n, linal
         for got, ref in zip(eta.eig_range, (sv[0] ** -2, sv[-1] ** -2)):
             assert abs(got - ref) <= 64 * n * EPS * cond * ref
         # the defects were taken on the eig's W; the complex path's, and those of
-        # the vectors formed later from U Sigma V^H, are rounding as well
-        psi_formed, phi_formed = sys.right_vectors, sys.left_vectors
+        # the vectors formed from U Sigma V^H, are rounding as well
+        psi_formed, phi_formed = formed_vectors(sys)
         for got, ref in ((psi_formed, v), (phi_formed, phi)):
             assert max_norm(got - ref) <= 256 * n * EPS * cond * max_norm(ref)
         gram_ref = max_norm(phi.conj().T @ v - np.eye(n))
@@ -254,6 +261,27 @@ def test_spectral_objects_from_the_frame_factors_match_the_complex_path(n, linal
         for defect in (sys.gram_defect(), sys.completeness_defect(), gram_ref, complete_ref,
                        gram_formed, complete_formed):
             assert defect <= 64 * n * EPS * cond
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_symmetry_rescaled_metric_from_the_frame_factors(n, linalg_counter):
+    # sum_n s_n |phi_n><phi_n| formed from the SVD factors, on the frame route
+    # and on the complex route, with no factorization: s = 1 is spectral_metric,
+    # and random s is phi diag(s) phi^dagger on the complex path's phi
+    rng = np.random.default_rng(900 + n)
+    for h, in_frame in zip(frame_and_rotated(n, rng)[:2], (True, False)):
+        sys = biorthonormal_eigensystem(Operator(h))
+        assert sys.in_frame is in_frame
+        eta = spectral_metric(sys)
+        s = rng.uniform(0.5, 2.0, n)
+        linalg_counter.clear()
+        unit, scaled = symmetry_rescaled_metric(sys, np.ones(n)), symmetry_rescaled_metric(sys, s)
+        assert sum(linalg_counter.values()) == 0
+        assert max_norm(unit.mat - eta.mat) <= 64 * n * EPS * max_norm(eta.mat)
+        _, _, phi, sv = eigensystem_reference(h)
+        ref = (phi * s) @ phi.conj().T
+        assert max_norm(scaled.mat - ref) <= 256 * n * EPS * (sv[0] / sv[-1]) ** 2 * max_norm(ref)
+        assert np.array_equal(scaled.mat, scaled.mat.conj().T)
 
 
 def test_equivalent_hermitian_of_an_h_without_a_frame_takes_the_complex_product():
@@ -305,7 +333,7 @@ def assert_matches_the_reference(sys, reference):
     n = w.size
     rounding = 256 * n * EPS * (sv[0] / sv[-1]) ** 2
     assert np.array_equal(sys.eigenvalues, w)
-    for got, ref in ((sys.right_vectors, v), (sys.left_vectors, phi)):
+    for got, ref in zip(formed_vectors(sys), (v, phi)):
         assert max_norm(got - ref) <= rounding * max_norm(ref)
     assert max_norm(sys.right_singular_values - sv) <= rounding * sv[0]
 
@@ -342,7 +370,7 @@ def near_pt_inputs(n, rng):
 def test_near_pt_inputs_keep_the_complex_path(n, linalg_counter):
     rng = np.random.default_rng(600 + n)
     q, m, h = near_pt_inputs(n, rng)
-    e, _ = herm_exp_eig(Operator(q))
+    e, _ = herm_exp(q)
     assert np.array_equal(e.mat, herm_function_reference(q, lambda w: np.exp(-w))[0])
     sqrt, _ = herm_sqrt_inv(Operator(m))
     assert np.array_equal(sqrt.mat, herm_function_reference(m, np.sqrt)[0])
@@ -368,9 +396,9 @@ def test_the_caller_tolerance_does_not_open_the_frame(n, linalg_counter):
     assert np.array_equal(sqrt.mat, herm_function_reference(m, np.sqrt)[0])
     odd = (z - z[::-1, ::-1].conj()) / 2
     tiny = 1e-11 * (odd + odd.conj().T) / max_norm(odd + odd.conj().T)
-    e, w = herm_exp_eig(Operator(tiny))
+    e, lam = herm_exp(tiny)
     ref_e, ref_w = herm_function_reference(tiny, lambda w: np.exp(-w))
-    assert np.array_equal(e.mat, ref_e) and np.array_equal(w, ref_w)
+    assert np.array_equal(e.mat, ref_e) and np.array_equal(lam, np.exp(-ref_w))
     assert linalg_counter.complex_calls("eigh") == linalg_counter["eigh"]
 
 
@@ -415,9 +443,10 @@ def test_the_frame_projects_away_an_anti_hermitian_part_within_tolerance():
     z = random_complex(16, rng)
     k = pt_part((z - z.conj().T) / 2)
     noisy = q + 1e-9 * max_norm(q) / max_norm(k) * k
-    e, w = herm_exp_eig(Operator(q))
-    e_noisy, w_noisy = herm_exp_eig(Operator(noisy))
-    assert max_norm(w_noisy - w) <= 64 * EPS * max_norm(w)
+    e, lam = herm_exp(q)
+    e_noisy, lam_noisy = herm_exp(noisy)
+    # lam = e^(-w): its error is w's, max|log lam| = max|w|, times its size
+    assert max_norm(lam_noisy - lam) <= 64 * EPS * max_norm(np.log(lam)) * max_norm(lam)
     assert max_norm(e_noisy.mat - e.mat) <= 64 * EPS * max_norm(e.mat)
 
 
@@ -431,14 +460,14 @@ def test_a_frame_matrix_that_overflows_takes_the_complex_path(linalg_counter):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the complex path's own overflow
         with pytest.raises(NonFiniteError):
-            herm_exp_eig(Operator(q))
+            herm_exp(q)
         assert linalg_counter.complex_calls("eigh") == linalg_counter["eigh"] == 1
         # the complex eig of h is what decides: too ill-conditioned, as before
         with pytest.raises(DiagonalizabilityError, match="exceeds cap"):
             biorthonormal_eigensystem(Operator(h))
     # just under the limit the frame is finite and gives the complex path's result
     half = q / 2
-    e, w = herm_exp_eig(Operator(half))
+    e, lam = herm_exp(half)
     ref_e, ref_w = herm_function_reference(half, lambda w: np.exp(-w))
-    assert max_norm(w - ref_w) <= 8 * EPS * max_norm(ref_w)
+    assert max_norm(lam - np.exp(-ref_w)) <= 8 * EPS
     assert max_norm(e.mat - ref_e) <= 8 * EPS
