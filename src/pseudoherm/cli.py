@@ -6,9 +6,9 @@
 
 The default output directory is PSEUDOHERM_OUT_DIR, else the current
 directory. Exit codes: 0 all verdicts pass, 1 a task or verdict failed,
-2 the spec did not load, an argument is invalid (--tol must be finite
-and >= 0, and not 0 when the spec's rel_tol is 0) or the output directory
-cannot be created.
+2 the spec did not load, an argument is invalid (--seed must be an integer
+>= 0; --tol must be finite and >= 0, and not 0 when the spec's rel_tol is
+0), the output directory cannot be created or the report cannot be written.
 """
 
 from __future__ import annotations
@@ -50,6 +50,13 @@ def _abs_tol(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer >= 0, as numpy's generator needs; anything else exits 2 through argparse."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pseudoherm",
@@ -61,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("spec_file")
     r.add_argument("--out", default=None, help="output directory (default: $PSEUDOHERM_OUT_DIR or .)")
     r.add_argument("--format", choices=["json", "csv"], default="json")
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_seed, default=0)
     r.add_argument("--tol", type=_abs_tol, default=None, metavar="ABS",
                    help="override the absolute tolerance")
 
@@ -85,11 +92,15 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = run_model_spec(spec, seed=args.seed)
-    paths = emit(report, out_dir, args.format)
     for record in report["tasks"]:
         status = "ok" if record["ok"] else "FAILED"
         detail = record["error"] if record["error"] else f"{len(record['verdicts'])} verdicts"
         print(f"task {record['task']}: {status} ({detail})")
+    try:
+        paths = emit(report, out_dir, args.format)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(f"wrote {path}")
     return 0 if report["all_passed"] else 1

@@ -18,12 +18,13 @@ which matrices do.
 
 Grid structure: a SplitHamiltonian built by tridiagonal holds the
 Schroedinger H = H0 + eps H1 as O(N) data, and every product with H that a
-check needs (H^dagger X - X H, [H, X], X H) is a three-point stencil plus an
-elementwise product, O(N^2) with no matrix product. IndexReversal holds the
-grid reflection J as its dimension, so products with J are index flips.
-Checks that keep only a max-norm take their rows ROW_BLOCK at a time
-(_max_norm_rows). A SplitHamiltonian built from two dense Operators, and an
-explicit parity matrix, keep the dense products.
+check needs (H^dagger X - X H, [H, X], and Y F with F the PT-frame matrix of
+H) is a three-point stencil plus an elementwise product, O(N^2) with no
+matrix product. IndexReversal holds the grid reflection J as its dimension,
+so products with J are index flips. Checks that keep only a max-norm take
+their rows ROW_BLOCK at a time (_max_norm_rows). A SplitHamiltonian built
+from two dense Operators, and an explicit parity matrix, keep the dense
+products.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class _Fresh:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Square complex matrix with an optional label.
+    """Square complex matrix.
 
     The underlying array is copied and frozen, so instances can be shared
     freely between threads and used as fixed reference values in tests. An
@@ -100,7 +101,6 @@ class Operator:
     """
 
     mat: np.ndarray
-    label: str | None = None
 
     @classmethod
     def _own(cls, m: np.ndarray) -> "Operator":
@@ -285,10 +285,11 @@ class SplitHamiltonian:
     and H1 = i diag(v) as the real vector v. Both forms answer the same
     questions: [H0, X] and [H1, X] (a stencil and an elementwise product in
     the structured form), the products with H at epsilon that the checks
-    need (H^dagger X - X H, [H, X] and X H), the max-norms of H0 and H1, and
-    X + s H1; the commutators and the residual also row by row. .H0, .H1 and
-    total() give dense Operators, which the structured form builds only when
-    they are asked for.
+    need (H^dagger X - X H and [H, X]), the product Y F with H's PT-frame
+    matrix, the max-norms of H0 and H1, and X + s H1; the commutators and
+    the residual also row by row. .H0, .H1 and total() give dense
+    Operators, which the structured form builds only when they are asked
+    for.
     """
 
     def __init__(self, H0: Operator, H1: Operator, epsilon: float):
@@ -311,8 +312,7 @@ class SplitHamiltonian:
 
         A real stencil is Hermitian and i diag(v) with real v anti-Hermitian,
         so validation is the O(N) check that the coefficients and v are real
-        and finite. The dense forms carry the labels of the grid Schroedinger
-        split, "p^2" and "i v(x)".
+        and finite.
         """
         v = np.array(v)
         if np.iscomplexobj(v) or np.iscomplexobj([diag, off]):
@@ -360,13 +360,13 @@ class SplitHamiltonian:
     def H0(self) -> Operator:
         if self._stencil is None:
             return self._dense[0]
-        return Operator(self._h0_matrix(), label="p^2")
+        return Operator(self._h0_matrix())
 
     @property
     def H1(self) -> Operator:
         if self._stencil is None:
             return self._dense[1]
-        return Operator(1j * np.diag(self._stencil[2]), label="i v(x)")
+        return Operator(1j * np.diag(self._stencil[2]))
 
     def h0_norm(self) -> float:
         """max_norm of H0."""
@@ -432,25 +432,6 @@ class SplitHamiltonian:
         r = self.h0_commutator(x, start, stop)
         r += self.epsilon * self.h1_commutator(x, start, stop)
         return r
-
-    def right_multiply(self, x: np.ndarray) -> np.ndarray:
-        """X H for H = H0 + epsilon H1.
-
-        In the structured form column j of X H0 reads only columns j - 1, j
-        and j + 1 of X, summed in the order of _tridiagonal_commutator's
-        column pass, and X H1 scales column j by i v_j.
-        """
-        if self._stencil is None:
-            return x @ self.total().mat
-        diag, off, v = self._stencil
-        xr = np.ascontiguousarray(x, dtype=complex).view(float)
-        oxr = off * xr
-        cols = diag * xr
-        cols[:, 2:] += oxr[:, :-2]
-        cols[:, :-2] += oxr[:, 2:]
-        y = cols.view(complex)
-        y += x * (1j * (self.epsilon * v))
-        return y
 
     def frame_right_multiply(self, y: np.ndarray) -> np.ndarray | None:
         """Y F for a real Y and F = to_pt_frame(H), when H has a PT frame (pt_frame); else None.

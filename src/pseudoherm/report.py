@@ -68,13 +68,17 @@ def canonical_json(report: dict) -> str:
 
 # The common file-system limit on the length of one file name.
 MAX_FILE_NAME_BYTES = 255
-# What emit appends to a report's name: the JSON document, and the CSV series
-# of the task kinds that produce one (<name>_<task>_<series>.csv).
-FILE_SUFFIXES = (
-    "_report.json",
-    "_spectral_spectrum.csv",
-    "_scaling_curve.csv",
-    "_wave_kernel_slice.csv",
+# The files emit writes: <name>_report.json, or one <name>_<task>_<key>.csv
+# per series below, given as the task kind that produces it, the key of its
+# data, the header, and the rows of data[key].
+_JSON_SUFFIX = "_report.json"
+_CSV_SERIES = (
+    ("spectral", "spectrum", ["n", "re", "im"],
+     lambda s: [(n, float(re), float(im)) for n, (re, im) in enumerate(s)]),
+    ("scaling", "curve", ["epsilon", "residual"],
+     lambda s: [(float(e), float(r)) for e, r in s]),
+    ("wave", "kernel_slice", ["x", "re_q1", "im_q1"],
+     lambda s: [(float(x), float(re), float(im)) for x, re, im in s["rows"]]),
 )
 
 
@@ -83,7 +87,8 @@ def longest_file_name_bytes(name: str) -> int:
 
     Raises UnicodeEncodeError when name is not UTF-8 encodable (a lone surrogate).
     """
-    return len(name.encode("utf-8")) + max(len(s) for s in FILE_SUFFIXES)
+    suffixes = [_JSON_SUFFIX] + [f"_{task}_{key}.csv" for task, key, _, _ in _CSV_SERIES]
+    return len(name.encode("utf-8")) + max(len(s) for s in suffixes)
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -103,30 +108,18 @@ def emit(report: dict, out_dir, fmt: str = "json") -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = report["name"]
-    written = []
     if fmt == "json":
-        path = out / f"{name}_report.json"
+        path = out / f"{name}{_JSON_SUFFIX}"
         path.write_text(canonical_json(report), encoding="utf-8")
-        written.append(path)
-        return written
+        return [path]
     if fmt != "csv":
         raise ValueError(f"format must be 'json' or 'csv', got {fmt!r}")
+    written = []
     for record in report["tasks"]:
         data = record.get("data") or {}
-        task = record["task"]
-        if "spectrum" in data:
-            rows = [(n, float(re), float(im)) for n, (re, im) in enumerate(data["spectrum"])]
-            path = out / f"{name}_{task}_spectrum.csv"
-            _write_csv(path, ["n", "re", "im"], rows)
-            written.append(path)
-        if "curve" in data:
-            rows = [(float(e), float(r)) for e, r in data["curve"]]
-            path = out / f"{name}_{task}_curve.csv"
-            _write_csv(path, ["epsilon", "residual"], rows)
-            written.append(path)
-        if "kernel_slice" in data:
-            rows = [(float(x), float(re), float(im)) for x, re, im in data["kernel_slice"]["rows"]]
-            path = out / f"{name}_{task}_kernel_slice.csv"
-            _write_csv(path, ["x", "re_q1", "im_q1"], rows)
-            written.append(path)
+        for task, key, header, rows in _CSV_SERIES:
+            if record["task"] == task and key in data:
+                path = out / f"{name}_{task}_{key}.csv"
+                _write_csv(path, header, rows(data[key]))
+                written.append(path)
     return written

@@ -285,7 +285,7 @@ def _equivalent_hermitian(
     S (Y F Y^-1) S^dagger with Y = u lam^(1/2) u^T, all real: Y F is a
     product with F, or for a grid split a real column stencil
     (_frame_right_multiply). Otherwise h is the complex product
-    (rho H) rho^-1, where rho H is a column stencil for a grid split.
+    (rho H) rho^-1, two dense products with H's dense matrix (_dense).
     """
     if residual > threshold:
         raise ResidualError(
@@ -310,13 +310,8 @@ def _equivalent_hermitian(
             del x
             return h, Operator._own(from_pt_frame(y))
     rho = _from_eigenbasis(u * r, u, in_frame)
-    h = _right_multiply(H, rho.mat) @ _from_eigenbasis(u / r, u, in_frame).mat
+    h = (rho.mat @ _dense(H)) @ _from_eigenbasis(u / r, u, in_frame).mat
     return Operator._own(h), rho
-
-
-def _right_multiply(H, x: np.ndarray) -> np.ndarray:
-    """X H: a SplitHamiltonian answers itself (a column stencil in the structured form)."""
-    return H.right_multiply(x) if isinstance(H, SplitHamiltonian) else x @ H.mat
 
 
 def _frame_right_multiply(H, y: np.ndarray) -> np.ndarray | None:

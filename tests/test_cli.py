@@ -26,7 +26,7 @@ from pseudoherm import (
 )
 from pseudoherm import errors, operators, perturbation, pipeline, spectral
 from pseudoherm.cli import main
-from pseudoherm.config import SpectralTask
+from pseudoherm.config import SpectralTask, WaveTask
 
 from helpers import positive_definite, run_cli, run_python, spectrum_is_real
 
@@ -118,6 +118,27 @@ def test_scaling_names_the_failed_perturbative_task(tmp_path):
     assert "perturbative task failed with ObstructionError" in scaling["error"]
 
 
+def test_matrix_model_refuses_the_split_and_grid_tasks(tmp_path, capsys):
+    # a plain matrix has no H0 + eps*H1 split and no grid: the spec loads, the
+    # spectral task passes, and each task that needs more fails with its own error
+    doc = json.loads(Path(shipped("pt_toy_2x2.json")).read_text())
+    doc["tasks"] = [{"kind": "spectral"}, {"kind": "perturbative", "order": 2},
+                    {"kind": "scaling", "eps_list": [0.1, 0.05, 0.025]}, {"kind": "wave"}]
+    spec_file = write_spec(tmp_path, doc)
+    assert main(["validate", spec_file]) == 0
+    assert main(["run", spec_file, "--out", str(tmp_path / "out")]) == 1
+    capsys.readouterr()
+    report = json.loads((tmp_path / "out" / "pt_toy_2x2_report.json").read_text())
+    spectral, perturbative, scaling, wave = report["tasks"]
+    assert spectral["ok"] and spectral["error"] is None
+    assert perturbative["error"].startswith(
+        "PseudohermError: this task needs an H0 + eps*H1 split")
+    assert scaling["error"] == ("DomainError: scaling needs the perturbative series, but "
+                                "the perturbative task failed with PseudohermError")
+    assert wave["error"] == "PseudohermError: the wave task applies only to schroedinger models"
+    assert not any(r["ok"] for r in (perturbative, scaling, wave))
+
+
 @pytest.mark.parametrize("big", [1e308, -1e308])
 def test_nonhermitian_split_near_the_float_limit_names_the_rule(big, tmp_path):
     # H0 - H0^dagger overflows here; the check must still report the rule
@@ -185,6 +206,26 @@ def test_spectral_task_memory_at_n513():
         tracemalloc.stop()
     assert all(v["ok"] for v in verdicts) and len(verdicts) == 4
     assert peak < 39_400_000
+
+
+def test_wave_task_memory_at_n2049():
+    # M is a 67 MB complex matrix at N = 2049. The whole wave task holds M and
+    # a few of its rows at a time: the check and the threshold's |M| are both
+    # taken in row blocks, where a whole |M| beside M read 1.51 |M|
+    N = 2049
+    spec = load_spec(shipped("step_potential.json"))
+    model = dataclasses.replace(spec.model, N=N)
+    spec = dataclasses.replace(spec, model=model, tasks=(WaveTask(),))
+    ctx = pipeline._RunContext(spec, 0)
+    verdicts = []
+    tracemalloc.start()
+    try:
+        pipeline._wave_task(ctx, verdicts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [v["ok"] for v in verdicts] == [True] * 3
+    assert peak < 1.25 * N * N * 16
 
 
 def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
@@ -497,6 +538,17 @@ def test_cli_run_rejects_bad_tol(tmp_path, capsys, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", "1.5", "abc"])
+def test_cli_run_rejects_bad_seed(tmp_path, capsys, seed):
+    # numpy's generator takes no negative seed: argparse refuses it before the run
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", shipped("pt_toy_2x2.json"), "--out", str(out), "--seed", seed])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_run_rejects_zero_tol_when_rel_tol_is_zero(tmp_path, capsys):
     # --tol 0 is a valid number, but with the spec's rel_tol 0 no tolerance is left
     doc = {**COMPLEX_SPECTRUM, "tolerances": {"rel_tol": 0}}
@@ -549,6 +601,16 @@ def test_cli_run_unusable_out_fails_before_the_run(under, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # no task ran
     assert captured.err.startswith("error: ") and str(blocker) in captured.err
+
+
+def test_cli_run_unwritable_report_exits_2(tmp_path, capsys):
+    # the run completes, then the report path is taken by a directory
+    (tmp_path / "pt_toy_2x2_report.json").mkdir()
+    assert main(["run", shipped("pt_toy_2x2.json"), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "task spectral: ok (4 verdicts)\n"
+    assert captured.err.startswith("error: cannot write the report: ")
+    assert "pt_toy_2x2_report.json" in captured.err
 
 
 def test_cli_import_loads_no_jsonschema():

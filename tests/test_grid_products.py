@@ -76,7 +76,6 @@ def test_structured_products_match_dense_formula(N, form):
     for got, expected in (
         (split.adjoint_residual(x), h.conj().T @ x - x @ h),
         (split.total_commutator(x), h @ x - x @ h),
-        (split.right_multiply(x), x @ h),
     ):
         assert max_norm(got - expected) <= rounding
     # a row block is those rows of the whole, bit for bit

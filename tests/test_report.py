@@ -1,11 +1,12 @@
 import csv
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from pseudoherm import canonical_json, emit
-from pseudoherm.report import format_float
+from pseudoherm import canonical_json, emit, load_spec, run_model_spec
+from pseudoherm.report import format_float, longest_file_name_bytes
 
 
 def test_format_float_roundtrip():
@@ -125,3 +126,14 @@ def test_emit_csv(tmp_path):
 def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         emit(sample_report(), tmp_path, "xml")
+
+
+def test_emit_file_names_fit_the_longest_file_name_bound(tmp_path):
+    # $.name's length rule reads longest_file_name_bytes: every file emit writes
+    # for a report with all four task kinds fits it, and the longest meets it
+    spec = load_spec(str(resources.files("pseudoherm") / "specs" / "step_potential.json"))
+    report = run_model_spec(spec)
+    names = [p.name for fmt in ("json", "csv") for p in emit(report, tmp_path, fmt)]
+    assert len(names) == 4
+    lengths = [len(n.encode("utf-8")) for n in names]
+    assert max(lengths) == longest_file_name_bytes(report["name"])

@@ -77,6 +77,16 @@ def test_antiderivative_of_step():
         assert abs(num - v(np.array([x0]))[0]) < 1e-8
 
 
+def test_antiderivative_of_a_potential_right_of_zero():
+    # support [0.5, 2]: V is anchored at the left end of the support, where
+    # v has been 0 since x = 0, so V(0) = 0 and V = int_0^x v everywhere
+    v = PiecewisePotential(np.array([0.5, 1.5, 2.0]), np.array([0.0, 2.0, -1.0, 0.0]))
+    xs = np.array([-1.0, 0.0, 0.5, 1.0, 1.5, 1.75, 2.0, 3.0])
+    expected = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 1.75, 1.5, 1.5])
+    assert np.array_equal(v.antiderivative(xs), expected)
+    assert v.antiderivative(0.0) == 0.0
+
+
 def test_particular_kernel_matches_closed_form():
     rng = np.random.default_rng(40)
     K = particular_kernel_q1(step_potential())
@@ -185,8 +195,6 @@ def test_jump_condition_gauged_kernel_second_order():
 def test_discretize_schroedinger_structure():
     v = step_potential()
     split = discretize_schroedinger(v, L=4.0, N=33)
-    assert split.H0.label == "p^2"
-    assert split.H1.label == "i v(x)"
     h0 = split.H0.mat
     assert max_norm(h0 - h0.conj().T) == 0.0
     dx = 8.0 / 32
