@@ -17,14 +17,14 @@ PT-symmetric factorization can run in real arithmetic; pt_frame decides
 which matrices do.
 
 Grid structure: a SplitHamiltonian built by tridiagonal holds the
-Schroedinger H = H0 + eps H1 as O(N) data, and every product with H that a
-check needs (H^dagger X - X H, [H, X], and Y F with F the PT-frame matrix of
-H) is a three-point stencil plus an elementwise product, O(N^2) with no
-matrix product. IndexReversal holds the grid reflection J as its dimension,
-so products with J are index flips. Checks that keep only a max-norm take
-their rows ROW_BLOCK at a time (_max_norm_rows). A SplitHamiltonian built
-from two dense Operators, and an explicit parity matrix, keep the dense
-products.
+Schroedinger H = H0 + eps H1 as O(N) data. Every product with H that a check
+needs (H^dagger X - X H and [H, X]) is a three-point stencil plus an
+elementwise product, O(N^2) with no matrix product, and H's PT-frame matrix
+and max-norm come from that data, with no dense H. IndexReversal holds the
+grid reflection J as its dimension, so products with J are index flips.
+Checks that keep only a max-norm take their rows ROW_BLOCK at a time
+(_max_norm_rows). A SplitHamiltonian built from two dense Operators, and an
+explicit parity matrix, keep the dense products.
 """
 
 from __future__ import annotations
@@ -285,11 +285,10 @@ class SplitHamiltonian:
     and H1 = i diag(v) as the real vector v. Both forms answer the same
     questions: [H0, X] and [H1, X] (a stencil and an elementwise product in
     the structured form), the products with H at epsilon that the checks
-    need (H^dagger X - X H and [H, X]), the product Y F with H's PT-frame
-    matrix, the max-norms of H0 and H1, and X + s H1; the commutators and
-    the residual also row by row. .H0, .H1 and total() give dense
-    Operators, which the structured form builds only when they are asked
-    for.
+    need (H^dagger X - X H and [H, X]), H's real PT-frame matrix (frame),
+    the max-norms of H, H0 and H1, and X + s H1; the commutators and the
+    residual also row by row. .H0, .H1 and total() give dense Operators,
+    which the structured form builds only when they are asked for.
     """
 
     def __init__(self, H0: Operator, H1: Operator, epsilon: float):
@@ -433,34 +432,38 @@ class SplitHamiltonian:
         r += self.epsilon * self.h1_commutator(x, start, stop)
         return r
 
-    def frame_right_multiply(self, y: np.ndarray) -> np.ndarray | None:
-        """Y F for a real Y and F = to_pt_frame(H), when H has a PT frame (pt_frame); else None.
+    def frame(self) -> np.ndarray | None:
+        """pt_frame(total().mat): H's real PT-frame matrix S^dagger H S, or None.
 
-        The dense form takes the product with pt_frame of the dense H. In the
-        structured form H0 is real and persymmetric, so F = H0 + A with A the
-        anti-diagonal a_i = epsilon (v_{N-1-i} - v_i) / 2, and Y F is a real
-        column stencil plus the flipped columns of Y scaled by a, with no
-        N x N complex array. pt_frame's rule reads
-        H - J conj(H) J = i epsilon diag(v + v reversed) in O(N).
+        In the structured form H0 is real and persymmetric: the frame matrix
+        is H0's stencil plus the anti-diagonal epsilon (v_{N-1-i} - v_i) / 2,
+        summed in to_pt_frame's order so that it is the dense form's bit for
+        bit, and pt_frame's rule reads H - J conj(H) J, which is
+        i epsilon diag(v + v[::-1]), in O(N); no complex N x N array is made.
         """
         if self._stencil is None:
-            f = pt_frame(self.total().mat)
-            return None if f is None else y @ f
+            return pt_frame(self.total().mat)
         diag, off, v = self._stencil
-        eps = self.epsilon
-        with np.errstate(over="ignore", invalid="ignore"):
-            odd = abs(eps) * np.abs(v + v[::-1]).max()
-            h_norm = max(abs(off), float(np.hypot(diag, abs(eps) * np.abs(v).max())))
-            a = eps * v[::-1] / 2 - eps * v / 2
-        bound = PT_FRAME_ULPS * v.size * np.finfo(float).eps * h_norm
-        if not (np.isfinite(a).all() and odd <= bound):
+        n = v.size
+        bound = PT_FRAME_ULPS * n * np.finfo(float).eps * self.norm()
+        half = self.epsilon * v / 2
+        if max_norm(half + half[::-1]) > bound / 2:
             return None
-        oy = off * y
-        cols = diag * y
-        cols[:, 1:] += oy[:, :-1]
-        cols[:, :-1] += oy[:, 1:]
-        cols += (y * a)[:, ::-1]
-        return cols
+        f = np.zeros((n, n))
+        f.flat[:: n + 1] = diag / 2 + diag / 2
+        f.flat[1 :: n + 1] = f.flat[n :: n + 1] = off / 2 + off / 2
+        i = np.arange(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f[i, i[::-1]] += half[::-1]
+            f[i, i[::-1]] -= half
+        return f if np.isfinite(f[i, i[::-1]]).all() else None
+
+    def norm(self) -> float:
+        """max_norm of H; the structured form reads it off the stencil and v."""
+        if self._stencil is None:
+            return max_norm(self.total().mat)
+        diag, off, v = self._stencil
+        return max(abs(off), max_norm(diag + self.epsilon * (1j * v)))
 
     def add_h1(self, x: np.ndarray, scale: float, start: int = 0) -> np.ndarray:
         """x += scale * H1 in place; returns x.

@@ -74,7 +74,7 @@ class QSeries:
                 acc = acc + q.mat * epsilon ** (j + 1)
             except OverflowError:
                 raise NonFiniteError(f"epsilon^{j + 1} overflows at epsilon = {epsilon}") from None
-        return Operator(acc)
+        return Operator._own(acc)
 
 
 def master_formula_coefficients(ell: int) -> np.ndarray:

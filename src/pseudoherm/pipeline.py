@@ -15,6 +15,8 @@ may move in their last digits; verdict names, ok flags and errors do not.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from . import __version__
@@ -85,11 +87,10 @@ class _RunContext:
         self.solved = None
         self.perturbative_error = None  # error class name of a failed perturbative task
 
-    def hamiltonian(self) -> Operator:
+    def hamiltonian(self) -> Operator | SplitHamiltonian:
+        """The spectral task's H: a matrix model's Operator, else the model's split."""
         m = self.spec.model
-        if isinstance(m, MatrixModel):
-            return m.H
-        return self.get_split().total()
+        return m.H if isinstance(m, MatrixModel) else self.get_split()
 
     def get_split(self) -> SplitHamiltonian:
         if self.split is None:
@@ -104,12 +105,6 @@ class _RunContext:
                 )
         return self.split
 
-    def products(self, H: Operator):
-        """What the checks multiply by H: the grid split of a Schroedinger model, else H itself."""
-        if isinstance(self.spec.model, SchroedingerModel):
-            return self.get_split()
-        return H
-
     def parity_matrix(self) -> Operator | IndexReversal | None:
         """The spec's parity: its matrix, or for grid_reflection the index reversal, held as N."""
         p = self.spec.parity
@@ -120,7 +115,6 @@ class _RunContext:
 
 def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     H = ctx.hamiltonian()
-    Hx = ctx.products(H)
     sys = biorthonormal_eigensystem(H)
     eta = spectral_metric(sys, ctx.tol)
     # everything the report needs from the system is read here, and the
@@ -133,12 +127,12 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     completeness = sys.completeness_defect()
     del sys
     threshold = pseudo_hermiticity_threshold(H, eta)
-    residual = pseudo_hermiticity_residual(Hx, eta)
+    residual = pseudo_hermiticity_residual(H, eta)
     verdicts.append(_verdict("pseudo_hermiticity_residual", residual, threshold))
     # h is kept only for its two norms and rho not at all: the parity block
     # below sets the task's peak memory, and each N x N array held across it
     # adds to that peak
-    h = _equivalent_hermitian(Hx, eta, residual, threshold, ctx.tol)[0].mat
+    h = _equivalent_hermitian(H, eta, residual, threshold, ctx.tol)[0].mat
     herm_defect = max_norm(h - h.conj().T)
     h_bound = RESIDUAL_REL * max(1.0, max_norm(h))
     del h
@@ -146,16 +140,16 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     verdicts.append(_verdict("completeness_defect", completeness, threshold))
     P = ctx.parity_matrix()
     if P is not None:
-        C, comm, invol = c_operator(eta, P, Hx, ctx.tol)
+        C, comm, invol = c_operator(eta, P, H, ctx.tol)
         p_residual = parity_pseudo_hermiticity_residual(H, P)
         data["c_operator"] = {
             "parity_pseudo_hermiticity_residual": float(p_residual),
             "commutation_residual": float(comm),
             "involution_defect": float(invol),
         }
-        if p_residual <= 1e-10 * max(1.0, max_norm(H.mat) * P.norm()):
-            verdicts.append(_verdict("c_commutes_with_H", comm,
-                                     RESIDUAL_REL * max(1.0, max_norm(H.mat))))
+        h_norm = H.norm()
+        if p_residual <= 1e-10 * max(1.0, h_norm * P.norm()):
+            verdicts.append(_verdict("c_commutes_with_H", comm, RESIDUAL_REL * max(1.0, h_norm)))
     return data
 
 
@@ -205,7 +199,9 @@ def _scaling_task(ctx: _RunContext, task: ScalingTask, verdicts: list) -> dict:
     # the same series at the same float gives the same e^(-Q) and residual
     fresh = dict(residual_curve(split, q, [e for e in task.eps_list if e not in known]))
     curve = [(float(e), known[e] if e in known else fresh[e]) for e in task.eps_list]
-    slope = curve_slope(curve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        slope = curve_slope(curve)
     expected_min = order + 1 - 0.4
     data = {
         "order": order,
@@ -213,6 +209,8 @@ def _scaling_task(ctx: _RunContext, task: ScalingTask, verdicts: list) -> dict:
         "slope": float(slope),
         "expected_min_slope": float(expected_min),
     }
+    if caught:  # curve_slope's noise-floor warning: in the record, not on stderr
+        data["warnings"] = [str(w.message) for w in caught]
     verdicts.append(
         {
             "name": "residual_order_contract",
@@ -237,7 +235,8 @@ def _wave_task(ctx: _RunContext, verdicts: list) -> dict:
     verdicts.append(
         _verdict("kernel_hermiticity_defect", herm, KERNEL_HERM_TOL * max(1.0, vmax))
     )
-    xs = np.linspace(-(model.L - 1.0), model.L - 1.0, 41)
+    # the kernel's own box, where x + 1e-3 and x - 1e-3 stay two floats at any L
+    xs = np.linspace(-K.domain_box, K.domain_box, 41)
     jump = jump_condition_defect(K, v, 1e-3, xs)
     verdicts.append(_verdict("jump_condition_defect", jump, JUMP_TOL))
     M = kernel_to_matrix(K, model.L, model.N)

@@ -142,22 +142,24 @@ def _metric_matrix(eta) -> np.ndarray:
     return eta.mat if isinstance(eta, (MetricOperator, Operator)) else np.asarray(eta, dtype=complex)
 
 
-def biorthonormal_eigensystem(H: Operator) -> BiorthonormalSystem:
+def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
     """Diagonalize H; sort by (Re E, Im E, original index); factor its eigenvectors.
 
-    An H with a PT frame (operators.pt_frame) is diagonalized there, as the
-    real matrix S^dagger H S. When every eigenvalue is real, numpy's eig
-    returns a real v, and the system is built in the frame: W = v, psi = S W.
-    Otherwise (a broken PT phase, or no frame) W is the complex eigenvector
-    matrix, S v or H's own, and psi = W. Either way W is sorted and given
-    unit columns in its own buffer, and one SVD W = U Sigma V^H gives sigma
-    and W^-H = U Sigma^-1 V^H, so phi = inv(psi)^dagger and the Gram
-    identity and completeness hold to rounding, degenerate blocks included.
-    A phase per column would change neither the metric nor the defects, so
-    none is fixed. The defects are max|W^-1 W - I| and
-    max|B (W W^-1 - I) B^dagger|, one product each on W^-H.
+    H is an Operator or a SplitHamiltonian. An H with a PT frame
+    (operators.pt_frame) is diagonalized there, as the real matrix
+    S^dagger H S (_frame, which a grid split builds with no dense H). When
+    every eigenvalue is real, numpy's eig returns a real v, and the system
+    is built in the frame: W = v, psi = S W. Otherwise (a broken PT phase,
+    or no frame) W is the complex eigenvector matrix, S v or H's own, and
+    psi = W. Either way W is sorted and given unit columns in its own
+    buffer, and one SVD W = U Sigma V^H gives sigma and
+    W^-H = U Sigma^-1 V^H, so phi = inv(psi)^dagger and the Gram identity
+    and completeness hold to rounding, degenerate blocks included. A phase
+    per column would change neither the metric nor the defects, so none is
+    fixed. The defects are max|W^-1 W - I| and max|B (W W^-1 - I) B^dagger|,
+    one product each on W^-H.
     """
-    frame = pt_frame(H.mat)
+    frame = _frame(H)
     if frame is not None:
         w, v = np.linalg.eig(frame)
         del frame
@@ -165,7 +167,7 @@ def biorthonormal_eigensystem(H: Operator) -> BiorthonormalSystem:
         if not in_frame:
             v = from_pt_frame_columns(v)  # the normalization below removes the sqrt(2)
     else:
-        w, v = np.linalg.eig(H.mat)
+        w, v = np.linalg.eig(_dense(H))
         in_frame = False
     order = np.lexsort((np.arange(w.size), w.imag, w.real))
     w = w[order].astype(complex)
@@ -222,6 +224,11 @@ def _dense(H) -> np.ndarray:
     return H.total().mat if isinstance(H, SplitHamiltonian) else H.mat
 
 
+def _frame(H) -> np.ndarray | None:
+    """pt_frame of H's matrix; a SplitHamiltonian builds its own (SplitHamiltonian.frame)."""
+    return H.frame() if isinstance(H, SplitHamiltonian) else pt_frame(H.mat)
+
+
 def pseudo_hermiticity_residual(H, eta) -> float:
     """||H^dagger eta - eta H|| in max-norm (multiplied-through form).
 
@@ -256,16 +263,16 @@ def pseudo_hermiticity_residual(H, eta) -> float:
     return max_norm(h.conj().T @ e - e @ h)
 
 
-def pseudo_hermiticity_threshold(H: Operator, eta) -> float:
-    """Bound on pseudo_hermiticity_residual(H, eta): RESIDUAL_REL max(1, |H| |eta|)."""
-    return RESIDUAL_REL * max(1.0, max_norm(H.mat) * max_norm(_metric_matrix(eta)))
+def pseudo_hermiticity_threshold(H, eta) -> float:
+    """The residual's bound RESIDUAL_REL max(1, H.norm() |eta|), for an Operator or split H."""
+    return RESIDUAL_REL * max(1.0, H.norm() * max_norm(_metric_matrix(eta)))
 
 
-def equivalent_hermitian(H: Operator, eta, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
+def equivalent_hermitian(H, eta, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
     """h = rho H rho^{-1} with rho = eta^{1/2}; Hermitian, isospectral with H.
 
-    Raises ResidualError unless eta passes pseudo_hermiticity_residual
-    within pseudo_hermiticity_threshold.
+    H is an Operator or a SplitHamiltonian. Raises ResidualError unless eta
+    passes pseudo_hermiticity_residual within pseudo_hermiticity_threshold.
     """
     return _equivalent_hermitian(
         H, eta, pseudo_hermiticity_residual(H, eta), pseudo_hermiticity_threshold(H, eta), tol
@@ -281,11 +288,10 @@ def _equivalent_hermitian(
     for a metric without one, from _hermitian_eigensystem (one eigh, in the
     frame when eta has one); the positivity rule is on lam.min(). Then
     rho = U lam^(1/2) U^dagger and rho^-1 = U lam^(-1/2) U^dagger. With
-    U = S u in the frame and an H that has one, F = S^dagger H S, h is
-    S (Y F Y^-1) S^dagger with Y = u lam^(1/2) u^T, all real: Y F is a
-    product with F, or for a grid split a real column stencil
-    (_frame_right_multiply). Otherwise h is the complex product
-    (rho H) rho^-1, two dense products with H's dense matrix (_dense).
+    U = S u in the frame and an H that has one, F = S^dagger H S (_frame,
+    a grid split's own), h is S (Y F Y^-1) S^dagger with Y = u lam^(1/2) u^T,
+    two real products. Otherwise h is the complex product (rho H) rho^-1,
+    two dense products with H's dense matrix (_dense).
     """
     if residual > threshold:
         raise ResidualError(
@@ -299,11 +305,13 @@ def _equivalent_hermitian(
         raise PositivityError(f"matrix not positive definite: eigenvalue {lam.min():.6e}")
     r = np.sqrt(lam)
     if in_frame:
-        y = _symmetric_product(u * r, u)
-        yf = _frame_right_multiply(H, y)
-        if yf is not None:
+        f = _frame(H)
+        if f is not None:
             # h before rho, each frame matrix dropped once used: this step
             # sets the spectral task's peak memory
+            y = _symmetric_product(u * r, u)
+            yf = y @ f
+            del f
             x = yf @ _symmetric_product(u / r, u)
             del yf
             h = Operator._own(from_pt_frame(x))
@@ -312,18 +320,6 @@ def _equivalent_hermitian(
     rho = _from_eigenbasis(u * r, u, in_frame)
     h = (rho.mat @ _dense(H)) @ _from_eigenbasis(u / r, u, in_frame).mat
     return Operator._own(h), rho
-
-
-def _frame_right_multiply(H, y: np.ndarray) -> np.ndarray | None:
-    """Y F for a real Y and F = S^dagger H S, when H has a PT frame (pt_frame); else None.
-
-    A SplitHamiltonian answers itself (SplitHamiltonian.frame_right_multiply);
-    an Operator takes the product with the frame matrix of its matrix.
-    """
-    if isinstance(H, SplitHamiltonian):
-        return H.frame_right_multiply(y)
-    f = pt_frame(H.mat)
-    return None if f is None else y @ f
 
 
 def _checked_parity(P, tol: Tolerance) -> np.ndarray:
@@ -382,9 +378,9 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     return Operator._own(c), comm, invol
 
 
-def parity_pseudo_hermiticity_residual(H: Operator, P) -> float:
-    """||H^dagger P - P H|| in max-norm; for the IndexReversal J, H^dagger J and J H are flips of H."""
-    h = H.mat
+def parity_pseudo_hermiticity_residual(H, P) -> float:
+    """||H^dagger P - P H|| for an Operator or split H; for IndexReversal J, flips of H's matrix."""
+    h = _dense(H)
     if isinstance(P, IndexReversal):
         return max_norm(h.conj().T[:, ::-1] - h[::-1])
     return max_norm(h.conj().T @ P.mat - P.mat @ h)

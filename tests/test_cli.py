@@ -229,9 +229,10 @@ def test_wave_task_memory_at_n2049():
 
 
 def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
-    # the grid H is built once, for the spectral task's eig; every other
-    # product with H is a stencil, and grid_reflection is the index flip J,
-    # which no Operator holds
+    # the grid H is built once, for the parity flips of grid_reflection: the
+    # eig and h read the split's own frame matrix, |H| its O(N) data, every
+    # other product with H is a stencil, and grid_reflection is the index
+    # flip J, which no Operator holds
     totals = []
     real_total = SplitHamiltonian.total
     monkeypatch.setattr(SplitHamiltonian, "total",
@@ -245,6 +246,19 @@ def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
     assert len(totals) == 1
     j = np.eye(129)[::-1]
     assert not any(m.shape == j.shape and np.array_equal(m, j) for m in made)
+
+
+def test_grid_run_without_parity_builds_no_dense_h(monkeypatch):
+    # without a parity nothing asks for the dense grid H: the spectral task
+    # reads the split's frame matrix and norm, and the products are stencils
+    totals = []
+    real_total = SplitHamiltonian.total
+    monkeypatch.setattr(SplitHamiltonian, "total",
+                        lambda self: totals.append(self) or real_total(self))
+    spec = load_spec(shipped("step_potential.json"))
+    report = run_model_spec(dataclasses.replace(spec, parity=None))
+    assert report["all_passed"] is True
+    assert totals == []
 
 
 @pytest.mark.parametrize("abs_tol", [None, 1.0])
@@ -473,6 +487,37 @@ def test_run_time_overflow_is_a_typed_task_error(case, tmp_path):
     assert issubclass(error_class, errors.PseudohermError)
     assert error_class is not errors.PseudohermError
     assert [v["name"] for v in task["verdicts"]] == kept
+
+
+def test_wide_box_wave_task_samples_the_jump_on_the_kernel_box(tmp_path):
+    # on a box of half-width L = 1e14, x + 1e-3 and x - 1e-3 round to one
+    # float for most x in (-(L - 1), L - 1): sampled there, the jump read 0
+    # and the verdict failed with value 1.0. The kernel's own box is where
+    # the potential's steps lie, at every L
+    spec = load_spec(write_spec(tmp_path, _step_case("wide", [{"kind": "wave"}], L=1e14)))
+    report = run_model_spec(spec)
+    jump = next(v for v in report["tasks"][0]["verdicts"] if v["name"] == "jump_condition_defect")
+    assert jump["ok"] is True and jump["value"] <= 1e-12
+
+
+def test_scaling_noise_floor_warning_goes_into_the_record(tmp_path):
+    # at L = 1e14 the residuals reach the noise floor and curve_slope warns:
+    # the message is in the scaling record, and nothing reaches stderr
+    tasks = [{"kind": "perturbative", "order": 2},
+             {"kind": "scaling", "eps_list": [0.1, 0.05, 0.025, 0.0125]}]
+    doc = _step_case("wide", tasks, L=1e14)
+    out = tmp_path / "out"
+    proc = run_cli(["run", write_spec(tmp_path, doc), "--out", str(out)])
+    assert proc.returncode == 1
+    assert "RuntimeWarning" not in proc.stderr
+    scaling = json.loads((out / "wide_report.json").read_text())["tasks"][1]
+    assert [v["name"] for v in scaling["verdicts"]] == ["residual_order_contract"]
+    assert scaling["data"]["warnings"] == [
+        "residuals reach the noise floor (min 0.000e+00); scaling slope is indeterminate"
+    ]
+    # a run whose fit is determinate records no warnings
+    report = run_model_spec(load_spec(shipped("step_potential.json")))
+    assert "warnings" not in report["tasks"][2]["data"]
 
 
 def _floats_masked(doc):

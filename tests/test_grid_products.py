@@ -23,6 +23,7 @@ from pseudoherm import (
     solve_q_series,
     spectral_metric,
 )
+from pseudoherm.errors import NonFiniteError
 from pseudoherm.operators import (
     DEFAULT_TOL,
     IndexReversal,
@@ -33,7 +34,7 @@ from pseudoherm.operators import (
 from pseudoherm.perturbation import _graded_commutator, _sylvester_eigenbasis, order_equation_rhs
 from pseudoherm.spectral import (
     _equivalent_hermitian,
-    _frame_right_multiply,
+    _frame,
     parity_pseudo_hermiticity_residual,
 )
 from pseudoherm.wavekernel import step_potential
@@ -241,29 +242,91 @@ def test_explicit_parity_and_frameless_eta_keep_the_complex_solve(linalg_counter
     assert linalg_counter.complex_calls("solve") == linalg_counter["solve"] == 4
 
 
+def rule_edge_splits(N):
+    """Tridiagonal splits on both sides of pt_frame's rule, in both forms.
+
+    The step grid's split; an odd v, odd only to rounding (linspace's points
+    are symmetric only to rounding), at epsilon > 0, < 0 and 0, alone and
+    with noise of growing size added; an even v, which has a frame only at
+    epsilon = 0; and an odd v whose frame matrix overflows on the
+    anti-diagonal next to off = 1.5e308 (even N).
+    """
+    rng = np.random.default_rng(N)
+    x = np.linspace(-1.0, 1.0, N)
+    odd = np.sin(3 * x) + x**3
+    diag, off = rng.uniform(0.5, 2.0), rng.uniform(-1.0, -0.1)
+    splits = [grid_split(N)]
+    for eps in (0.1, -0.37, 0.0):
+        splits.append(SplitHamiltonian.tridiagonal(diag, off, odd, eps))
+        for noise in (1e-15, 1e-12, 1e-9, 1e-6):
+            v = odd + noise * rng.standard_normal(N)
+            splits.append(SplitHamiltonian.tridiagonal(diag, off, v, eps))
+        splits.append(SplitHamiltonian.tridiagonal(diag, off, np.abs(x), eps))
+    splits.append(SplitHamiltonian.tridiagonal(0.0, 1.5e308, 1e308 * np.sign(x), 0.9))
+    return [s for split in splits for s in (split, SplitHamiltonian(split.H0, split.H1, split.epsilon))]
+
+
+@pytest.mark.parametrize("N", [16, 128, 129])
+def test_frame_is_pt_frame_of_the_dense_h_bit_for_bit(N):
+    # the split's frame matrix, built from its O(N) data, is the one pt_frame
+    # takes of the dense H, bit for bit, and both are None together; the
+    # spectral helper asks the split itself, and an Operator's is pt_frame's
+    outcomes = set()
+    for split in rule_edge_splits(N):
+        expected = pt_frame(split.total().mat)
+        for got in (split.frame(), _frame(split), _frame(split.total())):
+            if expected is None:
+                assert got is None
+            else:
+                assert got.dtype == float and np.array_equal(got, expected)
+        outcomes.add((split.is_stencil, expected is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("N", [16, 128, 129])
+def test_norm_is_the_max_norm_of_the_dense_h_bit_for_bit(N):
+    for split in rule_edge_splits(N):
+        assert split.norm() == max_norm(split.total().mat)
+    # where max_norm raises on the dense H, norm() raises too, and so do
+    # pt_frame and frame(), which bound the PT-odd part by it: here
+    # |diag + i eps v| overflows with every entry finite
+    v = np.linspace(-1.0, 1.0, N)
+    for eps in (1.5e308, -1.5e308):
+        split = SplitHamiltonian.tridiagonal(1.5e308, 1.0, v, eps)
+        with pytest.raises(NonFiniteError):
+            max_norm(split.total().mat)
+        with pytest.raises(NonFiniteError):
+            pt_frame(split.total().mat)
+        for H in (split, SplitHamiltonian(split.H0, split.H1, split.epsilon)):
+            for method in (H.norm, H.frame):
+                with pytest.raises(NonFiniteError):
+                    method()
+    # eps v overflows itself: the dense H cannot be built, and norm() raises
+    with np.errstate(over="ignore"):
+        split = SplitHamiltonian.tridiagonal(1.0, 1.0, 1e300 * v, 1e300)
+        for method in (split.total, split.norm, split.frame):
+            with pytest.raises(NonFiniteError):
+                method()
+
+
 @pytest.mark.parametrize("N", [16, 129])
-def test_frame_right_multiply_is_the_product_with_the_frame_matrix(N):
-    # Y F for F = S^dagger H S: a real stencil on the grid split, the product
-    # with pt_frame(H) on the dense split and on an Operator; none forms a
-    # complex matrix, and the spectral helper asks the split itself
-    y = random_hermitian(N, seed=N).real
-    for form in ("stencil", "dense"):
-        split = grid_split(N, form)
-        f = pt_frame(split.total().mat)
-        for got in (split.frame_right_multiply(y), _frame_right_multiply(split, y),
-                    _frame_right_multiply(split.total(), y)):
-            assert got.dtype == float
-            assert max_norm(got - y @ f) <= 8 * EPS * max_norm(y) * max_norm(f)
-    # an even v is not PT-symmetric: no frame, in either form
-    even = SplitHamiltonian.tridiagonal(2.0, -1.0, np.abs(np.linspace(-1.0, 1.0, N)), 0.1)
-    assert pt_frame(even.total().mat) is None
-    dense_even = SplitHamiltonian(even.H0, even.H1, even.epsilon)
-    for H in (even, dense_even):
-        assert H.frame_right_multiply(y) is None and _frame_right_multiply(H, y) is None
-    assert _frame_right_multiply(even.total(), y) is None
+def test_split_eigensystem_is_the_operators(N):
+    # the eig runs on the split's own frame matrix, or off the frame on its
+    # dense H: the system is the Operator's, bit for bit. The odd v at this
+    # stencil is in a broken PT phase, which leaves the frame after its eig
+    x = np.linspace(-1.0, 1.0, N)
+    odd = SplitHamiltonian.tridiagonal(2.0, -1.0, np.sin(3 * x), 0.1)
+    even = SplitHamiltonian.tridiagonal(2.0, -1.0, np.abs(x), 0.1)
+    for H, has_frame, in_frame in ((grid_split(N), True, True), (odd, True, False),
+                                   (even, False, False)):
+        assert (H.frame() is not None) is has_frame
+        got, expected = biorthonormal_eigensystem(H), biorthonormal_eigensystem(H.total())
+        assert got.in_frame is expected.in_frame is in_frame
+        assert np.array_equal(got.eigenvalues, expected.eigenvalues)
+        assert all(np.array_equal(a, b) for a, b in zip(got.factors, expected.factors))
 
 
-def test_equivalent_hermitian_column_stencil_matches_the_product():
+def test_equivalent_hermitian_of_the_split_matches_the_operator():
     split = grid_split(129)
     H = split.total()
     eta = spectral_metric(biorthonormal_eigensystem(H))
