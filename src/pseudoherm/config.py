@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .operators import DEFAULT_TOL, Operator, Tolerance
+from .operators import DEFAULT_TOL, IndexReversal, Operator, Tolerance
 from .report import MAX_FILE_NAME_BYTES, longest_file_name_bytes
 from .wavekernel import PiecewisePotential, discretize_schroedinger
 
@@ -78,7 +78,7 @@ class ModelSpec:
     name: str
     model: object
     tasks: tuple
-    parity: object = None  # None | "grid_reflection" | Operator
+    parity: object = None  # None | Operator | IndexReversal(N) for "grid_reflection"
     tolerance: Tolerance = Tolerance()
     sha256: str = ""
 
@@ -250,6 +250,7 @@ def _build(raw, digest: str) -> ModelSpec:
     if parity == "grid_reflection":
         if variant != "schroedinger":
             raise SpecError("$.parity: 'grid_reflection' applies only to schroedinger models")
+        parity = IndexReversal(dim)
     elif "parity" in raw:  # a matrix; an explicit null is refused here too
         parity = _to_matrix(parity, "$.parity")
         if parity.dim != dim:

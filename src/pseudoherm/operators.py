@@ -359,13 +359,13 @@ class SplitHamiltonian:
     def H0(self) -> Operator:
         if self._stencil is None:
             return self._dense[0]
-        return Operator(self._h0_matrix())
+        return Operator._own(self._h0_matrix())
 
     @property
     def H1(self) -> Operator:
         if self._stencil is None:
             return self._dense[1]
-        return Operator(1j * np.diag(self._stencil[2]))
+        return Operator._own(1j * np.diag(self._stencil[2]))
 
     def h0_norm(self) -> float:
         """max_norm of H0."""
@@ -391,8 +391,6 @@ class SplitHamiltonian:
         stop = n if stop is None else stop
         if self._stencil is None:
             h0 = self._dense[0].mat
-            if start == 0 and stop == n:
-                return commutator(h0, x)
             return h0[start:stop] @ x - x[start:stop] @ h0
         diag, off, _ = self._stencil
         lo, hi = max(start - 1, 0), min(stop + 1, n)
@@ -404,12 +402,8 @@ class SplitHamiltonian:
 
     def _h1_rows(self, x: np.ndarray, start: int, stop: int | None, sign: float) -> np.ndarray:
         """Rows start:stop of H1 X + sign X H1, for sign -1 (commutator) or +1 (anticommutator)."""
-        n = x.shape[0]
-        stop = n if stop is None else stop
         if self._stencil is None:
             h1 = self._dense[1].mat
-            if start == 0 and stop == n and sign < 0:
-                return commutator(h1, x)
             return h1[start:stop] @ x + sign * (x[start:stop] @ h1)
         iv = 1j * self._stencil[2]
         rows = x[start:stop]
@@ -480,7 +474,7 @@ class SplitHamiltonian:
         return x
 
     def total(self) -> Operator:
-        return Operator(self.add_h1(self._h0_matrix(), self.epsilon))
+        return Operator._own(self.add_h1(self._h0_matrix(), self.epsilon))
 
 
 def nested_commutator(H: Operator, Q: Operator, k: int) -> Operator:

@@ -192,24 +192,20 @@ def order_equation_rhs(
 
     Q_m enters the order-m residual only through [H0, Q_m], so R_m is the
     negated chain sum over Q_1 .. Q_{m-1}. R_m must come out anti-Hermitian
-    for the equation to admit a Hermitian solution.
+    for the equation to admit a Hermitian solution: ConsistencyError past
+    tol.bound(max(|R_m|, |H1|)); solve_q_series applies the narrower rule.
     """
     lower = () if q_lower is None else q_lower.terms
     if len(lower) != m - 1:
         raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {len(lower)}")
-    return _order_rhs(split, [t.mat for t in lower], m, tol)
-
-
-def _order_rhs(split: SplitHamiltonian, lower: list, m: int, tol: Tolerance) -> Operator:
-    """order_equation_rhs given the m - 1 lower-order matrices, already checked Hermitian."""
-    r = -_chain_sum(split, lower, m)
+    r = -_chain_sum(split, [t.mat for t in lower], m)
     defect = 2 * half_difference_norm(r, -r.conj().T)
     if defect > tol.bound(max(max_norm(r), split.h1_norm())):
         raise ConsistencyError(
             f"order-{m} source fails anti-Hermiticity (defect {defect:.3e}); "
             "the equation would have no Hermitian solution"
         )
-    return Operator(r)
+    return Operator._own(r)
 
 
 def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,9 +220,13 @@ def _check_h0(h0: np.ndarray, tol: Tolerance) -> None:
         raise StructureError("H0 must be Hermitian")
 
 
-def _check_source(r: np.ndarray, tol: Tolerance) -> None:
-    if not is_hermitian(1j * r, tol):
-        raise StructureError("source R must be anti-Hermitian")
+def _check_source(r: np.ndarray, tol: Tolerance) -> float:
+    """|R|, once the defect |R + R^dagger| is within tol.bound(|R|): the Hermiticity rule on i R."""
+    norm = max_norm(r)
+    defect, bound = 2 * half_difference_norm(r, -r.conj().T), tol.bound(norm)
+    if defect > bound:
+        raise StructureError(f"source R must be anti-Hermitian: defect {defect:.3e} exceeds {bound:.3e}")
+    return norm
 
 
 def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> Operator:
@@ -235,18 +235,19 @@ def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> 
     Q_mn = R_mn / (E_m - E_n) off the degenerate pairs; gaps at or below
     abs_tol count as degenerate and their entries are gauged to zero, which
     is only consistent when the source vanishes there (Fredholm condition).
+    A source R not anti-Hermitian within tol.bound(|R|) raises StructureError.
     """
     if H0.mat.shape != R.mat.shape:
         raise ShapeError(f"dimension mismatch: {H0.mat.shape} vs {R.mat.shape}")
     _check_h0(H0.mat, tol)
-    _check_source(R.mat, tol)
-    return _sylvester_eigenbasis(_hermitian_eigh(H0.mat), R.mat, tol)
+    r_norm = _check_source(R.mat, tol)
+    return _sylvester_eigenbasis(_hermitian_eigh(H0.mat), R.mat, r_norm, tol)
 
 
 def _sylvester_eigenbasis(
-    eigensystem: tuple[np.ndarray, np.ndarray], r: np.ndarray, tol: Tolerance
+    eigensystem: tuple[np.ndarray, np.ndarray], r: np.ndarray, r_norm: float, tol: Tolerance
 ) -> Operator:
-    """sylvester_solve given H0's (E, U); the inputs are already checked.
+    """sylvester_solve given H0's (E, U) and r_norm = |R|; the inputs are already checked.
 
     With U real and R = p A graded (A real, p = 1 or i), both basis changes
     U^T A U and U Q~ U^T run in real arithmetic and the phase is applied once.
@@ -260,7 +261,7 @@ def _sylvester_eigenbasis(
         rt = u.T @ a @ u
     gaps = e[:, None] - e[None, :]
     degenerate = np.abs(gaps) <= tol.abs_tol
-    blocked = degenerate & (np.abs(rt) > tol.bound(max_norm(r)))
+    blocked = degenerate & (np.abs(rt) > tol.bound(r_norm))
     if blocked.any():
         i, j = np.argwhere(blocked)[0]
         raise ObstructionError(
@@ -270,10 +271,10 @@ def _sylvester_eigenbasis(
     qt = np.where(degenerate, 0.0, rt / np.where(degenerate, 1.0, gaps))
     if graded is None:
         qm = u @ qt @ u.conj().T
-        return Operator((qm + qm.conj().T) / 2)
+        return Operator._own((qm + qm.conj().T) / 2)
     qm = u @ qt @ u.T
     # the Hermitian part of p A is p (A + A^T) / 2 for p = 1, p (A - A^T) / 2 for p = i
-    return Operator(phase * ((qm + qm.T) / 2 if phase == 1 else (qm - qm.T) / 2))
+    return Operator._own(phase * ((qm + qm.T) / 2 if phase == 1 else (qm - qm.T) / 2))
 
 
 def solve_q_series(
@@ -284,6 +285,7 @@ def solve_q_series(
 ) -> QSeries:
     """Iterate order_equation_rhs / sylvester_solve for m = 1..ell.
 
+    Each source R_m is formed once and judged once, by sylvester_solve's rule.
     gauge maps an order m to a Hermitian H0-commuting addition to Q_m
     (validated; recorded in the gauge log). On return every order residual
     1..ell, which is |[H0, Q_m] - R_m| once Q_m is solved, vanishes within
@@ -303,20 +305,20 @@ def solve_q_series(
     h0_eig = _hermitian_eigh(h0)
     del h0
     for m in range(1, ell + 1):
-        rm = _order_rhs(split, [t.mat for t in terms], m, tol)
-        _check_source(rm.mat, tol)
-        qm = _sylvester_eigenbasis(h0_eig, rm.mat, tol)
-        entry = {"order": m, "gauge": "minimal", "rhs_norm": max_norm(rm.mat)}
+        rm = -_chain_sum(split, [t.mat for t in terms], m)
+        rm_norm = _check_source(rm, tol)
+        qm = _sylvester_eigenbasis(h0_eig, rm, rm_norm, tol)
+        entry = {"order": m, "gauge": "minimal", "rhs_norm": rm_norm}
         if m in gauge:
             g = gauge[m].mat
             if not is_hermitian(g, tol):
                 raise GaugeError(f"order-{m} gauge term is not Hermitian")
             if max_norm(split.h0_commutator(g)) > tol.bound(h0_norm * max(1.0, max_norm(g))):
                 raise GaugeError(f"order-{m} gauge term does not commute with H0")
-            qm = Operator(qm.mat + g)
+            qm = Operator._own(qm.mat + g)
             entry["gauge"] = "minimal+custom"
             entry["custom_norm"] = max_norm(g)
-        residuals.append(max_norm(split.h0_commutator(qm.mat) - rm.mat))
+        residuals.append(max_norm(split.h0_commutator(qm.mat) - rm))
         terms = terms + (qm,)
         glog.append(entry)
     scale = max(1.0, h0_norm + split.h1_norm())

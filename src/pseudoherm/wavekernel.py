@@ -36,6 +36,13 @@ def _potential_values(x: np.ndarray, breaks: np.ndarray, vals: np.ndarray) -> np
     return np.where(left != right, avg, vals[right])
 
 
+def _piecewise_linear(x: np.ndarray, breaks: np.ndarray, knots: np.ndarray, vals: np.ndarray):
+    """V(x) for the continuous V with V(breaks[i]) = knots[i] and slope vals[i+1] right of it."""
+    idx = np.searchsorted(breaks, x, side="right") - 1
+    anchored = np.maximum(idx, 0)
+    return knots[anchored] + vals[anchored + (idx >= 0)] * (x - breaks[anchored])
+
+
 @dataclass(frozen=True)
 class PiecewisePotential:
     """Piecewise-constant v: values[i] on (breakpoints[i-1], breakpoints[i]).
@@ -63,11 +70,7 @@ class PiecewisePotential:
             raise DomainError("outermost values must be 0 (compact support)")
         # V at each breakpoint, anchored so that V(0) = 0
         w = np.concatenate(([0.0], np.cumsum(v[1:-1] * np.diff(b))))
-        if 0.0 <= b[0]:
-            v0 = w[0] + v[0] * (0.0 - b[0])
-        else:
-            i = int(np.searchsorted(b, 0.0, side="right") - 1)
-            v0 = w[i] + v[i + 1] * (0.0 - b[i])
+        v0 = _piecewise_linear(np.zeros(1), b, w, v)
         for name, arr in (("breakpoints", b), ("values", v), ("_knots", w - v0)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -84,10 +87,7 @@ class PiecewisePotential:
     def antiderivative(self, x):
         """Continuous piecewise-linear V(x) = int_0^x v(u) du with V(0) = 0."""
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        b, vals = self.breakpoints, self.values
-        idx = np.searchsorted(b, arr, side="right") - 1
-        anchored = np.maximum(idx, 0)  # V(b[i]) = _knots[i], slope vals[i+1] right of it
-        out = self._knots[anchored] + vals[anchored + (idx >= 0)] * (arr - b[anchored])
+        out = _piecewise_linear(arr, self.breakpoints, self._knots, self.values)
         return out if np.ndim(x) else float(out[0])
 
 
@@ -228,7 +228,7 @@ def discretize_schroedinger(
     lo, hi = v.support
     if not (-L < lo and hi < L):
         raise DomainError(f"potential support [{lo}, {hi}] must lie inside (-{L}, {L})")
-    x = np.linspace(-L, L, N)
+    x = grid_points(L, N)
     dx = 2.0 * L / (N - 1)
     dx2 = dx**2 if dx < 1e154 else np.inf  # dx**2 raises OverflowError past 1.34e154
     if not (0.0 < dx2 < np.inf and np.isfinite(2.0 / dx2)):

@@ -502,16 +502,20 @@ def test_wide_box_wave_task_samples_the_jump_on_the_kernel_box(tmp_path):
 
 def test_scaling_noise_floor_warning_goes_into_the_record(tmp_path):
     # at L = 1e14 the residuals reach the noise floor and curve_slope warns:
-    # the message is in the scaling record, and nothing reaches stderr
+    # the message is in the scaling record, and nothing reaches stderr. A
+    # metric exact to rounding at every eps meets the order contract, so the
+    # verdict reads the largest residual against the floor and the run passes
     tasks = [{"kind": "perturbative", "order": 2},
              {"kind": "scaling", "eps_list": [0.1, 0.05, 0.025, 0.0125]}]
     doc = _step_case("wide", tasks, L=1e14)
     out = tmp_path / "out"
     proc = run_cli(["run", write_spec(tmp_path, doc), "--out", str(out)])
-    assert proc.returncode == 1
+    assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
     scaling = json.loads((out / "wide_report.json").read_text())["tasks"][1]
-    assert [v["name"] for v in scaling["verdicts"]] == ["residual_order_contract"]
+    assert scaling["verdicts"] == [
+        {"name": "residual_order_contract", "ok": True, "value": 0.0, "threshold": 1e-13}
+    ]
     assert scaling["data"]["warnings"] == [
         "residuals reach the noise floor (min 0.000e+00); scaling slope is indeterminate"
     ]

@@ -15,6 +15,7 @@ from pseudoherm import (
 )
 from pseudoherm.cli import main
 from pseudoherm.config import MAX_GRID_POINTS
+from pseudoherm.operators import IndexReversal
 
 
 def shipped(name):
@@ -41,7 +42,7 @@ def test_shipped_specs_load():
     assert step.model.N == 129
     assert step.model.potential.support == (-1.0, 1.0)
     assert [t.kind for t in step.tasks] == ["spectral", "perturbative", "scaling", "wave"]
-    assert step.parity == "grid_reflection"
+    assert step.parity == IndexReversal(129)
     assert len(step.sha256) == 64
 
     toy = load_spec(shipped("pt_toy_2x2.json"))
@@ -466,6 +467,8 @@ def test_post_validation_parity():
         load_doc(minimal_spec(parity=[[[1.0, 0.0]]]))  # dim mismatch
     spec = load_doc(minimal_spec(parity=[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]))
     assert spec.parity.dim == 2
+    # the reader resolves the grid reflection to the index flip of the model's N
+    assert load_doc({**schro(N=40), "parity": "grid_reflection"}).parity == IndexReversal(40)
 
 
 def test_post_validation_duplicate_tasks():

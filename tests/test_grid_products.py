@@ -355,7 +355,7 @@ def test_real_sylvester_transforms_match_the_complex_ones():
     np.fill_diagonal(k, 0.0)
     real = u @ (k - k.T) @ u.T + 0j
     for r, graded in ((r1, True), (real, True), (real + 1j * (u @ (k + k.T) @ u.T), False)):
-        q = _sylvester_eigenbasis((e, u), r, DEFAULT_TOL).mat
+        q = _sylvester_eigenbasis((e, u), r, max_norm(r), DEFAULT_TOL).mat
         expected = old_sylvester_eigenbasis(e, u, r, DEFAULT_TOL)
         if graded:
             assert not (q.real.any() and q.imag.any())
@@ -368,7 +368,7 @@ def test_complex_h0_keeps_the_complex_sylvester_transforms():
     split = fixed_split(8, seed=3)
     e, u = np.linalg.eigh(split.H0.mat)
     r = order_equation_rhs(split, None, 1).mat
-    q = _sylvester_eigenbasis((e, u), r, DEFAULT_TOL).mat
+    q = _sylvester_eigenbasis((e, u), r, max_norm(r), DEFAULT_TOL).mat
     assert np.array_equal(q, old_sylvester_eigenbasis(e, u, r, DEFAULT_TOL))
 
 

@@ -9,6 +9,7 @@ from pseudoherm import (
     Provenance,
     QSeries,
     ShapeError,
+    SplitHamiltonian,
     StructureError,
     Tolerance,
     bch_conjugate,
@@ -202,3 +203,24 @@ def test_hermiticity_checks_near_the_float_limit(big):
     m = np.array([[1.0, big], [-big, 2.0]])
     assert not is_hermitian(m)
     assert is_hermitian(1j * m)
+
+
+# each raise site as (call, error class, message); none is on a run's path
+ERROR_SITES = {
+    "split_dimensions": (
+        lambda: SplitHamiltonian(Operator(np.eye(2)), Operator(np.zeros((3, 3))), 0.1),
+        ShapeError, "dimension mismatch: 2 vs 3"),
+    "nested_commutator_k_0": (
+        lambda: nested_commutator(Operator(np.eye(2)), Operator(np.eye(2)), 0),
+        ValueError, "k must be >= 1"),
+    "bch_shapes": (
+        lambda: bch_conjugate(Operator(np.eye(2)), Operator(np.eye(3)), 1),
+        ShapeError, "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_SITES))
+def test_operator_raise_sites(case):
+    call, error, message = ERROR_SITES[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -17,6 +17,7 @@ from pseudoherm import (
     Tolerance,
     commutator,
     curve_slope,
+    discretize_schroedinger,
     master_formula_coefficients,
     master_formula_rhs,
     max_norm,
@@ -28,9 +29,10 @@ from pseudoherm import (
     random_admissible_split,
     residual_curve,
     solve_q_series,
+    step_potential,
     sylvester_solve,
 )
-from pseudoherm import perturbation
+from pseudoherm import operators, perturbation
 
 from helpers import commuting_gauge, fixed_split, positive_definite
 
@@ -263,8 +265,8 @@ def test_solve_q_series_post_solve_check_fires(monkeypatch, bad_order):
     real = perturbation._sylvester_eigenbasis
     calls = []
 
-    def off_by_a_little(eigensystem, r, tol):
-        q = real(eigensystem, r, tol)
+    def off_by_a_little(eigensystem, r, r_norm, tol):
+        q = real(eigensystem, r, r_norm, tol)
         calls.append(1)
         return Operator(1.001 * q.mat) if len(calls) == bad_order else q
 
@@ -508,3 +510,68 @@ def test_full_conjugation_residual_consistent_with_orders():
     r3 = max_norm(order_residual(split, padded, 3).mat)
     predicted = r3 * eps**3
     assert abs(exact - predicted) < 0.05 * predicted
+
+
+def _half_broken_split():
+    # H1 is anti-Hermitian within the default tolerance but not within 1e-15
+    h1 = np.array([[0.0, 1.0], [-1.0 + 1e-12, 0.0]])
+    return SplitHamiltonian(Operator(np.diag([1.0, 2.0])), Operator(h1), 0.1)
+
+
+# each raise site as (call, error class, message); none is on a run's path
+ERROR_SITES = {
+    "coefficients_ell_0": (lambda: master_formula_coefficients(0), DomainError, "ell must be >= 1"),
+    "rhs_ell_0": (
+        lambda: master_formula_rhs(Operator(np.eye(2)), Operator(np.eye(2)), 0),
+        DomainError, "ell must be >= 1"),
+    "rhs_shapes": (
+        lambda: master_formula_rhs(Operator(np.eye(2)), Operator(np.eye(3)), 1),
+        ShapeError, "dimension mismatch"),
+    "order_residual_m_0": (
+        lambda: order_residual(fixed_split(3, seed=0), QSeries((Operator(np.eye(3)),)), 0),
+        DomainError, "m must be >= 1"),
+    "order_residual_m_past_the_series": (
+        lambda: order_residual(fixed_split(3, seed=0), QSeries((Operator(np.eye(3)),)), 2),
+        DomainError, "order 2 exceeds available terms"),
+    "order_equation_rhs_source": (
+        lambda: order_equation_rhs(_half_broken_split(), None, 1, Tolerance(1e-15, 1e-15)),
+        ConsistencyError, "order-1 source fails anti-Hermiticity"),
+    "sylvester_shapes": (
+        lambda: sylvester_solve(Operator(np.eye(2)), Operator(np.zeros((3, 3)))),
+        ShapeError, "dimension mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_SITES))
+def test_perturbation_raise_sites(case):
+    call, error, message = ERROR_SITES[case]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_solve_q_series_judges_the_source_by_the_narrower_rule():
+    # order_equation_rhs refuses this source at the scale max(|R_1|, |H1|);
+    # the solve judges it once, at |R_1|, and names the defect and the bound
+    with pytest.raises(StructureError, match="source R must be anti-Hermitian: defect ") as err:
+        solve_q_series(_half_broken_split(), 1, tol=Tolerance(1e-15, 1e-15))
+    assert str(err.value).endswith(f"exceeds {Tolerance(1e-15, 1e-15).bound(2.0):.3e}")
+
+
+def test_solve_q_series_measures_each_source_once(monkeypatch):
+    # per order, R_m's anti-Hermiticity defect and its max-norm are each
+    # taken once, wherever the rule runs; they were taken twice and four
+    # times when the solve checked the source against two scales
+    split = discretize_schroedinger(step_potential(), 4.0, 129, epsilon=0.1)
+    terms = solve_q_series(split, 2).terms
+    sources = [np.abs(order_equation_rhs(split, QSeries(terms[: m - 1]) if m > 1 else None, m).mat)
+               for m in (1, 2)]
+    assert all(r.any() for r in sources)
+    defects, norms = [], []
+    for module in (operators, perturbation):
+        hdn, mn = module.half_difference_norm, module.max_norm
+        monkeypatch.setattr(module, "half_difference_norm",
+                            lambda a, b, f=hdn: defects.append(np.abs(a)) or f(a, b))
+        monkeypatch.setattr(module, "max_norm", lambda a, f=mn: norms.append(np.abs(a)) or f(a))
+    solve_q_series(split, 2)
+    for seen in (defects, norms):
+        assert [sum(np.array_equal(a, r) for a in seen) for r in sources] == [1, 1]

@@ -137,3 +137,18 @@ def test_emit_file_names_fit_the_longest_file_name_bound(tmp_path):
     assert len(names) == 4
     lengths = [len(n.encode("utf-8")) for n in names]
     assert max(lengths) == longest_file_name_bytes(report["name"])
+
+
+# each raise site as (call, error class, message); none is on a run's path
+ERROR_SITES = {
+    "non_string_key": (lambda: canonical_json({1: 0.5}), TypeError, "report keys must be strings"),
+    "unsupported_value": (
+        lambda: canonical_json({"s": {1, 2}}), TypeError, "unsupported report value type"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_SITES))
+def test_report_raise_sites(case):
+    call, error, message = ERROR_SITES[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -9,15 +9,18 @@ from pseudoherm import (
     PositivityError,
     RealityError,
     ResidualError,
+    ShapeError,
     StructureError,
     biorthonormal_eigensystem,
     c_operator,
+    discretize_schroedinger,
     equivalent_hermitian,
     max_norm,
     metric_factorization,
     metric_intertwiner,
     pseudo_hermiticity_residual,
     spectral_metric,
+    step_potential,
     symmetry_rescaled_metric,
 )
 from pseudoherm.operators import DEFAULT_TOL
@@ -278,3 +281,22 @@ def test_rescaled_metric_stays_valid():
         assert positive_definite(eta.mat)
         scale = max_norm(h.mat) * max_norm(eta.mat)
         assert pseudo_hermiticity_residual(h, eta) < 1e-10 * max(1.0, scale)
+
+
+# each raise site as (call, error class, message); none is on a run's path
+ERROR_SITES = {
+    "metric_shape_operator_h": (
+        lambda: pseudo_hermiticity_residual(Operator(np.eye(2)), np.eye(3)),
+        ShapeError, r"dimension mismatch: \(3, 3\) vs \(2, 2\)"),
+    "metric_shape_grid_h": (
+        lambda: pseudo_hermiticity_residual(
+            discretize_schroedinger(step_potential(), 4.0, 17), Operator(np.eye(16))),
+        ShapeError, r"dimension mismatch: \(16, 16\) vs \(17, 17\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_SITES))
+def test_spectral_raise_sites(case):
+    call, error, message = ERROR_SITES[case]
+    with pytest.raises(error, match=message):
+        call()

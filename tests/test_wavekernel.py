@@ -489,3 +489,21 @@ def test_discretize_schroedinger_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+# each raise site as (call, error class, message); none is on a run's path
+ERROR_SITES = {
+    "empty_breakpoints": (
+        lambda: PiecewisePotential(np.array([]), np.array([0.0])),
+        DomainError, "breakpoints must be a non-empty 1-D sequence"),
+    "2d_breakpoints": (
+        lambda: PiecewisePotential(np.array([[-1.0, 1.0]]), np.array([0.0, 1.0, 0.0])),
+        DomainError, "breakpoints must be a non-empty 1-D sequence"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_SITES))
+def test_wavekernel_raise_sites(case):
+    call, error, message = ERROR_SITES[case]
+    with pytest.raises(error, match=message):
+        call()
