@@ -44,7 +44,6 @@ from .operators import (
 from .spectral import (
     BiorthonormalSystem,
     MetricOperator,
-    Provenance,
     biorthonormal_eigensystem,
     c_operator,
     equivalent_hermitian,
@@ -111,7 +110,6 @@ __all__ = [
     "Operator",
     "PiecewisePotential",
     "PositivityError",
-    "Provenance",
     "PseudohermError",
     "QSeries",
     "RealityError",

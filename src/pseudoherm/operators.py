@@ -153,7 +153,8 @@ class IndexReversal:
 
 
 def _as_matrix(x) -> np.ndarray:
-    return x.mat if isinstance(x, Operator) else np.array(x, dtype=complex)
+    """x.mat for an Operator or a MetricOperator, else x as a complex array (not copied)."""
+    return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)
 
 
 def half_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -161,9 +162,15 @@ def half_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
     return max_norm(a / 2 - b / 2)
 
 
+def _hermiticity(m: np.ndarray) -> tuple[float, float]:
+    """(max_norm(m), max_norm(m - m^dagger)), the defect taken from halves, free of overflow."""
+    return max_norm(m), 2 * half_difference_norm(m, m.conj().T)
+
+
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """max_norm(m - m^dagger) <= tol.bound(max_norm(m)), free of overflow."""
-    return half_difference_norm(m, m.conj().T) <= tol.bound(max_norm(m)) / 2
+    norm, defect = _hermiticity(m)
+    return defect <= tol.bound(norm)
 
 
 def to_pt_frame(x: np.ndarray) -> np.ndarray:
@@ -227,11 +234,9 @@ def _hermitian_eigensystem(
     is factorized in real arithmetic: u is then real and m's eigenvectors
     are S u.
     """
-    if not is_hermitian(m, tol):
-        raise StructureError(
-            f"{caller} requires a Hermitian argument, "
-            f"defect {2 * half_difference_norm(m, m.conj().T):.3e}"
-        )
+    norm, defect = _hermiticity(m)
+    if defect > tol.bound(norm):
+        raise StructureError(f"{caller} requires a Hermitian argument, defect {defect:.3e}")
     r = pt_frame(m)
     if r is not None:
         w, u = np.linalg.eigh(r / 2 + r.T / 2)

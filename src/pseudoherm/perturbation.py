@@ -36,12 +36,13 @@ from .operators import (
     SplitHamiltonian,
     Tolerance,
     _hermitian_eigensystem,
+    _hermiticity,
     commutator,
     half_difference_norm,
     is_hermitian,
     max_norm,
 )
-from .spectral import MetricOperator, Provenance, _metric, pseudo_hermiticity_residual
+from .spectral import MetricOperator, _metric, pseudo_hermiticity_residual
 
 NOISE_FLOOR = 1e-13
 
@@ -54,14 +55,22 @@ class QSeries:
     gauge_log: tuple = field(default=(), compare=False)
     # (residual, bound) per order as solve_q_series checked it; () if hand-built
     order_checks: tuple = field(default=(), compare=False)
+    # max_norm(Q_j) and max_norm(Q_j - Q_j^dagger) per term, as the Hermiticity rule measured them
+    norms: tuple = field(init=False, compare=False)
+    hermiticity_defects: tuple = field(init=False, compare=False)
 
     def __post_init__(self):
         terms = tuple(self.terms)
+        measured = []
         for j, q in enumerate(terms):
-            if not is_hermitian(q.mat):
+            norm, defect = _hermiticity(q.mat)
+            if defect > DEFAULT_TOL.bound(norm):
                 raise StructureError(f"Q_{j + 1} is not Hermitian within tolerance")
+            measured.append((norm, defect))
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "gauge_log", tuple(self.gauge_log))
+        object.__setattr__(self, "norms", tuple(n for n, _ in measured))
+        object.__setattr__(self, "hermiticity_defects", tuple(d for _, d in measured))
 
     @property
     def order(self) -> int:
@@ -192,19 +201,14 @@ def order_equation_rhs(
 
     Q_m enters the order-m residual only through [H0, Q_m], so R_m is the
     negated chain sum over Q_1 .. Q_{m-1}. R_m must come out anti-Hermitian
-    for the equation to admit a Hermitian solution: ConsistencyError past
-    tol.bound(max(|R_m|, |H1|)); solve_q_series applies the narrower rule.
+    for the equation to admit a Hermitian solution; it is judged by the
+    solve's rule (_check_source), StructureError past tol.bound(|R_m|).
     """
     lower = () if q_lower is None else q_lower.terms
     if len(lower) != m - 1:
         raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {len(lower)}")
     r = -_chain_sum(split, [t.mat for t in lower], m)
-    defect = 2 * half_difference_norm(r, -r.conj().T)
-    if defect > tol.bound(max(max_norm(r), split.h1_norm())):
-        raise ConsistencyError(
-            f"order-{m} source fails anti-Hermiticity (defect {defect:.3e}); "
-            "the equation would have no Hermitian solution"
-        )
+    _check_source(r, tol)
     return Operator._own(r)
 
 
@@ -338,7 +342,7 @@ def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
     eigensystem (e^(-w), u, in_frame) in eigh order, lam descending.
     """
     w, u, in_frame = _hermitian_eigensystem(q.summed(epsilon).mat, DEFAULT_TOL, "metric_from_series")
-    return _metric(np.exp(-w), u, in_frame, Provenance("perturbative", order=q.order, epsilon=epsilon))
+    return _metric(np.exp(-w), u, in_frame)
 
 
 def _decreasing_eps(eps_list) -> np.ndarray:

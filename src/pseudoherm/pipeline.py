@@ -85,14 +85,18 @@ class _RunContext:
         self.tol = spec.tolerance
         self.rng = np.random.default_rng(seed)
         self.split = None  # SplitHamiltonian for split-capable models
-        # (order, QSeries, {epsilon: metric residual}) from the perturbative task
+        # (QSeries, {epsilon: metric residual}) from the perturbative task
         self.solved = None
         self.perturbative_error = None  # error class name of a failed perturbative task
 
     def hamiltonian(self) -> Operator | SplitHamiltonian:
-        """The spectral task's H: a matrix model's Operator, else the model's split."""
+        """The spectral task's H: an Operator, or the grid split, which builds no dense H."""
         m = self.spec.model
-        return m.H if isinstance(m, MatrixModel) else self.get_split()
+        if isinstance(m, MatrixModel):
+            return m.H
+        split = self.get_split()
+        # built once here, a dense split's H is not rebuilt for each product the task takes
+        return split if split.is_stencil else split.total()
 
     def get_split(self) -> SplitHamiltonian:
         if self.split is None:
@@ -117,9 +121,9 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     data = {
         "spectrum": _pairs(sys.eigenvalues),
         "spectrum_is_real": sys.spectrum_is_real(ctx.tol),
-        "gram_defect": float(sys.gram_defect()),
+        "gram_defect": float(sys.gram_defect),
     }
-    completeness = sys.completeness_defect()
+    completeness = sys.completeness_defect
     del sys
     threshold = pseudo_hermiticity_threshold(H, eta)
     residual = pseudo_hermiticity_residual(H, eta)
@@ -152,11 +156,11 @@ def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list)
     split = ctx.get_split()
     q = solve_q_series(split, task.order, tol=ctx.tol)
     residuals = {}  # filled below once the metric residual is known
-    ctx.solved = (task.order, q, residuals)
+    ctx.solved = (q, residuals)
     for m, (residual, bound) in enumerate(q.order_checks, start=1):
         verdicts.append(_verdict(f"order_{m}_residual", residual, bound))
-    norms = [max_norm(t.mat) for t in q.terms]
-    herm = max(max_norm(t.mat - t.mat.conj().T) for t in q.terms)
+    norms = list(q.norms)
+    herm = max(q.hermiticity_defects)
     verdicts.append(_verdict("q_terms_hermitian", herm, 1e-12 * max(1.0, *norms)))
     eta = metric_from_series(q, split.epsilon)
     lowest, floor = eta.eig_range[0], ctx.tol.abs_tol
@@ -181,7 +185,8 @@ def _scaling_task(ctx: _RunContext, task: ScalingTask, verdicts: list) -> dict:
                 f"with {ctx.perturbative_error}"
             )
         raise PseudohermError("scaling requires a perturbative task earlier in the task list")
-    order, q, known = ctx.solved
+    q, known = ctx.solved
+    order = q.order
     split = ctx.get_split()
     # an epsilon the perturbative task already measured reuses its residual:
     # the same series at the same float gives the same e^(-Q) and residual

@@ -38,6 +38,7 @@ from .operators import (
     Operator,
     SplitHamiltonian,
     Tolerance,
+    _as_matrix,
     _from_eigenbasis,
     _hermitian_eigensystem,
     _max_norm_rows,
@@ -56,6 +57,7 @@ COND_CAP = 1e8
 RESIDUAL_REL = 1e-8
 
 
+@dataclass(frozen=True, eq=False)
 class BiorthonormalSystem:
     """Eigenvalues with right (psi) and left (phi) eigenvector columns, held as factors.
 
@@ -63,24 +65,16 @@ class BiorthonormalSystem:
     SVD (factors = (U, sigma, V^H)). Then psi = B W and phi = B W^-H with
     W^-H = U Sigma^-1 V^H, where B is the frame basis S for a system built
     in the PT frame (W real, in_frame) and the identity otherwise (W
-    complex). psi has W's singular values, so right_singular_values are
-    sigma, descending. gram_defect and completeness_defect were taken when
-    the system was built, on the eig's W and W^-H.
+    complex); psi's singular values are sigma, descending. gram_defect and
+    completeness_defect were taken when the system was built, on the eig's
+    W and W^-H.
     """
 
-    def __init__(self, eigenvalues, factors, in_frame: bool, defects):
-        self.eigenvalues = eigenvalues
-        self.factors = factors
-        self.in_frame = in_frame
-        self._defects = defects  # (gram, completeness)
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    @property
-    def right_singular_values(self) -> np.ndarray:
-        return self.factors[1]
+    eigenvalues: np.ndarray
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]
+    in_frame: bool
+    gram_defect: float
+    completeness_defect: float
 
     def _first_off_real(self, tol: Tolerance) -> int | None:
         """Index of the first E with |Im E| > tol.bound(max |E|), or None."""
@@ -92,23 +86,10 @@ class BiorthonormalSystem:
         """|Im E| <= tol.bound(max |E|) for every eigenvalue E already computed."""
         return self._first_off_real(tol) is None
 
-    def gram_defect(self) -> float:
-        return self._defects[0]
-
-    def completeness_defect(self) -> float:
-        return self._defects[1]
-
-
-@dataclass(frozen=True)
-class Provenance:
-    kind: str  # spectral | perturbative | user
-    order: int | None = None
-    epsilon: float | None = None
-
 
 @dataclass(frozen=True, eq=False)
 class MetricOperator:
-    """A metric operator eta with its provenance; compared and hashed by identity.
+    """A metric operator eta; compared and hashed by identity.
 
     eigensystem is (lam, u, in_frame) with eta = U diag(lam) U^dagger and
     U = S u (u real) when in_frame, else u, for a metric the package builds
@@ -117,7 +98,6 @@ class MetricOperator:
     """
 
     op: Operator
-    provenance: Provenance
     eigensystem: tuple[np.ndarray, np.ndarray, bool] | None = None
 
     @property
@@ -133,13 +113,14 @@ class MetricOperator:
         return float(lam.min()), float(lam.max())
 
 
-def _metric(lam: np.ndarray, u: np.ndarray, in_frame: bool, provenance: Provenance) -> MetricOperator:
+def _metric(lam: np.ndarray, u: np.ndarray, in_frame: bool) -> MetricOperator:
     """The metric U diag(lam) U^dagger (U = S u when in_frame), carrying that eigensystem."""
-    return MetricOperator(_from_eigenbasis(u * lam, u, in_frame), provenance, (lam, u, in_frame))
+    return MetricOperator(_from_eigenbasis(u * lam, u, in_frame), (lam, u, in_frame))
 
 
-def _metric_matrix(eta) -> np.ndarray:
-    return eta.mat if isinstance(eta, (MetricOperator, Operator)) else np.asarray(eta, dtype=complex)
+def _carried_eigensystem(eta) -> tuple[np.ndarray, np.ndarray, bool] | None:
+    """The (lam, u, in_frame) a MetricOperator carries; None for any other eta, or without one."""
+    return eta.eigensystem if isinstance(eta, MetricOperator) else None
 
 
 def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
@@ -179,7 +160,7 @@ def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
     gram = max_norm(_minus_identity(inv_h.conj().T @ v))
     completeness = _minus_identity(v @ inv_h.conj().T)
     completeness = max_norm(from_pt_frame(completeness) if in_frame else completeness)
-    return BiorthonormalSystem(w, (u, sv, vh), in_frame, (gram, completeness))
+    return BiorthonormalSystem(w, (u, sv, vh), in_frame, gram, completeness)
 
 
 def _check_condition(sv: np.ndarray) -> None:
@@ -211,7 +192,7 @@ def spectral_metric(sys: BiorthonormalSystem, tol: Tolerance = DEFAULT_TOL) -> M
         e = sys.eigenvalues[first]
         raise RealityError(f"eigenvalue E_{first} = {e:.12g} is not real within tolerance")
     u, sv, _ = sys.factors
-    return _metric(sv**-2.0, u, sys.in_frame, Provenance("spectral"))
+    return _metric(sv**-2.0, u, sys.in_frame)
 
 
 def _stencil(H) -> SplitHamiltonian | None:
@@ -246,11 +227,12 @@ def pseudo_hermiticity_residual(H, eta) -> float:
     raw array, an Operator, or a MetricOperator without an eigensystem) they
     come from an SVD of eta.
     """
-    e = _metric_matrix(eta)
+    e = _as_matrix(eta)
     if e.shape != (H.dim, H.dim):
         raise ShapeError(f"dimension mismatch: {e.shape} vs {(H.dim, H.dim)}")
-    if isinstance(eta, MetricOperator) and eta.eig_range is not None:
-        lo, hi = eta.eig_range
+    system = _carried_eigensystem(eta)
+    if system is not None:
+        lo, hi = system[0].min(), system[0].max()
     else:
         sv = np.linalg.svd(e, compute_uv=False)
         lo, hi = sv[-1], sv[0]
@@ -265,7 +247,7 @@ def pseudo_hermiticity_residual(H, eta) -> float:
 
 def pseudo_hermiticity_threshold(H, eta) -> float:
     """The residual's bound RESIDUAL_REL max(1, H.norm() |eta|), for an Operator or split H."""
-    return RESIDUAL_REL * max(1.0, H.norm() * max_norm(_metric_matrix(eta)))
+    return RESIDUAL_REL * max(1.0, H.norm() * max_norm(_as_matrix(eta)))
 
 
 def equivalent_hermitian(H, eta, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
@@ -297,10 +279,10 @@ def _equivalent_hermitian(
         raise ResidualError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds threshold {threshold:.3e}"
         )
-    if isinstance(eta, MetricOperator) and eta.eigensystem is not None:
-        lam, u, in_frame = eta.eigensystem
-    else:
-        lam, u, in_frame = _hermitian_eigensystem(_metric_matrix(eta), tol, "equivalent_hermitian")
+    system = _carried_eigensystem(eta)
+    if system is None:
+        system = _hermitian_eigensystem(_as_matrix(eta), tol, "equivalent_hermitian")
+    lam, u, in_frame = system
     if lam.min() <= tol.abs_tol:
         raise PositivityError(f"matrix not positive definite: eigenvalue {lam.min():.6e}")
     r = np.sqrt(lam)
@@ -357,9 +339,9 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     structured grid split, [C, H] = -[H0, C] - epsilon [H1, C] is a stencil
     and an elementwise product, reduced in row blocks.
     """
-    e = _metric_matrix(eta)
+    e = _as_matrix(eta)
     n = e.shape[0]
-    system = eta.eigensystem if isinstance(eta, MetricOperator) else None
+    system = _carried_eigensystem(eta)
     if isinstance(P, IndexReversal) and system is not None and system[2]:
         lam, u, _ = system
         x = _symmetric_product(u / lam, u)[:, ::-1]
@@ -388,7 +370,7 @@ def parity_pseudo_hermiticity_residual(H, P) -> float:
 
 def metric_factorization(eta) -> Operator:
     """Upper-triangular O with O^dagger O = eta (Cholesky factor)."""
-    e = _metric_matrix(eta)
+    e = _as_matrix(eta)
     try:
         lower = np.linalg.cholesky((e + e.conj().T) / 2)
     except np.linalg.LinAlgError as exc:
@@ -402,8 +384,8 @@ def metric_intertwiner(eta1, eta2, H: Operator, tol: Tolerance = DEFAULT_TOL) ->
     Realizes eta2 = A^dagger eta1 A; for metrics of the same Hamiltonian the
     construction commutes with H. Both postcondition residuals are logged.
     """
-    e1 = _metric_matrix(eta1)
-    e2 = _metric_matrix(eta2)
+    e1 = _as_matrix(eta1)
+    e2 = _as_matrix(eta2)
     for name, eta in (("eta1", eta1), ("eta2", eta2)):
         res = pseudo_hermiticity_residual(H, eta)
         if res > pseudo_hermiticity_threshold(H, eta):
@@ -430,10 +412,11 @@ def symmetry_rescaled_metric(sys: BiorthonormalSystem, scales) -> MetricOperator
     product); s = 1 gives spectral_metric's eta to rounding.
     """
     s = np.asarray(scales, dtype=float)
-    if s.shape != (sys.dim,):
-        raise DomainError(f"need {sys.dim} scales, got shape {s.shape}")
+    n = sys.eigenvalues.size
+    if s.shape != (n,):
+        raise DomainError(f"need {n} scales, got shape {s.shape}")
     if np.any(s <= 0):
         raise DomainError(f"scales must be positive, got min {s.min()}")
     u, sv, vh = sys.factors
     inv_h = (u / sv) @ vh
-    return MetricOperator(_from_eigenbasis(inv_h * s, inv_h, sys.in_frame), Provenance("spectral"))
+    return MetricOperator(_from_eigenbasis(inv_h * s, inv_h, sys.in_frame))

@@ -28,7 +28,7 @@ from pseudoherm import errors, operators, perturbation, pipeline, spectral
 from pseudoherm.cli import main
 from pseudoherm.config import SpectralTask, WaveTask
 
-from helpers import positive_definite, run_cli, run_python, spectrum_is_real
+from helpers import fixed_split, positive_definite, run_cli, run_python, spectrum_is_real
 
 
 def shipped(name):
@@ -259,6 +259,35 @@ def test_grid_run_without_parity_builds_no_dense_h(monkeypatch):
     report = run_model_spec(dataclasses.replace(spec, parity=None))
     assert report["all_passed"] is True
     assert totals == []
+
+
+@pytest.mark.parametrize("parity", [False, True])
+def test_dense_split_spectral_task_builds_its_h_once(parity, monkeypatch, tmp_path):
+    # a split_matrix model's spectral task takes H = split.total() once and
+    # reads it for the eig, the bound, the residual, h and the parity checks;
+    # it was rebuilt for each, 5 times without a parity and 8 with one
+    totals = []
+    real_total = SplitHamiltonian.total
+    monkeypatch.setattr(SplitHamiltonian, "total",
+                        lambda self: totals.append(self) or real_total(self))
+    split = fixed_split(16, seed=0)
+
+    def pairs(m):
+        return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+    doc = {
+        "name": "dense_split",
+        "model": {"split_matrix": {"H0": pairs(split.H0.mat), "H1": pairs(split.H1.mat),
+                                   "epsilon": split.epsilon}},
+        "tasks": [{"kind": "spectral"}],
+    }
+    if parity:
+        # the pair's sign parity: [H0, P] = 0 and {H1, P} = 0, so H^dagger P = P H
+        doc["parity"] = pairs(np.diag(np.where(np.arange(16) % 2, -1.0, 1.0)))
+    (task,) = run_model_spec(load_spec(write_spec(tmp_path, doc)))["tasks"]
+    assert task["ok"] is True
+    assert ("c_operator" in task["data"]) is parity
+    assert len(totals) == 1
 
 
 @pytest.mark.parametrize("abs_tol", [None, 1.0])

@@ -12,7 +12,6 @@ import pytest
 from pseudoherm import (
     MetricOperator,
     Operator,
-    Provenance,
     SplitHamiltonian,
     biorthonormal_eigensystem,
     c_operator,
@@ -109,7 +108,7 @@ def phi_phi_dagger_metric(h):
     v = v[:, order] / np.linalg.norm(v[:, order], axis=0)
     phi = np.linalg.inv(v / reference_phases(v)).conj().T
     eta = phi @ phi.conj().T
-    return MetricOperator(Operator((eta + eta.conj().T) / 2), Provenance("spectral"))
+    return MetricOperator(Operator((eta + eta.conj().T) / 2))
 
 
 @pytest.mark.parametrize("N", [129, 513])
@@ -181,7 +180,7 @@ def test_c_operator_in_the_frame_matches_the_complex_solve(N, linalg_counter):
     c, comm, invol = c_operator(eta, IndexReversal(N), split)
     assert linalg_counter["solve"] == 0  # no solve on the frame path
     # the same eta without its eigensystem: the complex solve
-    c_solve, _, invol_solve = c_operator(MetricOperator(eta.op, eta.provenance), IndexReversal(N))
+    c_solve, _, invol_solve = c_operator(MetricOperator(eta.op), IndexReversal(N))
     assert linalg_counter.dtypes["solve"] == [np.dtype(complex)]
     c_ref, comm_ref, invol_ref = c_operator(eta, dense_flip(N), H)
     cond = eta.eig_range[1] / eta.eig_range[0]
@@ -210,7 +209,7 @@ def test_perturbative_metric_carries_its_eigensystem(N, linalg_counter):
         c, _, invol = c_operator(eta, IndexReversal(N), split)
         assert (linalg_counter["solve"], linalg_counter["eigh"]) == (0 if in_frame else 1, 0)
         # the complex solve on the same eta without its eigensystem, and on a dense J
-        c_solve, _, invol_solve = c_operator(MetricOperator(eta.op, eta.provenance), IndexReversal(N))
+        c_solve, _, invol_solve = c_operator(MetricOperator(eta.op), IndexReversal(N))
         c_ref, _, invol_ref = c_operator(eta, dense_flip(N), split)
         cond = eta.eig_range[1] / eta.eig_range[0]
         for got, got_invol in ((c, invol), (c_solve, invol_solve)):
@@ -390,7 +389,7 @@ def test_metric_operator_residual_needs_no_svd(linalg_counter):
     split = grid_split(16)
     q, _ = np.linalg.qr(random_hermitian(16, seed=3) + 1j * np.eye(16))
     lam = np.linspace(1.0, 2.0, 16)
-    eta = MetricOperator(Operator((q * lam) @ q.conj().T), Provenance("user"), (lam, q, False))
+    eta = MetricOperator(Operator((q * lam) @ q.conj().T), (lam, q, False))
     assert eta.eig_range == (1.0, 2.0)
     pseudo_hermiticity_residual(split, eta)
     assert linalg_counter["svd"] == 0

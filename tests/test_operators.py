@@ -6,7 +6,6 @@ from pseudoherm import (
     NonFiniteError,
     Operator,
     PositivityError,
-    Provenance,
     QSeries,
     ShapeError,
     SplitHamiltonian,
@@ -45,8 +44,8 @@ def test_operator_rejects_nonfinite():
 def test_operators_and_metrics_compare_and_hash_by_identity():
     a, b = Operator(np.eye(3)), Operator(np.eye(3))
     assert a == a and a != b and len({a, a, b}) == 2
-    eta = MetricOperator(a, Provenance("user"))
-    assert eta == eta and eta != MetricOperator(a, Provenance("user")) and len({eta, eta}) == 1
+    eta = MetricOperator(a)
+    assert eta == eta and eta != MetricOperator(a) and len({eta, eta}) == 1
     # a series keeps its value equality, over its terms' identities
     assert QSeries((a,)) == QSeries((a,)) != QSeries((b,))
     assert hash(QSeries((a,))) == hash(QSeries((a,)))

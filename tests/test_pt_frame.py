@@ -186,7 +186,7 @@ def test_eigensystem_in_the_frame_matches_the_complex_path(n, linalg_counter):
     psi, phi_formed = formed_vectors(sys)
     for got, ref in ((psi, v), (phi_formed, phi)):
         assert max_norm(got - ref) <= 256 * n * EPS * cond * max_norm(ref)
-    assert max_norm(sys.right_singular_values - sv) <= 64 * n * EPS * cond * sv[0]
+    assert max_norm(sys.factors[1] - sv) <= 64 * n * EPS * cond * sv[0]
     residual = h @ psi - psi * sys.eigenvalues
     assert max_norm(residual) <= 64 * n * EPS * max_norm(w)
 
@@ -256,9 +256,9 @@ def test_spectral_objects_from_the_frame_factors_match_the_complex_path(n, linal
         complete_ref = max_norm(v @ phi.conj().T - np.eye(n))
         gram_formed = max_norm(phi_formed.conj().T @ psi_formed - np.eye(n))
         complete_formed = max_norm(psi_formed @ phi_formed.conj().T - np.eye(n))
-        assert abs(sys.gram_defect() - gram_ref) <= rounding
-        assert abs(sys.completeness_defect() - complete_ref) <= rounding
-        for defect in (sys.gram_defect(), sys.completeness_defect(), gram_ref, complete_ref,
+        assert abs(sys.gram_defect - gram_ref) <= rounding
+        assert abs(sys.completeness_defect - complete_ref) <= rounding
+        for defect in (sys.gram_defect, sys.completeness_defect, gram_ref, complete_ref,
                        gram_formed, complete_formed):
             assert defect <= 64 * n * EPS * cond
 
@@ -335,7 +335,7 @@ def assert_matches_the_reference(sys, reference):
     assert np.array_equal(sys.eigenvalues, w)
     for got, ref in zip(formed_vectors(sys), (v, phi)):
         assert max_norm(got - ref) <= rounding * max_norm(ref)
-    assert max_norm(sys.right_singular_values - sv) <= rounding * sv[0]
+    assert max_norm(sys.factors[1] - sv) <= rounding * sv[0]
 
 
 def assert_complex_route(linalg_counter, eig_dtype=complex):

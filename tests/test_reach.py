@@ -53,11 +53,6 @@ UNREACHED = {
 # "module.Class.name", that no run enters, each kept on purpose;
 # dataclass-generated methods are not counted.
 UNREACHED_METHODS = {
-    # symmetry_rescaled_metric's scale count; the pipeline reads the spectrum's length
-    "spectral.BiorthonormalSystem.dim",
-    # psi's singular values, for callers judging conditioning; the cond cap
-    # reads them when the system is built
-    "spectral.BiorthonormalSystem.right_singular_values",
     # general_kernel's Hermiticity constraints on the pair (f, g) (claim a)
     "wavekernel.HomogeneousPair.constraint_defects",
     "wavekernel.HomogeneousPair.is_valid",
