@@ -76,6 +76,7 @@ from .wavekernel import (
     grid_points,
     hermiticity_defect,
     jump_condition_defect,
+    kernel_rows,
     kernel_to_matrix,
     offdiagonal_commutator_check,
     particular_kernel_q1,
@@ -136,6 +137,7 @@ __all__ = [
     "hermiticity_defect",
     "is_hermitian",
     "jump_condition_defect",
+    "kernel_rows",
     "kernel_to_matrix",
     "load_spec",
     "master_formula_coefficients",

@@ -22,8 +22,10 @@ from .report import MAX_FILE_NAME_BYTES, longest_file_name_bytes
 from .wavekernel import PiecewisePotential, discretize_schroedinger
 
 # Largest Schroedinger grid, and largest explicit matrix, a spec may ask for.
-# Every task holds dense complex N x N arrays (16 N^2 bytes each: 268 MB at
-# 4097), so a larger N is refused at load time, before anything is allocated.
+# The spectral, perturbative and scaling tasks hold dense complex N x N arrays
+# (16 N^2 bytes each: 268 MB at 4097), so a larger N is refused at load time,
+# before anything is allocated. The wave task reads its kernel matrix in row
+# blocks and holds no N x N array.
 MAX_GRID_POINTS = 4097
 
 _MODEL_VARIANTS = ("matrix", "split_matrix", "schroedinger")

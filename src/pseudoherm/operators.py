@@ -64,21 +64,27 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def max_norm(a: np.ndarray) -> float:
-    """Largest absolute entry; 0.0 for empty arrays; an overflowed (inf, NaN) entry raises."""
+def max_norm(a: np.ndarray, name: str | None = None) -> float:
+    """Largest absolute entry; 0.0 for empty arrays; an overflowed (inf, NaN) entry raises.
+
+    The NonFiniteError names the array as name, or by its shape.
+    """
     norm = float(np.abs(a).max()) if a.size else 0.0
     if not np.isfinite(norm):  # else an overflowed residual would pass a check: inf > inf
-        raise NonFiniteError(f"max-norm of a {a.shape} array is {norm}: an entry overflowed")
+        name = f"a {a.shape} array" if name is None else name
+        raise NonFiniteError(f"max-norm of {name} is {norm}: an entry overflowed")
     return norm
 
 
-def _max_norm_rows(rows, n: int) -> float:
-    """max_norm of the n-row array whose rows start:stop are rows(start, stop).
+def _max_norm_rows(rows, n: int, name: str) -> float:
+    """max_norm of the n-row array name whose rows start:stop are rows(start, stop).
 
     The rows are formed and reduced ROW_BLOCK at a time, so no N x N
-    temporary is held; an overflowed entry raises as in max_norm.
+    temporary is held; an overflowed entry raises as in max_norm, naming the
+    array and the block's rows.
     """
-    return max(max_norm(rows(s, min(s + ROW_BLOCK, n))) for s in range(0, n, ROW_BLOCK))
+    blocks = [(s, min(s + ROW_BLOCK, n)) for s in range(0, n, ROW_BLOCK)]
+    return max(max_norm(rows(s, e), f"{name}, rows {s}:{e} of {n},") for s, e in blocks)
 
 
 class _Fresh:
@@ -263,19 +269,24 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray) -> np.ndarray:
+def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray, work=None) -> np.ndarray:
     """[T, X] for the symmetric T with diag on the diagonal and off on both neighbours.
 
     Rows and columns of T X and X T are summed as the dense product sums them:
     the diagonal term, then the lower and the upper neighbour. Works on the
-    real view of X, where one complex column is two real ones.
+    real view of X, where one complex column is two real ones. The three
+    products go into work, three float arrays of that view's shape, when
+    given (the result is then a view of work[1]), else into fresh arrays.
     """
     xr = np.ascontiguousarray(x, dtype=complex).view(float)
-    oxr = off * xr
-    rows = diag * xr
+    if work is None:
+        work = [np.empty(xr.shape) for _ in range(3)]
+    oxr, rows, cols = work
+    np.multiply(off, xr, out=oxr)
+    np.multiply(diag, xr, out=rows)
     rows[1:] += oxr[:-1]
     rows[:-1] += oxr[1:]
-    cols = diag * xr
+    np.multiply(diag, xr, out=cols)
     cols[:, 2:] += oxr[:, :-2]
     cols[:, :-2] += oxr[:, 2:]
     rows -= cols
@@ -385,12 +396,18 @@ class SplitHamiltonian:
             return max_norm(self._dense[1].mat)
         return max_norm(self._stencil[2])
 
-    def h0_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    def h0_commutator(
+        self, x: np.ndarray, start: int = 0, stop: int | None = None, work=None
+    ) -> np.ndarray:
         """Rows start:stop of [H0, X]; all of [H0, X] by default.
 
         In the structured form a row of [H0, X] reads only the rows of X next
         to it, so the rows come from a slab of X with one halo row on each
-        side, each entry summed exactly as in the whole commutator.
+        side, each entry summed exactly as in the whole commutator. work is
+        scratch for that form's products, a float array of shape
+        (3, >= slab rows, 2N), which a caller taking many row blocks passes
+        to every call; the result then lives in work until the next call.
+        The dense form takes no scratch and ignores it.
         """
         n = x.shape[0]
         stop = n if stop is None else stop
@@ -399,7 +416,9 @@ class SplitHamiltonian:
             return h0[start:stop] @ x - x[start:stop] @ h0
         diag, off, _ = self._stencil
         lo, hi = max(start - 1, 0), min(stop + 1, n)
-        return _tridiagonal_commutator(diag, off, x[lo:hi])[start - lo : stop - lo]
+        if work is not None:
+            work = work[:, : hi - lo]
+        return _tridiagonal_commutator(diag, off, x[lo:hi], work)[start - lo : stop - lo]
 
     def h1_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows start:stop of [H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""

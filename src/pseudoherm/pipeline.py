@@ -54,7 +54,7 @@ from .wavekernel import (
     grid_points,
     hermiticity_defect,
     jump_condition_defect,
-    kernel_to_matrix,
+    kernel_rows,
     offdiagonal_commutator_check,
     particular_kernel_q1,
 )
@@ -231,10 +231,11 @@ def _wave_task(ctx: _RunContext, verdicts: list) -> dict:
     xs = np.linspace(-K.domain_box, K.domain_box, 41)
     jump = jump_condition_defect(K, v, 1e-3, xs)
     verdicts.append(_verdict("jump_condition_defect", jump, JUMP_TOL))
-    M = kernel_to_matrix(K, model.L, model.N)
+    # M is read only in row blocks, filled on demand, and never formed whole:
+    # |M| here and the check's halo slabs each fill the rows they read
+    M = kernel_rows(K, model.L, model.N)
+    m_norm = _max_norm_rows(M, model.N, "the kernel matrix M")
     offdiag = offdiagonal_commutator_check(split, M, band_exclude=2)
-    # |M| in row blocks, as the check takes M: a whole |M| would set the peak
-    m_norm = _max_norm_rows(lambda start, stop: M.mat[start:stop], model.N)
     bound = RESIDUAL_REL * max(1.0, split.h0_norm() * m_norm)
     verdicts.append(_verdict("offdiagonal_commutator_defect", offdiag, bound))
     slice_vals = np.asarray(K(grid, 0.0))

@@ -240,9 +240,11 @@ def pseudo_hermiticity_residual(H, eta) -> float:
         raise InvertibilityError(f"metric is numerically singular (smallest sv {lo:.3e})")
     split = _stencil(H)
     if split is not None:
-        return _max_norm_rows(lambda start, stop: split.adjoint_residual(e, start, stop), H.dim)
+        return _max_norm_rows(
+            lambda start, stop: split.adjoint_residual(e, start, stop), H.dim, "H^dagger eta - eta H"
+        )
     h = _dense(H)
-    return max_norm(h.conj().T @ e - e @ h)
+    return max_norm(h.conj().T @ e - e @ h, "H^dagger eta - eta H")
 
 
 def pseudo_hermiticity_threshold(H, eta) -> float:
@@ -353,10 +355,10 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     comm = None
     split = _stencil(H)
     if split is not None:
-        comm = _max_norm_rows(lambda start, stop: split.total_commutator(c, start, stop), n)
+        comm = _max_norm_rows(lambda start, stop: split.total_commutator(c, start, stop), n, "[C, H]")
     elif H is not None:
         h = _dense(H)
-        comm = max_norm(c @ h - h @ c)
+        comm = max_norm(c @ h - h @ c, "[C, H]")
     return Operator._own(c), comm, invol
 
 

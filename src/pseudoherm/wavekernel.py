@@ -137,7 +137,7 @@ class KernelFunction:
     is the homogeneous pair (f, g), or None for the particular solution
     alone. domain_box is the half-width of the box the kernel is meant to be
     sampled on. Each of F, f and g is a function of one variable, so
-    kernel_to_matrix needs each at 2N - 1 points only.
+    kernel_rows needs each at 2N - 1 points only.
     """
 
     profile: Callable
@@ -240,13 +240,16 @@ def grid_points(L: float, N: int) -> np.ndarray:
     return np.linspace(-L, L, N)
 
 
-def kernel_to_matrix(K: KernelFunction, L: float, N: int) -> Operator:
-    """Quadrature bridge M_ij = K(x_i, x_j) dx on the discretization grid.
+def kernel_rows(K: KernelFunction, L: float, N: int) -> Callable[[int, int], np.ndarray]:
+    """The row fill of M_ij = K(x_i, x_j) dx on the discretization grid.
 
+    Returns rows, where rows(start, stop) is a fresh complex array holding
+    rows start:stop of M, so that a reader of M in row blocks never forms
+    the N x N matrix.
     On the uniform grid x_i + x_j depends only on i + j and x_i - x_j only
     on i - j, so K's d'Alembert form fills M from 2N - 1 samples of each of
-    F, f and g, with no N x N argument, sign or value array: F at the
-    midpoints 0.5 (x[k//2] + x[(k+1)//2]) gives the Hankel part
+    F, f and g, taken once here, with no N x N argument, sign or value array:
+    F at the midpoints 0.5 (x[k//2] + x[(k+1)//2]) gives the Hankel part
     F_{i+j} sign(i - j) dx, and a pair adds the Toeplitz part f_{i-j} dx and
     the Hankel part g_{i+j} dx. Where N - 1 is a power of two the grid sums
     and differences are exact and M equals K(x_i, x_j) dx bit for bit;
@@ -259,51 +262,71 @@ def kernel_to_matrix(K: KernelFunction, L: float, N: int) -> Operator:
     window = np.lib.stride_tricks.sliding_window_view
     prof = np.asarray(K.profile(0.5 * sums), dtype=complex) * dx
     hankel = window(prof, N)  # hankel[i, j] = prof[i + j]
-    m = np.empty((N, N), dtype=complex)
-    for i in range(N):
-        m[i, :i] = hankel[i, :i]
-        m[i, i] = 0.0
-        np.negative(hankel[i, i + 1 :], out=m[i, i + 1 :])
     if K.hom is not None:
         d = k - (N - 1)
         diffs = xs[np.maximum(d, 0)] - xs[np.maximum(-d, 0)]  # x_i - x_j for i - j = d
         toeplitz = window(np.asarray(K.hom.f(diffs), dtype=complex)[::-1] * dx, N)[::-1]
-        m += toeplitz  # toeplitz[i, j] = f_{i-j} dx
-        m += window(np.asarray(K.hom.g(sums), dtype=complex) * dx, N)
-    return Operator._own(m)
+        g_hankel = window(np.asarray(K.hom.g(sums), dtype=complex) * dx, N)
+
+    def rows(start: int, stop: int) -> np.ndarray:
+        m = np.empty((stop - start, N), dtype=complex)
+        for r, i in enumerate(range(start, stop)):
+            m[r, :i] = hankel[i, :i]
+            m[r, i] = 0.0
+            np.negative(hankel[i, i + 1 :], out=m[r, i + 1 :])
+        if K.hom is not None:
+            m += toeplitz[start:stop]  # toeplitz[i, j] = f_{i-j} dx
+            m += g_hankel[start:stop]
+        return m
+
+    return rows
+
+
+def kernel_to_matrix(K: KernelFunction, L: float, N: int) -> Operator:
+    """Quadrature bridge M_ij = K(x_i, x_j) dx: every row of kernel_rows' fill, as an Operator."""
+    return Operator._own(kernel_rows(K, L, N)(0, N))
 
 
 def offdiagonal_commutator_check(
-    split: SplitHamiltonian, M: Operator, band_exclude: int
+    split: SplitHamiltonian, M: Operator | Callable[[int, int], np.ndarray], band_exclude: int
 ) -> float:
     """Max-norm of [H0, M] + 2 H1 away from the singular band and boundary rows.
 
-    Entries with |i-j| <= band_exclude, min(i,j) <= 2 or max(i,j) >= N-3 are
-    excluded: the delta source lives on the diagonal band and Dirichlet
-    truncation pollutes the outermost rows. The kept rows [3, N - 3) are
-    taken ROW_BLOCK (32) at a time, so the check holds a few rows of M's
-    size, not N x N arrays (near 4 MB at N = 2049, against 67 MB for M): each block's rows of [H0, M] + 2 H1 come from
+    M is an Operator or a row fill rows(start, stop), such as kernel_rows
+    returns, which the check reads without ever forming M. Entries with
+    |i-j| <= band_exclude, min(i,j) <= 2 or max(i,j) >= N-3 are excluded:
+    the delta source lives on the diagonal band and Dirichlet truncation
+    pollutes the outermost rows. The kept rows [3, N - 3) are taken
+    ROW_BLOCK (32) at a time: each block's rows of [H0, M] + 2 H1 come from
     split.h0_commutator and split.add_h1 over those rows, the block's band
-    entries are zeroed, and its maximum over columns [3, N - 3) is kept. The
-    block maxima are combined so that a NaN an overflow leaves off the band
-    is returned, not dropped; the overflow itself raises no warning.
+    entries are zeroed, and its maximum over columns [3, N - 3) is kept. A
+    grid split reads each block's rows from a slab of M with one halo row on
+    each side, each entry summed as the whole commutator sums it, so the
+    check holds a few rows of M, not N x N arrays (5.0 MB at N = 2049, where
+    M would be 67 MB; tracemalloc); a dense split's products read all of M. The block maxima are combined so that a NaN an overflow leaves off
+    the band is returned, not dropped; the overflow itself raises no warning.
 
     For a grid split, [H0, M] is the three-point stencil applied along the
     rows of M minus the same along its columns, O(N^2) with no matrix product,
     and 2 H1 is added on the diagonal only. Off the band H1 drops out, and on
     the uniform grid any fill F(x+y) sign(x-y) + f(x-y) + g(x+y) makes the
     stencil entries cancel in pairs (the discrete d'Alembert identity), so the
-    defect is identically zero up to rounding at every N. kernel_to_matrix's
-    fill of a kernel with no pair has entries that depend on i + j alone, so
-    its row and column passes round alike and the pipeline's defect is
-    exactly 0 at every N. It guards the grid fill (a kernel not of that form
-    leaves an O(1) defect) and does not measure convergence; the
-    discretization error lives on the band.
+    defect is identically zero up to rounding at every N. kernel_rows' fill
+    of a kernel with no pair has entries that depend on i + j alone, so its
+    row and column passes round alike and the pipeline's defect is exactly 0
+    at every N. It guards the grid fill (a kernel not of that form leaves an
+    O(1) defect) and does not measure convergence; the discretization error
+    lives on the band.
     The pipeline's offdiagonal_commutator_defect verdict reports this value.
     """
     if band_exclude < 2:
         raise DomainError(f"band_exclude must be >= 2, got {band_exclude}")
-    n = M.dim
+    n = split.dim
+    rows = M if callable(M) else lambda start, stop: M.mat[start:stop]
+    whole = None if split.is_stencil else rows(0, n)
+    # one scratch for every block's stencil products: fresh ones per block
+    # made the allocator hand the heap back and fault it in again each time
+    work = np.empty((3, ROW_BLOCK + 2, 2 * n)) if whole is None else None
     lo, hi = 3, n - 3
     width = min(band_exclude, n)  # a wider band adds only columns outside the matrix
     offsets = np.arange(-width, width + 1)
@@ -311,9 +334,13 @@ def offdiagonal_commutator_check(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(lo, hi, ROW_BLOCK):
             stop = min(start + ROW_BLOCK, hi)
-            block = np.abs(split.add_h1(split.h0_commutator(M.mat, start, stop), 2.0, start))
-            rows = np.arange(start, stop)[:, None]
+            if whole is None:  # the slab's rows 1:stop - start + 1 are M's rows start:stop
+                comm = split.h0_commutator(rows(start - 1, stop + 1), 1, stop - start + 1, work)
+            else:
+                comm = split.h0_commutator(whole, start, stop)
+            block = np.abs(split.add_h1(comm, 2.0, start))
+            kept = np.arange(start, stop)[:, None]
             # band columns past either edge clip to columns 0 and N - 1, which are not kept
-            block[rows - start, np.clip(rows + offsets, 0, n - 1)] = 0.0
+            block[kept - start, np.clip(kept + offsets, 0, n - 1)] = 0.0
             peaks.append(block[:, lo:hi].max())
     return float(np.max(peaks))

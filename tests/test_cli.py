@@ -209,9 +209,9 @@ def test_spectral_task_memory_at_n513():
 
 
 def test_wave_task_memory_at_n2049():
-    # M is a 67 MB complex matrix at N = 2049. The whole wave task holds M and
-    # a few of its rows at a time: the check and the threshold's |M| are both
-    # taken in row blocks, where a whole |M| beside M read 1.51 |M|
+    # M would be a 67 MB complex matrix at N = 2049. The whole wave task never
+    # forms it: the check and the threshold's |M| both read kernel_rows' fill
+    # in row blocks (5.8 MB measured; forming M made it 76 MB)
     N = 2049
     spec = load_spec(shipped("step_potential.json"))
     model = dataclasses.replace(spec.model, N=N)
@@ -225,7 +225,7 @@ def test_wave_task_memory_at_n2049():
     finally:
         tracemalloc.stop()
     assert [v["ok"] for v in verdicts] == [True] * 3
-    assert peak < 1.25 * N * N * 16
+    assert peak < 16_000_000
 
 
 def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
@@ -516,6 +516,22 @@ def test_run_time_overflow_is_a_typed_task_error(case, tmp_path):
     assert issubclass(error_class, errors.PseudohermError)
     assert error_class is not errors.PseudohermError
     assert [v["name"] for v in task["verdicts"]] == kept
+
+
+def test_an_overflowed_kernel_row_block_is_named(tmp_path):
+    # on a box of half-width L = 1e3 at N = 64, dx is 31.7, and F dx =
+    # (i/2) V dx overflows wherever |V| reaches 1e308, as it does in row 0:
+    # the error names M and the row block, and the verdicts decided before
+    # it stay in the record
+    doc = _step_case("wide", [{"kind": "wave"}], L=1e3, N=64, values=[0.0, 1e308, -1e308, 0.0])
+    (task,) = run_model_spec(load_spec(write_spec(tmp_path, doc)))["tasks"]
+    assert task["error"] == (
+        "NonFiniteError: max-norm of the kernel matrix M, rows 0:32 of 64, is inf: "
+        "an entry overflowed"
+    )
+    assert [v["name"] for v in task["verdicts"]] == [
+        "kernel_hermiticity_defect", "jump_condition_defect"
+    ]
 
 
 def test_wide_box_wave_task_samples_the_jump_on_the_kernel_box(tmp_path):

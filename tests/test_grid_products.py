@@ -308,6 +308,19 @@ def test_norm_is_the_max_norm_of_the_dense_h_bit_for_bit(N):
                 method()
 
 
+def test_row_block_checks_name_the_overflowed_rows():
+    # with the stencil's neighbour coefficient at 1e308, the residual and
+    # [C, H] of a large diagonal eta overflow in their first row block, and
+    # the errors name the quantity and the block's rows
+    N = 40
+    split = SplitHamiltonian.tridiagonal(1.0, 1e308, np.zeros(N), 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match=r"^max-norm of H\^dagger eta - eta H, rows 0:32 of 40, is "):
+            pseudo_hermiticity_residual(split, 2.0 * np.eye(N))
+        with pytest.raises(NonFiniteError, match=r"^max-norm of \[C, H\], rows 0:32 of 40, is "):
+            c_operator(0.25 * np.eye(N), IndexReversal(N), split)
+
+
 @pytest.mark.parametrize("N", [16, 129])
 def test_split_eigensystem_is_the_operators(N):
     # the eig runs on the split's own frame matrix, or off the frame on its

@@ -19,6 +19,8 @@ from pseudoherm import (
     nested_commutator,
 )
 
+from pseudoherm.operators import _max_norm_rows
+
 from helpers import herm_exp
 
 
@@ -73,6 +75,23 @@ def test_own_freezes_a_fresh_array_in_place():
         Operator._own(np.zeros((2, 3), dtype=complex))
     with pytest.raises(NonFiniteError):
         Operator._own(np.full((2, 2), np.nan + 0j))
+
+
+def test_max_norm_names_the_array_and_the_overflowed_rows():
+    a = np.zeros((70, 3), dtype=complex)
+    a[40, 1] = np.inf
+    with pytest.raises(NonFiniteError, match=r"^max-norm of a \(70, 3\) array is inf: "):
+        max_norm(a)
+    with pytest.raises(NonFiniteError, match=r"^max-norm of X is inf: an entry overflowed$"):
+        max_norm(a, "X")
+    # the row blocks before the overflowed one reduce to finite maxima
+    with pytest.raises(NonFiniteError, match=r"^max-norm of X, rows 32:64 of 70, is inf: "):
+        _max_norm_rows(lambda start, stop: a[start:stop], 70, "X")
+    a[40, 1] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^max-norm of X, rows 32:64 of 70, is nan: "):
+        _max_norm_rows(lambda start, stop: a[start:stop], 70, "X")
+    a[40, 1] = 1.0
+    assert _max_norm_rows(lambda start, stop: a[start:stop], 70, "X") == 1.0
 
 
 def test_operator_arithmetic_and_adjoint():

@@ -29,6 +29,9 @@ UNREACHED = {
     "operators.bch_conjugate",  # the truncated series H + sum_k [H,Q]_k / k!
     "spectral.equivalent_hermitian",  # public face of the spectral task's _equivalent_hermitian
     "wavekernel.general_kernel",  # the wave kernel's gauge freedom f(x-y) + g(x+y) (claim a)
+    # the dense M the tests and API callers compare against; the wave task reads
+    # kernel_rows' fill in row blocks and never forms M
+    "wavekernel.kernel_to_matrix",
     # the master formula's triple sum, against order_equation_rhs
     "perturbation.master_formula_rhs",
     "spectral.metric_factorization",  # the Cholesky factor O with O^dagger O = eta

@@ -15,6 +15,7 @@ from pseudoherm import (
     grid_points,
     hermiticity_defect,
     jump_condition_defect,
+    kernel_rows,
     kernel_to_matrix,
     max_norm,
     offdiagonal_commutator_check,
@@ -23,6 +24,7 @@ from pseudoherm import (
     PiecewisePotential,
     SplitHamiltonian,
 )
+from pseudoherm.operators import _max_norm_rows
 
 
 def closed_form_step_q1(x, y):
@@ -437,6 +439,54 @@ def test_hankel_fill_matches_the_on_grid_fill(N):
             assert offdiagonal_commutator_check(split, Operator(m), band_exclude=2) == 0.0
 
 
+def dense_fill_reference(K, L, N):
+    """M as the dense fill wrote it before the row fill: all N rows into one
+    array, then the pair's Toeplitz and Hankel parts added to the whole."""
+    xs = grid_points(L, N)
+    dx = 2.0 * L / (N - 1)
+    k = np.arange(2 * N - 1)
+    sums = xs[k // 2] + xs[(k + 1) // 2]
+    window = np.lib.stride_tricks.sliding_window_view
+    hankel = window(np.asarray(K.profile(0.5 * sums), dtype=complex) * dx, N)
+    m = np.empty((N, N), dtype=complex)
+    for i in range(N):
+        m[i, :i] = hankel[i, :i]
+        m[i, i] = 0.0
+        np.negative(hankel[i, i + 1 :], out=m[i, i + 1 :])
+    if K.hom is not None:
+        d = k - (N - 1)
+        diffs = xs[np.maximum(d, 0)] - xs[np.maximum(-d, 0)]
+        m += window(np.asarray(K.hom.f(diffs), dtype=complex)[::-1] * dx, N)[::-1]
+        m += window(np.asarray(K.hom.g(sums), dtype=complex) * dx, N)
+    return m
+
+
+@pytest.mark.parametrize("N", [16, 17, 129, 2049])
+def test_row_fill_matches_the_dense_fill_bit_for_bit(N):
+    # every range the wave task reads: blocks touching row 0 and row N, one
+    # around the middle row, the check's halo slabs rows(start - 1, stop + 1)
+    # of its kept rows [3, N - 3), and all N rows, which kernel_to_matrix takes
+    v = step_potential()
+    K = particular_kernel_q1(v)
+    split = discretize_schroedinger(v, 4.0, N)
+    mid = N // 2
+    ranges = [(0, 1), (0, min(32, N)), (N - 5, N), (N - 1, N), (mid - 4, mid + 5), (0, N), (7, 7)]
+    ranges += [(start - 1, min(start + 32, N - 3) + 1) for start in range(3, N - 3, 32)]
+    for kernel in (K, general_kernel(K, sin_gauge_pair()), general_kernel(K, even_gauge_pair())):
+        ref = dense_fill_reference(kernel, 4.0, N)
+        rows = kernel_rows(kernel, 4.0, N)
+        for start, stop in ranges:
+            got = rows(start, stop)
+            assert got.shape == (stop - start, N) and np.array_equal(got, ref[start:stop])
+        assert np.array_equal(kernel_to_matrix(kernel, 4.0, N).mat, ref)
+        # the check reads the same entries from the row fill as from M
+        by_rows = offdiagonal_commutator_check(split, rows, band_exclude=2)
+        assert by_rows == offdiagonal_commutator_check(split, Operator(ref), band_exclude=2)
+        if kernel.hom is None:
+            assert by_rows == 0.0
+        del ref
+
+
 def test_kernel_to_matrix_samples_each_part_at_2n_minus_1_points():
     # F, f and g are each evaluated on at most 2N - 1 points, never on N^2
     sizes = {"F": [], "f": [], "g": []}
@@ -457,25 +507,26 @@ def test_kernel_to_matrix_samples_each_part_at_2n_minus_1_points():
 
 
 def test_wave_fill_and_check_memory_at_n2049():
-    # M is a 67 MB complex matrix at N = 2049. The fill holds M alone, frozen
-    # in place (Operator._own), with no copy and no N x N argument, sign or
-    # value array; the check holds a few rows of M per block, not N x N arrays.
+    # M would be a 67 MB complex matrix at N = 2049. The wave path never forms
+    # it: the row fill holds 2N - 1 samples, |M| reduces its rows a block at
+    # a time, and the check holds a few rows of M per block, not N x N arrays
+    # (5.1 MB for the whole path and 5.0 MB for the check, measured)
     N = 2049
     v = step_potential()
     split = discretize_schroedinger(v, 4.0, N)
     K = particular_kernel_q1(v)
-    size = N * N * 16
     tracemalloc.start()
     try:
-        M = kernel_to_matrix(K, 4.0, N)
-        _, fill_peak = tracemalloc.get_traced_memory()
+        rows = kernel_rows(K, 4.0, N)
+        assert _max_norm_rows(rows, N, "M") == 1.953125e-3
+        _, norm_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         held, _ = tracemalloc.get_traced_memory()
-        offdiagonal_commutator_check(split, M, band_exclude=2)
+        assert offdiagonal_commutator_check(split, rows, band_exclude=2) == 0.0
         _, check_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert fill_peak < 1.5 * size
+    assert max(norm_peak, check_peak) < 16_000_000
     assert check_peak - held < 16_000_000
 
 
