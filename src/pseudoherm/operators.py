@@ -20,11 +20,22 @@ Grid structure: a SplitHamiltonian built by tridiagonal holds the
 Schroedinger H = H0 + eps H1 as O(N) data. Every product with H that a check
 needs (H^dagger X - X H and [H, X]) is a three-point stencil plus an
 elementwise product, O(N^2) with no matrix product, and H's PT-frame matrix
-and max-norm come from that data, with no dense H. IndexReversal holds the
-grid reflection J as its dimension, so products with J are index flips.
-Checks that keep only a max-norm take their rows ROW_BLOCK at a time
-(_max_norm_rows). A SplitHamiltonian built from two dense Operators, and an
-explicit parity matrix, keep the dense products.
+and max-norm come from that data, with no dense H. On a real X the stencil
+runs in real arithmetic, and H0's Hermiticity rule and eigh read the real
+stencil, so the grid's perturbative terms (i^m times a real matrix) never
+need a complex N x N array. IndexReversal holds the grid reflection J as its
+dimension, so products with J are index flips. A SplitHamiltonian built
+from two dense Operators, and an explicit parity matrix, keep the dense
+products.
+
+Row blocks: checks that keep only a max-norm take their rows ROW_BLOCK at a
+time (_max_norm_rows), and so do the Hermiticity rules (_hermiticity) and
+pt_frame's PT-odd rule, which read each block's rows and the matching
+columns; to_pt_frame and from_pt_frame write or give rows the same way.
+Each reads the entries the whole-matrix form reads and takes the same
+maxima, so the values are the whole matrix's bit for bit, with no N x N
+temporary. A complex matrix held as its two real parts (_ComplexParts)
+enters these rules as it is.
 """
 
 from __future__ import annotations
@@ -83,8 +94,12 @@ def _max_norm_rows(rows, n: int, name: str) -> float:
     temporary is held; an overflowed entry raises as in max_norm, naming the
     array and the block's rows.
     """
-    blocks = [(s, min(s + ROW_BLOCK, n)) for s in range(0, n, ROW_BLOCK)]
-    return max(max_norm(rows(s, e), f"{name}, rows {s}:{e} of {n},") for s, e in blocks)
+    return max(max_norm(rows(s, e), f"{name}, rows {s}:{e} of {n},") for s, e in _row_blocks(n))
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of ROW_BLOCK rows of an n-row array."""
+    return [(s, min(s + ROW_BLOCK, n)) for s in range(0, n, ROW_BLOCK)]
 
 
 class _Fresh:
@@ -163,14 +178,47 @@ def _as_matrix(x) -> np.ndarray:
     return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)
 
 
-def half_difference_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """max_norm(a - b) / 2, taken as max_norm(a/2 - b/2) so that no entry overflows."""
-    return max_norm(a / 2 - b / 2)
+class _ComplexParts:
+    """The complex matrix re + i im, held as its two real parts.
+
+    Indexing forms the complex entries of the rows or columns asked for,
+    so the row-blocked rules below read it like a complex array without
+    an N x N complex matrix; a part given as None is zero. .real and .imag
+    are the parts, as to_pt_frame reads them.
+    """
+
+    def __init__(self, re: np.ndarray | None, im: np.ndarray | None):
+        shape = (re if re is not None else im).shape
+        zero = np.broadcast_to(0.0, shape)
+        self.real = zero if re is None else re
+        self.imag = zero if im is None else im
+        self.shape = shape
+
+    def __getitem__(self, index) -> np.ndarray:
+        re = self.real[index]
+        x = np.empty(re.shape, dtype=complex)
+        x.real = re
+        x.imag = self.imag[index]
+        return x
 
 
-def _hermiticity(m: np.ndarray) -> tuple[float, float]:
-    """(max_norm(m), max_norm(m - m^dagger)), the defect taken from halves, free of overflow."""
-    return max_norm(m), 2 * half_difference_norm(m, m.conj().T)
+def _hermiticity(m, name: str = "the matrix", sign: float = 1.0) -> tuple[float, float]:
+    """(max_norm(m), max_norm(m - sign m^dagger)): the Hermiticity rule on m (sign 1), or
+    on i m (sign -1, which makes it the anti-Hermiticity rule on m).
+
+    m is an array or a _ComplexParts. Both are reduced ROW_BLOCK rows at a
+    time, from the rows of m and the matching columns of m^dagger, and the
+    defect is taken from halves, m/2 - sign m^dagger/2, so that no entry
+    overflows; the maxima are the whole matrix's, bit for bit.
+    """
+
+    def defect_rows(start: int, stop: int) -> np.ndarray:
+        half, adjoint = m[start:stop] / 2, m[:, start:stop].T.conj() / 2
+        return half - adjoint if sign > 0 else half + adjoint
+
+    n = m.shape[0]
+    norm = _max_norm_rows(lambda start, stop: m[start:stop], n, name)
+    return norm, 2 * _max_norm_rows(defect_rows, n, f"{name} - {name}^dagger")
 
 
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -179,33 +227,43 @@ def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return defect <= tol.bound(norm)
 
 
-def to_pt_frame(x: np.ndarray) -> np.ndarray:
+def to_pt_frame(x) -> np.ndarray:
     """Re(S^dagger X S): the real matrix of X's PT-even part (X + J conj(X) J)/2.
 
     It is S^dagger X S itself when X is PT-symmetric. With A, B the real and
     imaginary parts of X, it is (A + JAJ)/2 + (JB - BJ)/2; each term is
-    halved before the sums. The result itself can still overflow, to inf or
-    NaN, which callers check for.
+    halved before the sums, which are written ROW_BLOCK rows at a time. x
+    is an array or a _ComplexParts. The result itself can still overflow,
+    to inf or NaN, which callers check for.
     """
-    a = x.real / 2
-    b = x.imag / 2
+    a, b = x.real, x.imag
+    n = x.shape[0]
+    r = np.empty(x.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = a + a[::-1, ::-1]
-        r += b[::-1]
-        r -= b[:, ::-1]
+        for start, stop in _row_blocks(n):
+            # rows start:stop of A/2 and of J A/2, J B/2 (flipped rows n - stop:n - start)
+            block = r[start:stop]
+            np.add(a[start:stop] / 2, (a[n - stop : n - start][::-1] / 2)[:, ::-1], out=block)
+            block += b[n - stop : n - start][::-1] / 2
+            block -= (b[start:stop] / 2)[:, ::-1]
     return r
 
 
-def from_pt_frame(y: np.ndarray) -> np.ndarray:
-    """S Y S^dagger for a real Y, the inverse of to_pt_frame on PT-symmetric matrices.
+def from_pt_frame(y: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start:stop of S Y S^dagger for a real Y (all rows by default), the inverse
+    of to_pt_frame on PT-symmetric matrices.
 
     Real part (Y + JYJ)/2 and imaginary part (JY - YJ)/2, both written into
-    one complex array; a symmetric Y gives a Hermitian result.
+    one complex array; a symmetric Y gives a Hermitian result. Each entry
+    reads Y's entries alone, so a row block is those rows of the whole, bit
+    for bit.
     """
-    h = y / 2
+    n = y.shape[0]
+    stop = n if stop is None else stop
+    h, jh = y[start:stop] / 2, y[n - stop : n - start][::-1] / 2  # rows of Y/2 and J Y/2
     x = np.empty(h.shape, dtype=complex)
-    np.add(h, h[::-1, ::-1], out=x.real)
-    np.subtract(h[::-1], h[:, ::-1], out=x.imag)
+    np.add(h, jh[:, ::-1], out=x.real)
+    np.subtract(jh, h[:, ::-1], out=x.imag)
     return x
 
 
@@ -214,47 +272,75 @@ def from_pt_frame_columns(v: np.ndarray) -> np.ndarray:
     return v + 1j * v[::-1]
 
 
-def pt_frame(m: np.ndarray) -> np.ndarray | None:
+def pt_frame(m) -> np.ndarray | None:
     """to_pt_frame(m) when m is PT-symmetric to rounding and that matrix is finite, else None.
 
     The one rule for which matrices are factorized in the frame. Rounding
     level is max_norm(m - J conj(m) J) <= PT_FRAME_ULPS * n * eps * max_norm(m):
     relative only and independent of any caller's Tolerance, so the PT-odd
     part that to_pt_frame drops is no larger than the backward error of the
-    factorization itself. Any other m keeps the complex path.
+    factorization itself. Any other m keeps the complex path. m is an array
+    or a _ComplexParts; both norms are taken ROW_BLOCK rows at a time, from
+    halves as half of max_norm(m - J conj(m) J).
     """
-    bound = PT_FRAME_ULPS * m.shape[0] * np.finfo(float).eps * max_norm(m)
-    if half_difference_norm(m, m[::-1, ::-1].conj()) > bound / 2:
+    n = m.shape[0]
+    bound = PT_FRAME_ULPS * n * np.finfo(float).eps * _max_norm_rows(lambda s, e: m[s:e], n, "the matrix")
+
+    def odd_rows(start: int, stop: int) -> np.ndarray:
+        return m[start:stop] / 2 - m[n - stop : n - start][::-1, ::-1].conj() / 2
+
+    if _max_norm_rows(odd_rows, n, "the matrix's PT-odd part") > bound / 2:
         return None
     r = to_pt_frame(m)
     return r if np.isfinite(r).all() else None
 
 
-def _hermitian_eigensystem(
-    m: np.ndarray, tol: Tolerance, caller: str
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def _hermitian_eigensystem(m, tol: Tolerance, caller: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """(w, u, in_frame): eigh of the Hermitian part of m, once m is checked to be
     Hermitian within tol; caller names the rule.
 
-    When m has a PT frame (pt_frame), the symmetric part of its frame matrix
-    is factorized in real arithmetic: u is then real and m's eigenvectors
-    are S u.
+    m is an array or a _ComplexParts. When m has a PT frame (pt_frame), the
+    symmetric part of its frame matrix is factorized in real arithmetic: u
+    is then real and m's eigenvectors are S u.
     """
-    norm, defect = _hermiticity(m)
+    norm, defect = _hermiticity(m, f"{caller}'s argument")
     if defect > tol.bound(norm):
         raise StructureError(f"{caller} requires a Hermitian argument, defect {defect:.3e}")
     r = pt_frame(m)
     if r is not None:
-        w, u = np.linalg.eigh(r / 2 + r.T / 2)
+        del m  # a matrix no caller holds is not kept through the eigh
+        w, u = np.linalg.eigh(_symmetric_part(r))
         return w, u, True
+    m = m[:]  # a _ComplexParts forms its complex matrix only here
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
     return w, u, False
 
 
+def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian part of h, in real arithmetic when h has no imaginary part."""
+    if not h.imag.any():
+        return np.linalg.eigh((h.real + h.real.T) / 2)
+    return np.linalg.eigh((h + h.conj().T) / 2)
+
+
+def _symmetric_part(x: np.ndarray) -> np.ndarray:
+    """x/2 + x^T/2 for a real x that no caller holds, formed in place in x.
+
+    Row block I gets its columns from I on as x_IJ/2 + x_JI/2 from the rows
+    not yet overwritten, and the columns before I from the finished rows
+    above, as the transpose; each entry is the sum of the same two halves,
+    with one ROW_BLOCK-row temporary.
+    """
+    x /= 2
+    for start, stop in _row_blocks(x.shape[0]):
+        x[start:stop, start:] = x[start:stop, start:] + x[start:, start:stop].T
+        x[start:stop, :start] = x[:start, start:stop].T
+    return x
+
+
 def _symmetric_product(uf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The symmetric part of (u F) u^T for real u and uf = u F, F diagonal."""
-    x = uf @ u.T
-    return x / 2 + x.T / 2
+    return _symmetric_part(uf @ u.T)
 
 
 def _from_eigenbasis(uf: np.ndarray, u: np.ndarray, in_frame: bool) -> Operator:
@@ -266,19 +352,24 @@ def _from_eigenbasis(uf: np.ndarray, u: np.ndarray, in_frame: bool) -> Operator:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+    c = a @ b
+    c -= b @ a
+    return c
 
 
 def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray, work=None) -> np.ndarray:
     """[T, X] for the symmetric T with diag on the diagonal and off on both neighbours.
 
     Rows and columns of T X and X T are summed as the dense product sums them:
-    the diagonal term, then the lower and the upper neighbour. Works on the
-    real view of X, where one complex column is two real ones. The three
-    products go into work, three float arrays of that view's shape, when
-    given (the result is then a view of work[1]), else into fresh arrays.
+    the diagonal term, then the lower and the upper neighbour. A real X is
+    taken as it is; a complex X on its real view, where one complex column
+    is two real ones, so each part is summed as the real X would be. The
+    three products go into work, three float arrays of that view's shape,
+    when given (the result is then a view of work[1]), else into fresh arrays.
     """
-    xr = np.ascontiguousarray(x, dtype=complex).view(float)
+    real = np.isrealobj(x)
+    xr = np.ascontiguousarray(x, dtype=float) if real else np.ascontiguousarray(x, dtype=complex).view(float)
+    step = 1 if real else 2  # the real view's columns per column of X
     if work is None:
         work = [np.empty(xr.shape) for _ in range(3)]
     oxr, rows, cols = work
@@ -287,10 +378,10 @@ def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray, work=None) -
     rows[1:] += oxr[:-1]
     rows[:-1] += oxr[1:]
     np.multiply(diag, xr, out=cols)
-    cols[:, 2:] += oxr[:, :-2]
-    cols[:, :-2] += oxr[:, 2:]
+    cols[:, step:] += oxr[:, :-step]
+    cols[:, :-step] += oxr[:, step:]
     rows -= cols
-    return rows.view(complex)
+    return rows if real else rows.view(complex)
 
 
 class SplitHamiltonian:
@@ -359,13 +450,13 @@ class SplitHamiltonian:
         split.epsilon = epsilon
         return split
 
-    def _h0_matrix(self) -> np.ndarray:
-        """A fresh complex copy of H0."""
+    def _h0_matrix(self, dtype=complex) -> np.ndarray:
+        """A fresh copy of H0; the structured form's H0 is real, and dtype=float builds it so."""
         if self._stencil is None:
             return self._dense[0].mat.copy()
         diag, off, v = self._stencil
         n = v.size
-        h = np.zeros((n, n), dtype=complex)
+        h = np.zeros((n, n), dtype=dtype)
         h.flat[:: n + 1] = diag
         h.flat[1 :: n + 1] = off
         h.flat[n :: n + 1] = off
@@ -382,6 +473,26 @@ class SplitHamiltonian:
         if self._stencil is None:
             return self._dense[1]
         return Operator._own(1j * np.diag(self._stencil[2]))
+
+    def h0_hermiticity(self) -> tuple[float, float]:
+        """(max_norm(H0), max_norm(H0 - H0^dagger)), the Hermiticity rule's two numbers.
+
+        The structured form's H0 is a real symmetric stencil: its defect is
+        exactly 0, read off the O(N) data with no dense H0.
+        """
+        if self._stencil is None:
+            return _hermiticity(self._dense[0].mat, "H0")
+        return self.h0_norm(), 0.0
+
+    def h0_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, U): eigh of H0's Hermitian part, in real arithmetic when H0 is real.
+
+        The structured form factorizes its real stencil matrix, which is its
+        own Hermitian part bit for bit, so no complex H0 is built.
+        """
+        if self._stencil is None:
+            return _hermitian_eigh(self._dense[0].mat)
+        return np.linalg.eigh(self._h0_matrix(float))
 
     def h0_norm(self) -> float:
         """max_norm of H0."""
@@ -403,11 +514,13 @@ class SplitHamiltonian:
 
         In the structured form a row of [H0, X] reads only the rows of X next
         to it, so the rows come from a slab of X with one halo row on each
-        side, each entry summed exactly as in the whole commutator. work is
-        scratch for that form's products, a float array of shape
-        (3, >= slab rows, 2N), which a caller taking many row blocks passes
-        to every call; the result then lives in work until the next call.
-        The dense form takes no scratch and ignores it.
+        side, each entry summed exactly as in the whole commutator, and a
+        real X gives a real result. The rows are taken ROW_BLOCK at a time,
+        each block's products in one scratch: work, a float array of shape
+        (3, >= slab rows, 2N) for a complex X or (3, >= slab rows, N) for a
+        real one, which a caller taking many row blocks passes to every call,
+        else one made here. A single block's result then lives in work until
+        the next call. The dense form takes no scratch and ignores it.
         """
         n = x.shape[0]
         stop = n if stop is None else stop
@@ -415,33 +528,82 @@ class SplitHamiltonian:
             h0 = self._dense[0].mat
             return h0[start:stop] @ x - x[start:stop] @ h0
         diag, off, _ = self._stencil
-        lo, hi = max(start - 1, 0), min(stop + 1, n)
-        if work is not None:
-            work = work[:, : hi - lo]
-        return _tridiagonal_commutator(diag, off, x[lo:hi], work)[start - lo : stop - lo]
+        real = np.isrealobj(x)
+        if work is None:
+            work = np.empty((3, min(ROW_BLOCK, stop - start) + 2, x.shape[1] * (1 if real else 2)))
+
+        def rows(s: int, e: int) -> np.ndarray:
+            lo, hi = max(s - 1, 0), min(e + 1, n)
+            return _tridiagonal_commutator(diag, off, x[lo:hi], work[:, : hi - lo])[s - lo : e - lo]
+
+        if stop - start <= ROW_BLOCK:
+            return rows(start, stop)
+        out = np.empty((stop - start, x.shape[1]), float if real else complex)
+        for s in range(start, stop, ROW_BLOCK):
+            e = min(s + ROW_BLOCK, stop)
+            out[s - start : e - start] = rows(s, e)
+        return out
 
     def h1_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows start:stop of [H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
         return self._h1_rows(x, start, stop, -1.0)
 
-    def _h1_rows(self, x: np.ndarray, start: int, stop: int | None, sign: float) -> np.ndarray:
-        """Rows start:stop of H1 X + sign X H1, for sign -1 (commutator) or +1 (anticommutator)."""
+    def h1_commutator_real(self, a: np.ndarray) -> np.ndarray:
+        """[H1, A] / i for a real A, in the structured form: the real v_i A_ij - A_ij v_j.
+
+        That is h1_commutator's entry on i A or on A, summed in its order, so
+        that [H1, p A] = i p times this matrix for a phase p is h1_commutator
+        on p A bit for bit.
+        """
+        v = self._stencil[2]
+        d = v[:, None] * a
+        d -= a * v[None, :]
+        return d
+
+    def _h1_rows(
+        self, x: np.ndarray, start: int, stop: int | None, sign: float, row0: int = 0
+    ) -> np.ndarray:
+        """Rows start:stop of H1 X + sign X H1, for sign -1 (commutator) or +1 (anticommutator).
+
+        x holds rows row0:row0 + len(x) of X, all of them by default.
+        """
         if self._stencil is None:
             h1 = self._dense[1].mat
             return h1[start:stop] @ x + sign * (x[start:stop] @ h1)
         iv = 1j * self._stencil[2]
-        rows = x[start:stop]
+        stop = x.shape[0] + row0 if stop is None else stop
+        rows = x[start - row0 : stop - row0]
         return iv[start:stop, None] * rows + sign * (rows * iv[None, :])
 
-    def adjoint_residual(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
+    def _slab(self, x, start: int, stop: int) -> tuple[np.ndarray, int]:
+        """(xs, row0): the rows of X that rows start:stop of a product with H read, and
+        the index of the first.
+
+        x is X itself, which is its own slab, or a row fill x(lo, hi) that
+        forms rows lo:hi of X (as kernel_rows returns, or a frame metric's
+        rows): the structured form fills rows start - 1:stop + 1, the
+        stencil's halo, and the dense form all of X.
+        """
+        if not callable(x):
+            return x, 0
+        n = self.dim
+        if self._stencil is None:
+            return x(0, n), 0
+        lo = max(start - 1, 0)
+        return x(lo, min(stop + 1, n)), lo
+
+    def adjoint_residual(self, x, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows start:stop of H^dagger X - X H for H = H0 + epsilon H1.
 
         With H0 Hermitian and H1 anti-Hermitian that is [H0, X] - epsilon {H1, X},
         and for H1 = i diag(v), {H1, X}_ij = i (v_i + v_j) X_ij: in the
         structured form a stencil and an elementwise product, no matrix product.
+        x is X or a row fill of X (_slab).
         """
-        r = self.h0_commutator(x, start, stop)
-        r -= self.epsilon * self._h1_rows(x, start, stop, 1.0)
+        stop = self.dim if stop is None else stop
+        xs, row0 = self._slab(x, start, stop)
+        r = self.h0_commutator(xs, start - row0, stop - row0)
+        r -= self.epsilon * self._h1_rows(xs, start, stop, 1.0, row0)
         return r
 
     def total_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -486,15 +648,19 @@ class SplitHamiltonian:
     def add_h1(self, x: np.ndarray, scale: float, start: int = 0) -> np.ndarray:
         """x += scale * H1 in place; returns x.
 
-        x is complex and holds rows start:start + len(x) of an N x N array,
-        all N rows by default.
+        x holds rows start:start + len(x) of an N x N array, all N rows by
+        default. It is complex, or, in the structured form, real: a real x
+        stands for i x, the imaginary part of rows whose real part is zero,
+        and gets scale v on its diagonal, the imaginary part that the
+        complex update adds.
         """
         rows = slice(start, start + x.shape[0])
         if self._stencil is None:
             x += scale * self._dense[1].mat[rows]
         else:
             i = np.arange(x.shape[0])
-            x[i, start + i] += scale * (1j * self._stencil[2][rows])
+            v = self._stencil[2][rows]
+            x[i, start + i] += scale * v if np.isrealobj(x) else scale * (1j * v)
         return x
 
     def total(self) -> Operator:

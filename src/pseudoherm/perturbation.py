@@ -11,13 +11,23 @@ Two independent routes produce the order-by-order equations [H0, Q_m] = R_m:
 The equations are solved in the H0 eigenbasis (sylvester_solve) under the
 minimal-norm gauge; H0-commuting Hermitian gauge terms may be injected per
 order and are recorded in the gauge log.
+
+On the Schroedinger grid H0 is real and H1 = i diag(v), so every Q_m and
+R_m is i^m times a real matrix. solve_q_series holds each as a graded pair
+(real matrix, phase): the chain sums, the source rule, the real Sylvester
+transforms and the post-solve check run in real arithmetic and in row
+blocks, part by part as the complex route would round them, and QSeries
+forms complex Operators only when .terms is read. metric_from_series sums
+Q(eps)'s two real parts, takes its real frame matrix and returns a frame
+metric (spectral.MetricOperator), which keeps y = u diag(lam) u^T and
+forms the complex eta only when it is read. A dense split keeps complex
+terms and the complex products.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +42,16 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_TOL,
+    ROW_BLOCK,
     Operator,
     SplitHamiltonian,
     Tolerance,
+    _ComplexParts,
     _hermitian_eigensystem,
+    _hermitian_eigh,
     _hermiticity,
+    _max_norm_rows,
     commutator,
-    half_difference_norm,
     is_hermitian,
     max_norm,
 )
@@ -47,43 +60,89 @@ from .spectral import MetricOperator, _metric, pseudo_hermiticity_residual
 NOISE_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
 class QSeries:
-    """Hermitian coefficients Q_1 ... Q_l of Q = sum_j Q_j eps^j."""
+    """Hermitian coefficients Q_1 ... Q_l of Q = sum_j Q_j eps^j.
 
-    terms: tuple
-    gauge_log: tuple = field(default=(), compare=False)
-    # (residual, bound) per order as solve_q_series checked it; () if hand-built
-    order_checks: tuple = field(default=(), compare=False)
-    # max_norm(Q_j) and max_norm(Q_j - Q_j^dagger) per term, as the Hermiticity rule measured them
-    norms: tuple = field(init=False, compare=False)
-    hermiticity_defects: tuple = field(init=False, compare=False)
+    Built from Operators (terms), or by solve_q_series from graded terms.
+    On the grid, H0 is real and H1 imaginary, so each Q_j is p_j A_j with
+    A_j real and p_j a power of i; such a series keeps the pairs (A_j, p_j)
+    and forms the Operators of .terms only when they are read. Either way
+    each term's Hermiticity rule runs once, here. Two series compare equal
+    when their terms are the same Operators.
+    """
 
-    def __post_init__(self):
-        terms = tuple(self.terms)
+    def __init__(self, terms: tuple, gauge_log: tuple = (), order_checks: tuple = ()):
+        terms = tuple(terms)
+        self._setup(tuple((t.mat, 1 + 0j) for t in terms), gauge_log, order_checks)
+        self._terms = terms
+
+    @classmethod
+    def _from_graded(cls, graded: tuple, gauge_log: tuple, order_checks: tuple) -> "QSeries":
+        """The series of the graded terms (A_j, p_j): A_j real (or complex with p_j = 1)."""
+        q = cls.__new__(cls)
+        q._setup(graded, gauge_log, order_checks)
+        q._terms = None
+        return q
+
+    def _setup(self, graded: tuple, gauge_log: tuple, order_checks: tuple) -> None:
         measured = []
-        for j, q in enumerate(terms):
-            norm, defect = _hermiticity(q.mat)
+        for j, (a, p) in enumerate(graded):
+            norm, defect = _hermiticity(a, f"Q_{j + 1}", _hermitian_sign(p))
             if defect > DEFAULT_TOL.bound(norm):
                 raise StructureError(f"Q_{j + 1} is not Hermitian within tolerance")
             measured.append((norm, defect))
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "gauge_log", tuple(self.gauge_log))
-        object.__setattr__(self, "norms", tuple(n for n, _ in measured))
-        object.__setattr__(self, "hermiticity_defects", tuple(d for _, d in measured))
+        self._graded = graded
+        self.gauge_log = tuple(gauge_log)
+        # (residual, bound) per order as solve_q_series checked it; () if hand-built
+        self.order_checks = tuple(order_checks)
+        # max_norm(Q_j) and max_norm(Q_j - Q_j^dagger) per term, as the Hermiticity rule measured them
+        self.norms = tuple(n for n, _ in measured)
+        self.hermiticity_defects = tuple(d for _, d in measured)
+
+    @property
+    def terms(self) -> tuple:
+        if self._terms is None:
+            self._terms = tuple(Operator._own(_value(a, p)) for a, p in self._graded)
+        return self._terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, QSeries) and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     @property
     def order(self) -> int:
-        return len(self.terms)
+        return len(self._graded)
 
     def summed(self, epsilon: float) -> Operator:
-        acc = np.zeros_like(self.terms[0].mat)
-        for j, q in enumerate(self.terms):
+        return Operator._own(self._summed(epsilon)[:])
+
+    def _summed(self, epsilon: float):
+        """Q(epsilon): a complex array, or for a graded series a _ComplexParts.
+
+        The parts are summed in real arithmetic: each term goes to the real
+        or the imaginary part its phase names, with its sign, in the order
+        and with the rounding of the complex sum.
+        """
+        graded = all(np.isrealobj(a) for a, _ in self._graded)
+        parts = [None, None]
+        for j, (a, p) in enumerate(self._graded):
             try:
-                acc = acc + q.mat * epsilon ** (j + 1)
+                scale = epsilon ** (j + 1)
             except OverflowError:
                 raise NonFiniteError(f"epsilon^{j + 1} overflows at epsilon = {epsilon}") from None
-        return Operator._own(acc)
+            if graded:  # p a goes to part k with the sign of p
+                k, x, sign = int(p.imag != 0), a * scale, p.real + p.imag
+            else:
+                k, x, sign = 0, _value(a, p) * scale, 1
+            if parts[k] is None:
+                parts[k] = np.zeros(a.shape, dtype=float if graded else complex)
+            if sign > 0:
+                parts[k] += x
+            else:
+                parts[k] -= x
+        return _ComplexParts(*parts) if graded else parts[0]
 
 
 def master_formula_coefficients(ell: int) -> np.ndarray:
@@ -159,24 +218,93 @@ def _graded_commutator(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p * s) * commutator(a, b)
 
 
-def _chain_sum(split: SplitHamiltonian, terms: list, m: int):
-    """order_residual's sum over the given Q_j; chains through a missing Q_j are skipped.
+# A graded pair (a, p) stands for the matrix p a: a real with p one of 1, i,
+# -1, -i, or a complex with p = 1. Phases multiply exactly and a sign is
+# carried in p, so the real arithmetic on a is the complex arithmetic on
+# p a, part by part, with the same rounding.
+
+
+def _value(a: np.ndarray, p: complex) -> np.ndarray:
+    """The complex matrix p a of a graded pair."""
+    return a if np.iscomplexobj(a) else p * a
+
+
+def _hermitian_sign(p: complex) -> float:
+    """sign with p a - (p a)^dagger = p (a - sign a^dagger), for a real a (1 when a is complex)."""
+    return 1.0 if p.imag == 0 else -1.0
+
+
+def _negated(x: tuple) -> tuple:
+    a, p = x
+    return (a, -p) if np.isrealobj(a) else (-a, p)
+
+
+def _h0_head(split: SplitHamiltonian, term: tuple) -> tuple:
+    """[H0, p a] = p [H0, a], through the split: on the grid the real stencil, in row blocks."""
+    a, p = term
+    return split.h0_commutator(a), p
+
+
+def _h1_head(split: SplitHamiltonian, term: tuple) -> tuple:
+    """[H1, p a] = i p (v_i a_ij - a_ij v_j) for a real a (the grid's only); else complex."""
+    a, p = term
+    if np.isrealobj(a):
+        return split.h1_commutator_real(a), 1j * p
+    return split.h1_commutator(a), 1 + 0j
+
+
+def _link(x: tuple, term: tuple) -> tuple:
+    """[x, p b]: one real commutator and a phase when both matrices are real."""
+    (a, p), (b, s) = x, term
+    if np.isrealobj(a) and np.isrealobj(b):
+        return commutator(a, b), p * s
+    return _graded_commutator(_value(a, p), _value(b, s)), 1 + 0j
+
+
+def _accumulate(acc: tuple | None, x: tuple, f: int) -> tuple:
+    """acc + x / f for graded pairs; x is fresh and is scaled in place.
+
+    A real x is multiplied by 1 / f, which is how numpy's complex division
+    by the real f rounds, so each part matches the complex sum bit for bit.
+    Pairs whose phases agree up to sign add in real arithmetic.
+    """
+    a, p = x
+    if np.isrealobj(a):
+        if f != 1:
+            a *= 1 / f
+    else:
+        a = a / f
+    if acc is None:
+        return a, p
+    b, s = acc
+    if np.isrealobj(a) and np.isrealobj(b) and p in (s, -s):
+        return (b + a if p == s else b - a), s
+    return _value(b, s) + _value(a, p), 1 + 0j
+
+
+def _chain_sum(split: SplitHamiltonian, terms: list, m: int) -> tuple:
+    """order_residual's sum over the graded terms Q_j, as a graded pair; chains through
+    a missing Q_j are skipped.
 
     The first link of each chain, [H0, Q_j] or [H1, Q_j], goes through the
     split; a later link runs in real arithmetic when its operands are graded.
     """
     n = split.dim
-    # H - H^dagger = 2 eps H1 enters at order 1; elsewhere 0 + array needs no zero matrix
-    res = split.add_h1(np.zeros((n, n), dtype=complex), 2.0) if m == 1 else 0
-    for head_commutator, budget in ((split.h0_commutator, m), (split.h1_commutator, m - 1)):
+    acc = None
+    if m == 1:  # H - H^dagger = 2 eps H1 enters at order 1
+        if split.is_stencil:
+            acc = split.add_h1(np.zeros((n, n)), 2.0), 1j
+        else:
+            acc = split.add_h1(np.zeros((n, n), dtype=complex), 2.0), 1 + 0j
+    for head, budget in ((_h0_head, m), (_h1_head, m - 1)):
         for comp in _compositions(budget):
             if not comp or max(comp) > len(terms):
                 continue
-            x = head_commutator(terms[comp[0] - 1])
+            x = head(split, terms[comp[0] - 1])
             for j in comp[1:]:
-                x = _graded_commutator(x, terms[j - 1])
-            res = res + x / math.factorial(len(comp))
-    return res
+                x = _link(x, terms[j - 1])
+            acc = _accumulate(acc, x, math.factorial(len(comp)))
+    return acc
 
 
 def order_residual(split: SplitHamiltonian, q: QSeries, m: int) -> Operator:
@@ -191,7 +319,7 @@ def order_residual(split: SplitHamiltonian, q: QSeries, m: int) -> Operator:
         raise DomainError(f"m must be >= 1, got {m}")
     if m > q.order:
         raise DomainError(f"order {m} exceeds available terms ({q.order})")
-    return Operator(_chain_sum(split, [t.mat for t in q.terms], m))
+    return Operator._own(_value(*_chain_sum(split, list(q._graded), m)))
 
 
 def order_equation_rhs(
@@ -204,30 +332,29 @@ def order_equation_rhs(
     for the equation to admit a Hermitian solution; it is judged by the
     solve's rule (_check_source), StructureError past tol.bound(|R_m|).
     """
-    lower = () if q_lower is None else q_lower.terms
+    lower = () if q_lower is None else q_lower._graded
     if len(lower) != m - 1:
         raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {len(lower)}")
-    r = -_chain_sum(split, [t.mat for t in lower], m)
-    _check_source(r, tol)
-    return Operator._own(r)
+    r = _negated(_chain_sum(split, list(lower), m))
+    _check_source(r, tol, f"R_{m}")
+    return Operator._own(_value(*r))
 
 
-def _hermitian_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the Hermitian part of h, in real arithmetic when h has no imaginary part."""
-    if not h.imag.any():
-        return np.linalg.eigh((h.real + h.real.T) / 2)
-    return np.linalg.eigh((h + h.conj().T) / 2)
-
-
-def _check_h0(h0: np.ndarray, tol: Tolerance) -> None:
-    if not is_hermitian(h0, tol):
+def _check_h0(hermiticity: tuple[float, float], tol: Tolerance) -> None:
+    """H0's Hermiticity rule on its (max_norm(H0), max_norm(H0 - H0^dagger))."""
+    norm, defect = hermiticity
+    if defect > tol.bound(norm):
         raise StructureError("H0 must be Hermitian")
 
 
-def _check_source(r: np.ndarray, tol: Tolerance) -> float:
-    """|R|, once the defect |R + R^dagger| is within tol.bound(|R|): the Hermiticity rule on i R."""
-    norm = max_norm(r)
-    defect, bound = 2 * half_difference_norm(r, -r.conj().T), tol.bound(norm)
+def _check_source(r: tuple, tol: Tolerance, name: str = "R") -> float:
+    """|R|, once the defect |R + R^dagger| is within tol.bound(|R|): the Hermiticity rule on i R.
+
+    r is a graded pair; the rule reads its matrix ROW_BLOCK rows at a time.
+    """
+    a, p = r
+    norm, defect = _hermiticity(a, name, -_hermitian_sign(p))
+    bound = tol.bound(norm)
     if defect > bound:
         raise StructureError(f"source R must be anti-Hermitian: defect {defect:.3e} exceeds {bound:.3e}")
     return norm
@@ -243,42 +370,80 @@ def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> 
     """
     if H0.mat.shape != R.mat.shape:
         raise ShapeError(f"dimension mismatch: {H0.mat.shape} vs {R.mat.shape}")
-    _check_h0(H0.mat, tol)
-    r_norm = _check_source(R.mat, tol)
+    _check_h0(_hermiticity(H0.mat, "H0"), tol)
+    r_norm = _check_source((R.mat, 1 + 0j), tol)
     return _sylvester_eigenbasis(_hermitian_eigh(H0.mat), R.mat, r_norm, tol)
 
 
 def _sylvester_eigenbasis(
     eigensystem: tuple[np.ndarray, np.ndarray], r: np.ndarray, r_norm: float, tol: Tolerance
 ) -> Operator:
-    """sylvester_solve given H0's (E, U) and r_norm = |R|; the inputs are already checked.
+    """sylvester_solve given H0's (E, U) and r_norm = |R|; the inputs are already checked."""
+    return Operator._own(_value(*_sylvester_graded(eigensystem, (r, 1 + 0j), r_norm, tol)))
 
-    With U real and R = p A graded (A real, p = 1 or i), both basis changes
-    U^T A U and U Q~ U^T run in real arithmetic and the phase is applied once.
+
+def _sylvester_graded(
+    eigensystem: tuple[np.ndarray, np.ndarray], r: tuple, r_norm: float, tol: Tolerance
+) -> tuple:
+    """Q as a graded pair, for H0's (E, U), the graded source R and r_norm = |R|.
+
+    With U real and R = p A graded (A real; a complex R is graded when it
+    is purely real or imaginary), both basis changes U^T A U and U Q~ U^T
+    run in real arithmetic and Q keeps R's phase.
     """
     e, u = eigensystem
-    graded = _graded(r) if np.isrealobj(u) else None
-    if graded is None:
-        rt = u.conj().T @ r @ u
-    else:
-        a, phase = graded
-        rt = u.T @ a @ u
+    a, phase = r
+    if np.iscomplexobj(a) and np.isrealobj(u):
+        a, phase = _graded(a) or (a, phase)
+    real = np.isrealobj(a) and np.isrealobj(u)
+    rt = u.T @ a @ u if real else u.conj().T @ _value(a, phase) @ u
     gaps = e[:, None] - e[None, :]
     degenerate = np.abs(gaps) <= tol.abs_tol
-    blocked = degenerate & (np.abs(rt) > tol.bound(r_norm))
-    if blocked.any():
-        i, j = np.argwhere(blocked)[0]
+    over = np.abs(rt[degenerate]) > tol.bound(r_norm)  # the degenerate pairs in row-major order
+    if over.any():
+        i, j = np.argwhere(degenerate)[np.argmax(over)]
         raise ObstructionError(
             f"order equation unsolvable: source element {abs(rt[i, j]):.3e} on the "
             f"degenerate pair (m={i}, n={j}) with E_m = E_n = {e[i]:.12g}"
         )
-    qt = np.where(degenerate, 0.0, rt / np.where(degenerate, 1.0, gaps))
-    if graded is None:
-        qm = u @ qt @ u.conj().T
-        return Operator._own((qm + qm.conj().T) / 2)
-    qm = u @ qt @ u.T
-    # the Hermitian part of p A is p (A + A^T) / 2 for p = 1, p (A - A^T) / 2 for p = i
-    return Operator._own(phase * ((qm + qm.T) / 2 if phase == 1 else (qm - qm.T) / 2))
+    # Q~ = R~ / gaps off the degenerate pairs and 0 on them, formed in place in R~
+    gaps[degenerate] = 1.0
+    rt /= gaps
+    rt[degenerate] = 0.0
+    del gaps, degenerate
+    qm = u @ rt
+    del rt
+    qm = qm @ (u.T if real else u.conj().T)
+    # the Hermitian part of p A is p (A + A^T) / 2 for a real p, p (A - A^T) / 2 for
+    # p = +-i, and (A + A^dagger) / 2 for a complex A
+    if not real:
+        h = qm + qm.conj().T
+    else:
+        h = qm + qm.T if phase.imag == 0 else qm - qm.T
+    del qm
+    h /= 2
+    return h, (phase if real else 1 + 0j)
+
+
+def _solved_residual(split: SplitHamiltonian, q: tuple, r: tuple, m: int) -> float:
+    """|[H0, Q_m] - R_m|, the order-m residual once Q_m is solved.
+
+    On the stencil it is reduced ROW_BLOCK rows at a time with one scratch,
+    in real arithmetic when Q_m and R_m share their phase; a dense split
+    takes the whole product.
+    """
+    (a, p), (b, s) = q, r
+    if not (np.isrealobj(a) and np.isrealobj(b) and p == s):
+        a, b = _value(a, p), _value(b, s)
+    if not split.is_stencil:
+        return max_norm(split.h0_commutator(a) - b)
+    n = split.dim
+    work = np.empty((3, ROW_BLOCK + 2, n * (1 if np.isrealobj(a) else 2)))
+
+    def residual_rows(start: int, stop: int) -> np.ndarray:
+        return split.h0_commutator(a, start, stop, work) - b[start:stop]
+
+    return _max_norm_rows(residual_rows, n, f"[H0, Q_{m}] - R_{m}")
 
 
 def solve_q_series(
@@ -290,6 +455,10 @@ def solve_q_series(
     """Iterate order_equation_rhs / sylvester_solve for m = 1..ell.
 
     Each source R_m is formed once and judged once, by sylvester_solve's rule.
+    On the grid every R_m and Q_m is a graded pair (a real matrix and a
+    power of i): the sources, the solve and the checks run in real
+    arithmetic, with the same rounding as the complex route, and H0's rule
+    and eigh read its real stencil. A dense split's terms stay complex.
     gauge maps an order m to a Hermitian H0-commuting addition to Q_m
     (validated; recorded in the gauge log). On return every order residual
     1..ell, which is |[H0, Q_m] - R_m| once Q_m is solved, vanishes within
@@ -298,20 +467,19 @@ def solve_q_series(
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
     gauge = gauge or {}
-    h0 = split.H0.mat
-    _check_h0(h0, tol)
+    _check_h0(split.h0_hermiticity(), tol)
     h0_norm = split.h0_norm()
-    terms: tuple = ()
+    terms = []
     glog = []
     residuals = []
-    # one factorization of H0 serves every order and is not kept past the
-    # solve; the dense H0, held through the orders, would set the solve's peak
-    h0_eig = _hermitian_eigh(h0)
-    del h0
+    # one factorization of H0 serves every order and is not kept past the solve
+    h0_eig = split.h0_eigensystem()
     for m in range(1, ell + 1):
-        rm = -_chain_sum(split, [t.mat for t in terms], m)
-        rm_norm = _check_source(rm, tol)
-        qm = _sylvester_eigenbasis(h0_eig, rm, rm_norm, tol)
+        rm = _negated(_chain_sum(split, terms, m))
+        rm_norm = _check_source(rm, tol, f"R_{m}")
+        qm = _sylvester_graded(h0_eig, rm, rm_norm, tol)
+        if not split.is_stencil:  # the dense products run on complex terms
+            qm = _value(*qm), 1 + 0j
         entry = {"order": m, "gauge": "minimal", "rhs_norm": rm_norm}
         if m in gauge:
             g = gauge[m].mat
@@ -319,19 +487,20 @@ def solve_q_series(
                 raise GaugeError(f"order-{m} gauge term is not Hermitian")
             if max_norm(split.h0_commutator(g)) > tol.bound(h0_norm * max(1.0, max_norm(g))):
                 raise GaugeError(f"order-{m} gauge term does not commute with H0")
-            qm = Operator._own(qm.mat + g)
+            qm = _value(*qm) + g, 1 + 0j
             entry["gauge"] = "minimal+custom"
             entry["custom_norm"] = max_norm(g)
-        residuals.append(max_norm(split.h0_commutator(qm.mat) - rm))
-        terms = terms + (qm,)
+        residuals.append(_solved_residual(split, qm, rm, m))
+        del rm  # R_m is not held while the next source is formed
+        terms.append(qm)
         glog.append(entry)
     scale = max(1.0, h0_norm + split.h1_norm())
-    qscale = max(1.0, max(max_norm(t.mat) for t in terms))
+    qscale = max(1.0, max(max_norm(a) for a, _ in terms))
     checks = tuple((r, tol.bound(scale * qscale**m)) for m, r in enumerate(residuals, start=1))
     for m, (res, bound) in enumerate(checks, start=1):
         if res > bound:
             raise ConsistencyError(f"order-{m} residual {res:.3e} after solve")
-    return QSeries(terms, tuple(glog), checks)
+    return QSeries._from_graded(tuple(terms), tuple(glog), checks)
 
 
 def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
@@ -339,9 +508,12 @@ def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
 
     One eigh of Q(eps) = U diag(w) U^dagger (in the PT frame when Q(eps) has
     one) gives eta = U diag(e^(-w)) U^dagger, and the metric carries that
-    eigensystem (e^(-w), u, in_frame) in eigh order, lam descending.
+    eigensystem (e^(-w), u, in_frame) in eigh order, lam descending. A
+    graded series gives Q(eps) as its two real parts, which the Hermiticity
+    and PT rules read in row blocks and to_pt_frame maps to the frame
+    matrix; in the frame the metric is a frame metric, with no complex eta.
     """
-    w, u, in_frame = _hermitian_eigensystem(q.summed(epsilon).mat, DEFAULT_TOL, "metric_from_series")
+    w, u, in_frame = _hermitian_eigensystem(q._summed(epsilon), DEFAULT_TOL, "metric_from_series")
     return _metric(np.exp(-w), u, in_frame)
 
 

@@ -26,6 +26,7 @@ from .errors import (
     DiagonalizabilityError,
     DomainError,
     InvertibilityError,
+    NonFiniteError,
     PositivityError,
     RealityError,
     ResidualError,
@@ -87,22 +88,56 @@ class BiorthonormalSystem:
         return self._first_off_real(tol) is None
 
 
-@dataclass(frozen=True, eq=False)
 class MetricOperator:
     """A metric operator eta; compared and hashed by identity.
 
-    eigensystem is (lam, u, in_frame) with eta = U diag(lam) U^dagger and
-    U = S u (u real) when in_frame, else u, for a metric the package builds
-    (_metric); lam is in the order of the factorization that gave it. None
-    for a metric built without one.
+    op is eta as an Operator. eigensystem is (lam, u, in_frame) with
+    eta = U diag(lam) U^dagger and U = S u (u real) when in_frame, else u,
+    for a metric the package builds (_metric); lam is in the order of the
+    factorization that gave it. None for a metric built without one.
+
+    A frame metric, which _metric builds from an eigensystem in the PT
+    frame, holds eta as its real frame matrix frame = y = u diag(lam) u^T,
+    with eta = S y S^dagger. It forms the complex eta (op, mat) only when
+    one of them is read; rows(start, stop) gives eta's rows from y
+    (from_pt_frame), bit for bit those of mat, so a check that reads eta in
+    row blocks holds no complex N x N eta. frame is None for any other
+    metric.
     """
 
-    op: Operator
-    eigensystem: tuple[np.ndarray, np.ndarray, bool] | None = None
+    def __init__(self, op: Operator, eigensystem: tuple[np.ndarray, np.ndarray, bool] | None = None):
+        self._op = op
+        self.eigensystem = eigensystem
+        self.frame = None
+
+    @classmethod
+    def _in_frame(cls, y: np.ndarray, eigensystem: tuple[np.ndarray, np.ndarray, bool]) -> "MetricOperator":
+        """The frame metric S y S^dagger carrying eigensystem.
+
+        eta's entries are finite exactly when y's are, so y gets the check
+        an Operator gives its entries.
+        """
+        if not np.isfinite(y).all():
+            raise NonFiniteError("operator entries must be finite")
+        eta = cls(None, eigensystem)
+        eta.frame = y
+        return eta
+
+    @property
+    def op(self) -> Operator:
+        if self._op is None:
+            self._op = Operator._own(from_pt_frame(self.frame))
+        return self._op
 
     @property
     def mat(self) -> np.ndarray:
         return self.op.mat
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of eta's matrix; a frame metric forms them from its frame matrix."""
+        if self.frame is None:
+            return self.mat[start:stop]
+        return from_pt_frame(self.frame, start, stop)
 
     @property
     def eig_range(self) -> tuple[float, float] | None:
@@ -114,8 +149,26 @@ class MetricOperator:
 
 
 def _metric(lam: np.ndarray, u: np.ndarray, in_frame: bool) -> MetricOperator:
-    """The metric U diag(lam) U^dagger (U = S u when in_frame), carrying that eigensystem."""
-    return MetricOperator(_from_eigenbasis(u * lam, u, in_frame), (lam, u, in_frame))
+    """The metric U diag(lam) U^dagger (U = S u when in_frame), carrying that eigensystem.
+
+    In the frame it is a frame metric: y = u diag(lam) u^T, the frame matrix
+    from which _from_eigenbasis would form eta, is kept and eta is not formed.
+    """
+    if in_frame:
+        return MetricOperator._in_frame(_symmetric_product(u * lam, u), (lam, u, True))
+    return MetricOperator(_from_eigenbasis(u * lam, u, False), (lam, u, False))
+
+
+def _metric_rows(eta) -> tuple:
+    """(x, shape): eta's matrix for the products, and its shape.
+
+    x is a row fill (MetricOperator.rows) for a frame metric, which then
+    forms no complex eta, and the matrix itself for any other eta.
+    """
+    if isinstance(eta, MetricOperator) and eta.frame is not None:
+        return eta.rows, eta.frame.shape
+    e = _as_matrix(eta)
+    return e, e.shape
 
 
 def _carried_eigensystem(eta) -> tuple[np.ndarray, np.ndarray, bool] | None:
@@ -227,29 +280,34 @@ def pseudo_hermiticity_residual(H, eta) -> float:
     raw array, an Operator, or a MetricOperator without an eigensystem) they
     come from an SVD of eta.
     """
-    e = _as_matrix(eta)
-    if e.shape != (H.dim, H.dim):
-        raise ShapeError(f"dimension mismatch: {e.shape} vs {(H.dim, H.dim)}")
+    x, shape = _metric_rows(eta)
+    if shape != (H.dim, H.dim):
+        raise ShapeError(f"dimension mismatch: {shape} vs {(H.dim, H.dim)}")
     system = _carried_eigensystem(eta)
     if system is not None:
         lo, hi = system[0].min(), system[0].max()
     else:
-        sv = np.linalg.svd(e, compute_uv=False)
+        sv = np.linalg.svd(x, compute_uv=False)
         lo, hi = sv[-1], sv[0]
     if lo <= DEFAULT_TOL.bound(hi):
         raise InvertibilityError(f"metric is numerically singular (smallest sv {lo:.3e})")
     split = _stencil(H)
     if split is not None:
         return _max_norm_rows(
-            lambda start, stop: split.adjoint_residual(e, start, stop), H.dim, "H^dagger eta - eta H"
+            lambda start, stop: split.adjoint_residual(x, start, stop), H.dim, "H^dagger eta - eta H"
         )
-    h = _dense(H)
+    h, e = _dense(H), _as_matrix(eta)
     return max_norm(h.conj().T @ e - e @ h, "H^dagger eta - eta H")
 
 
 def pseudo_hermiticity_threshold(H, eta) -> float:
-    """The residual's bound RESIDUAL_REL max(1, H.norm() |eta|), for an Operator or split H."""
-    return RESIDUAL_REL * max(1.0, H.norm() * max_norm(_as_matrix(eta)))
+    """The residual's bound RESIDUAL_REL max(1, H.norm() |eta|), for an Operator or split H.
+
+    A frame metric's |eta| is taken from its rows (MetricOperator.rows).
+    """
+    x, shape = _metric_rows(eta)
+    eta_norm = _max_norm_rows(x, shape[0], "eta") if callable(x) else max_norm(x)
+    return RESIDUAL_REL * max(1.0, H.norm() * eta_norm)
 
 
 def equivalent_hermitian(H, eta, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
@@ -341,15 +399,17 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     structured grid split, [C, H] = -[H0, C] - epsilon [H1, C] is a stencil
     and an elementwise product, reduced in row blocks.
     """
-    e = _as_matrix(eta)
-    n = e.shape[0]
     system = _carried_eigensystem(eta)
     if isinstance(P, IndexReversal) and system is not None and system[2]:
         lam, u, _ = system
+        n = u.shape[0]
         x = _symmetric_product(u / lam, u)[:, ::-1]
         c = from_pt_frame(x)
-        invol = max_norm(from_pt_frame(x @ x - np.eye(n)))
+        z = _minus_identity(x @ x)
+        invol = _max_norm_rows(lambda start, stop: from_pt_frame(z, start, stop), n, "C^2 - I")
     else:
+        e = _as_matrix(eta)
+        n = e.shape[0]
         c = np.linalg.solve(e, _checked_parity(P, tol))
         invol = max_norm(c @ c - np.eye(n))
     comm = None
@@ -363,10 +423,21 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
 
 
 def parity_pseudo_hermiticity_residual(H, P) -> float:
-    """||H^dagger P - P H|| for an Operator or split H; for IndexReversal J, flips of H's matrix."""
+    """||H^dagger P - P H|| for an Operator or split H.
+
+    For IndexReversal J it is flips of H's matrix, reduced ROW_BLOCK rows at
+    a time: rows start:stop of H^dagger J are H's columns start:stop,
+    conjugated and flipped, and those of J H are H's rows N - stop:N - start
+    in reverse.
+    """
     h = _dense(H)
     if isinstance(P, IndexReversal):
-        return max_norm(h.conj().T[:, ::-1] - h[::-1])
+        n = h.shape[0]
+        return _max_norm_rows(
+            lambda start, stop: h[:, start:stop].conj().T[:, ::-1] - h[n - stop : n - start][::-1],
+            n,
+            "H^dagger J - J H",
+        )
     return max_norm(h.conj().T @ P.mat - P.mat @ h)
 
 

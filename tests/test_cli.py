@@ -26,7 +26,7 @@ from pseudoherm import (
 )
 from pseudoherm import errors, operators, perturbation, pipeline, spectral
 from pseudoherm.cli import main
-from pseudoherm.config import SpectralTask, WaveTask
+from pseudoherm.config import PerturbativeTask, ScalingTask, SpectralTask, WaveTask
 
 from helpers import fixed_split, positive_definite, run_cli, run_python, spectrum_is_real
 
@@ -208,10 +208,37 @@ def test_spectral_task_memory_at_n513():
     assert peak < 39_400_000
 
 
+def test_perturbative_and_scaling_memory_at_n513():
+    # at N = 513 a real N x N matrix is 2.1 MB. On the grid the perturbative
+    # and scaling tasks hold Q_1, Q_2 and each R_m as real matrices, sum
+    # Q(eps)'s frame matrix from them, keep each metric as its real frame
+    # matrix and take every rule in row blocks: their traced peak stays under
+    # 16 MB, below the spectral task's (21 MB measured). The complex route,
+    # with its complex Q_m, R_m, Q(eps) and eta and whole-matrix rules,
+    # peaked at 27.6 MB
+    spec = load_spec(shipped("step_potential.json"))
+    spec = dataclasses.replace(spec, model=dataclasses.replace(spec.model, N=513))
+    pert, scaling = (next(t for t in spec.tasks if isinstance(t, kind))
+                     for kind in (PerturbativeTask, ScalingTask))
+    ctx = pipeline._RunContext(spec, 0)
+    ctx.get_split()
+    verdicts = []
+    tracemalloc.start()
+    try:
+        pipeline._perturbative_task(ctx, pert, verdicts)
+        pipeline._scaling_task(ctx, scaling, verdicts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [v["ok"] for v in verdicts] == [True] * 5
+    assert peak < 16_000_000
+
+
 def test_wave_task_memory_at_n2049():
     # M would be a 67 MB complex matrix at N = 2049. The whole wave task never
     # forms it: the check and the threshold's |M| both read kernel_rows' fill
-    # in row blocks (5.8 MB measured; forming M made it 76 MB)
+    # in row blocks, real ones for the bare kernel (3.4 MB measured, 5.1 MB
+    # with the complex fill; forming M made it 76 MB)
     N = 2049
     spec = load_spec(shipped("step_potential.json"))
     model = dataclasses.replace(spec.model, N=N)
@@ -319,14 +346,16 @@ def test_scaling_reuses_the_perturbative_metric(monkeypatch):
 
 
 def test_run_model_spec_checks_each_order_once(monkeypatch):
-    # order 2: R_1 needs no commutator, R_2 three, and each order's check
-    # [H0, Q_m] - R_m one; no second expansion of the order sums. The grid
-    # split takes [H0, .] and [H1, .] itself, so its entry points count too,
-    # and the wave task's off-band check adds one [H0, M] row block per 32 of
-    # the N - 6 = 123 rows it keeps: 4 blocks. The metric checks are counted
-    # apart, by their caller: each of the 5 residuals H^dagger eta - eta H
-    # takes one [H0, eta] row block per 32 of the N = 129 rows (5 blocks),
-    # and the one [C, H] takes one [H0, C] and one [H1, C] block per 32 rows.
+    # order 2: R_1 needs no commutator and R_2 three; no second expansion of
+    # the order sums. The grid split takes [H0, .] and [H1, .] itself (on the
+    # grid's real terms, [H1, .] / i), so its entry points count too. Each
+    # order's check [H0, Q_m] - R_m takes one [H0, Q_m] row block per 32 of
+    # the N = 129 rows (5 blocks), and the wave task's off-band check adds
+    # one [H0, M] row block per 32 of the N - 6 = 123 rows it keeps: 4
+    # blocks. The checks are counted apart, by their caller: each of the 5
+    # residuals H^dagger eta - eta H takes one [H0, eta] row block per 32 of
+    # the N = 129 rows (5 blocks), and the one [C, H] takes one [H0, C] and
+    # one [H1, C] block per 32 rows.
     calls = Counter()
 
     def counted(f):
@@ -337,13 +366,13 @@ def test_run_model_spec_checks_each_order_once(monkeypatch):
 
     for module in (operators, perturbation):
         monkeypatch.setattr(module, "commutator", counted(module.commutator))
-    for name in ("h0_commutator", "h1_commutator"):
+    for name in ("h0_commutator", "h1_commutator", "h1_commutator_real"):
         monkeypatch.setattr(SplitHamiltonian, name, counted(getattr(SplitHamiltonian, name)))
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
-    metric_checks = {"adjoint_residual": 5 * 5, "total_commutator": 2 * 5}
-    assert {name: calls.pop(name, 0) for name in metric_checks} == metric_checks
-    assert sum(calls.values()) == 5 + 4, calls
+    checks = {"adjoint_residual": 5 * 5, "total_commutator": 2 * 5, "residual_rows": 2 * 5}
+    assert {name: calls.pop(name, 0) for name in checks} == checks
+    assert sum(calls.values()) == 3 + 4, calls
 
 
 @pytest.mark.parametrize(

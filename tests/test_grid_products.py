@@ -12,6 +12,7 @@ import pytest
 from pseudoherm import (
     MetricOperator,
     Operator,
+    QSeries,
     SplitHamiltonian,
     biorthonormal_eigensystem,
     c_operator,
@@ -19,8 +20,10 @@ from pseudoherm import (
     max_norm,
     metric_from_series,
     pseudo_hermiticity_residual,
+    random_admissible_split,
     solve_q_series,
     spectral_metric,
+    sylvester_solve,
 )
 from pseudoherm.errors import NonFiniteError
 from pseudoherm.operators import (
@@ -38,7 +41,7 @@ from pseudoherm.spectral import (
 )
 from pseudoherm.wavekernel import step_potential
 
-from helpers import fixed_split, reference_phases, toy_2x2
+from helpers import commuting_gauge, fixed_split, reference_phases, toy_2x2
 
 EPS = np.finfo(float).eps
 
@@ -406,3 +409,94 @@ def test_metric_operator_residual_needs_no_svd(linalg_counter):
     assert eta.eig_range == (1.0, 2.0)
     pseudo_hermiticity_residual(split, eta)
     assert linalg_counter["svd"] == 0
+
+
+def complex_route(split, ell):
+    """solve_q_series's orders on complex terms, through the public API.
+
+    Each R_m is order_equation_rhs on the complex lower terms, Q_m is
+    sylvester_solve's, and the check is the whole |[H0, Q_m] - R_m|: the
+    route the grid took before its terms were graded.
+    """
+    terms, residuals = [], []
+    for m in range(1, ell + 1):
+        r = order_equation_rhs(split, QSeries(tuple(terms)) if terms else None, m)
+        q = sylvester_solve(split.H0, r)
+        residuals.append(max_norm(split.h0_commutator(q.mat) - r.mat))
+        terms.append(q)
+    return QSeries(tuple(terms)), residuals
+
+
+@pytest.mark.parametrize("ell", [2, 5])
+def test_graded_series_is_the_complex_route(ell):
+    # on the grid every Q_m and R_m is i^m times a real matrix, and the solve
+    # keeps them as real matrices with a phase; its terms, checks, norms,
+    # defects and metrics are the complex route's. Order 2 is the shipped
+    # spec and must match bit for bit; past it the real scaling by 1/k! is
+    # how numpy rounds the complex division by k!, so the match is asserted
+    # to rounding only (it is exact with numpy 2.4)
+    split = discretize_schroedinger(step_potential(), 4.0, 129, epsilon=0.1)
+    graded = solve_q_series(split, ell)
+    assert all(np.isrealobj(a) for a, _ in graded._graded)
+    ref, residuals = complex_route(split, ell)
+
+    def same(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        if ell == 2:
+            return np.array_equal(x, y)
+        return bool(np.all(np.abs(x - y) <= 1e-12 * max(1.0, np.abs(y).max())))
+
+    assert all(same(t.mat, r.mat) for t, r in zip(graded.terms, ref.terms))
+    assert same([r for r, _ in graded.order_checks], residuals)
+    assert same(graded.norms, ref.norms)
+    assert same(graded.hermiticity_defects, ref.hermiticity_defects)
+    for e in (0.1, 0.05, 0.0125):
+        eta, eta_ref = metric_from_series(graded, e), metric_from_series(ref, e)
+        assert eta.frame is not None and same(eta.frame, eta_ref.frame)
+        assert same(pseudo_hermiticity_residual(split.at(e), eta),
+                    pseudo_hermiticity_residual(split.at(e), eta_ref))
+
+
+def test_a_gauged_grid_series_mixes_real_and_complex_terms():
+    # a gauge term at order 2 makes Q_2 a complex array while Q_1 stays
+    # real; R_3 is formed from both in complex arithmetic (it comes out
+    # purely imaginary, so the solve grades it again), and Q(eps) sums real
+    # and complex terms: e^(-Q(eps)) is that of the same terms held as
+    # Operators, bit for bit
+    split = discretize_schroedinger(step_potential(), 4.0, 33, epsilon=0.1)
+    g = commuting_gauge(split, np.random.default_rng(3), scale=1e-3)
+    series = solve_q_series(split, 3, gauge={2: g})
+    assert [np.isrealobj(a) for a, _ in series._graded] == [True, False, True]
+    as_operators = QSeries(series.terms)
+    for e in (0.1, 0.025):
+        eta, ref = metric_from_series(series, e), metric_from_series(as_operators, e)
+        assert np.array_equal(eta.mat, ref.mat)
+        assert pseudo_hermiticity_residual(split.at(e), eta) == pseudo_hermiticity_residual(
+            split.at(e), ref
+        )
+
+
+def test_a_dense_split_keeps_complex_terms():
+    split = random_admissible_split(12, np.random.default_rng(8), parity=True)
+    series = solve_q_series(split, 3)
+    assert all(np.iscomplexobj(a) and p == 1 for a, p in series._graded)
+    assert all(t.mat is a for t, (a, _) in zip(series.terms, series._graded))
+
+
+@pytest.mark.parametrize("N", [16, 129])
+def test_real_stencil_commutator_is_each_part_of_the_complex_one(N):
+    # a real X takes the stencil on its own columns: [H0, X] is the real part
+    # of the complex stencil on X and the imaginary part on i X, bit for
+    # bit, whole or from a slab in row blocks
+    split = grid_split(N)
+    x = np.random.default_rng(N).standard_normal((N, N))
+    got = split.h0_commutator(x)
+    assert np.isrealobj(got)
+    assert np.array_equal(got, split.h0_commutator(x + 0j).real)
+    assert np.array_equal(got, split.h0_commutator(1j * x).imag)
+    assert np.array_equal(split.h0_commutator(x, 3, N - 2), got[3 : N - 2])
+    v = split.H1.mat.diagonal().imag
+    # [H1, i X] = i [H1, X] = i (i D): the same entries as h1_commutator's
+    d = split.h1_commutator_real(x)
+    assert np.array_equal(-d, split.h1_commutator(1j * x).real)
+    assert np.array_equal(d, v[:, None] * x - x * v[None, :])

@@ -262,15 +262,15 @@ def test_solve_q_series_records_its_order_checks():
 def test_solve_q_series_post_solve_check_fires(monkeypatch, bad_order):
     # a solver that misses the last order's equation by 0.1 % must be caught
     # there (a miss at a lower order would already spoil the next source)
-    real = perturbation._sylvester_eigenbasis
+    real = perturbation._sylvester_graded
     calls = []
 
     def off_by_a_little(eigensystem, r, r_norm, tol):
-        q = real(eigensystem, r, r_norm, tol)
+        q, phase = real(eigensystem, r, r_norm, tol)
         calls.append(1)
-        return Operator(1.001 * q.mat) if len(calls) == bad_order else q
+        return (1.001 * q if len(calls) == bad_order else q), phase
 
-    monkeypatch.setattr(perturbation, "_sylvester_eigenbasis", off_by_a_little)
+    monkeypatch.setattr(perturbation, "_sylvester_graded", off_by_a_little)
     with pytest.raises(ConsistencyError) as err:
         solve_q_series(fixed_split(5, seed=15), bad_order)
     assert f"order-{bad_order} residual" in str(err.value)
@@ -427,10 +427,10 @@ def test_solve_q_series_checks_each_term_once(monkeypatch):
     term_checks = []
     real = perturbation._hermiticity
 
-    def counted(m):
-        if sys._getframe(1).f_code.co_name == "__post_init__":
+    def counted(m, *args):
+        if sys._getframe(1).f_code.co_name == "_setup":
             term_checks.append(m)
-        return real(m)
+        return real(m, *args)
 
     monkeypatch.setattr(perturbation, "_hermiticity", counted)
     q = solve_q_series(fixed_split(6, seed=3), 3)
@@ -572,20 +572,18 @@ def test_solve_q_series_judges_the_source_by_the_narrower_rule():
 def test_solve_q_series_measures_each_source_once(monkeypatch):
     # per order, R_m's anti-Hermiticity defect and its max-norm are each
     # taken once, wherever the rule runs; they were taken twice and four
-    # times when the solve checked the source against two scales. The spy
-    # matches R_m by identity: on the grid R_2 is symmetric rounding noise,
-    # whose Hermitian part can equal it entry for entry
+    # times when the solve checked the source against two scales. Both are
+    # row-block reductions (_max_norm_rows), each named after what it
+    # reduces: R_m, and R_m - R_m^dagger for the defect of i R_m
     split = discretize_schroedinger(step_potential(), 4.0, 129, epsilon=0.1)
-    sources, defects, norms = [], [], []
+    sources, reduced = [], []
     check = perturbation._check_source
     monkeypatch.setattr(perturbation, "_check_source",
-                        lambda r, tol: sources.append(r) or check(r, tol))
-    for module in (operators, perturbation):
-        hdn, mn = module.half_difference_norm, module.max_norm
-        monkeypatch.setattr(module, "half_difference_norm",
-                            lambda a, b, f=hdn: defects.append(a) or f(a, b))
-        monkeypatch.setattr(module, "max_norm", lambda a, f=mn: norms.append(a) or f(a))
+                        lambda r, tol, name: sources.append(r[0]) or check(r, tol, name))
+    rows = operators._max_norm_rows
+    monkeypatch.setattr(operators, "_max_norm_rows",
+                        lambda f, n, name: reduced.append(name) or rows(f, n, name))
     solve_q_series(split, 2)
     assert len(sources) == 2 and all(r.any() for r in sources)
-    for seen in (defects, norms):
-        assert [sum(a is r for a in seen) for r in sources] == [1, 1]
+    for m in (1, 2):
+        assert reduced.count(f"R_{m}") == reduced.count(f"R_{m} - R_{m}^dagger") == 1

@@ -59,6 +59,11 @@ UNREACHED_METHODS = {
     # general_kernel's Hermiticity constraints on the pair (f, g) (claim a)
     "wavekernel.HomogeneousPair.constraint_defects",
     "wavekernel.HomogeneousPair.is_valid",
+    # Q(eps) as an Operator, and series equality by their terms, for API
+    # callers: metric_from_series sums a graded series' parts itself
+    "perturbation.QSeries.summed",
+    "perturbation.QSeries.__eq__",
+    "perturbation.QSeries.__hash__",
     # the dense J: only _checked_parity reads it, for an eta without an
     # eigensystem in the PT frame, and every metric a run builds on the grid
     # carries one

@@ -487,6 +487,35 @@ def test_row_fill_matches_the_dense_fill_bit_for_bit(N):
         del ref
 
 
+@pytest.mark.parametrize("N", [16, 17, 129, 513])
+def test_graded_fill_is_the_imaginary_part_of_the_complex_fill(N):
+    # the bare kernel's samples (i/2) V dx, and those of a pair f = i sin,
+    # g = 0, are purely imaginary: the graded fill is real and holds the
+    # complex fill's imaginary parts bit for bit, and |M| and the off-band
+    # check read the same maxima from it, on the grid split in real
+    # arithmetic and on a dense split through i times it. A pair with real
+    # parts keeps the complex fill
+    v = step_potential()
+    K = particular_kernel_q1(v)
+    split = discretize_schroedinger(v, 4.0, N)
+    dense = SplitHamiltonian(split.H0, split.H1, split.epsilon)
+    for kernel, imaginary in ((K, True), (general_kernel(K, sin_gauge_pair()), True),
+                              (general_kernel(K, even_gauge_pair()), False)):
+        full, graded = kernel_rows(kernel, 4.0, N), kernel_rows(kernel, 4.0, N, graded=True)
+        for start, stop in ((0, N), (0, min(32, N)), (N // 2 - 3, N // 2 + 4)):
+            want = full(start, stop)
+            got = graded(start, stop)
+            assert np.isrealobj(got) == imaginary
+            if imaginary:
+                assert not want.real.any() and np.array_equal(got, want.imag)
+            else:
+                assert np.array_equal(got, want)
+        assert _max_norm_rows(graded, N, "M") == _max_norm_rows(full, N, "M")
+        for form in (split, dense):
+            expected = offdiagonal_commutator_check(form, full, band_exclude=2)
+            assert offdiagonal_commutator_check(form, graded, band_exclude=2) == expected
+
+
 def test_kernel_to_matrix_samples_each_part_at_2n_minus_1_points():
     # F, f and g are each evaluated on at most 2N - 1 points, never on N^2
     sizes = {"F": [], "f": [], "g": []}
