@@ -357,6 +357,13 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
+def _stencil_work(x: np.ndarray, rows: int = ROW_BLOCK) -> np.ndarray:
+    """Scratch for SplitHamiltonian.h0_commutator on blocks of up to rows rows of x,
+    halo included: three float arrays of the block's real view (2N columns
+    for a complex x, N for a real one)."""
+    return np.empty((3, rows + 2, x.shape[1] * (1 if np.isrealobj(x) else 2)))
+
+
 def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray, work=None) -> np.ndarray:
     """[T, X] for the symmetric T with diag on the diagonal and off on both neighbours.
 
@@ -516,11 +523,10 @@ class SplitHamiltonian:
         to it, so the rows come from a slab of X with one halo row on each
         side, each entry summed exactly as in the whole commutator, and a
         real X gives a real result. The rows are taken ROW_BLOCK at a time,
-        each block's products in one scratch: work, a float array of shape
-        (3, >= slab rows, 2N) for a complex X or (3, >= slab rows, N) for a
-        real one, which a caller taking many row blocks passes to every call,
-        else one made here. A single block's result then lives in work until
-        the next call. The dense form takes no scratch and ignores it.
+        each block's products in one scratch: work (_stencil_work), which a
+        caller taking many row blocks passes to every call, else one made
+        here. A single block's result then lives in work until the next
+        call. The dense form takes no scratch and ignores it.
         """
         n = x.shape[0]
         stop = n if stop is None else stop
@@ -528,9 +534,8 @@ class SplitHamiltonian:
             h0 = self._dense[0].mat
             return h0[start:stop] @ x - x[start:stop] @ h0
         diag, off, _ = self._stencil
-        real = np.isrealobj(x)
         if work is None:
-            work = np.empty((3, min(ROW_BLOCK, stop - start) + 2, x.shape[1] * (1 if real else 2)))
+            work = _stencil_work(x, min(ROW_BLOCK, stop - start))
 
         def rows(s: int, e: int) -> np.ndarray:
             lo, hi = max(s - 1, 0), min(e + 1, n)
@@ -538,7 +543,7 @@ class SplitHamiltonian:
 
         if stop - start <= ROW_BLOCK:
             return rows(start, stop)
-        out = np.empty((stop - start, x.shape[1]), float if real else complex)
+        out = np.empty((stop - start, x.shape[1]), float if np.isrealobj(x) else complex)
         for s in range(start, stop, ROW_BLOCK):
             e = min(s + ROW_BLOCK, stop)
             out[s - start : e - start] = rows(s, e)

@@ -42,7 +42,6 @@ from .errors import (
 )
 from .operators import (
     DEFAULT_TOL,
-    ROW_BLOCK,
     Operator,
     SplitHamiltonian,
     Tolerance,
@@ -51,6 +50,7 @@ from .operators import (
     _hermitian_eigh,
     _hermiticity,
     _max_norm_rows,
+    _stencil_work,
     commutator,
     is_hermitian,
     max_norm,
@@ -438,7 +438,7 @@ def _solved_residual(split: SplitHamiltonian, q: tuple, r: tuple, m: int) -> flo
     if not split.is_stencil:
         return max_norm(split.h0_commutator(a) - b)
     n = split.dim
-    work = np.empty((3, ROW_BLOCK + 2, n * (1 if np.isrealobj(a) else 2)))
+    work = _stencil_work(a)
 
     def residual_rows(start: int, stop: int) -> np.ndarray:
         return split.h0_commutator(a, start, stop, work) - b[start:stop]

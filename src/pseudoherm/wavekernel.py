@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .operators import ROW_BLOCK, Operator, SplitHamiltonian
+from .operators import ROW_BLOCK, Operator, SplitHamiltonian, _stencil_work
 
 CONSTRAINT_TOL = 1e-10
 # samples of HomogeneousPair.constraint_defects on [-box, box]
@@ -353,7 +353,7 @@ def offdiagonal_commutator_check(
             if whole is None:  # the slab's rows 1:stop - start + 1 are M's rows start:stop
                 slab = rows(start - 1, stop + 1)
                 if work is None:
-                    work = np.empty((3, ROW_BLOCK + 2, n * (1 if np.isrealobj(slab) else 2)))
+                    work = _stencil_work(slab)
                 comm = split.h0_commutator(slab, 1, stop - start + 1, work)
             else:
                 comm = split.h0_commutator(whole, start, stop)
