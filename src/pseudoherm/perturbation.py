@@ -12,16 +12,21 @@ The equations are solved in the H0 eigenbasis (sylvester_solve) under the
 minimal-norm gauge; H0-commuting Hermitian gauge terms may be injected per
 order and are recorded in the gauge log.
 
-On the Schroedinger grid H0 is real and H1 = i diag(v), so every Q_m and
-R_m is i^m times a real matrix. solve_q_series holds each as a graded pair
-(real matrix, phase): the chain sums, the source rule, the real Sylvester
-transforms and the post-solve check run in real arithmetic and in row
-blocks, part by part as the complex route would round them, and QSeries
-forms complex Operators only when .terms is read. metric_from_series sums
-Q(eps)'s two real parts, takes its real frame matrix and returns a frame
-metric (spectral.MetricOperator), which keeps y = u diag(lam) u^T and
-forms the complex eta only when it is read. A dense split keeps complex
-terms and the complex products.
+On the Schroedinger grid H0 is real and H1 = i diag(v), so every
+contribution to the order-m chain sum has the phase i^m: Q_m = i^m A_m and
+R_m = i^m B_m with A_m, B_m real. The phase belongs to the order, so a
+grid solve runs in real mode: it holds the real A_m, and the chain sums,
+the source rule, the Sylvester transforms and the post-solve check run on
+real matrices, in row blocks where they can, each part rounded as the
+complex route rounds it. Each rule on i^m A becomes the same rule on A
+with the sign (-1)^m (_parity). The mode is decided once per solve or
+series: real on a stencil split whose gauge terms g_m have g_m / i^m real,
+complex otherwise (a dense split, or a gauge that breaks the phase).
+Public functions handed complex operators on the grid grade them once,
+at the boundary (_graded). QSeries forms complex Operators only when
+.terms is read; metric_from_series sums Q(eps)'s two real parts and
+returns a frame metric (spectral.MetricOperator), which keeps
+y = u diag(lam) u^T and forms the complex eta only when it is read.
 """
 
 from __future__ import annotations
@@ -61,37 +66,28 @@ NOISE_FLOOR = 1e-13
 
 
 class QSeries:
-    """Hermitian coefficients Q_1 ... Q_l of Q = sum_j Q_j eps^j.
+    """Hermitian coefficients Q_1 ... Q_l of Q = sum_j Q_j eps^j; at least one.
 
-    Built from Operators (terms), or by solve_q_series from graded terms.
-    On the grid, H0 is real and H1 imaginary, so each Q_j is p_j A_j with
-    A_j real and p_j a power of i; such a series keeps the pairs (A_j, p_j)
-    and forms the Operators of .terms only when they are read. Either way
-    each term's Hermiticity rule runs once, here. Two series compare equal
-    when their terms are the same Operators.
+    terms are the Operators Q_j, or the real matrices A_j = Q_j / i^j of a
+    real-mode series (as solve_q_series builds one on the grid), which forms
+    the Operators i^j A_j of .terms only when they are read. Either way each
+    term's Hermiticity rule runs once, here. Two series compare equal when
+    their terms are the same Operators.
     """
 
     def __init__(self, terms: tuple, gauge_log: tuple = (), order_checks: tuple = ()):
         terms = tuple(terms)
-        self._setup(tuple((t.mat, 1 + 0j) for t in terms), gauge_log, order_checks)
-        self._terms = terms
-
-    @classmethod
-    def _from_graded(cls, graded: tuple, gauge_log: tuple, order_checks: tuple) -> "QSeries":
-        """The series of the graded terms (A_j, p_j): A_j real (or complex with p_j = 1)."""
-        q = cls.__new__(cls)
-        q._setup(graded, gauge_log, order_checks)
-        q._terms = None
-        return q
-
-    def _setup(self, graded: tuple, gauge_log: tuple, order_checks: tuple) -> None:
+        if not terms:
+            raise DomainError("a QSeries needs at least one term")
+        self._real = all(isinstance(t, np.ndarray) for t in terms)
+        self._terms = None if self._real else terms
+        self._matrices = terms if self._real else tuple(t.mat for t in terms)
         measured = []
-        for j, (a, p) in enumerate(graded):
-            norm, defect = _hermiticity(a, f"Q_{j + 1}", _hermitian_sign(p))
+        for j, a in enumerate(self._matrices, start=1):
+            norm, defect = _hermiticity(a, f"Q_{j}", _parity(j, self._real))
             if defect > DEFAULT_TOL.bound(norm):
-                raise StructureError(f"Q_{j + 1} is not Hermitian within tolerance")
+                raise StructureError(f"Q_{j} is not Hermitian within tolerance")
             measured.append((norm, defect))
-        self._graded = graded
         self.gauge_log = tuple(gauge_log)
         # (residual, bound) per order as solve_q_series checked it; () if hand-built
         self.order_checks = tuple(order_checks)
@@ -102,7 +98,7 @@ class QSeries:
     @property
     def terms(self) -> tuple:
         if self._terms is None:
-            self._terms = tuple(Operator._own(_value(a, p)) for a, p in self._graded)
+            self._terms = tuple(Operator._own(1j**j * a) for j, a in enumerate(self._matrices, start=1))
         return self._terms
 
     def __eq__(self, other) -> bool:
@@ -113,36 +109,33 @@ class QSeries:
 
     @property
     def order(self) -> int:
-        return len(self._graded)
+        return len(self._matrices)
 
     def summed(self, epsilon: float) -> Operator:
         return Operator._own(self._summed(epsilon)[:])
 
     def _summed(self, epsilon: float):
-        """Q(epsilon): a complex array, or for a graded series a _ComplexParts.
+        """Q(epsilon): a complex array, or for a real-mode series a _ComplexParts.
 
-        The parts are summed in real arithmetic: each term goes to the real
-        or the imaginary part its phase names, with its sign, in the order
-        and with the rounding of the complex sum.
+        A real-mode series sums its parts in real arithmetic: i^j A_j eps^j
+        goes to the real part for even j and to the imaginary part for odd
+        j, with the sign of i^j, in the order and with the rounding of the
+        complex sum.
         """
-        graded = all(np.isrealobj(a) for a, _ in self._graded)
         parts = [None, None]
-        for j, (a, p) in enumerate(self._graded):
+        for j, a in enumerate(self._matrices, start=1):
             try:
-                scale = epsilon ** (j + 1)
+                scale = epsilon**j
             except OverflowError:
-                raise NonFiniteError(f"epsilon^{j + 1} overflows at epsilon = {epsilon}") from None
-            if graded:  # p a goes to part k with the sign of p
-                k, x, sign = int(p.imag != 0), a * scale, p.real + p.imag
-            else:
-                k, x, sign = 0, _value(a, p) * scale, 1
+                raise NonFiniteError(f"epsilon^{j} overflows at epsilon = {epsilon}") from None
+            k = j % 2 if self._real else 0
             if parts[k] is None:
-                parts[k] = np.zeros(a.shape, dtype=float if graded else complex)
-            if sign > 0:
-                parts[k] += x
+                parts[k] = np.zeros(a.shape, dtype=a.dtype)
+            if self._real and j % 4 >= 2:
+                parts[k] -= a * scale
             else:
-                parts[k] -= x
-        return _ComplexParts(*parts) if graded else parts[0]
+                parts[k] += a * scale
+        return _ComplexParts(*parts) if self._real else parts[0]
 
 
 def master_formula_coefficients(ell: int) -> np.ndarray:
@@ -196,114 +189,73 @@ def _compositions(n: int):
             yield (first,) + rest
 
 
-def _graded(x: np.ndarray) -> tuple[np.ndarray, complex] | None:
-    """(a, p) with x = p a, a real and p = 1 or 1j, if x is purely real or purely imaginary.
+def _parity(m: int, real: bool) -> float:
+    """(-1)^m for a real-mode term of order m, else 1.
 
-    On the Schroedinger grid H0 is real and H1 imaginary, so Q_m and R_m are
-    i^m times a real matrix and their products can run in real arithmetic.
+    For a real A, (i^m A)^dagger = (-1)^m i^m A^T, so each rule on a term
+    i^m A is the same rule on A with this sign: Q_m is Hermitian when
+    A_m^T = (-1)^m A_m, and i^m A's Hermitian part is i^m (A + (-1)^m A^T) / 2.
     """
-    if not x.imag.any():
-        return x.real, 1 + 0j
-    if not x.real.any():
-        return x.imag, 1j
-    return None
+    return (-1.0) ** m if real else 1.0
 
 
-def _graded_commutator(x: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """commutator(x, q), as one real commutator times a phase when x and q are each graded."""
-    gx, gq = _graded(x), _graded(q)
-    if gx is None or gq is None:
-        return commutator(x, q)
-    (a, p), (b, s) = gx, gq
-    return (p * s) * commutator(a, b)
+def _graded(x: np.ndarray, m: int) -> np.ndarray | None:
+    """A = x / i^m if that is real, else None: a complex order-m term in real mode."""
+    part, other = (x.real, x.imag) if m % 2 == 0 else (x.imag, x.real)
+    if other.any():
+        return None
+    return part if m % 4 < 2 else -part
 
 
-# A graded pair (a, p) stands for the matrix p a: a real with p one of 1, i,
-# -1, -i, or a complex with p = 1. Phases multiply exactly and a sign is
-# carried in p, so the real arithmetic on a is the complex arithmetic on
-# p a, part by part, with the same rounding.
+def _chain_terms(split: SplitHamiltonian, q: QSeries | None, count: int) -> tuple[list, bool]:
+    """(terms, real): the first count terms of q as the chain sum takes them, and its mode.
 
-
-def _value(a: np.ndarray, p: complex) -> np.ndarray:
-    """The complex matrix p a of a graded pair."""
-    return a if np.iscomplexobj(a) else p * a
-
-
-def _hermitian_sign(p: complex) -> float:
-    """sign with p a - (p a)^dagger = p (a - sign a^dagger), for a real a (1 when a is complex)."""
-    return 1.0 if p.imag == 0 else -1.0
-
-
-def _negated(x: tuple) -> tuple:
-    a, p = x
-    return (a, -p) if np.isrealobj(a) else (-a, p)
-
-
-def _h0_head(split: SplitHamiltonian, term: tuple) -> tuple:
-    """[H0, p a] = p [H0, a], through the split: on the grid the real stencil, in row blocks."""
-    a, p = term
-    return split.h0_commutator(a), p
-
-
-def _h1_head(split: SplitHamiltonian, term: tuple) -> tuple:
-    """[H1, p a] = i p (v_i a_ij - a_ij v_j) for a real a (the grid's only); else complex."""
-    a, p = term
-    if np.isrealobj(a):
-        return split.h1_commutator_real(a), 1j * p
-    return split.h1_commutator(a), 1 + 0j
-
-
-def _link(x: tuple, term: tuple) -> tuple:
-    """[x, p b]: one real commutator and a phase when both matrices are real."""
-    (a, p), (b, s) = x, term
-    if np.isrealobj(a) and np.isrealobj(b):
-        return commutator(a, b), p * s
-    return _graded_commutator(_value(a, p), _value(b, s)), 1 + 0j
-
-
-def _accumulate(acc: tuple | None, x: tuple, f: int) -> tuple:
-    """acc + x / f for graded pairs; x is fresh and is scaled in place.
-
-    A real x is multiplied by 1 / f, which is how numpy's complex division
-    by the real f rounds, so each part matches the complex sum bit for bit.
-    Pairs whose phases agree up to sign add in real arithmetic.
+    Real mode runs on a stencil split with the real A_j: a real-mode series
+    holds them, and a series of Operators is graded here, once, when every
+    term has one. Otherwise the terms are the complex Q_j.
     """
-    a, p = x
-    if np.isrealobj(a):
-        if f != 1:
-            a *= 1 / f
-    else:
-        a = a / f
-    if acc is None:
-        return a, p
-    b, s = acc
-    if np.isrealobj(a) and np.isrealobj(b) and p in (s, -s):
-        return (b + a if p == s else b - a), s
-    return _value(b, s) + _value(a, p), 1 + 0j
+    if q is None:
+        return [], split.is_stencil
+    if q._real and split.is_stencil:
+        return list(q._matrices[:count]), True
+    terms = [t.mat for t in q.terms[:count]]
+    if split.is_stencil:
+        graded = [_graded(t, j) for j, t in enumerate(terms, start=1)]
+        if all(a is not None for a in graded):
+            return graded, True
+    return terms, False
 
 
-def _chain_sum(split: SplitHamiltonian, terms: list, m: int) -> tuple:
-    """order_residual's sum over the graded terms Q_j, as a graded pair; chains through
-    a missing Q_j are skipped.
+def _chain_sum(split: SplitHamiltonian, terms: list, m: int, real: bool) -> np.ndarray:
+    """order_residual's sum over the terms; chains through a missing term are skipped.
 
-    The first link of each chain, [H0, Q_j] or [H1, Q_j], goes through the
-    split; a later link runs in real arithmetic when its operands are graded.
+    In real mode the terms are the A_j and the sum is divided by i^m: the
+    H1 head is the real split.h1_commutator_real, and 2 H1 = i 2 diag(v).
+    Each chain is one matrix, scaled in place by 1/k! and added.
     """
     n = split.dim
     acc = None
     if m == 1:  # H - H^dagger = 2 eps H1 enters at order 1
-        if split.is_stencil:
-            acc = split.add_h1(np.zeros((n, n)), 2.0), 1j
-        else:
-            acc = split.add_h1(np.zeros((n, n), dtype=complex), 2.0), 1 + 0j
-    for head, budget in ((_h0_head, m), (_h1_head, m - 1)):
+        acc = split.add_h1(np.zeros((n, n), dtype=float if real else complex), 2.0)
+    h1_head = split.h1_commutator_real if real else split.h1_commutator
+    for head, budget in ((split.h0_commutator, m), (h1_head, m - 1)):
         for comp in _compositions(budget):
             if not comp or max(comp) > len(terms):
                 continue
-            x = head(split, terms[comp[0] - 1])
+            x = head(terms[comp[0] - 1])
             for j in comp[1:]:
-                x = _link(x, terms[j - 1])
-            acc = _accumulate(acc, x, math.factorial(len(comp)))
+                x = commutator(x, terms[j - 1])
+            f = math.factorial(len(comp))
+            # a real x is multiplied by 1 / f, which is how numpy's complex
+            # division by the real f rounds each part
+            if not real:
+                x /= f
+            elif f != 1:
+                x *= 1 / f
+            if acc is None:
+                acc = x
+            else:
+                acc += x
     return acc
 
 
@@ -319,7 +271,9 @@ def order_residual(split: SplitHamiltonian, q: QSeries, m: int) -> Operator:
         raise DomainError(f"m must be >= 1, got {m}")
     if m > q.order:
         raise DomainError(f"order {m} exceeds available terms ({q.order})")
-    return Operator._own(_value(*_chain_sum(split, list(q._graded), m)))
+    terms, real = _chain_terms(split, q, m)
+    x = _chain_sum(split, terms, m, real)
+    return Operator._own(1j**m * x if real else x)
 
 
 def order_equation_rhs(
@@ -332,12 +286,14 @@ def order_equation_rhs(
     for the equation to admit a Hermitian solution; it is judged by the
     solve's rule (_check_source), StructureError past tol.bound(|R_m|).
     """
-    lower = () if q_lower is None else q_lower._graded
-    if len(lower) != m - 1:
-        raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {len(lower)}")
-    r = _negated(_chain_sum(split, list(lower), m))
-    _check_source(r, tol, f"R_{m}")
-    return Operator._own(_value(*r))
+    lower = 0 if q_lower is None else q_lower.order
+    if lower != m - 1:
+        raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {lower}")
+    terms, real = _chain_terms(split, q_lower, m - 1)
+    r = _chain_sum(split, terms, m, real)
+    np.negative(r, out=r)
+    _check_source(r, tol, f"R_{m}", _parity(m, real))
+    return Operator._own(1j**m * r if real else r)
 
 
 def _check_h0(hermiticity: tuple[float, float], tol: Tolerance) -> None:
@@ -347,13 +303,13 @@ def _check_h0(hermiticity: tuple[float, float], tol: Tolerance) -> None:
         raise StructureError("H0 must be Hermitian")
 
 
-def _check_source(r: tuple, tol: Tolerance, name: str = "R") -> float:
+def _check_source(r: np.ndarray, tol: Tolerance, name: str, sign: float) -> float:
     """|R|, once the defect |R + R^dagger| is within tol.bound(|R|): the Hermiticity rule on i R.
 
-    r is a graded pair; the rule reads its matrix ROW_BLOCK rows at a time.
+    r is R, or in real mode B with R = i^m B and sign = (-1)^m (_parity);
+    the rule reads it ROW_BLOCK rows at a time.
     """
-    a, p = r
-    norm, defect = _hermiticity(a, name, -_hermitian_sign(p))
+    norm, defect = _hermiticity(r, name, -sign)
     bound = tol.bound(norm)
     if defect > bound:
         raise StructureError(f"source R must be anti-Hermitian: defect {defect:.3e} exceeds {bound:.3e}")
@@ -367,36 +323,37 @@ def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> 
     abs_tol count as degenerate and their entries are gauged to zero, which
     is only consistent when the source vanishes there (Fredholm condition).
     A source R not anti-Hermitian within tol.bound(|R|) raises StructureError.
+    With a real H0, a real or imaginary R is solved in real arithmetic.
     """
     if H0.mat.shape != R.mat.shape:
         raise ShapeError(f"dimension mismatch: {H0.mat.shape} vs {R.mat.shape}")
     _check_h0(_hermiticity(H0.mat, "H0"), tol)
-    r_norm = _check_source((R.mat, 1 + 0j), tol)
-    return _sylvester_eigenbasis(_hermitian_eigh(H0.mat), R.mat, r_norm, tol)
+    r_norm = _check_source(R.mat, tol, "R", 1.0)
+    e, u = _hermitian_eigh(H0.mat)
+    r, m = R.mat, 0
+    if np.isrealobj(u):  # a real or an imaginary R is graded here, once
+        for k in (0, 1):
+            a = _graded(r, k)
+            if a is not None:
+                r, m = a, k
+                break
+    real = np.isrealobj(r)
+    q = _sylvester((e, u), r, r_norm, tol, _parity(m, real))
+    return Operator._own(1j**m * q if real else q)
 
 
-def _sylvester_eigenbasis(
-    eigensystem: tuple[np.ndarray, np.ndarray], r: np.ndarray, r_norm: float, tol: Tolerance
-) -> Operator:
-    """sylvester_solve given H0's (E, U) and r_norm = |R|; the inputs are already checked."""
-    return Operator._own(_value(*_sylvester_graded(eigensystem, (r, 1 + 0j), r_norm, tol)))
+def _sylvester(
+    eigensystem: tuple[np.ndarray, np.ndarray], r: np.ndarray, r_norm: float, tol: Tolerance, sign: float
+) -> np.ndarray:
+    """Q for H0's (E, U), the source R and r_norm = |R|; the inputs are already checked.
 
-
-def _sylvester_graded(
-    eigensystem: tuple[np.ndarray, np.ndarray], r: tuple, r_norm: float, tol: Tolerance
-) -> tuple:
-    """Q as a graded pair, for H0's (E, U), the graded source R and r_norm = |R|.
-
-    With U real and R = p A graded (A real; a complex R is graded when it
-    is purely real or imaginary), both basis changes U^T A U and U Q~ U^T
-    run in real arithmetic and Q keeps R's phase.
+    In real mode r is B with R = i^m B, U is real, and the result is the
+    real A with Q = i^m A: both basis changes U^T B U and U Q~ U^T run in
+    real arithmetic, and A's Hermitian part takes sign = (-1)^m.
     """
     e, u = eigensystem
-    a, phase = r
-    if np.iscomplexobj(a) and np.isrealobj(u):
-        a, phase = _graded(a) or (a, phase)
-    real = np.isrealobj(a) and np.isrealobj(u)
-    rt = u.T @ a @ u if real else u.conj().T @ _value(a, phase) @ u
+    ut = u.conj().T
+    rt = ut @ r @ u
     gaps = e[:, None] - e[None, :]
     degenerate = np.abs(gaps) <= tol.abs_tol
     over = np.abs(rt[degenerate]) > tol.bound(r_norm)  # the degenerate pairs in row-major order
@@ -413,37 +370,27 @@ def _sylvester_graded(
     del gaps, degenerate
     qm = u @ rt
     del rt
-    qm = qm @ (u.T if real else u.conj().T)
-    # the Hermitian part of p A is p (A + A^T) / 2 for a real p, p (A - A^T) / 2 for
-    # p = +-i, and (A + A^dagger) / 2 for a complex A
-    if not real:
-        h = qm + qm.conj().T
-    else:
-        h = qm + qm.T if phase.imag == 0 else qm - qm.T
+    qm = qm @ ut
+    h = qm + qm.conj().T if sign > 0 else qm - qm.T
     del qm
     h /= 2
-    return h, (phase if real else 1 + 0j)
+    return h
 
 
-def _solved_residual(split: SplitHamiltonian, q: tuple, r: tuple, m: int) -> float:
-    """|[H0, Q_m] - R_m|, the order-m residual once Q_m is solved.
+def _solved_residual(split: SplitHamiltonian, q: np.ndarray, r: np.ndarray, m: int) -> float:
+    """|[H0, Q_m] - R_m|, the order-m residual once Q_m is solved (in real mode |[H0, A_m] - B_m|).
 
-    On the stencil it is reduced ROW_BLOCK rows at a time with one scratch,
-    in real arithmetic when Q_m and R_m share their phase; a dense split
-    takes the whole product.
+    On the stencil it is reduced ROW_BLOCK rows at a time with one scratch;
+    a dense split takes the whole product.
     """
-    (a, p), (b, s) = q, r
-    if not (np.isrealobj(a) and np.isrealobj(b) and p == s):
-        a, b = _value(a, p), _value(b, s)
     if not split.is_stencil:
-        return max_norm(split.h0_commutator(a) - b)
-    n = split.dim
-    work = _stencil_work(a)
+        return max_norm(split.h0_commutator(q) - r)
+    work = _stencil_work(q)
 
     def residual_rows(start: int, stop: int) -> np.ndarray:
-        return split.h0_commutator(a, start, stop, work) - b[start:stop]
+        return split.h0_commutator(q, start, stop, work) - r[start:stop]
 
-    return _max_norm_rows(residual_rows, n, f"[H0, Q_{m}] - R_{m}")
+    return _max_norm_rows(residual_rows, split.dim, f"[H0, Q_{m}] - R_{m}")
 
 
 def solve_q_series(
@@ -455,18 +402,20 @@ def solve_q_series(
     """Iterate order_equation_rhs / sylvester_solve for m = 1..ell.
 
     Each source R_m is formed once and judged once, by sylvester_solve's rule.
-    On the grid every R_m and Q_m is a graded pair (a real matrix and a
-    power of i): the sources, the solve and the checks run in real
-    arithmetic, with the same rounding as the complex route, and H0's rule
-    and eigh read its real stencil. A dense split's terms stay complex.
-    gauge maps an order m to a Hermitian H0-commuting addition to Q_m
-    (validated; recorded in the gauge log). On return every order residual
-    1..ell, which is |[H0, Q_m] - R_m| once Q_m is solved, vanishes within
-    tolerance; order_checks holds each (residual, bound).
+    On the grid the solve runs in real mode on the A_m = Q_m / i^m and
+    B_m = R_m / i^m, with the rounding of the complex route, and H0's rule
+    and eigh read its real stencil; a dense split, or a gauge term g_m with
+    g_m / i^m not real, makes the whole solve complex. gauge maps an order m
+    to a Hermitian H0-commuting addition to Q_m (validated; recorded in the
+    gauge log). On return every order residual 1..ell, which is
+    |[H0, Q_m] - R_m| once Q_m is solved, vanishes within tolerance;
+    order_checks holds each (residual, bound).
     """
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
-    gauge = gauge or {}
+    gauge = {m: g.mat for m, g in (gauge or {}).items() if 1 <= m <= ell}
+    graded = {m: _graded(g, m) for m, g in gauge.items()}
+    real = split.is_stencil and all(a is not None for a in graded.values())
     _check_h0(split.h0_hermiticity(), tol)
     h0_norm = split.h0_norm()
     terms = []
@@ -475,19 +424,19 @@ def solve_q_series(
     # one factorization of H0 serves every order and is not kept past the solve
     h0_eig = split.h0_eigensystem()
     for m in range(1, ell + 1):
-        rm = _negated(_chain_sum(split, terms, m))
-        rm_norm = _check_source(rm, tol, f"R_{m}")
-        qm = _sylvester_graded(h0_eig, rm, rm_norm, tol)
-        if not split.is_stencil:  # the dense products run on complex terms
-            qm = _value(*qm), 1 + 0j
+        sign = _parity(m, real)
+        rm = _chain_sum(split, terms, m, real)
+        np.negative(rm, out=rm)
+        rm_norm = _check_source(rm, tol, f"R_{m}", sign)
+        qm = _sylvester(h0_eig, rm, rm_norm, tol, sign)
         entry = {"order": m, "gauge": "minimal", "rhs_norm": rm_norm}
         if m in gauge:
-            g = gauge[m].mat
+            g = gauge[m]
             if not is_hermitian(g, tol):
                 raise GaugeError(f"order-{m} gauge term is not Hermitian")
             if max_norm(split.h0_commutator(g)) > tol.bound(h0_norm * max(1.0, max_norm(g))):
                 raise GaugeError(f"order-{m} gauge term does not commute with H0")
-            qm = _value(*qm) + g, 1 + 0j
+            qm += graded[m] if real else g
             entry["gauge"] = "minimal+custom"
             entry["custom_norm"] = max_norm(g)
         residuals.append(_solved_residual(split, qm, rm, m))
@@ -495,12 +444,14 @@ def solve_q_series(
         terms.append(qm)
         glog.append(entry)
     scale = max(1.0, h0_norm + split.h1_norm())
-    qscale = max(1.0, max(max_norm(a) for a, _ in terms))
+    qscale = max(1.0, max(max_norm(a) for a in terms))
     checks = tuple((r, tol.bound(scale * qscale**m)) for m, r in enumerate(residuals, start=1))
     for m, (res, bound) in enumerate(checks, start=1):
         if res > bound:
             raise ConsistencyError(f"order-{m} residual {res:.3e} after solve")
-    return QSeries._from_graded(tuple(terms), tuple(glog), checks)
+    if not real:
+        terms = [Operator._own(q) for q in terms]
+    return QSeries(terms, glog, checks)
 
 
 def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
@@ -509,7 +460,7 @@ def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
     One eigh of Q(eps) = U diag(w) U^dagger (in the PT frame when Q(eps) has
     one) gives eta = U diag(e^(-w)) U^dagger, and the metric carries that
     eigensystem (e^(-w), u, in_frame) in eigh order, lam descending. A
-    graded series gives Q(eps) as its two real parts, which the Hermiticity
+    real-mode series gives Q(eps) as its two real parts, which the Hermiticity
     and PT rules read in row blocks and to_pt_frame maps to the frame
     matrix; in the frame the metric is a frame metric, with no complex eta.
     """

@@ -31,7 +31,7 @@ from .config import (
     WaveTask,
 )
 from .errors import DomainError, NonFiniteError, PseudohermError
-from .operators import Operator, SplitHamiltonian, _max_norm_rows, max_norm
+from .operators import Operator, SplitHamiltonian, _hermiticity, _max_norm_rows
 from .perturbation import (
     NOISE_FLOOR,
     curve_slope,
@@ -132,8 +132,8 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
     # below sets the task's peak memory, and each N x N array held across it
     # adds to that peak
     h = _equivalent_hermitian(H, eta, residual, threshold, ctx.tol)[0].mat
-    herm_defect = max_norm(h - h.conj().T)
-    h_bound = RESIDUAL_REL * max(1.0, max_norm(h))
+    h_norm, herm_defect = _hermiticity(h, "h")
+    h_bound = RESIDUAL_REL * max(1.0, h_norm)
     del h
     verdicts.append(_verdict("equivalent_hermitian_defect", herm_defect, h_bound))
     verdicts.append(_verdict("completeness_defect", completeness, threshold))

@@ -211,8 +211,11 @@ def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
     _check_condition(sv)
     inv_h = (u / sv) @ vh
     gram = max_norm(_minus_identity(inv_h.conj().T @ v))
-    completeness = _minus_identity(v @ inv_h.conj().T)
-    completeness = max_norm(from_pt_frame(completeness) if in_frame else completeness)
+    z = _minus_identity(v @ inv_h.conj().T)
+    if in_frame:  # B (W W^-1 - I) B^dagger, formed and reduced ROW_BLOCK rows at a time
+        completeness = _max_norm_rows(lambda start, stop: from_pt_frame(z, start, stop), w.size, "W W^-1 - I")
+    else:
+        completeness = max_norm(z)
     return BiorthonormalSystem(w, (u, sv, vh), in_frame, gram, completeness)
 
 

@@ -29,11 +29,10 @@ from pseudoherm.errors import NonFiniteError
 from pseudoherm.operators import (
     DEFAULT_TOL,
     IndexReversal,
-    commutator,
     from_pt_frame_columns,
     pt_frame,
 )
-from pseudoherm.perturbation import _graded_commutator, _sylvester_eigenbasis, order_equation_rhs
+from pseudoherm.perturbation import order_equation_rhs, order_residual
 from pseudoherm.spectral import (
     _equivalent_hermitian,
     _frame,
@@ -351,7 +350,7 @@ def test_equivalent_hermitian_of_the_split_matches_the_operator():
 
 
 def old_sylvester_eigenbasis(e, u, r, tol):
-    """_sylvester_eigenbasis's complex transforms as they were written before the real path."""
+    """sylvester_solve's complex transforms as they were written before the real path."""
     rt = u.conj().T @ r @ u
     gaps = e[:, None] - e[None, :]
     degenerate = np.abs(gaps) <= tol.abs_tol
@@ -370,7 +369,7 @@ def test_real_sylvester_transforms_match_the_complex_ones():
     np.fill_diagonal(k, 0.0)
     real = u @ (k - k.T) @ u.T + 0j
     for r, graded in ((r1, True), (real, True), (real + 1j * (u @ (k + k.T) @ u.T), False)):
-        q = _sylvester_eigenbasis((e, u), r, max_norm(r), DEFAULT_TOL).mat
+        q = sylvester_solve(split.H0, Operator(r)).mat
         expected = old_sylvester_eigenbasis(e, u, r, DEFAULT_TOL)
         if graded:
             assert not (q.real.any() and q.imag.any())
@@ -382,22 +381,9 @@ def test_real_sylvester_transforms_match_the_complex_ones():
 def test_complex_h0_keeps_the_complex_sylvester_transforms():
     split = fixed_split(8, seed=3)
     e, u = np.linalg.eigh(split.H0.mat)
-    r = order_equation_rhs(split, None, 1).mat
-    q = _sylvester_eigenbasis((e, u), r, max_norm(r), DEFAULT_TOL).mat
-    assert np.array_equal(q, old_sylvester_eigenbasis(e, u, r, DEFAULT_TOL))
-
-
-def test_graded_commutator_matches_the_complex_one():
-    rng = np.random.default_rng(2)
-    a, b = rng.standard_normal((2, 40, 40))
-    for x, q in ((1j * a, 1j * b), (1j * a, b + 0j), (a + 0j, b + 0j)):
-        got = _graded_commutator(x, q)
-        expected = commutator(x, q)
-        assert max_norm(got - expected) <= 1e-14 * max_norm(expected)
-        # the product of the phases leaves the result graded
-        assert not (got.real.any() and got.imag.any())
-    mixed = a + 1j * b
-    assert np.array_equal(_graded_commutator(mixed, 1j * a), commutator(mixed, 1j * a))
+    r = order_equation_rhs(split, None, 1)
+    q = sylvester_solve(split.H0, r).mat
+    assert np.array_equal(q, old_sylvester_eigenbasis(e, u, r.mat, DEFAULT_TOL))
 
 
 def test_metric_operator_residual_needs_no_svd(linalg_counter):
@@ -416,7 +402,8 @@ def complex_route(split, ell):
 
     Each R_m is order_equation_rhs on the complex lower terms, Q_m is
     sylvester_solve's, and the check is the whole |[H0, Q_m] - R_m|: the
-    route the grid took before its terms were graded.
+    route the grid took before its terms were graded. On the grid each
+    public function grades the complex operators it is handed, once.
     """
     terms, residuals = [], []
     for m in range(1, ell + 1):
@@ -430,14 +417,14 @@ def complex_route(split, ell):
 @pytest.mark.parametrize("ell", [2, 5])
 def test_graded_series_is_the_complex_route(ell):
     # on the grid every Q_m and R_m is i^m times a real matrix, and the solve
-    # keeps them as real matrices with a phase; its terms, checks, norms,
+    # keeps the real matrices A_m = Q_m / i^m; its terms, checks, norms,
     # defects and metrics are the complex route's. Order 2 is the shipped
     # spec and must match bit for bit; past it the real scaling by 1/k! is
     # how numpy rounds the complex division by k!, so the match is asserted
     # to rounding only (it is exact with numpy 2.4)
     split = discretize_schroedinger(step_potential(), 4.0, 129, epsilon=0.1)
     graded = solve_q_series(split, ell)
-    assert all(np.isrealobj(a) for a, _ in graded._graded)
+    assert graded._real and all(np.isrealobj(a) for a in graded._matrices)
     ref, residuals = complex_route(split, ell)
 
     def same(x, y):
@@ -457,16 +444,17 @@ def test_graded_series_is_the_complex_route(ell):
                     pseudo_hermiticity_residual(split.at(e), eta_ref))
 
 
-def test_a_gauged_grid_series_mixes_real_and_complex_terms():
-    # a gauge term at order 2 makes Q_2 a complex array while Q_1 stays
-    # real; R_3 is formed from both in complex arithmetic (it comes out
-    # purely imaginary, so the solve grades it again), and Q(eps) sums real
-    # and complex terms: e^(-Q(eps)) is that of the same terms held as
-    # Operators, bit for bit
+def test_an_order_two_gauge_keeps_the_grid_solve_real():
+    # the gauge commutes with the real H0, and here it is real, so g / i^2 =
+    # -g is real and the solve stays in real mode: A_2 takes -g, R_3 is formed
+    # from the real terms, and Q(eps) sums its two parts in real arithmetic:
+    # e^(-Q(eps)) is that of the same terms held as Operators, bit for bit
     split = discretize_schroedinger(step_potential(), 4.0, 33, epsilon=0.1)
     g = commuting_gauge(split, np.random.default_rng(3), scale=1e-3)
+    assert not g.mat.imag.any()
     series = solve_q_series(split, 3, gauge={2: g})
-    assert [np.isrealobj(a) for a, _ in series._graded] == [True, False, True]
+    assert series._real and all(np.isrealobj(a) for a in series._matrices)
+    assert series.gauge_log[1]["gauge"] == "minimal+custom"
     as_operators = QSeries(series.terms)
     for e in (0.1, 0.025):
         eta, ref = metric_from_series(series, e), metric_from_series(as_operators, e)
@@ -479,8 +467,44 @@ def test_a_gauged_grid_series_mixes_real_and_complex_terms():
 def test_a_dense_split_keeps_complex_terms():
     split = random_admissible_split(12, np.random.default_rng(8), parity=True)
     series = solve_q_series(split, 3)
-    assert all(np.iscomplexobj(a) and p == 1 for a, p in series._graded)
-    assert all(t.mat is a for t, (a, _) in zip(series.terms, series._graded))
+    assert not series._real and all(np.iscomplexobj(a) for a in series._matrices)
+    assert all(t.mat is a for t, a in zip(series.terms, series._matrices))
+
+
+def test_grid_terms_have_the_phase_of_their_order():
+    # on the grid every contribution to the order-m chain sum has the phase
+    # i^m, so the solve holds the real A_m = Q_m / i^m: Q_m = i^m A_m
+    # exactly, and Q_m Hermitian is A_m^T = (-1)^m A_m within the rule
+    split = grid_split(129)
+    series = solve_q_series(split, 5)
+    assert series._real
+    for m in range(1, 6):
+        a = series._matrices[m - 1]
+        assert np.isrealobj(a)
+        assert np.array_equal(series.terms[m - 1].mat, 1j**m * a)
+        assert max_norm(a.T - (-1) ** m * a) <= DEFAULT_TOL.bound(max_norm(a))
+
+
+def test_an_order_one_gauge_runs_the_grid_solve_on_complex_terms():
+    # a gauge commutes with the real H0, so it is real symmetric (here up to
+    # the rounding of its construction) and g_1 / i is not real: the solve is
+    # complex from order 1 on, and e^(-Q(eps)) and its residual are those of
+    # the same terms held as Operators, bit for bit
+    split = grid_split(33)
+    g = commuting_gauge(split, np.random.default_rng(4), scale=1e-3)
+    series = solve_q_series(split, 3, gauge={1: g})
+    assert not series._real
+    assert series.gauge_log[0]["gauge"] == "minimal+custom"
+    # the complex chain sums on the stencil solve every order equation
+    for m, (_, bound) in enumerate(series.order_checks, start=1):
+        assert max_norm(order_residual(split, series, m).mat) <= bound
+    as_operators = QSeries(series.terms)
+    for e in (0.1, 0.025):
+        eta, ref = metric_from_series(series, e), metric_from_series(as_operators, e)
+        assert np.array_equal(eta.mat, ref.mat)
+        assert pseudo_hermiticity_residual(split.at(e), eta) == pseudo_hermiticity_residual(
+            split.at(e), ref
+        )
 
 
 @pytest.mark.parametrize("N", [16, 129])

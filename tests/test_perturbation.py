@@ -262,15 +262,15 @@ def test_solve_q_series_records_its_order_checks():
 def test_solve_q_series_post_solve_check_fires(monkeypatch, bad_order):
     # a solver that misses the last order's equation by 0.1 % must be caught
     # there (a miss at a lower order would already spoil the next source)
-    real = perturbation._sylvester_graded
+    real = perturbation._sylvester
     calls = []
 
-    def off_by_a_little(eigensystem, r, r_norm, tol):
-        q, phase = real(eigensystem, r, r_norm, tol)
+    def off_by_a_little(eigensystem, r, r_norm, tol, sign):
+        q = real(eigensystem, r, r_norm, tol, sign)
         calls.append(1)
-        return (1.001 * q if len(calls) == bad_order else q), phase
+        return 1.001 * q if len(calls) == bad_order else q
 
-    monkeypatch.setattr(perturbation, "_sylvester_graded", off_by_a_little)
+    monkeypatch.setattr(perturbation, "_sylvester", off_by_a_little)
     with pytest.raises(ConsistencyError) as err:
         solve_q_series(fixed_split(5, seed=15), bad_order)
     assert f"order-{bad_order} residual" in str(err.value)
@@ -428,7 +428,7 @@ def test_solve_q_series_checks_each_term_once(monkeypatch):
     real = perturbation._hermiticity
 
     def counted(m, *args):
-        if sys._getframe(1).f_code.co_name == "_setup":
+        if sys._getframe(1).f_code.co_name == "__init__":
             term_checks.append(m)
         return real(m, *args)
 
@@ -549,6 +549,7 @@ ERROR_SITES = {
     "order_equation_rhs_source": (
         lambda: order_equation_rhs(_half_broken_split(), None, 1, Tolerance(1e-15, 1e-15)),
         StructureError, "source R must be anti-Hermitian: defect "),
+    "qseries_empty": (lambda: QSeries(()), DomainError, "a QSeries needs at least one term"),
     "sylvester_shapes": (
         lambda: sylvester_solve(Operator(np.eye(2)), Operator(np.zeros((3, 3)))),
         ShapeError, "dimension mismatch"),
@@ -579,7 +580,7 @@ def test_solve_q_series_measures_each_source_once(monkeypatch):
     sources, reduced = [], []
     check = perturbation._check_source
     monkeypatch.setattr(perturbation, "_check_source",
-                        lambda r, tol, name: sources.append(r[0]) or check(r, tol, name))
+                        lambda r, tol, name, sign: sources.append(r) or check(r, tol, name, sign))
     rows = operators._max_norm_rows
     monkeypatch.setattr(operators, "_max_norm_rows",
                         lambda f, n, name: reduced.append(name) or rows(f, n, name))
