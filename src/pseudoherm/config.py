@@ -27,6 +27,10 @@ from .wavekernel import PiecewisePotential, discretize_schroedinger
 # before anything is allocated. The wave task reads its kernel matrix in row
 # blocks and holds no N x N array.
 MAX_GRID_POINTS = 4097
+# Longest scaling eps_list a spec may ask for. Each value costs one N^3 eigh
+# and a residual (about 0.28 s at N = 1025), so the limit keeps the scaling
+# task to seconds; the shipped list has 4 values.
+MAX_EPS_VALUES = 16
 
 _MODEL_VARIANTS = ("matrix", "split_matrix", "schroedinger")
 # each task kind and the fields it requires besides "kind"
@@ -153,10 +157,12 @@ def _number(value, path: str, low=None, high=None, *, strict=False, integer=Fals
     return int(value) if integer else float(value)
 
 
-def _numbers(node, path: str, min_items: int, **bounds) -> tuple:
-    """node as a tuple of floats, if it is an array of at least min_items numbers (see _number)."""
+def _numbers(node, path: str, min_items: int, max_items: float = math.inf, **bounds) -> tuple:
+    """node as a tuple of floats, if it is an array of min_items to max_items numbers (see _number)."""
     if not isinstance(node, list) or len(node) < min_items:
         raise SpecError(f"{path}: must be an array of at least {min_items} numbers")
+    if len(node) > max_items:
+        raise SpecError(f"{path}: {len(node)} values exceed the limit of {max_items}")
     return tuple(_number(x, f"{path}[{i}]", **bounds) for i, x in enumerate(node))
 
 
@@ -279,7 +285,7 @@ def _build(raw, digest: str) -> ModelSpec:
         elif kind == "wave":
             tasks.append(WaveTask())
         else:
-            eps = _numbers(t["eps_list"], f"{path}.eps_list", 3, low=0, strict=True)
+            eps = _numbers(t["eps_list"], f"{path}.eps_list", 3, MAX_EPS_VALUES, low=0, strict=True)
             if any(b >= a for a, b in zip(eps, eps[1:])):
                 raise SpecError(f"{path}.eps_list: must be strictly decreasing")
             tasks.append(ScalingTask(eps))

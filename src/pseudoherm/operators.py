@@ -35,7 +35,12 @@ columns; to_pt_frame and from_pt_frame write or give rows the same way.
 Each reads the entries the whole-matrix form reads and takes the same
 maxima, so the values are the whole matrix's bit for bit, with no N x N
 temporary. A complex matrix held as its two real parts (_ComplexParts)
-enters these rules as it is.
+enters these rules as it is. Every product with the grid's H0 is one pass
+(SplitHamiltonian._h0_pass) that reads each block's rows of X with their
+halo rows, from X or from a row fill, into one scratch for all its blocks:
+h0_commutator gathers the blocks, adjoint_residual and total_commutator
+give them to the checks, and the order checks and the wave kernel's
+off-band check reduce them as they come.
 """
 
 from __future__ import annotations
@@ -94,12 +99,22 @@ def _max_norm_rows(rows, n: int, name: str) -> float:
     temporary is held; an overflowed entry raises as in max_norm, naming the
     array and the block's rows.
     """
-    return max(max_norm(rows(s, e), f"{name}, rows {s}:{e} of {n},") for s, e in _row_blocks(n))
+    return _max_norm_blocks(((s, e, rows(s, e)) for s, e in _row_blocks(n)), n, name)
 
 
-def _row_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block of ROW_BLOCK rows of an n-row array."""
-    return [(s, min(s + ROW_BLOCK, n)) for s in range(0, n, ROW_BLOCK)]
+def _max_norm_blocks(blocks, n: int, name: str) -> float:
+    """max_norm of the n-row array name given as its row blocks (start, stop, rows).
+
+    Each block is reduced before the next is taken, so blocks may share
+    one scratch (SplitHamiltonian._h0_pass); an overflowed entry raises as
+    in _max_norm_rows.
+    """
+    return max(max_norm(r, f"{name}, rows {s}:{e} of {n},") for s, e, r in blocks)
+
+
+def _row_blocks(stop: int, start: int = 0) -> list[tuple[int, int]]:
+    """(s, e) of each block of ROW_BLOCK rows of the rows start:stop; none when start >= stop."""
+    return [(s, min(s + ROW_BLOCK, stop)) for s in range(start, stop, ROW_BLOCK)]
 
 
 class _Fresh:
@@ -357,38 +372,10 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return c
 
 
-def _stencil_work(x: np.ndarray, rows: int = ROW_BLOCK) -> np.ndarray:
-    """Scratch for SplitHamiltonian.h0_commutator on blocks of up to rows rows of x,
-    halo included: three float arrays of the block's real view (2N columns
-    for a complex x, N for a real one)."""
-    return np.empty((3, rows + 2, x.shape[1] * (1 if np.isrealobj(x) else 2)))
-
-
-def _tridiagonal_commutator(diag: float, off: float, x: np.ndarray, work=None) -> np.ndarray:
-    """[T, X] for the symmetric T with diag on the diagonal and off on both neighbours.
-
-    Rows and columns of T X and X T are summed as the dense product sums them:
-    the diagonal term, then the lower and the upper neighbour. A real X is
-    taken as it is; a complex X on its real view, where one complex column
-    is two real ones, so each part is summed as the real X would be. The
-    three products go into work, three float arrays of that view's shape,
-    when given (the result is then a view of work[1]), else into fresh arrays.
-    """
-    real = np.isrealobj(x)
-    xr = np.ascontiguousarray(x, dtype=float) if real else np.ascontiguousarray(x, dtype=complex).view(float)
-    step = 1 if real else 2  # the real view's columns per column of X
-    if work is None:
-        work = [np.empty(xr.shape) for _ in range(3)]
-    oxr, rows, cols = work
-    np.multiply(off, xr, out=oxr)
-    np.multiply(diag, xr, out=rows)
-    rows[1:] += oxr[:-1]
-    rows[:-1] += oxr[1:]
-    np.multiply(diag, xr, out=cols)
-    cols[:, step:] += oxr[:, :-step]
-    cols[:, :-step] += oxr[:, step:]
-    rows -= cols
-    return rows if real else rows.view(complex)
+def _stencil_work(xr: np.ndarray, rows: int) -> np.ndarray:
+    """SplitHamiltonian._h0_pass's scratch: three float arrays of rows + 2 rows (a
+    block and its halo), as wide as the real view xr."""
+    return np.empty((3, rows + 2, xr.shape[1]))
 
 
 class SplitHamiltonian:
@@ -514,40 +501,70 @@ class SplitHamiltonian:
             return max_norm(self._dense[1].mat)
         return max_norm(self._stencil[2])
 
-    def h0_commutator(
-        self, x: np.ndarray, start: int = 0, stop: int | None = None, work=None
-    ) -> np.ndarray:
+    def _h0_pass(self, x, start: int = 0, stop: int | None = None):
+        """Rows start:stop of [H0, X], as (s, e, c, xs, row0) for each row block s:e.
+
+        x is X, or a row fill x(lo, hi) that forms rows lo:hi of X (as
+        kernel_rows returns, or MetricOperator.rows). c is rows s:e of
+        [H0, X]; xs holds the rows of X the block read, from row row0 on.
+        The dense form reads all of X and gives the rows as one block.
+
+        In the structured form a block of ROW_BLOCK rows reads the slab of X
+        one halo row wider on each side (clipped to X). A real slab is taken
+        as it is, a complex one on its real view (one complex column is two
+        real ones), and T X and X T are summed as the dense product sums
+        them, so each entry is the whole commutator's and a real X gives a
+        real c. Every block's three products go into one scratch
+        (_stencil_work), made for the first slab, since fresh ones per block
+        made the allocator hand the heap back and fault it in again each
+        time; c is a view of it, valid until the next block is taken.
+        """
+        n = self.dim
+        stop = n if stop is None else stop
+        fill = x if callable(x) else lambda lo, hi: x[lo:hi]
+        if self._stencil is None:
+            if start < stop:
+                xs, h0 = fill(0, n), self._dense[0].mat
+                yield start, stop, h0[start:stop] @ xs - xs[start:stop] @ h0, xs, 0
+            return
+        diag, off, _ = self._stencil
+        work = None
+        for s, e in _row_blocks(stop, start):
+            lo, hi = max(s - 1, 0), min(e + 1, n)
+            xs = fill(lo, hi)
+            real = np.isrealobj(xs)
+            xr = np.ascontiguousarray(xs, dtype=float if real else complex).view(float)
+            step = 1 if real else 2  # the real view's columns per column of X
+            if work is None:
+                work = _stencil_work(xr, min(ROW_BLOCK, stop - start))
+            oxr, rows, cols = work[:, : hi - lo]
+            np.multiply(off, xr, out=oxr)
+            np.multiply(diag, xr, out=rows)
+            rows[1:] += oxr[:-1]
+            rows[:-1] += oxr[1:]
+            np.multiply(diag, xr, out=cols)
+            cols[:, step:] += oxr[:, :-step]
+            cols[:, :-step] += oxr[:, step:]
+            rows -= cols
+            c = rows if real else rows.view(complex)
+            yield s, e, c[s - lo : e - lo], xs, lo
+
+    def h0_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows start:stop of [H0, X]; all of [H0, X] by default.
 
-        In the structured form a row of [H0, X] reads only the rows of X next
-        to it, so the rows come from a slab of X with one halo row on each
-        side, each entry summed exactly as in the whole commutator, and a
-        real X gives a real result. The rows are taken ROW_BLOCK at a time,
-        each block's products in one scratch: work (_stencil_work), which a
-        caller taking many row blocks passes to every call, else one made
-        here. A single block's result then lives in work until the next
-        call. The dense form takes no scratch and ignores it.
+        The rows come from one pass (_h0_pass): in the structured form a
+        stencil read ROW_BLOCK rows at a time, each entry summed exactly as in
+        the whole commutator, and a real X gives a real result.
         """
-        n = x.shape[0]
-        stop = n if stop is None else stop
-        if self._stencil is None:
-            h0 = self._dense[0].mat
-            return h0[start:stop] @ x - x[start:stop] @ h0
-        diag, off, _ = self._stencil
-        if work is None:
-            work = _stencil_work(x, min(ROW_BLOCK, stop - start))
-
-        def rows(s: int, e: int) -> np.ndarray:
-            lo, hi = max(s - 1, 0), min(e + 1, n)
-            return _tridiagonal_commutator(diag, off, x[lo:hi], work[:, : hi - lo])[s - lo : e - lo]
-
-        if stop - start <= ROW_BLOCK:
-            return rows(start, stop)
-        out = np.empty((stop - start, x.shape[1]), float if np.isrealobj(x) else complex)
-        for s in range(start, stop, ROW_BLOCK):
-            e = min(s + ROW_BLOCK, stop)
-            out[s - start : e - start] = rows(s, e)
-        return out
+        stop = self.dim if stop is None else stop
+        out = None
+        for s, e, c, _, _ in self._h0_pass(x, start, stop):
+            if (s, e) == (start, stop):  # one block: the pass's rows, which no one else holds
+                return c
+            if out is None:
+                out = np.empty((stop - start, c.shape[1]), c.dtype)
+            out[s - start : e - start] = c
+        return x[:0] if out is None else out  # an empty range has no block
 
     def h1_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows start:stop of [H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
@@ -580,42 +597,24 @@ class SplitHamiltonian:
         rows = x[start - row0 : stop - row0]
         return iv[start:stop, None] * rows + sign * (rows * iv[None, :])
 
-    def _slab(self, x, start: int, stop: int) -> tuple[np.ndarray, int]:
-        """(xs, row0): the rows of X that rows start:stop of a product with H read, and
-        the index of the first.
-
-        x is X itself, which is its own slab, or a row fill x(lo, hi) that
-        forms rows lo:hi of X (as kernel_rows returns, or a frame metric's
-        rows): the structured form fills rows start - 1:stop + 1, the
-        stencil's halo, and the dense form all of X.
-        """
-        if not callable(x):
-            return x, 0
-        n = self.dim
-        if self._stencil is None:
-            return x(0, n), 0
-        lo = max(start - 1, 0)
-        return x(lo, min(stop + 1, n)), lo
-
-    def adjoint_residual(self, x, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start:stop of H^dagger X - X H for H = H0 + epsilon H1.
+    def adjoint_residual(self, x, start: int = 0, stop: int | None = None):
+        """Rows start:stop of H^dagger X - X H for H = H0 + epsilon H1, as (s, e, rows) per block.
 
         With H0 Hermitian and H1 anti-Hermitian that is [H0, X] - epsilon {H1, X},
         and for H1 = i diag(v), {H1, X}_ij = i (v_i + v_j) X_ij: in the
         structured form a stencil and an elementwise product, no matrix product.
-        x is X or a row fill of X (_slab).
+        The blocks are those of one pass (_h0_pass), whose x is X or a row
+        fill of X, and each block's rows are valid until the next is taken.
         """
-        stop = self.dim if stop is None else stop
-        xs, row0 = self._slab(x, start, stop)
-        r = self.h0_commutator(xs, start - row0, stop - row0)
-        r -= self.epsilon * self._h1_rows(xs, start, stop, 1.0, row0)
-        return r
+        for s, e, r, xs, row0 in self._h0_pass(x, start, stop):
+            r -= self.epsilon * self._h1_rows(xs, s, e, 1.0, row0)
+            yield s, e, r
 
-    def total_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start:stop of [H, X] = [H0, X] + epsilon [H1, X]."""
-        r = self.h0_commutator(x, start, stop)
-        r += self.epsilon * self.h1_commutator(x, start, stop)
-        return r
+    def total_commutator(self, x, start: int = 0, stop: int | None = None):
+        """Rows start:stop of [H, X] = [H0, X] + epsilon [H1, X], as adjoint_residual gives its rows."""
+        for s, e, r, xs, row0 in self._h0_pass(x, start, stop):
+            r += self.epsilon * self._h1_rows(xs, s, e, -1.0, row0)
+            yield s, e, r
 
     def frame(self) -> np.ndarray | None:
         """pt_frame(total().mat): H's real PT-frame matrix S^dagger H S, or None.

@@ -54,8 +54,8 @@ from .operators import (
     _hermitian_eigensystem,
     _hermitian_eigh,
     _hermiticity,
+    _max_norm_blocks,
     _max_norm_rows,
-    _stencil_work,
     commutator,
     is_hermitian,
     max_norm,
@@ -380,17 +380,12 @@ def _sylvester(
 def _solved_residual(split: SplitHamiltonian, q: np.ndarray, r: np.ndarray, m: int) -> float:
     """|[H0, Q_m] - R_m|, the order-m residual once Q_m is solved (in real mode |[H0, A_m] - B_m|).
 
-    On the stencil it is reduced ROW_BLOCK rows at a time with one scratch;
-    a dense split takes the whole product.
+    It is reduced block by block over one pass of [H0, Q_m]
+    (SplitHamiltonian._h0_pass): ROW_BLOCK rows at a time on the stencil, all
+    rows at once on a dense split.
     """
-    if not split.is_stencil:
-        return max_norm(split.h0_commutator(q) - r)
-    work = _stencil_work(q)
-
-    def residual_rows(start: int, stop: int) -> np.ndarray:
-        return split.h0_commutator(q, start, stop, work) - r[start:stop]
-
-    return _max_norm_rows(residual_rows, split.dim, f"[H0, Q_{m}] - R_{m}")
+    blocks = ((s, e, c - r[s:e]) for s, e, c, _, _ in split._h0_pass(q))
+    return _max_norm_blocks(blocks, split.dim, f"[H0, Q_{m}] - R_{m}")
 
 
 def solve_q_series(

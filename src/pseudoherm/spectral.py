@@ -42,6 +42,7 @@ from .operators import (
     _as_matrix,
     _from_eigenbasis,
     _hermitian_eigensystem,
+    _max_norm_blocks,
     _max_norm_rows,
     _symmetric_product,
     from_pt_frame,
@@ -162,11 +163,11 @@ def _metric(lam: np.ndarray, u: np.ndarray, in_frame: bool) -> MetricOperator:
 def _metric_rows(eta) -> tuple:
     """(x, shape): eta's matrix for the products, and its shape.
 
-    x is a row fill (MetricOperator.rows) for a frame metric, which then
-    forms no complex eta, and the matrix itself for any other eta.
+    x is a row fill (MetricOperator.rows) for a MetricOperator, so that a
+    frame metric forms no complex eta, and the matrix itself for any other eta.
     """
-    if isinstance(eta, MetricOperator) and eta.frame is not None:
-        return eta.rows, eta.frame.shape
+    if isinstance(eta, MetricOperator):
+        return eta.rows, (eta.mat if eta.frame is None else eta.frame).shape
     e = _as_matrix(eta)
     return e, e.shape
 
@@ -272,8 +273,9 @@ def pseudo_hermiticity_residual(H, eta) -> float:
     H is an Operator, or a SplitHamiltonian standing for H0 + epsilon H1 at
     its epsilon. For a structured grid split the residual is
     [H0, eta] - epsilon i (v_i + v_j) eta_ij: a stencil and an elementwise
-    product, reduced ROW_BLOCK rows at a time with no N x N temporary. A
-    dense split, or an Operator, takes the two dense products.
+    product, reduced ROW_BLOCK rows at a time over one pass
+    (SplitHamiltonian.adjoint_residual) with no N x N temporary. A dense
+    split, or an Operator, takes the two dense products.
 
     Raises InvertibilityError when eta is numerically singular: its smallest
     singular value is at or below DEFAULT_TOL.bound(largest). For a metric
@@ -290,15 +292,13 @@ def pseudo_hermiticity_residual(H, eta) -> float:
     if system is not None:
         lo, hi = system[0].min(), system[0].max()
     else:
-        sv = np.linalg.svd(x, compute_uv=False)
+        sv = np.linalg.svd(_as_matrix(eta), compute_uv=False)
         lo, hi = sv[-1], sv[0]
     if lo <= DEFAULT_TOL.bound(hi):
         raise InvertibilityError(f"metric is numerically singular (smallest sv {lo:.3e})")
     split = _stencil(H)
     if split is not None:
-        return _max_norm_rows(
-            lambda start, stop: split.adjoint_residual(x, start, stop), H.dim, "H^dagger eta - eta H"
-        )
+        return _max_norm_blocks(split.adjoint_residual(x), H.dim, "H^dagger eta - eta H")
     h, e = _dense(H), _as_matrix(eta)
     return max_norm(h.conj().T @ e - e @ h, "H^dagger eta - eta H")
 
@@ -400,7 +400,7 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     one real product, and C^2 - I = S (X^2 - I) S^dagger. Any other eta or P
     takes the complex solve. H is an Operator or a SplitHamiltonian; for a
     structured grid split, [C, H] = -[H0, C] - epsilon [H1, C] is a stencil
-    and an elementwise product, reduced in row blocks.
+    and an elementwise product, reduced in row blocks over one pass.
     """
     system = _carried_eigensystem(eta)
     if isinstance(P, IndexReversal) and system is not None and system[2]:
@@ -418,7 +418,7 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     comm = None
     split = _stencil(H)
     if split is not None:
-        comm = _max_norm_rows(lambda start, stop: split.total_commutator(c, start, stop), n, "[C, H]")
+        comm = _max_norm_blocks(split.total_commutator(c), n, "[C, H]")
     elif H is not None:
         h = _dense(H)
         comm = max_norm(c @ h - h @ c, "[C, H]")

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .operators import ROW_BLOCK, Operator, SplitHamiltonian, _stencil_work
+from .operators import Operator, SplitHamiltonian
 
 CONSTRAINT_TOL = 1e-10
 # samples of HomogeneousPair.constraint_defects on [-box, box]
@@ -308,15 +308,17 @@ def offdiagonal_commutator_check(
     with the same maximum bit for bit. Entries with
     |i-j| <= band_exclude, min(i,j) <= 2 or max(i,j) >= N-3 are excluded:
     the delta source lives on the diagonal band and Dirichlet truncation
-    pollutes the outermost rows. The kept rows [3, N - 3) are taken
-    ROW_BLOCK (32) at a time: each block's rows of [H0, M] + 2 H1 come from
-    split.h0_commutator and split.add_h1 over those rows, the block's band
-    entries are zeroed, and its maximum over columns [3, N - 3) is kept. A
-    grid split reads each block's rows from a slab of M with one halo row on
-    each side, each entry summed as the whole commutator sums it, so the
-    check holds a few rows of M, not N x N arrays (5.0 MB at N = 2049, where
-    M would be 67 MB; tracemalloc); a dense split's products read all of M. The block maxima are combined so that a NaN an overflow leaves off
-    the band is returned, not dropped; the overflow itself raises no warning.
+    pollutes the outermost rows. The kept rows [3, N - 3) are one pass of
+    [H0, M] (SplitHamiltonian._h0_pass): each block's rows of [H0, M] + 2 H1
+    come from the pass and split.add_h1, the block's band entries are
+    zeroed, and its maximum over columns [3, N - 3) is kept. A grid split's
+    blocks are 32 rows, each read from a slab of M with its halo rows, so the
+    check holds a few rows of M and one scratch, not N x N arrays (at
+    N = 2049, where M would be 67 MB, it peaks at 3.4 MB with kernel_rows'
+    real fill and 6.2 MB with the complex one; tracemalloc); a dense split's one
+    block reads all of M, a real fill as M = i rows. The block maxima are
+    combined so that a NaN an overflow leaves off the band is returned, not
+    dropped; the overflow itself raises no warning.
 
     For a grid split, [H0, M] is the three-point stencil applied along the
     rows of M minus the same along its columns, O(N^2) with no matrix product,
@@ -334,29 +336,16 @@ def offdiagonal_commutator_check(
     if band_exclude < 2:
         raise DomainError(f"band_exclude must be >= 2, got {band_exclude}")
     n = split.dim
-    rows = M if callable(M) else lambda start, stop: M.mat[start:stop]
-    whole = None
-    if not split.is_stencil:
-        whole = rows(0, n)
-        whole = 1j * whole if np.isrealobj(whole) else whole
-    # one scratch for every block's stencil products, made for the first
-    # slab's dtype: fresh ones per block made the allocator hand the heap
-    # back and fault it in again each time
-    work = None
+    x = M if callable(M) else M.mat
+    if callable(x) and not split.is_stencil:  # a dense split's products are complex: M = i rows
+        x = x(0, n)
+        x = 1j * x if np.isrealobj(x) else x
     lo, hi = 3, n - 3
     width = min(band_exclude, n)  # a wider band adds only columns outside the matrix
     offsets = np.arange(-width, width + 1)
     peaks = [0.0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(lo, hi, ROW_BLOCK):
-            stop = min(start + ROW_BLOCK, hi)
-            if whole is None:  # the slab's rows 1:stop - start + 1 are M's rows start:stop
-                slab = rows(start - 1, stop + 1)
-                if work is None:
-                    work = _stencil_work(slab)
-                comm = split.h0_commutator(slab, 1, stop - start + 1, work)
-            else:
-                comm = split.h0_commutator(whole, start, stop)
+        for start, stop, comm, _, _ in split._h0_pass(x, lo, hi):
             block = np.abs(split.add_h1(comm, 2.0, start))
             kept = np.arange(start, stop)[:, None]
             # band columns past either edge clip to columns 0 and N - 1, which are not kept

@@ -27,6 +27,7 @@ from pseudoherm import (
 from pseudoherm import errors, operators, perturbation, pipeline, spectral
 from pseudoherm.cli import main
 from pseudoherm.config import PerturbativeTask, ScalingTask, SpectralTask, WaveTask
+from pseudoherm.perturbation import NOISE_FLOOR
 
 from helpers import fixed_split, positive_definite, run_cli, run_python, spectrum_is_real
 
@@ -116,6 +117,34 @@ def test_scaling_names_the_failed_perturbative_task(tmp_path):
     assert perturbative["error"].startswith("ObstructionError")
     assert scaling["error"].startswith("DomainError")
     assert "perturbative task failed with ObstructionError" in scaling["error"]
+
+
+def test_scaling_on_an_exact_metric_reads_the_noise_floor(tmp_path):
+    # H1 = 0 makes every Q_m zero and eta = I exact, so the residual is 0.0
+    # at every eps: the slope's fit is indeterminate, the record carries
+    # curve_slope's warning, and the verdict reads the residual against the
+    # noise floor instead of the slope
+    doc = {
+        "name": "exact",
+        "model": {
+            "split_matrix": {
+                "H0": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]],
+                "H1": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                "epsilon": 0.1,
+            }
+        },
+        "tasks": [
+            {"kind": "perturbative", "order": 2},
+            {"kind": "scaling", "eps_list": [0.1, 0.05, 0.025]},
+        ],
+    }
+    scaling = run_model_spec(load_spec(write_spec(tmp_path, doc)))["tasks"][1]
+    assert scaling["data"]["curve"] == [[0.1, 0.0], [0.05, 0.0], [0.025, 0.0]]
+    (verdict,) = scaling["verdicts"]
+    assert verdict["name"] == "residual_order_contract"
+    assert (verdict["value"], verdict["threshold"], verdict["ok"]) == (0.0, NOISE_FLOOR, True)
+    (warning,) = scaling["data"]["warnings"]
+    assert warning.startswith("residuals reach the noise floor")
 
 
 def test_matrix_model_refuses_the_split_and_grid_tasks(tmp_path, capsys):
@@ -348,15 +377,16 @@ def test_scaling_reuses_the_perturbative_metric(monkeypatch):
 def test_run_model_spec_checks_each_order_once(monkeypatch):
     # order 2: R_1 needs no commutator and R_2 three; no second expansion of
     # the order sums. The grid split takes [H0, .] and [H1, .] itself (on the
-    # grid's real terms, [H1, .] / i), so its entry points count too. Each
-    # order's check [H0, Q_m] - R_m takes one [H0, Q_m] row block per 32 of
-    # the N = 129 rows (5 blocks), and the wave task's off-band check adds
-    # one [H0, M] row block per 32 of the N - 6 = 123 rows it keeps: 4
-    # blocks. The checks are counted apart, by their caller: each of the 5
-    # residuals H^dagger eta - eta H takes one [H0, eta] row block per 32 of
-    # the N = 129 rows (5 blocks), and the one [C, H] takes one [H0, C] and
-    # one [H1, C] block per 32 rows.
-    calls = Counter()
+    # grid's real terms, [H1, .] / i), so its entry points count too: the
+    # chain sum asks for one [H0, A_1], one [H1, A_1] / i and one commutator.
+    # Every [H0, .] is one pass over row blocks, counted by the function that
+    # starts it, one block per 32 of the rows it takes: each order's check
+    # [H0, Q_m] - R_m takes the N = 129 rows (5 blocks), each of the 5
+    # residuals H^dagger eta - eta H and the one [C, H] too, and the wave
+    # task's off-band check the N - 6 = 123 rows it keeps (4 blocks). Each
+    # pass holds one scratch for all its blocks: 10 in all, where a scratch
+    # per block of the residuals and [C, H] made 34.
+    calls, blocks, scratches = Counter(), Counter(), []
 
     def counted(f):
         def call(*args):
@@ -364,15 +394,33 @@ def test_run_model_spec_checks_each_order_once(monkeypatch):
             return f(*args)
         return call
 
+    def counted_pass(f):
+        def start(*args):  # not a generator itself, so that its caller is the pass's starter
+            caller = sys._getframe(1).f_code.co_name
+            calls[f"{caller} pass"] += 1
+
+            def run():
+                for block in f(*args):
+                    blocks[caller] += 1
+                    yield block
+            return run()
+        return start
+
     for module in (operators, perturbation):
         monkeypatch.setattr(module, "commutator", counted(module.commutator))
     for name in ("h0_commutator", "h1_commutator", "h1_commutator_real"):
         monkeypatch.setattr(SplitHamiltonian, name, counted(getattr(SplitHamiltonian, name)))
+    monkeypatch.setattr(SplitHamiltonian, "_h0_pass", counted_pass(SplitHamiltonian._h0_pass))
+    work = operators._stencil_work
+    monkeypatch.setattr(operators, "_stencil_work", lambda *args: scratches.append(1) or work(*args))
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
-    checks = {"adjoint_residual": 5 * 5, "total_commutator": 2 * 5, "residual_rows": 2 * 5}
-    assert {name: calls.pop(name, 0) for name in checks} == checks
-    assert sum(calls.values()) == 3 + 4, calls
+    assert blocks == {"adjoint_residual": 5 * 5, "total_commutator": 5, "_solved_residual": 2 * 5,
+                      "h0_commutator": 5, "offdiagonal_commutator_check": 4}
+    assert calls == {"_chain_sum": 3, "adjoint_residual pass": 5, "total_commutator pass": 1,
+                     "_solved_residual pass": 2, "h0_commutator pass": 1,
+                     "offdiagonal_commutator_check pass": 1}
+    assert len(scratches) == 10
 
 
 @pytest.mark.parametrize(

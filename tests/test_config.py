@@ -14,7 +14,7 @@ from pseudoherm import (
     load_spec,
 )
 from pseudoherm.cli import main
-from pseudoherm.config import MAX_GRID_POINTS
+from pseudoherm.config import MAX_EPS_VALUES, MAX_GRID_POINTS
 from pseudoherm.operators import IndexReversal
 
 
@@ -337,6 +337,8 @@ STRUCTURE_SPECS = {
     "eps_list_zero": (scaling([0.1, 0.05, 0]), "$.tasks[1].eps_list[2]"),
     "eps_list_negative": (scaling([0.1, -0.05, -0.1]), "$.tasks[1].eps_list[1]"),
     "eps_list_bool": (scaling([0.1, 0.05, True]), "$.tasks[1].eps_list[2]"),
+    "eps_list_above_limit": (
+        scaling([0.1 / (k + 1) for k in range(MAX_EPS_VALUES + 1)]), "$.tasks[1].eps_list"),
     "tolerances_not_object": (minimal_spec(tolerances=[]), "$.tolerances"),
     "tolerances_unknown_field": (minimal_spec(tolerances={"tol": 1e-9}), "$.tolerances"),
     "abs_tol_negative": (minimal_spec(tolerances={"abs_tol": -1e-9}), "$.tolerances.abs_tol"),
@@ -509,6 +511,8 @@ ACCEPTED_SPECS = {
         order(2.0), lambda s: type(s.tasks[0].order) is int and s.tasks[0].order == 2),
     "eps_list_three_items": (scaling([0.1, 0.05, 1e-300]),
                              lambda s: s.tasks[1].eps_list == (0.1, 0.05, 1e-300)),
+    "eps_list_at_limit": (scaling([0.1 / (k + 1) for k in range(MAX_EPS_VALUES)]),
+                          lambda s: len(s.tasks[1].eps_list) == MAX_EPS_VALUES),
     "zero_abs_tol": (minimal_spec(tolerances={"abs_tol": 0, "rel_tol": 1e-8}),
                      lambda s: s.tolerance.abs_tol == 0.0 and s.tolerance.rel_tol == 1e-8),
     "parity_matrix": (

@@ -37,6 +37,7 @@ from pseudoherm.spectral import (
     _equivalent_hermitian,
     _frame,
     parity_pseudo_hermiticity_residual,
+    pseudo_hermiticity_threshold,
 )
 from pseudoherm.wavekernel import step_potential
 
@@ -68,6 +69,11 @@ def dense_flip(n):
     return Operator(np.eye(n)[::-1].copy())
 
 
+def gathered(blocks):
+    """The rows of a pass's blocks (start, stop, rows) as one array, each block copied as it comes."""
+    return np.concatenate([rows.copy() for _, _, rows in blocks])
+
+
 @pytest.mark.parametrize("form", ["stencil", "dense"])
 @pytest.mark.parametrize("N", [16, 129, 513])
 def test_structured_products_match_dense_formula(N, form):
@@ -76,13 +82,23 @@ def test_structured_products_match_dense_formula(N, form):
     x = random_hermitian(N, seed=N)
     rounding = 8 * EPS * max_norm(h) * max_norm(x)
     for got, expected in (
-        (split.adjoint_residual(x), h.conj().T @ x - x @ h),
-        (split.total_commutator(x), h @ x - x @ h),
+        (gathered(split.adjoint_residual(x)), h.conj().T @ x - x @ h),
+        (gathered(split.total_commutator(x)), h @ x - x @ h),
     ):
         assert max_norm(got - expected) <= rounding
     # a row block is those rows of the whole, bit for bit
-    assert np.array_equal(split.adjoint_residual(x, 5, 13), split.adjoint_residual(x)[5:13])
-    assert np.array_equal(split.total_commutator(x, 5, 13), split.total_commutator(x)[5:13])
+    assert np.array_equal(gathered(split.adjoint_residual(x, 5, 13)),
+                          gathered(split.adjoint_residual(x))[5:13])
+    assert np.array_equal(gathered(split.total_commutator(x, 5, 13)),
+                          gathered(split.total_commutator(x))[5:13])
+
+
+@pytest.mark.parametrize("form", ["stencil", "dense"])
+def test_an_empty_row_range_has_no_rows(form):
+    split = grid_split(16, form)
+    x = random_hermitian(16, seed=1)
+    assert split.h0_commutator(x, 4, 4).shape == (0, 16)
+    assert list(split.adjoint_residual(x, 4, 4)) == list(split.total_commutator(x, 4, 4)) == []
 
 
 @pytest.mark.parametrize("N", [16, 129, 513])
@@ -310,6 +326,21 @@ def test_norm_is_the_max_norm_of_the_dense_h_bit_for_bit(N):
                 method()
 
 
+def test_public_order_functions_take_a_real_series_as_it_is():
+    # solve_q_series's real-mode series enters order_residual and
+    # order_equation_rhs as its real A_j; the same calls on its terms as
+    # Operators, graded on entry, give the same operators bit for bit
+    split = grid_split(129)
+    for m in (1, 2, 3):
+        series = solve_q_series(split, m)
+        as_operators = QSeries(series.terms)
+        assert series._real and not as_operators._real
+        assert np.array_equal(order_residual(split, series, m).mat,
+                              order_residual(split, as_operators, m).mat)
+        assert np.array_equal(order_equation_rhs(split, series, m + 1).mat,
+                              order_equation_rhs(split, as_operators, m + 1).mat)
+
+
 def test_row_block_checks_name_the_overflowed_rows():
     # with the stencil's neighbour coefficient at 1e308, the residual and
     # [C, H] of a large diagonal eta overflow in their first row block, and
@@ -395,6 +426,28 @@ def test_metric_operator_residual_needs_no_svd(linalg_counter):
     assert eta.eig_range == (1.0, 2.0)
     pseudo_hermiticity_residual(split, eta)
     assert linalg_counter["svd"] == 0
+
+
+def test_a_metric_with_neither_frame_nor_eigensystem_reads_its_matrix(linalg_counter):
+    # a MetricOperator built from an Operator alone: its rows are its
+    # matrix's, the residual's pass reads them, and the singular test takes
+    # an SVD for the range it does not carry; each number is the bare
+    # matrix's bit for bit
+    split = grid_split(16)
+    e = random_metric(16, seed=5)
+    eta = MetricOperator(Operator(e))
+    assert eta.frame is None and eta.eig_range is None
+    assert np.array_equal(eta.rows(3, 9), e[3:9])
+    assert pseudo_hermiticity_residual(split, eta) == pseudo_hermiticity_residual(split, e)
+    assert pseudo_hermiticity_threshold(split, eta) == pseudo_hermiticity_threshold(split, e)
+    assert linalg_counter["svd"] == 2
+
+
+def test_a_frame_metric_refuses_an_overflowed_frame_matrix():
+    # Q = -800 I: e^(-Q) = e^800 overflows in the frame's eigh route, and the
+    # frame metric refuses the inf and NaN entries as an Operator refuses them
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError, match="entries must be finite"):
+        metric_from_series(QSeries((Operator(-800 * np.eye(16)),)), 1.0)
 
 
 def complex_route(split, ell):

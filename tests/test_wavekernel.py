@@ -539,7 +539,7 @@ def test_wave_fill_and_check_memory_at_n2049():
     # M would be a 67 MB complex matrix at N = 2049. The wave path never forms
     # it: the row fill holds 2N - 1 samples, |M| reduces its rows a block at
     # a time, and the check holds a few rows of M per block, not N x N arrays
-    # (5.1 MB for the whole path and 5.0 MB for the check, measured)
+    # (6.2 MB for the whole path and 6.1 MB for the check, measured)
     N = 2049
     v = step_potential()
     split = discretize_schroedinger(v, 4.0, N)
