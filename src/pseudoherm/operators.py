@@ -387,9 +387,10 @@ class SplitHamiltonian:
     questions: [H0, X] and [H1, X] (a stencil and an elementwise product in
     the structured form), the products with H at epsilon that the checks
     need (H^dagger X - X H and [H, X]), H's real PT-frame matrix (frame),
-    the max-norms of H, H0 and H1, and X + s H1; the commutators and the
-    residual also row by row. .H0, .H1 and total() give dense Operators,
-    which the structured form builds only when they are asked for.
+    the max-norms of H, H0 and H1, and X + s H1; H^dagger X - X H and
+    [H, X] as the row blocks of one pass. .H0, .H1 and total() give dense
+    Operators, which the structured form builds only when they are asked
+    for.
     """
 
     def __init__(self, H0: Operator, H1: Operator, epsilon: float):
@@ -549,26 +550,26 @@ class SplitHamiltonian:
             c = rows if real else rows.view(complex)
             yield s, e, c[s - lo : e - lo], xs, lo
 
-    def h0_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start:stop of [H0, X]; all of [H0, X] by default.
+    def h0_commutator(self, x: np.ndarray) -> np.ndarray:
+        """[H0, X].
 
         The rows come from one pass (_h0_pass): in the structured form a
         stencil read ROW_BLOCK rows at a time, each entry summed exactly as in
         the whole commutator, and a real X gives a real result.
         """
-        stop = self.dim if stop is None else stop
+        n = self.dim
         out = None
-        for s, e, c, _, _ in self._h0_pass(x, start, stop):
-            if (s, e) == (start, stop):  # one block: the pass's rows, which no one else holds
+        for s, e, c, _, _ in self._h0_pass(x):
+            if (s, e) == (0, n):  # one block: the pass's rows, which no one else holds
                 return c
             if out is None:
-                out = np.empty((stop - start, c.shape[1]), c.dtype)
-            out[s - start : e - start] = c
-        return x[:0] if out is None else out  # an empty range has no block
+                out = np.empty((n, c.shape[1]), c.dtype)
+            out[s:e] = c
+        return x[:0] if out is None else out  # a 0 x 0 split has no block
 
-    def h1_commutator(self, x: np.ndarray, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start:stop of [H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
-        return self._h1_rows(x, start, stop, -1.0)
+    def h1_commutator(self, x: np.ndarray) -> np.ndarray:
+        """[H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
+        return self._h1_rows(x, 0, None, -1.0)
 
     def h1_commutator_real(self, a: np.ndarray) -> np.ndarray:
         """[H1, A] / i for a real A, in the structured form: the real v_i A_ij - A_ij v_j.
@@ -597,8 +598,8 @@ class SplitHamiltonian:
         rows = x[start - row0 : stop - row0]
         return iv[start:stop, None] * rows + sign * (rows * iv[None, :])
 
-    def adjoint_residual(self, x, start: int = 0, stop: int | None = None):
-        """Rows start:stop of H^dagger X - X H for H = H0 + epsilon H1, as (s, e, rows) per block.
+    def adjoint_residual(self, x):
+        """H^dagger X - X H for H = H0 + epsilon H1, as (s, e, rows) per row block s:e.
 
         With H0 Hermitian and H1 anti-Hermitian that is [H0, X] - epsilon {H1, X},
         and for H1 = i diag(v), {H1, X}_ij = i (v_i + v_j) X_ij: in the
@@ -606,13 +607,13 @@ class SplitHamiltonian:
         The blocks are those of one pass (_h0_pass), whose x is X or a row
         fill of X, and each block's rows are valid until the next is taken.
         """
-        for s, e, r, xs, row0 in self._h0_pass(x, start, stop):
+        for s, e, r, xs, row0 in self._h0_pass(x):
             r -= self.epsilon * self._h1_rows(xs, s, e, 1.0, row0)
             yield s, e, r
 
-    def total_commutator(self, x, start: int = 0, stop: int | None = None):
-        """Rows start:stop of [H, X] = [H0, X] + epsilon [H1, X], as adjoint_residual gives its rows."""
-        for s, e, r, xs, row0 in self._h0_pass(x, start, stop):
+    def total_commutator(self, x):
+        """[H, X] = [H0, X] + epsilon [H1, X], as adjoint_residual gives its rows."""
+        for s, e, r, xs, row0 in self._h0_pass(x):
             r += self.epsilon * self._h1_rows(xs, s, e, -1.0, row0)
             yield s, e, r
 

@@ -14,19 +14,22 @@ order and are recorded in the gauge log.
 
 On the Schroedinger grid H0 is real and H1 = i diag(v), so every
 contribution to the order-m chain sum has the phase i^m: Q_m = i^m A_m and
-R_m = i^m B_m with A_m, B_m real. The phase belongs to the order, so a
-grid solve runs in real mode: it holds the real A_m, and the chain sums,
-the source rule, the Sylvester transforms and the post-solve check run on
-real matrices, in row blocks where they can, each part rounded as the
-complex route rounds it. Each rule on i^m A becomes the same rule on A
-with the sign (-1)^m (_parity). The mode is decided once per solve or
-series: real on a stencil split whose gauge terms g_m have g_m / i^m real,
-complex otherwise (a dense split, or a gauge that breaks the phase).
-Public functions handed complex operators on the grid grade them once,
-at the boundary (_graded). QSeries forms complex Operators only when
-.terms is read; metric_from_series sums Q(eps)'s two real parts and
-returns a frame metric (spectral.MetricOperator), which keeps
-y = u diag(lam) u^T and forms the complex eta only when it is read.
+R_m = i^m B_m with A_m, B_m real. The phase belongs to the order, so
+solve_q_series, the one entrance to real mode, holds the real A_m on a
+stencil split with no gauge term: the chain sums, the source rule, the
+Sylvester transforms and the post-solve check run on real matrices, in row
+blocks where they can, and each rule on i^m A becomes the same rule on A
+with the sign (-1)^m (_parity). Each sum is taken in the complex route's
+order, but a real matrix product need not round as the complex one does,
+so the two routes agree to rounding, not bit for bit. A solve on a dense
+split, or with any gauge term, is complex.
+order_residual, order_equation_rhs and sylvester_solve take the operators
+they are handed as they are and run the plain complex formula: they are
+the independent complex route that real mode is checked against. QSeries
+forms complex Operators only when .terms is read; metric_from_series sums
+Q(eps)'s two real parts and returns a frame metric
+(spectral.MetricOperator), which keeps y = u diag(lam) u^T and forms the
+complex eta only when it is read.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .operators import (
     _hermitian_eigh,
     _hermiticity,
     _max_norm_blocks,
-    _max_norm_rows,
     commutator,
     is_hermitian,
     max_norm,
@@ -70,18 +72,26 @@ class QSeries:
 
     terms are the Operators Q_j, or the real matrices A_j = Q_j / i^j of a
     real-mode series (as solve_q_series builds one on the grid), which forms
-    the Operators i^j A_j of .terms only when they are read. Either way each
-    term's Hermiticity rule runs once, here. Two series compare equal when
-    their terms are the same Operators.
+    the Operators i^j A_j of .terms only when they are read; square and of
+    one size (else ShapeError), and not a mix of the two or a complex array
+    (else StructureError). Either way each term's Hermiticity rule runs
+    once, here. Two series compare equal when their terms are the same
+    Operators.
     """
 
     def __init__(self, terms: tuple, gauge_log: tuple = (), order_checks: tuple = ()):
         terms = tuple(terms)
         if not terms:
             raise DomainError("a QSeries needs at least one term")
-        self._real = all(isinstance(t, np.ndarray) for t in terms)
+        self._real = all(isinstance(t, np.ndarray) and t.dtype.kind == "f" for t in terms)
+        if not (self._real or all(isinstance(t, Operator) for t in terms)):
+            raise StructureError("QSeries terms must be all Operators or all real arrays A_j")
         self._terms = None if self._real else terms
         self._matrices = terms if self._real else tuple(t.mat for t in terms)
+        shape = self._matrices[0].shape
+        if len(shape) != 2 or shape[0] != shape[1] or any(a.shape != shape for a in self._matrices):
+            shapes = [a.shape for a in self._matrices]
+            raise ShapeError(f"QSeries terms must be square and of one size, got {shapes}")
         measured = []
         for j, a in enumerate(self._matrices, start=1):
             norm, defect = _hermiticity(a, f"Q_{j}", _parity(j, self._real))
@@ -199,41 +209,18 @@ def _parity(m: int, real: bool) -> float:
     return (-1.0) ** m if real else 1.0
 
 
-def _graded(x: np.ndarray, m: int) -> np.ndarray | None:
-    """A = x / i^m if that is real, else None: a complex order-m term in real mode."""
-    part, other = (x.real, x.imag) if m % 2 == 0 else (x.imag, x.real)
-    if other.any():
-        return None
-    return part if m % 4 < 2 else -part
-
-
-def _chain_terms(split: SplitHamiltonian, q: QSeries | None, count: int) -> tuple[list, bool]:
-    """(terms, real): the first count terms of q as the chain sum takes them, and its mode.
-
-    Real mode runs on a stencil split with the real A_j: a real-mode series
-    holds them, and a series of Operators is graded here, once, when every
-    term has one. Otherwise the terms are the complex Q_j.
-    """
-    if q is None:
-        return [], split.is_stencil
-    if q._real and split.is_stencil:
-        return list(q._matrices[:count]), True
-    terms = [t.mat for t in q.terms[:count]]
-    if split.is_stencil:
-        graded = [_graded(t, j) for j, t in enumerate(terms, start=1)]
-        if all(a is not None for a in graded):
-            return graded, True
-    return terms, False
-
-
 def _chain_sum(split: SplitHamiltonian, terms: list, m: int, real: bool) -> np.ndarray:
     """order_residual's sum over the terms; chains through a missing term are skipped.
 
     In real mode the terms are the A_j and the sum is divided by i^m: the
     H1 head is the real split.h1_commutator_real, and 2 H1 = i 2 diag(v).
-    Each chain is one matrix, scaled in place by 1/k! and added.
+    Each chain is one matrix, scaled in place by 1/k! and added. The terms
+    are checked to be split.dim square here, where the public order
+    functions hand them in (a QSeries holds terms of one size).
     """
     n = split.dim
+    if terms and terms[0].shape != (n, n):
+        raise ShapeError(f"dimension mismatch: the series is {terms[0].shape}, the split {(n, n)}")
     acc = None
     if m == 1:  # H - H^dagger = 2 eps H1 enters at order 1
         acc = split.add_h1(np.zeros((n, n), dtype=float if real else complex), 2.0)
@@ -265,15 +252,15 @@ def order_residual(split: SplitHamiltonian, q: QSeries, m: int) -> Operator:
     H - H^dagger contributes 2*H1 at m = 1; each [H,Q]_k / k! contributes
     chained commutators [..[head, Q_{j1}], ..., Q_{jk}] over compositions
     j1 + ... + jk of m (head H0) or m - 1 (head H1). Zero means the order-m
-    equation holds.
+    equation holds. The sum runs on the complex Q_j of q.terms, whatever
+    form q holds them in (the complex route; see the module docstring);
+    terms not split.dim square raise ShapeError.
     """
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
     if m > q.order:
         raise DomainError(f"order {m} exceeds available terms ({q.order})")
-    terms, real = _chain_terms(split, q, m)
-    x = _chain_sum(split, terms, m, real)
-    return Operator._own(1j**m * x if real else x)
+    return Operator._own(_chain_sum(split, [t.mat for t in q.terms[:m]], m, False))
 
 
 def order_equation_rhs(
@@ -284,16 +271,17 @@ def order_equation_rhs(
     Q_m enters the order-m residual only through [H0, Q_m], so R_m is the
     negated chain sum over Q_1 .. Q_{m-1}. R_m must come out anti-Hermitian
     for the equation to admit a Hermitian solution; it is judged by the
-    solve's rule (_check_source), StructureError past tol.bound(|R_m|).
+    solve's rule (_check_source), StructureError past tol.bound(|R_m|). The
+    chain sum is order_residual's, on the complex Q_j.
     """
     lower = 0 if q_lower is None else q_lower.order
     if lower != m - 1:
         raise DomainError(f"need {m - 1} lower-order terms for order {m}, got {lower}")
-    terms, real = _chain_terms(split, q_lower, m - 1)
-    r = _chain_sum(split, terms, m, real)
+    terms = [] if q_lower is None else [t.mat for t in q_lower.terms]
+    r = _chain_sum(split, terms, m, False)
     np.negative(r, out=r)
-    _check_source(r, tol, f"R_{m}", _parity(m, real))
-    return Operator._own(1j**m * r if real else r)
+    _check_source(r, tol, f"R_{m}", 1.0)
+    return Operator._own(r)
 
 
 def _check_h0(hermiticity: tuple[float, float], tol: Tolerance) -> None:
@@ -323,23 +311,14 @@ def sylvester_solve(H0: Operator, R: Operator, tol: Tolerance = DEFAULT_TOL) -> 
     abs_tol count as degenerate and their entries are gauged to zero, which
     is only consistent when the source vanishes there (Fredholm condition).
     A source R not anti-Hermitian within tol.bound(|R|) raises StructureError.
-    With a real H0, a real or imaginary R is solved in real arithmetic.
+    R is taken as it is, a complex matrix: with a real H0 the eigenvectors U
+    are real, and the basis changes mix them with the complex R.
     """
     if H0.mat.shape != R.mat.shape:
         raise ShapeError(f"dimension mismatch: {H0.mat.shape} vs {R.mat.shape}")
     _check_h0(_hermiticity(H0.mat, "H0"), tol)
     r_norm = _check_source(R.mat, tol, "R", 1.0)
-    e, u = _hermitian_eigh(H0.mat)
-    r, m = R.mat, 0
-    if np.isrealobj(u):  # a real or an imaginary R is graded here, once
-        for k in (0, 1):
-            a = _graded(r, k)
-            if a is not None:
-                r, m = a, k
-                break
-    real = np.isrealobj(r)
-    q = _sylvester((e, u), r, r_norm, tol, _parity(m, real))
-    return Operator._own(1j**m * q if real else q)
+    return Operator._own(_sylvester(_hermitian_eigh(H0.mat), R.mat, r_norm, tol, 1.0))
 
 
 def _sylvester(
@@ -347,9 +326,10 @@ def _sylvester(
 ) -> np.ndarray:
     """Q for H0's (E, U), the source R and r_norm = |R|; the inputs are already checked.
 
-    In real mode r is B with R = i^m B, U is real, and the result is the
-    real A with Q = i^m A: both basis changes U^T B U and U Q~ U^T run in
-    real arithmetic, and A's Hermitian part takes sign = (-1)^m.
+    In real mode (solve_q_series on the grid) r is B with R = i^m B, U is
+    real, and the result is the real A with Q = i^m A: both basis changes
+    U^T B U and U Q~ U^T run in real arithmetic, and A's Hermitian part
+    takes sign = (-1)^m.
     """
     e, u = eigensystem
     ut = u.conj().T
@@ -397,20 +377,23 @@ def solve_q_series(
     """Iterate order_equation_rhs / sylvester_solve for m = 1..ell.
 
     Each source R_m is formed once and judged once, by sylvester_solve's rule.
-    On the grid the solve runs in real mode on the A_m = Q_m / i^m and
-    B_m = R_m / i^m, with the rounding of the complex route, and H0's rule
-    and eigh read its real stencil; a dense split, or a gauge term g_m with
-    g_m / i^m not real, makes the whole solve complex. gauge maps an order m
-    to a Hermitian H0-commuting addition to Q_m (validated; recorded in the
-    gauge log). On return every order residual 1..ell, which is
+    On a stencil split with no gauge term the solve runs in real mode, which
+    no other function enters, on the A_m = Q_m / i^m and B_m = R_m / i^m,
+    and agrees with the complex route to rounding; H0's rule and eigh read
+    its real stencil either way. A dense split, or any gauge term, makes the
+    whole solve complex. gauge maps an order m to a Hermitian H0-commuting
+    addition to Q_m (validated, ShapeError unless split.dim square; recorded
+    in the gauge log). On return every order residual 1..ell, which is
     |[H0, Q_m] - R_m| once Q_m is solved, vanishes within tolerance;
     order_checks holds each (residual, bound).
     """
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
+    n = split.dim
     gauge = {m: g.mat for m, g in (gauge or {}).items() if 1 <= m <= ell}
-    graded = {m: _graded(g, m) for m, g in gauge.items()}
-    real = split.is_stencil and all(a is not None for a in graded.values())
+    if any(g.shape != (n, n) for g in gauge.values()):
+        raise ShapeError(f"dimension mismatch: a gauge term is not {n} x {n}, as the split is")
+    real = split.is_stencil and not gauge
     _check_h0(split.h0_hermiticity(), tol)
     h0_norm = split.h0_norm()
     terms = []
@@ -431,7 +414,7 @@ def solve_q_series(
                 raise GaugeError(f"order-{m} gauge term is not Hermitian")
             if max_norm(split.h0_commutator(g)) > tol.bound(h0_norm * max(1.0, max_norm(g))):
                 raise GaugeError(f"order-{m} gauge term does not commute with H0")
-            qm += graded[m] if real else g
+            qm += g
             entry["gauge"] = "minimal+custom"
             entry["custom_norm"] = max_norm(g)
         residuals.append(_solved_residual(split, qm, rm, m))

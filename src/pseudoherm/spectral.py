@@ -394,7 +394,8 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     choices, so it is reported and never asserted.
 
     P is an Operator, checked to be a Hermitian involution, or the
-    IndexReversal J, which is one exactly. For J and an eta that carries its
+    IndexReversal J, which is one exactly; either must be eta's size, else
+    ShapeError. For J and an eta that carries its
     eigensystem in the PT frame, eta = S u diag(lam) u^T S^dagger, and
     S^dagger J S = J, so C = S X S^dagger with X = (u lam^-1 u^T) J real,
     one real product, and C^2 - I = S (X^2 - I) S^dagger. Any other eta or P
@@ -402,17 +403,18 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     structured grid split, [C, H] = -[H0, C] - epsilon [H1, C] is a stencil
     and an elementwise product, reduced in row blocks over one pass.
     """
+    n = _metric_rows(eta)[1][0]
+    if P.dim != n:
+        raise ShapeError(f"dimension mismatch: P is {P.dim} x {P.dim}, eta {n} x {n}")
     system = _carried_eigensystem(eta)
     if isinstance(P, IndexReversal) and system is not None and system[2]:
         lam, u, _ = system
-        n = u.shape[0]
         x = _symmetric_product(u / lam, u)[:, ::-1]
         c = from_pt_frame(x)
         z = _minus_identity(x @ x)
         invol = _max_norm_rows(lambda start, stop: from_pt_frame(z, start, stop), n, "C^2 - I")
     else:
         e = _as_matrix(eta)
-        n = e.shape[0]
         c = np.linalg.solve(e, _checked_parity(P, tol))
         invol = max_norm(c @ c - np.eye(n))
     comm = None
@@ -426,22 +428,21 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
 
 
 def parity_pseudo_hermiticity_residual(H, P) -> float:
-    """||H^dagger P - P H|| for an Operator or split H.
+    """||H^dagger P - P H|| for an Operator or split H; ShapeError unless P is H's size.
 
-    For IndexReversal J it is flips of H's matrix, reduced ROW_BLOCK rows at
-    a time: rows start:stop of H^dagger J are H's columns start:stop,
-    conjugated and flipped, and those of J H are H's rows N - stop:N - start
-    in reverse.
+    For a structured grid split and IndexReversal J it is read off the O(N)
+    data: H0 is persymmetric, so H^dagger J - J H has nonzero entries only on
+    the anti-diagonal, -i epsilon (v_i + v_{N-1-i}), which is the dense
+    products' value bit for bit. Any other H or P takes the dense products.
     """
-    h = _dense(H)
-    if isinstance(P, IndexReversal):
-        n = h.shape[0]
-        return _max_norm_rows(
-            lambda start, stop: h[:, start:stop].conj().T[:, ::-1] - h[n - stop : n - start][::-1],
-            n,
-            "H^dagger J - J H",
-        )
-    return max_norm(h.conj().T @ P.mat - P.mat @ h)
+    if P.dim != H.dim:
+        raise ShapeError(f"dimension mismatch: P is {P.dim} x {P.dim}, H {H.dim} x {H.dim}")
+    split = _stencil(H)
+    if split is not None and isinstance(P, IndexReversal):
+        ev = split.epsilon * split._stencil[2]
+        return max_norm(ev + ev[::-1], "H^dagger J - J H")
+    h, p = _dense(H), P.mat
+    return max_norm(h.conj().T @ p - p @ h)
 
 
 def metric_factorization(eta) -> Operator:

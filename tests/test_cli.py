@@ -27,6 +27,7 @@ from pseudoherm import (
 from pseudoherm import errors, operators, perturbation, pipeline, spectral
 from pseudoherm.cli import main
 from pseudoherm.config import PerturbativeTask, ScalingTask, SpectralTask, WaveTask
+from pseudoherm.operators import IndexReversal
 from pseudoherm.perturbation import NOISE_FLOOR
 
 from helpers import fixed_split, positive_definite, run_cli, run_python, spectrum_is_real
@@ -221,10 +222,11 @@ def test_spectral_task_memory_at_n513():
     # with its V^T once it has read the spectrum and the defects, and forms
     # no psi or phi: its traced peak stays under 39.4 MB, the peak of
     # the route that held psi and phi and took the complex inv, phi phi^dagger
-    # and eigh of eta
+    # and eigh of eta. The parity is the grid reflection J of the model's 513
+    # points (19.1 MB measured)
     spec = load_spec(shipped("step_potential.json"))
     model = dataclasses.replace(spec.model, N=513)
-    spec = dataclasses.replace(spec, model=model, tasks=(SpectralTask(),))
+    spec = dataclasses.replace(spec, model=model, parity=IndexReversal(513), tasks=(SpectralTask(),))
     ctx = pipeline._RunContext(spec, 0)
     verdicts = []
     tracemalloc.start()
@@ -284,11 +286,12 @@ def test_wave_task_memory_at_n2049():
     assert peak < 16_000_000
 
 
-def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
-    # the grid H is built once, for the parity flips of grid_reflection: the
-    # eig and h read the split's own frame matrix, |H| its O(N) data, every
-    # other product with H is a stencil, and grid_reflection is the index
-    # flip J, which no Operator holds
+def test_grid_run_builds_no_dense_h_or_j(monkeypatch):
+    # with grid_reflection or without a parity, nothing asks for the dense
+    # grid H: the eig and h read the split's own frame matrix, |H| and the
+    # parity residual H^dagger J - J H its O(N) data, every other product
+    # with H is a stencil, and grid_reflection is the index flip J, which no
+    # Operator holds
     totals = []
     real_total = SplitHamiltonian.total
     monkeypatch.setattr(SplitHamiltonian, "total",
@@ -297,24 +300,15 @@ def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
     real_init = operators.Operator.__post_init__
     monkeypatch.setattr(operators.Operator, "__post_init__",
                         lambda self: real_init(self) or made.append(self.mat))
-    report = run_model_spec(load_spec(shipped("step_potential.json")))
-    assert report["all_passed"] is True
-    assert len(totals) == 1
+    spec = load_spec(shipped("step_potential.json"))
+    for parity in (spec.parity, None):
+        report = run_model_spec(dataclasses.replace(spec, parity=parity))
+        assert report["all_passed"] is True
+        spectral = next(t for t in report["tasks"] if t["task"] == "spectral")
+        assert ("c_operator" in spectral["data"]) is (parity is not None)
+    assert totals == []
     j = np.eye(129)[::-1]
     assert not any(m.shape == j.shape and np.array_equal(m, j) for m in made)
-
-
-def test_grid_run_without_parity_builds_no_dense_h(monkeypatch):
-    # without a parity nothing asks for the dense grid H: the spectral task
-    # reads the split's frame matrix and norm, and the products are stencils
-    totals = []
-    real_total = SplitHamiltonian.total
-    monkeypatch.setattr(SplitHamiltonian, "total",
-                        lambda self: totals.append(self) or real_total(self))
-    spec = load_spec(shipped("step_potential.json"))
-    report = run_model_spec(dataclasses.replace(spec, parity=None))
-    assert report["all_passed"] is True
-    assert totals == []
 
 
 @pytest.mark.parametrize("parity", [False, True])

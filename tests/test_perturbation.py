@@ -531,6 +531,10 @@ def _half_broken_split():
     return SplitHamiltonian(Operator(np.diag([1.0, 2.0])), Operator(h1), 0.1)
 
 
+def _grid16():
+    return discretize_schroedinger(step_potential(), 4.0, 16, epsilon=0.1)
+
+
 # each raise site as (call, error class, message); none is on a run's path
 ERROR_SITES = {
     "coefficients_ell_0": (lambda: master_formula_coefficients(0), DomainError, "ell must be >= 1"),
@@ -550,6 +554,28 @@ ERROR_SITES = {
         lambda: order_equation_rhs(_half_broken_split(), None, 1, Tolerance(1e-15, 1e-15)),
         StructureError, "source R must be anti-Hermitian: defect "),
     "qseries_empty": (lambda: QSeries(()), DomainError, "a QSeries needs at least one term"),
+    # i I as an array would be read as A_1, so Q_1 = i (i I) = -I; as an Operator it is refused
+    "qseries_complex_array": (
+        lambda: QSeries((1j * np.eye(3),)), StructureError, "all Operators or all real arrays"),
+    "qseries_arrays_and_operators": (
+        lambda: QSeries((np.zeros((3, 3)), Operator(np.eye(3)))),
+        StructureError, "all Operators or all real arrays"),
+    "qseries_operators_of_two_sizes": (
+        lambda: QSeries((Operator(np.eye(3)), Operator(np.eye(4)))),
+        ShapeError, "square and of one size"),
+    "qseries_arrays_of_two_sizes": (
+        lambda: QSeries((np.zeros((3, 3)), np.zeros((4, 4)))), ShapeError, "square and of one size"),
+    "qseries_non_square_array": (lambda: QSeries((np.zeros((3, 4)),)), ShapeError, "square and of one size"),
+    # 8 x 8 terms on a 16-point grid
+    "order_residual_shapes": (
+        lambda: order_residual(_grid16(), QSeries((Operator(np.eye(8)),)), 1),
+        ShapeError, "dimension mismatch"),
+    "order_equation_rhs_shapes": (
+        lambda: order_equation_rhs(_grid16(), QSeries((Operator(np.eye(8)),) * 2), 3),
+        ShapeError, "dimension mismatch"),
+    "gauge_shapes": (
+        lambda: solve_q_series(_grid16(), 2, gauge={1: Operator(np.eye(8))}),
+        ShapeError, "dimension mismatch"),
     "sylvester_shapes": (
         lambda: sylvester_solve(Operator(np.eye(2)), Operator(np.zeros((3, 3)))),
         ShapeError, "dimension mismatch"),

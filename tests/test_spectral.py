@@ -23,8 +23,8 @@ from pseudoherm import (
     step_potential,
     symmetry_rescaled_metric,
 )
-from pseudoherm.operators import DEFAULT_TOL
-from pseudoherm.spectral import COND_CAP, _equivalent_hermitian
+from pseudoherm.operators import DEFAULT_TOL, IndexReversal
+from pseudoherm.spectral import COND_CAP, _equivalent_hermitian, parity_pseudo_hermiticity_residual
 from helpers import (
     formed_vectors,
     positive_definite,
@@ -282,8 +282,26 @@ def test_rescaled_metric_stays_valid():
         assert pseudo_hermiticity_residual(h, eta) < 1e-10 * max(1.0, scale)
 
 
+def grid_metric(N):
+    """The spectral metric of the step grid of N points, a frame metric."""
+    split = discretize_schroedinger(step_potential(), 4.0, N, epsilon=0.1)
+    return spectral_metric(biorthonormal_eigensystem(split))
+
+
 # each raise site as (call, error class, message); none is on a run's path
 ERROR_SITES = {
+    # J of 8 points on a 16-point grid: the residual read 0.0, and the frame
+    # C ignored P's size
+    "parity_shape_grid_j": (
+        lambda: parity_pseudo_hermiticity_residual(
+            discretize_schroedinger(step_potential(), 4.0, 16), IndexReversal(8)),
+        ShapeError, "dimension mismatch: P is 8 x 8, H 16 x 16"),
+    "c_operator_shape_frame_j": (
+        lambda: c_operator(grid_metric(16), IndexReversal(8)),
+        ShapeError, "dimension mismatch: P is 8 x 8, eta 16 x 16"),
+    "c_operator_shape_dense_p": (
+        lambda: c_operator(np.eye(3), Operator(np.eye(2))),
+        ShapeError, "dimension mismatch: P is 2 x 2, eta 3 x 3"),
     "metric_shape_operator_h": (
         lambda: pseudo_hermiticity_residual(Operator(np.eye(2)), np.eye(3)),
         ShapeError, r"dimension mismatch: \(3, 3\) vs \(2, 2\)"),
