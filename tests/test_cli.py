@@ -286,12 +286,16 @@ def test_wave_task_memory_at_n2049():
     assert peak < 16_000_000
 
 
-def test_grid_run_builds_no_dense_h_or_j(monkeypatch):
-    # with grid_reflection or without a parity, nothing asks for the dense
-    # grid H: the eig and h read the split's own frame matrix, |H| and the
-    # parity residual H^dagger J - J H its O(N) data, every other product
-    # with H is a stencil, and grid_reflection is the index flip J, which no
-    # Operator holds
+def _spectral_data(report):
+    return next(t for t in report["tasks"] if t["task"] == "spectral")["data"]
+
+
+def test_run_model_spec_builds_no_dense_h_or_j_beyond_the_eig(monkeypatch):
+    # with grid_reflection nothing asks for the dense grid H: the eig and h
+    # read the split's own frame matrix, |H| and the parity residual
+    # H^dagger J - J H its O(N) data, every other product with H is a
+    # stencil, and grid_reflection is the index flip J, which no Operator
+    # holds
     totals = []
     real_total = SplitHamiltonian.total
     monkeypatch.setattr(SplitHamiltonian, "total",
@@ -300,15 +304,26 @@ def test_grid_run_builds_no_dense_h_or_j(monkeypatch):
     real_init = operators.Operator.__post_init__
     monkeypatch.setattr(operators.Operator, "__post_init__",
                         lambda self: real_init(self) or made.append(self.mat))
-    spec = load_spec(shipped("step_potential.json"))
-    for parity in (spec.parity, None):
-        report = run_model_spec(dataclasses.replace(spec, parity=parity))
-        assert report["all_passed"] is True
-        spectral = next(t for t in report["tasks"] if t["task"] == "spectral")
-        assert ("c_operator" in spectral["data"]) is (parity is not None)
+    report = run_model_spec(load_spec(shipped("step_potential.json")))
+    assert report["all_passed"] is True
+    assert "c_operator" in _spectral_data(report)
     assert totals == []
     j = np.eye(129)[::-1]
     assert not any(m.shape == j.shape and np.array_equal(m, j) for m in made)
+
+
+def test_grid_run_without_parity_builds_no_dense_h(monkeypatch):
+    # without a parity nothing asks for the dense grid H: the spectral task
+    # reads the split's frame matrix and norm, and the products are stencils
+    totals = []
+    real_total = SplitHamiltonian.total
+    monkeypatch.setattr(SplitHamiltonian, "total",
+                        lambda self: totals.append(self) or real_total(self))
+    spec = load_spec(shipped("step_potential.json"))
+    report = run_model_spec(dataclasses.replace(spec, parity=None))
+    assert report["all_passed"] is True
+    assert "c_operator" not in _spectral_data(report)
+    assert totals == []
 
 
 @pytest.mark.parametrize("parity", [False, True])
