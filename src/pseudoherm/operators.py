@@ -34,8 +34,7 @@ pt_frame's PT-odd rule, which read each block's rows and the matching
 columns; to_pt_frame and from_pt_frame write or give rows the same way.
 Each reads the entries the whole-matrix form reads and takes the same
 maxima, so the values are the whole matrix's bit for bit, with no N x N
-temporary. A complex matrix held as its two real parts (_ComplexParts)
-enters these rules as it is. Every product with the grid's H0 is one pass
+temporary. Every product with the grid's H0 is one pass
 (SplitHamiltonian._h0_pass) that reads each block's rows of X with their
 halo rows, from X or from a row fill, into one scratch for all its blocks:
 h0_commutator gathers the blocks, adjoint_residual and total_commutator
@@ -193,38 +192,14 @@ def _as_matrix(x) -> np.ndarray:
     return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=complex)
 
 
-class _ComplexParts:
-    """The complex matrix re + i im, held as its two real parts.
-
-    Indexing forms the complex entries of the rows or columns asked for,
-    so the row-blocked rules below read it like a complex array without
-    an N x N complex matrix; a part given as None is zero. .real and .imag
-    are the parts, as to_pt_frame reads them.
-    """
-
-    def __init__(self, re: np.ndarray | None, im: np.ndarray | None):
-        shape = (re if re is not None else im).shape
-        zero = np.broadcast_to(0.0, shape)
-        self.real = zero if re is None else re
-        self.imag = zero if im is None else im
-        self.shape = shape
-
-    def __getitem__(self, index) -> np.ndarray:
-        re = self.real[index]
-        x = np.empty(re.shape, dtype=complex)
-        x.real = re
-        x.imag = self.imag[index]
-        return x
-
-
-def _hermiticity(m, name: str = "the matrix", sign: float = 1.0) -> tuple[float, float]:
+def _hermiticity(m: np.ndarray, name: str = "the matrix", sign: float = 1.0) -> tuple[float, float]:
     """(max_norm(m), max_norm(m - sign m^dagger)): the Hermiticity rule on m (sign 1), or
     on i m (sign -1, which makes it the anti-Hermiticity rule on m).
 
-    m is an array or a _ComplexParts. Both are reduced ROW_BLOCK rows at a
-    time, from the rows of m and the matching columns of m^dagger, and the
-    defect is taken from halves, m/2 - sign m^dagger/2, so that no entry
-    overflows; the maxima are the whole matrix's, bit for bit.
+    Both are reduced ROW_BLOCK rows at a time, from the rows of m and the
+    matching columns of m^dagger, and the defect is taken from halves,
+    m/2 - sign m^dagger/2, so that no entry overflows; the maxima are the
+    whole matrix's, bit for bit.
     """
 
     def defect_rows(start: int, stop: int) -> np.ndarray:
@@ -242,14 +217,13 @@ def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return defect <= tol.bound(norm)
 
 
-def to_pt_frame(x) -> np.ndarray:
+def to_pt_frame(x: np.ndarray) -> np.ndarray:
     """Re(S^dagger X S): the real matrix of X's PT-even part (X + J conj(X) J)/2.
 
     It is S^dagger X S itself when X is PT-symmetric. With A, B the real and
     imaginary parts of X, it is (A + JAJ)/2 + (JB - BJ)/2; each term is
-    halved before the sums, which are written ROW_BLOCK rows at a time. x
-    is an array or a _ComplexParts. The result itself can still overflow,
-    to inf or NaN, which callers check for.
+    halved before the sums, which are written ROW_BLOCK rows at a time. The
+    result itself can still overflow, to inf or NaN, which callers check for.
     """
     a, b = x.real, x.imag
     n = x.shape[0]
@@ -287,16 +261,16 @@ def from_pt_frame_columns(v: np.ndarray) -> np.ndarray:
     return v + 1j * v[::-1]
 
 
-def pt_frame(m) -> np.ndarray | None:
+def pt_frame(m: np.ndarray) -> np.ndarray | None:
     """to_pt_frame(m) when m is PT-symmetric to rounding and that matrix is finite, else None.
 
     The one rule for which matrices are factorized in the frame. Rounding
     level is max_norm(m - J conj(m) J) <= PT_FRAME_ULPS * n * eps * max_norm(m):
     relative only and independent of any caller's Tolerance, so the PT-odd
     part that to_pt_frame drops is no larger than the backward error of the
-    factorization itself. Any other m keeps the complex path. m is an array
-    or a _ComplexParts; both norms are taken ROW_BLOCK rows at a time, from
-    halves as half of max_norm(m - J conj(m) J).
+    factorization itself. Any other m keeps the complex path. Both norms are
+    taken ROW_BLOCK rows at a time, from halves as half of
+    max_norm(m - J conj(m) J).
     """
     n = m.shape[0]
     bound = PT_FRAME_ULPS * n * np.finfo(float).eps * _max_norm_rows(lambda s, e: m[s:e], n, "the matrix")
@@ -310,13 +284,15 @@ def pt_frame(m) -> np.ndarray | None:
     return r if np.isfinite(r).all() else None
 
 
-def _hermitian_eigensystem(m, tol: Tolerance, caller: str) -> tuple[np.ndarray, np.ndarray, bool]:
+def _hermitian_eigensystem(
+    m: np.ndarray, tol: Tolerance, caller: str
+) -> tuple[np.ndarray, np.ndarray, bool]:
     """(w, u, in_frame): eigh of the Hermitian part of m, once m is checked to be
     Hermitian within tol; caller names the rule.
 
-    m is an array or a _ComplexParts. When m has a PT frame (pt_frame), the
-    symmetric part of its frame matrix is factorized in real arithmetic: u
-    is then real and m's eigenvectors are S u.
+    When m has a PT frame (pt_frame), the symmetric part of its frame matrix
+    is factorized in real arithmetic: u is then real and m's eigenvectors are
+    S u.
     """
     norm, defect = _hermiticity(m, f"{caller}'s argument")
     if defect > tol.bound(norm):
@@ -326,7 +302,6 @@ def _hermitian_eigensystem(m, tol: Tolerance, caller: str) -> tuple[np.ndarray, 
         del m  # a matrix no caller holds is not kept through the eigh
         w, u = np.linalg.eigh(_symmetric_part(r))
         return w, u, True
-    m = m[:]  # a _ComplexParts forms its complex matrix only here
     w, u = np.linalg.eigh((m + m.conj().T) / 2)
     return w, u, False
 
@@ -508,7 +483,9 @@ class SplitHamiltonian:
         x is X, or a row fill x(lo, hi) that forms rows lo:hi of X (as
         kernel_rows returns, or MetricOperator.rows). c is rows s:e of
         [H0, X]; xs holds the rows of X the block read, from row row0 on.
-        The dense form reads all of X and gives the rows as one block.
+        The dense form reads all of X and gives the rows as one block. X
+        must be N x N, else ShapeError before the first block: a matrix is
+        checked by its shape and a row fill by the width of x(0, 0).
 
         In the structured form a block of ROW_BLOCK rows reads the slab of X
         one halo row wider on each side (clipped to X). A real slab is taken
@@ -523,6 +500,9 @@ class SplitHamiltonian:
         n = self.dim
         stop = n if stop is None else stop
         fill = x if callable(x) else lambda lo, hi: x[lo:hi]
+        shape = (n, x(0, 0).shape[1]) if callable(x) else x.shape
+        if shape != (n, n):
+            raise ShapeError(f"dimension mismatch: X is {shape}, H0 {(n, n)}")
         if self._stencil is None:
             if start < stop:
                 xs, h0 = fill(0, n), self._dense[0].mat

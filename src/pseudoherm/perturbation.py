@@ -27,9 +27,10 @@ order_residual, order_equation_rhs and sylvester_solve take the operators
 they are handed as they are and run the plain complex formula: they are
 the independent complex route that real mode is checked against. QSeries
 forms complex Operators only when .terms is read; metric_from_series sums
-Q(eps)'s two real parts and returns a frame metric
-(spectral.MetricOperator), which keeps y = u diag(lam) u^T and forms the
-complex eta only when it is read.
+Q(eps) into one complex array, a real-mode series into its real and
+imaginary parts, and returns a frame metric (spectral.MetricOperator),
+which keeps y = u diag(lam) u^T and forms the complex eta only when it is
+read.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .operators import (
     Operator,
     SplitHamiltonian,
     Tolerance,
-    _ComplexParts,
     _hermitian_eigensystem,
     _hermitian_eigh,
     _hermiticity,
@@ -122,30 +122,30 @@ class QSeries:
         return len(self._matrices)
 
     def summed(self, epsilon: float) -> Operator:
-        return Operator._own(self._summed(epsilon)[:])
+        return Operator._own(self._summed(epsilon))
 
-    def _summed(self, epsilon: float):
-        """Q(epsilon): a complex array, or for a real-mode series a _ComplexParts.
+    def _summed(self, epsilon: float) -> np.ndarray:
+        """Q(epsilon) as one complex array.
 
-        A real-mode series sums its parts in real arithmetic: i^j A_j eps^j
-        goes to the real part for even j and to the imaginary part for odd
-        j, with the sign of i^j, in the order and with the rounding of the
-        complex sum.
+        A real-mode series sums in real arithmetic, in place in the array's
+        parts: i^j A_j eps^j goes to the real part for even j and to the
+        imaginary part for odd j, with the sign of i^j, in the order and
+        with the rounding of the complex sum.
         """
-        parts = [None, None]
+        q = None
         for j, a in enumerate(self._matrices, start=1):
             try:
                 scale = epsilon**j
             except OverflowError:
                 raise NonFiniteError(f"epsilon^{j} overflows at epsilon = {epsilon}") from None
-            k = j % 2 if self._real else 0
-            if parts[k] is None:
-                parts[k] = np.zeros(a.shape, dtype=a.dtype)
+            if q is None:
+                q = np.zeros(a.shape, dtype=complex)
+            part = (q.imag if j % 2 else q.real) if self._real else q
             if self._real and j % 4 >= 2:
-                parts[k] -= a * scale
+                part -= a * scale
             else:
-                parts[k] += a * scale
-        return _ComplexParts(*parts) if self._real else parts[0]
+                part += a * scale
+        return q
 
 
 def master_formula_coefficients(ell: int) -> np.ndarray:
@@ -437,10 +437,10 @@ def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
 
     One eigh of Q(eps) = U diag(w) U^dagger (in the PT frame when Q(eps) has
     one) gives eta = U diag(e^(-w)) U^dagger, and the metric carries that
-    eigensystem (e^(-w), u, in_frame) in eigh order, lam descending. A
-    real-mode series gives Q(eps) as its two real parts, which the Hermiticity
-    and PT rules read in row blocks and to_pt_frame maps to the frame
-    matrix; in the frame the metric is a frame metric, with no complex eta.
+    eigensystem (e^(-w), u, in_frame) in eigh order, lam descending. Q(eps)
+    is one complex array (QSeries._summed), which the Hermiticity and PT
+    rules read in row blocks and to_pt_frame maps to the frame matrix; in
+    the frame the metric is a frame metric, with no complex eta.
     """
     w, u, in_frame = _hermitian_eigensystem(q._summed(epsilon), DEFAULT_TOL, "metric_from_series")
     return _metric(np.exp(-w), u, in_frame)

@@ -99,30 +99,18 @@ class MetricOperator:
 
     A frame metric, which _metric builds from an eigensystem in the PT
     frame, holds eta as its real frame matrix frame = y = u diag(lam) u^T,
-    with eta = S y S^dagger. It forms the complex eta (op, mat) only when
-    one of them is read; rows(start, stop) gives eta's rows from y
-    (from_pt_frame), bit for bit those of mat, so a check that reads eta in
-    row blocks holds no complex N x N eta. frame is None for any other
-    metric.
+    with eta = S y S^dagger, and forms the complex eta (op, mat) only when
+    one of them is read. rows(start, stop) gives eta's rows from y
+    (from_pt_frame), bit for bit those of mat; the checks read every
+    MetricOperator through rows (_metric_operands), so a check that reads
+    eta in row blocks holds no complex N x N eta. frame is None for any
+    other metric.
     """
 
     def __init__(self, op: Operator, eigensystem: tuple[np.ndarray, np.ndarray, bool] | None = None):
         self._op = op
         self.eigensystem = eigensystem
         self.frame = None
-
-    @classmethod
-    def _in_frame(cls, y: np.ndarray, eigensystem: tuple[np.ndarray, np.ndarray, bool]) -> "MetricOperator":
-        """The frame metric S y S^dagger carrying eigensystem.
-
-        eta's entries are finite exactly when y's are, so y gets the check
-        an Operator gives its entries.
-        """
-        if not np.isfinite(y).all():
-            raise NonFiniteError("operator entries must be finite")
-        eta = cls(None, eigensystem)
-        eta.frame = y
-        return eta
 
     @property
     def op(self) -> Operator:
@@ -153,28 +141,40 @@ def _metric(lam: np.ndarray, u: np.ndarray, in_frame: bool) -> MetricOperator:
     """The metric U diag(lam) U^dagger (U = S u when in_frame), carrying that eigensystem.
 
     In the frame it is a frame metric: y = u diag(lam) u^T, the frame matrix
-    from which _from_eigenbasis would form eta, is kept and eta is not formed.
+    from which _from_eigenbasis would form eta, is kept and eta is not
+    formed. eta's entries are finite exactly when y's are, so y gets the
+    check an Operator gives its entries.
     """
-    if in_frame:
-        return MetricOperator._in_frame(_symmetric_product(u * lam, u), (lam, u, True))
-    return MetricOperator(_from_eigenbasis(u * lam, u, False), (lam, u, False))
+    if not in_frame:
+        return MetricOperator(_from_eigenbasis(u * lam, u, False), (lam, u, False))
+    y = _symmetric_product(u * lam, u)
+    if not np.isfinite(y).all():
+        raise NonFiniteError("operator entries must be finite")
+    eta = MetricOperator(None, (lam, u, True))
+    eta.frame = y
+    return eta
 
 
-def _metric_rows(eta) -> tuple:
-    """(x, shape): eta's matrix for the products, and its shape.
+def _metric_operands(eta, n: int, other: str | None = None) -> tuple:
+    """(x, eigensystem): eta as the products with an n x n operator read it.
 
-    x is a row fill (MetricOperator.rows) for a MetricOperator, so that a
-    frame metric forms no complex eta, and the matrix itself for any other eta.
+    x is a MetricOperator's row fill (MetricOperator.rows), so that a frame
+    metric forms no complex eta, and any other eta's matrix; eigensystem is
+    the (lam, u, in_frame) a MetricOperator carries, None for any other eta
+    or one built without it. ShapeError unless eta is n x n; the message
+    names the other operand (other is n x n) when other is given.
     """
     if isinstance(eta, MetricOperator):
-        return eta.rows, (eta.mat if eta.frame is None else eta.frame).shape
-    e = _as_matrix(eta)
-    return e, e.shape
-
-
-def _carried_eigensystem(eta) -> tuple[np.ndarray, np.ndarray, bool] | None:
-    """The (lam, u, in_frame) a MetricOperator carries; None for any other eta, or without one."""
-    return eta.eigensystem if isinstance(eta, MetricOperator) else None
+        x, system = eta.rows, eta.eigensystem
+        shape = (eta.mat if eta.frame is None else eta.frame).shape
+    else:
+        x, system = _as_matrix(eta), None
+        shape = x.shape
+    if shape != (n, n):
+        if other is None:
+            raise ShapeError(f"dimension mismatch: {shape} vs {(n, n)}")
+        raise ShapeError(f"dimension mismatch: {other} is {n} x {n}, eta {' x '.join(map(str, shape))}")
+    return x, system
 
 
 def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
@@ -285,10 +285,7 @@ def pseudo_hermiticity_residual(H, eta) -> float:
     raw array, an Operator, or a MetricOperator without an eigensystem) they
     come from an SVD of eta.
     """
-    x, shape = _metric_rows(eta)
-    if shape != (H.dim, H.dim):
-        raise ShapeError(f"dimension mismatch: {shape} vs {(H.dim, H.dim)}")
-    system = _carried_eigensystem(eta)
+    x, system = _metric_operands(eta, H.dim)
     if system is not None:
         lo, hi = system[0].min(), system[0].max()
     else:
@@ -308,8 +305,8 @@ def pseudo_hermiticity_threshold(H, eta) -> float:
 
     A frame metric's |eta| is taken from its rows (MetricOperator.rows).
     """
-    x, shape = _metric_rows(eta)
-    eta_norm = _max_norm_rows(x, shape[0], "eta") if callable(x) else max_norm(x)
+    x, _ = _metric_operands(eta, H.dim)
+    eta_norm = _max_norm_rows(x, H.dim, "eta") if callable(x) else max_norm(x)
     return RESIDUAL_REL * max(1.0, H.norm() * eta_norm)
 
 
@@ -342,7 +339,7 @@ def _equivalent_hermitian(
         raise ResidualError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds threshold {threshold:.3e}"
         )
-    system = _carried_eigensystem(eta)
+    _, system = _metric_operands(eta, H.dim)
     if system is None:
         system = _hermitian_eigensystem(_as_matrix(eta), tol, "equivalent_hermitian")
     lam, u, in_frame = system
@@ -394,8 +391,8 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     choices, so it is reported and never asserted.
 
     P is an Operator, checked to be a Hermitian involution, or the
-    IndexReversal J, which is one exactly; either must be eta's size, else
-    ShapeError. For J and an eta that carries its
+    IndexReversal J, which is one exactly; eta, and H when given, must be
+    P's size, else ShapeError. For J and an eta that carries its
     eigensystem in the PT frame, eta = S u diag(lam) u^T S^dagger, and
     S^dagger J S = J, so C = S X S^dagger with X = (u lam^-1 u^T) J real,
     one real product, and C^2 - I = S (X^2 - I) S^dagger. Any other eta or P
@@ -403,10 +400,10 @@ def c_operator(eta, P, H=None, tol: Tolerance = DEFAULT_TOL):
     structured grid split, [C, H] = -[H0, C] - epsilon [H1, C] is a stencil
     and an elementwise product, reduced in row blocks over one pass.
     """
-    n = _metric_rows(eta)[1][0]
-    if P.dim != n:
-        raise ShapeError(f"dimension mismatch: P is {P.dim} x {P.dim}, eta {n} x {n}")
-    system = _carried_eigensystem(eta)
+    n = P.dim
+    _, system = _metric_operands(eta, n, "P")
+    if H is not None and H.dim != n:
+        raise ShapeError(f"dimension mismatch: P is {n} x {n}, H {H.dim} x {H.dim}")
     if isinstance(P, IndexReversal) and system is not None and system[2]:
         lam, u, _ = system
         x = _symmetric_product(u / lam, u)[:, ::-1]

@@ -527,8 +527,9 @@ def test_grid_terms_have_the_phase_of_their_order():
     # on the grid every contribution to the order-m chain sum has the phase
     # i^m, so the solve holds the real A_m = Q_m / i^m: Q_m = i^m A_m
     # exactly, and Q_m Hermitian is A_m^T = (-1)^m A_m within the rule.
-    # Q(eps) sums the two real parts in real arithmetic, so e^(-Q(eps)) and
-    # its residual are those of the same terms held as Operators, bit for bit
+    # Q(eps) sums the A_j into its real and imaginary parts in real
+    # arithmetic, so e^(-Q(eps)) and its residual are those of the same terms
+    # held as Operators, bit for bit
     split = grid_split(129)
     series = solve_q_series(split, 5)
     assert series._real
@@ -544,6 +545,22 @@ def test_grid_terms_have_the_phase_of_their_order():
         assert pseudo_hermiticity_residual(split.at(e), eta) == pseudo_hermiticity_residual(
             split.at(e), ref
         )
+
+
+@pytest.mark.parametrize("N", [65, 129])
+@pytest.mark.parametrize("ell", [1, 2, 3, 5])
+def test_real_mode_q_of_eps_is_the_complex_sum_of_its_terms(N, ell):
+    # a real-mode series sums Q(eps) into one complex array, i^j A_j eps^j
+    # into its imaginary part (odd j) or its real part (even j) with the sign
+    # of i^j: that is the sum of Q_j eps^j in order, in complex arithmetic,
+    # bit for bit, at a small, a smaller and a large eps
+    series = solve_q_series(grid_split(N), ell)
+    assert series._real
+    for e in (0.1, 0.0125, 3.0):
+        ref = np.zeros((N, N), dtype=complex)
+        for j, t in enumerate(series.terms, start=1):
+            ref += t.mat * e**j
+        assert np.array_equal(series.summed(e).mat, ref)
 
 
 @pytest.mark.parametrize("order", [1, 2])

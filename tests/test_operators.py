@@ -13,10 +13,12 @@ from pseudoherm import (
     Tolerance,
     bch_conjugate,
     commutator,
+    discretize_schroedinger,
     herm_sqrt_inv,
     is_hermitian,
     max_norm,
     nested_commutator,
+    step_potential,
 )
 
 from pseudoherm.operators import _max_norm_rows
@@ -223,6 +225,14 @@ def test_hermiticity_checks_near_the_float_limit(big):
     assert is_hermitian(1j * m)
 
 
+def grid_split(n):
+    return discretize_schroedinger(step_potential(), 4.0, n)
+
+
+def dense_split(split):
+    return SplitHamiltonian(split.H0, split.H1, split.epsilon)
+
+
 # each raise site as (call, error class, message); none is on a run's path
 ERROR_SITES = {
     "split_dimensions": (
@@ -234,6 +244,24 @@ ERROR_SITES = {
     "bch_shapes": (
         lambda: bch_conjugate(Operator(np.eye(2)), Operator(np.eye(3)), 1),
         ShapeError, "dimension mismatch"),
+    # every product with H0 checks X once, before the pass's first block: the
+    # stencil's h0_commutator returned a (33, 40) array, and the dense one,
+    # adjoint_residual and total_commutator raised numpy ValueError
+    "h0_commutator_shape": (
+        lambda: grid_split(33).h0_commutator(np.zeros((40, 40))),
+        ShapeError, r"dimension mismatch: X is \(40, 40\), H0 \(33, 33\)"),
+    "h0_commutator_rows": (
+        lambda: grid_split(33).h0_commutator(np.zeros((33, 40))),
+        ShapeError, r"dimension mismatch: X is \(33, 40\), H0 \(33, 33\)"),
+    "h0_commutator_dense_shape": (
+        lambda: dense_split(grid_split(33)).h0_commutator(np.zeros((40, 40))),
+        ShapeError, r"dimension mismatch: X is \(40, 40\), H0 \(33, 33\)"),
+    "adjoint_residual_shape": (
+        lambda: list(grid_split(33).adjoint_residual(np.zeros((40, 40)))),
+        ShapeError, r"dimension mismatch: X is \(40, 40\), H0 \(33, 33\)"),
+    "total_commutator_shape": (
+        lambda: list(grid_split(33).total_commutator(np.zeros((40, 40)))),
+        ShapeError, r"dimension mismatch: X is \(40, 40\), H0 \(33, 33\)"),
 }
 
 

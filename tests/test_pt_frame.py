@@ -29,7 +29,6 @@ from pseudoherm import (
 from pseudoherm.operators import (
     IndexReversal,
     Tolerance,
-    _ComplexParts,
     _hermiticity,
     _symmetric_part,
     from_pt_frame,
@@ -488,23 +487,18 @@ def whole_to_pt_frame(x):
 @pytest.mark.parametrize("n", [2, 33, 70])
 def test_row_blocked_rules_read_the_whole_matrix_entries(n):
     # the Hermiticity rules, pt_frame's PT-odd rule and frame matrix and
-    # from_pt_frame's rows reduce or write ROW_BLOCK rows at a time, and on a
-    # matrix held as its two real parts; each gives the whole-matrix value
-    # bit for bit (n = 70 is two full blocks and a partial one)
+    # from_pt_frame's rows reduce or write ROW_BLOCK rows at a time; each
+    # gives the whole-matrix value bit for bit (n = 70 is two full blocks and
+    # a partial one)
     rng = np.random.default_rng(n)
     z = random_complex(n, rng)
     half_norm = lambda a, b: max_norm(a / 2 - b / 2)  # noqa: E731
     assert _hermiticity(z) == (max_norm(z), 2 * half_norm(z, z.conj().T))
     assert _hermiticity(z, sign=-1.0) == (max_norm(z), 2 * half_norm(z, -z.conj().T))
-    parts = _ComplexParts(z.real.copy(), z.imag.copy())
-    assert _hermiticity(parts) == _hermiticity(z)
-    for x in (z, parts, _ComplexParts(None, z.imag.copy())):
-        dense = x[:]
-        assert np.array_equal(to_pt_frame(x), whole_to_pt_frame(dense))
+    assert np.array_equal(to_pt_frame(z), whole_to_pt_frame(z))
     x = random_pt_hermitian(n, rng)
-    pt_parts = _ComplexParts(x.real.copy(), x.imag.copy())
-    assert np.array_equal(pt_frame(pt_parts), pt_frame(x))
-    assert pt_frame(x + 1e-3 * z) is None and pt_frame(_ComplexParts(z.real, z.imag)) is None
+    assert np.array_equal(pt_frame(x), whole_to_pt_frame(x))
+    assert pt_frame(x + 1e-3 * z) is None and pt_frame(z) is None
     y = rng.standard_normal((n, n))
     for start, stop in ((0, n), (0, 1), (n // 2, n), (n // 3, n // 3 + 5)):
         assert np.array_equal(from_pt_frame(y, start, stop), from_pt_frame(y)[start:stop])

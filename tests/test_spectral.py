@@ -24,7 +24,12 @@ from pseudoherm import (
     symmetry_rescaled_metric,
 )
 from pseudoherm.operators import DEFAULT_TOL, IndexReversal
-from pseudoherm.spectral import COND_CAP, _equivalent_hermitian, parity_pseudo_hermiticity_residual
+from pseudoherm.spectral import (
+    COND_CAP,
+    _equivalent_hermitian,
+    parity_pseudo_hermiticity_residual,
+    pseudo_hermiticity_threshold,
+)
 from helpers import (
     formed_vectors,
     positive_definite,
@@ -302,6 +307,28 @@ ERROR_SITES = {
     "c_operator_shape_dense_p": (
         lambda: c_operator(np.eye(3), Operator(np.eye(2))),
         ShapeError, "dimension mismatch: P is 2 x 2, eta 3 x 3"),
+    # eta and J of 16 points with H of 17: numpy ValueError from the [C, H]
+    # pass, and from the dense products
+    "c_operator_shape_grid_h": (
+        lambda: c_operator(grid_metric(16), IndexReversal(16),
+                           discretize_schroedinger(step_potential(), 4.0, 17)),
+        ShapeError, "dimension mismatch: P is 16 x 16, H 17 x 17"),
+    "c_operator_shape_dense_h": (
+        lambda: c_operator(grid_metric(16), IndexReversal(16),
+                           discretize_schroedinger(step_potential(), 4.0, 17).total()),
+        ShapeError, "dimension mismatch: P is 16 x 16, H 17 x 17"),
+    # a non-square eta: numpy LinAlgError from solve
+    "c_operator_non_square_eta": (
+        lambda: c_operator(np.ones((3, 2)), Operator(np.eye(3))),
+        ShapeError, "dimension mismatch: P is 3 x 3, eta 3 x 2"),
+    # the threshold of an eta not H's size: it returned a number
+    "threshold_shape_grid_h": (
+        lambda: pseudo_hermiticity_threshold(
+            discretize_schroedinger(step_potential(), 4.0, 17), grid_metric(16)),
+        ShapeError, r"dimension mismatch: \(16, 16\) vs \(17, 17\)"),
+    "threshold_shape_operator_h": (
+        lambda: pseudo_hermiticity_threshold(Operator(np.eye(2)), np.eye(3)),
+        ShapeError, r"dimension mismatch: \(3, 3\) vs \(2, 2\)"),
     "metric_shape_operator_h": (
         lambda: pseudo_hermiticity_residual(Operator(np.eye(2)), np.eye(3)),
         ShapeError, r"dimension mismatch: \(3, 3\) vs \(2, 2\)"),

@@ -22,6 +22,7 @@ from pseudoherm import (
     particular_kernel_q1,
     step_potential,
     PiecewisePotential,
+    ShapeError,
     SplitHamiltonian,
 )
 from pseudoherm.operators import _max_norm_rows
@@ -571,6 +572,10 @@ def test_discretize_schroedinger_allocates_no_dense_matrix():
     assert peak < 1_000_000
 
 
+def step_q1():
+    return particular_kernel_q1(step_potential())
+
+
 # each raise site as (call, error class, message); none is on a run's path
 ERROR_SITES = {
     "empty_breakpoints": (
@@ -579,6 +584,25 @@ ERROR_SITES = {
     "2d_breakpoints": (
         lambda: PiecewisePotential(np.array([[-1.0, 1.0]]), np.array([0.0, 1.0, 0.0])),
         DomainError, "breakpoints must be a non-empty 1-D sequence"),
+    # M of 40 points on a 33-point grid: the check read 0.0 from the matrix
+    # and from the fill, and a 33-point fill on a 40-point grid raised
+    # IndexError from inside the fill; a dense split's matmul raised ValueError
+    "offdiagonal_shape_matrix": (
+        lambda: offdiagonal_commutator_check(
+            grid_split(33, "stencil"), kernel_to_matrix(step_q1(), 4.0, 40), 2),
+        ShapeError, r"dimension mismatch: X is \(40, 40\), H0 \(33, 33\)"),
+    "offdiagonal_shape_wide_fill": (
+        lambda: offdiagonal_commutator_check(
+            grid_split(33, "stencil"), kernel_rows(step_q1(), 4.0, 40), 2),
+        ShapeError, r"dimension mismatch: X is \(33, 40\), H0 \(33, 33\)"),
+    "offdiagonal_shape_narrow_fill": (
+        lambda: offdiagonal_commutator_check(
+            grid_split(40, "stencil"), kernel_rows(step_q1(), 4.0, 33), 2),
+        ShapeError, r"dimension mismatch: X is \(40, 33\), H0 \(40, 40\)"),
+    "offdiagonal_shape_dense_split": (
+        lambda: offdiagonal_commutator_check(
+            grid_split(33, "dense"), kernel_rows(step_q1(), 4.0, 40, graded=True), 2),
+        ShapeError, r"dimension mismatch: X is \(33, 40\), H0 \(33, 33\)"),
 }
 
 
