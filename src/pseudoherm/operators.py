@@ -34,12 +34,12 @@ pt_frame's PT-odd rule, which read each block's rows and the matching
 columns; to_pt_frame and from_pt_frame write or give rows the same way.
 Each reads the entries the whole-matrix form reads and takes the same
 maxima, so the values are the whole matrix's bit for bit, with no N x N
-temporary. Every product with the grid's H0 is one pass
+temporary. Every product with the grid's H0 is one pass over all N rows
 (SplitHamiltonian._h0_pass) that reads each block's rows of X with their
-halo rows, from X or from a row fill, into one scratch for all its blocks:
-h0_commutator gathers the blocks, adjoint_residual and total_commutator
-give them to the checks, and the order checks and the wave kernel's
-off-band check reduce them as they come.
+halo rows, from X or a row fill, into one scratch, and gives the block's
+rows of [H0, X] and of X: h0_commutator gathers them, adjoint_residual and
+total_commutator add the H1 term, and the order checks and the wave
+kernel's off-band check reduce them as they come.
 """
 
 from __future__ import annotations
@@ -111,9 +111,9 @@ def _max_norm_blocks(blocks, n: int, name: str) -> float:
     return max(max_norm(r, f"{name}, rows {s}:{e} of {n},") for s, e, r in blocks)
 
 
-def _row_blocks(stop: int, start: int = 0) -> list[tuple[int, int]]:
-    """(s, e) of each block of ROW_BLOCK rows of the rows start:stop; none when start >= stop."""
-    return [(s, min(s + ROW_BLOCK, stop)) for s in range(start, stop, ROW_BLOCK)]
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """(s, e) of each block of ROW_BLOCK rows of n rows; none when n is 0."""
+    return [(s, min(s + ROW_BLOCK, n)) for s in range(0, n, ROW_BLOCK)]
 
 
 class _Fresh:
@@ -477,15 +477,15 @@ class SplitHamiltonian:
             return max_norm(self._dense[1].mat)
         return max_norm(self._stencil[2])
 
-    def _h0_pass(self, x, start: int = 0, stop: int | None = None):
-        """Rows start:stop of [H0, X], as (s, e, c, xs, row0) for each row block s:e.
+    def _h0_pass(self, x):
+        """[H0, X], as (s, e, c, xb) for each row block s:e, over all N rows in order.
 
         x is X, or a row fill x(lo, hi) that forms rows lo:hi of X (as
         kernel_rows returns, or MetricOperator.rows). c is rows s:e of
-        [H0, X]; xs holds the rows of X the block read, from row row0 on.
-        The dense form reads all of X and gives the rows as one block. X
-        must be N x N, else ShapeError before the first block: a matrix is
-        checked by its shape and a row fill by the width of x(0, 0).
+        [H0, X] and xb rows s:e of X. The dense form reads all of X and
+        gives it as one block (0, N). X must be N x N, else ShapeError
+        before the first block: a matrix is checked by its shape and a row
+        fill by the width of x(0, 0).
 
         In the structured form a block of ROW_BLOCK rows reads the slab of X
         one halo row wider on each side (clipped to X). A real slab is taken
@@ -495,29 +495,28 @@ class SplitHamiltonian:
         real c. Every block's three products go into one scratch
         (_stencil_work), made for the first slab, since fresh ones per block
         made the allocator hand the heap back and fault it in again each
-        time; c is a view of it, valid until the next block is taken.
+        time; c is a view of it, valid until the next block is taken, and xb
+        a view of the slab.
         """
         n = self.dim
-        stop = n if stop is None else stop
         fill = x if callable(x) else lambda lo, hi: x[lo:hi]
         shape = (n, x(0, 0).shape[1]) if callable(x) else x.shape
         if shape != (n, n):
             raise ShapeError(f"dimension mismatch: X is {shape}, H0 {(n, n)}")
         if self._stencil is None:
-            if start < stop:
-                xs, h0 = fill(0, n), self._dense[0].mat
-                yield start, stop, h0[start:stop] @ xs - xs[start:stop] @ h0, xs, 0
+            xs, h0 = fill(0, n), self._dense[0].mat
+            yield 0, n, h0 @ xs - xs @ h0, xs
             return
         diag, off, _ = self._stencil
         work = None
-        for s, e in _row_blocks(stop, start):
+        for s, e in _row_blocks(n):
             lo, hi = max(s - 1, 0), min(e + 1, n)
             xs = fill(lo, hi)
             real = np.isrealobj(xs)
             xr = np.ascontiguousarray(xs, dtype=float if real else complex).view(float)
             step = 1 if real else 2  # the real view's columns per column of X
             if work is None:
-                work = _stencil_work(xr, min(ROW_BLOCK, stop - start))
+                work = _stencil_work(xr, min(ROW_BLOCK, n))
             oxr, rows, cols = work[:, : hi - lo]
             np.multiply(off, xr, out=oxr)
             np.multiply(diag, xr, out=rows)
@@ -528,7 +527,7 @@ class SplitHamiltonian:
             cols[:, :-step] += oxr[:, step:]
             rows -= cols
             c = rows if real else rows.view(complex)
-            yield s, e, c[s - lo : e - lo], xs, lo
+            yield s, e, c[s - lo : e - lo], xs[s - lo : e - lo]
 
     def h0_commutator(self, x: np.ndarray) -> np.ndarray:
         """[H0, X].
@@ -539,17 +538,17 @@ class SplitHamiltonian:
         """
         n = self.dim
         out = None
-        for s, e, c, _, _ in self._h0_pass(x):
+        for s, e, c, _ in self._h0_pass(x):
             if (s, e) == (0, n):  # one block: the pass's rows, which no one else holds
                 return c
             if out is None:
                 out = np.empty((n, c.shape[1]), c.dtype)
             out[s:e] = c
-        return x[:0] if out is None else out  # a 0 x 0 split has no block
+        return out
 
     def h1_commutator(self, x: np.ndarray) -> np.ndarray:
         """[H1, X]; for H1 = i diag(v), entry (i, j) is i v_i X_ij - X_ij i v_j."""
-        return self._h1_rows(x, 0, None, -1.0)
+        return self._h1_rows(x, 0, self.dim, -1.0)
 
     def h1_commutator_real(self, a: np.ndarray) -> np.ndarray:
         """[H1, A] / i for a real A, in the structured form: the real v_i A_ij - A_ij v_j.
@@ -563,20 +562,17 @@ class SplitHamiltonian:
         d -= a * v[None, :]
         return d
 
-    def _h1_rows(
-        self, x: np.ndarray, start: int, stop: int | None, sign: float, row0: int = 0
-    ) -> np.ndarray:
+    def _h1_rows(self, x: np.ndarray, start: int, stop: int, sign: float) -> np.ndarray:
         """Rows start:stop of H1 X + sign X H1, for sign -1 (commutator) or +1 (anticommutator).
 
-        x holds rows row0:row0 + len(x) of X, all of them by default.
+        x is rows start:stop of X; the dense form takes all of X, as its
+        pass's one block (0, N).
         """
         if self._stencil is None:
             h1 = self._dense[1].mat
-            return h1[start:stop] @ x + sign * (x[start:stop] @ h1)
+            return h1 @ x + sign * (x @ h1)
         iv = 1j * self._stencil[2]
-        stop = x.shape[0] + row0 if stop is None else stop
-        rows = x[start - row0 : stop - row0]
-        return iv[start:stop, None] * rows + sign * (rows * iv[None, :])
+        return iv[start:stop, None] * x + sign * (x * iv[None, :])
 
     def adjoint_residual(self, x):
         """H^dagger X - X H for H = H0 + epsilon H1, as (s, e, rows) per row block s:e.
@@ -587,14 +583,14 @@ class SplitHamiltonian:
         The blocks are those of one pass (_h0_pass), whose x is X or a row
         fill of X, and each block's rows are valid until the next is taken.
         """
-        for s, e, r, xs, row0 in self._h0_pass(x):
-            r -= self.epsilon * self._h1_rows(xs, s, e, 1.0, row0)
+        for s, e, r, xb in self._h0_pass(x):
+            r -= self.epsilon * self._h1_rows(xb, s, e, 1.0)
             yield s, e, r
 
     def total_commutator(self, x):
         """[H, X] = [H0, X] + epsilon [H1, X], as adjoint_residual gives its rows."""
-        for s, e, r, xs, row0 in self._h0_pass(x):
-            r += self.epsilon * self._h1_rows(xs, s, e, -1.0, row0)
+        for s, e, r, xb in self._h0_pass(x):
+            r += self.epsilon * self._h1_rows(xb, s, e, -1.0)
             yield s, e, r
 
     def frame(self) -> np.ndarray | None:
@@ -630,22 +626,20 @@ class SplitHamiltonian:
         diag, off, v = self._stencil
         return max(abs(off), max_norm(diag + self.epsilon * (1j * v)))
 
-    def add_h1(self, x: np.ndarray, scale: float, start: int = 0) -> np.ndarray:
-        """x += scale * H1 in place; returns x.
+    def add_h1(self, x: np.ndarray, scale: float) -> np.ndarray:
+        """x += scale * H1 in place for an N x N x; returns x.
 
-        x holds rows start:start + len(x) of an N x N array, all N rows by
-        default. It is complex, or, in the structured form, real: a real x
-        stands for i x, the imaginary part of rows whose real part is zero,
-        and gets scale v on its diagonal, the imaginary part that the
-        complex update adds.
+        x is complex, or, in the structured form, real: a real x stands for
+        i x, the imaginary part of a matrix whose real part is zero, and
+        gets scale v on its diagonal, the imaginary part that the complex
+        update adds.
         """
-        rows = slice(start, start + x.shape[0])
         if self._stencil is None:
-            x += scale * self._dense[1].mat[rows]
+            x += scale * self._dense[1].mat
         else:
             i = np.arange(x.shape[0])
-            v = self._stencil[2][rows]
-            x[i, start + i] += scale * v if np.isrealobj(x) else scale * (1j * v)
+            v = self._stencil[2]
+            x[i, i] += scale * v if np.isrealobj(x) else scale * (1j * v)
         return x
 
     def total(self) -> Operator:

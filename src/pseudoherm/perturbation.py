@@ -135,7 +135,7 @@ class QSeries:
         q = None
         for j, a in enumerate(self._matrices, start=1):
             try:
-                scale = epsilon**j
+                scale = float(epsilon) ** j
             except OverflowError:
                 raise NonFiniteError(f"epsilon^{j} overflows at epsilon = {epsilon}") from None
             if q is None:
@@ -364,7 +364,7 @@ def _solved_residual(split: SplitHamiltonian, q: np.ndarray, r: np.ndarray, m: i
     (SplitHamiltonian._h0_pass): ROW_BLOCK rows at a time on the stencil, all
     rows at once on a dense split.
     """
-    blocks = ((s, e, c - r[s:e]) for s, e, c, _, _ in split._h0_pass(q))
+    blocks = ((s, e, c - r[s:e]) for s, e, c, _ in split._h0_pass(q))
     return _max_norm_blocks(blocks, split.dim, f"[H0, Q_{m}] - R_{m}")
 
 

@@ -231,10 +231,10 @@ def _wave_task(ctx: _RunContext, verdicts: list) -> dict:
     xs = np.linspace(-K.domain_box, K.domain_box, 41)
     jump = jump_condition_defect(K, v, 1e-3, xs)
     verdicts.append(_verdict("jump_condition_defect", jump, JUMP_TOL))
-    # M is read only in row blocks, filled on demand, and never formed whole:
-    # |M| here and the check's halo slabs each fill the rows they read. The
-    # bare kernel's M is purely imaginary, so its fill is real (M = i rows)
-    # and both read its rows in real arithmetic, with |i x| = |x|
+    # M is read only in row blocks, filled on demand, never formed whole: |M|
+    # here and the check's halo slabs each fill the rows they read. The bare
+    # kernel's M is purely imaginary, so its fill is real (M = i rows) and both
+    # read it in real arithmetic, as |i x| = |x| and |[H0, i x]| = |[H0, x]|
     M = kernel_rows(K, model.L, model.N, graded=True)
     m_norm = _max_norm_rows(M, model.N, "the kernel matrix M")
     offdiag = offdiagonal_commutator_check(split, M, band_exclude=2)

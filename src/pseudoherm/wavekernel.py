@@ -299,54 +299,59 @@ def kernel_to_matrix(K: KernelFunction, L: float, N: int) -> Operator:
 def offdiagonal_commutator_check(
     split: SplitHamiltonian, M: Operator | Callable[[int, int], np.ndarray], band_exclude: int
 ) -> float:
-    """Max-norm of [H0, M] + 2 H1 away from the singular band and boundary rows.
+    """Max-norm of [H0, M] away from the singular band and boundary rows.
 
-    M is an Operator or a row fill rows(start, stop), such as kernel_rows
-    returns, which the check reads without ever forming M; a real fill
-    (kernel_rows with graded=True) stands for M = i rows, which a grid split
-    checks in real arithmetic, as the imaginary part of the complex check,
-    with the same maximum bit for bit. Entries with
+    That is the first-order defect [H0, M] + 2 H1 there: the grid's
+    H1 = i diag(v) lies on the diagonal, inside the band (band_exclude >= 2),
+    so H1 drops out and the check never reads it. M is an Operator or a row
+    fill rows(start, stop), such as kernel_rows returns, which the check
+    reads without ever forming M; a real fill (kernel_rows with
+    graded=True) stands for M = i rows, and as [H0, .] is real-linear,
+    |[H0, i rows]| = |[H0, rows]| entry by entry, so the check reads the
+    fill as it is, in real arithmetic on a grid split. Entries with
     |i-j| <= band_exclude, min(i,j) <= 2 or max(i,j) >= N-3 are excluded:
     the delta source lives on the diagonal band and Dirichlet truncation
-    pollutes the outermost rows. The kept rows [3, N - 3) are one pass of
-    [H0, M] (SplitHamiltonian._h0_pass): each block's rows of [H0, M] + 2 H1
-    come from the pass and split.add_h1, the block's band entries are
-    zeroed, and its maximum over columns [3, N - 3) is kept. A grid split's
-    blocks are 32 rows, each read from a slab of M with its halo rows, so the
-    check holds a few rows of M and one scratch, not N x N arrays (at
-    N = 2049, where M would be 67 MB, it peaks at 3.4 MB with kernel_rows'
-    real fill and 6.2 MB with the complex one; tracemalloc); a dense split's one
-    block reads all of M, a real fill as M = i rows. The block maxima are
-    combined so that a NaN an overflow leaves off the band is returned, not
-    dropped; the overflow itself raises no warning.
+    pollutes the outermost rows. DomainError when that leaves no entry
+    (N < band_exclude + 8).
+
+    The check is one pass of [H0, M] over all rows (SplitHamiltonian._h0_pass):
+    each block's rows in [3, N - 3) have their band entries zeroed and their
+    maximum over columns [3, N - 3) is kept. A grid split's blocks are 32
+    rows, each read from a slab of M with its halo rows, so the check holds
+    a few rows of M and one scratch, not N x N arrays (at N = 2049, where M
+    would be 67 MB, it peaks at 3.4 MB with kernel_rows' real fill and
+    6.2 MB with the complex one; tracemalloc); a dense split's one block
+    reads all of M. The block maxima are combined so that a NaN an overflow
+    leaves off the band is returned, not dropped; the overflow itself raises
+    no warning.
 
     For a grid split, [H0, M] is the three-point stencil applied along the
-    rows of M minus the same along its columns, O(N^2) with no matrix product,
-    and 2 H1 is added on the diagonal only. Off the band H1 drops out, and on
-    the uniform grid any fill F(x+y) sign(x-y) + f(x-y) + g(x+y) makes the
-    stencil entries cancel in pairs (the discrete d'Alembert identity), so the
-    defect is identically zero up to rounding at every N. kernel_rows' fill
-    of a kernel with no pair has entries that depend on i + j alone, so its
-    row and column passes round alike and the pipeline's defect is exactly 0
-    at every N. It guards the grid fill (a kernel not of that form leaves an
-    O(1) defect) and does not measure convergence; the discretization error
-    lives on the band.
+    rows of M minus the same along its columns, O(N^2) with no matrix
+    product. On the uniform grid any fill F(x+y) sign(x-y) + f(x-y) + g(x+y)
+    makes the stencil entries cancel in pairs (the discrete d'Alembert
+    identity), so the defect is identically zero up to rounding at every N.
+    kernel_rows' fill of a kernel with no pair has entries that depend on
+    i + j alone, so its row and column passes round alike and the pipeline's
+    defect is exactly 0 at every N. It guards the grid fill (a kernel not of
+    that form leaves an O(1) defect) and does not measure convergence; the
+    discretization error lives on the band.
     The pipeline's offdiagonal_commutator_defect verdict reports this value.
     """
     if band_exclude < 2:
         raise DomainError(f"band_exclude must be >= 2, got {band_exclude}")
     n = split.dim
-    x = M if callable(M) else M.mat
-    if callable(x) and not split.is_stencil:  # a dense split's products are complex: M = i rows
-        x = x(0, n)
-        x = 1j * x if np.isrealobj(x) else x
+    if n < band_exclude + 8:
+        raise DomainError(f"no entry of an N = {n} split lies off the band |i - j| <= "
+                          f"{band_exclude} and inside [3, N - 3)")
     lo, hi = 3, n - 3
-    width = min(band_exclude, n)  # a wider band adds only columns outside the matrix
-    offsets = np.arange(-width, width + 1)
-    peaks = [0.0]
+    offsets = np.arange(-band_exclude, band_exclude + 1)
+    peaks = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop, comm, _, _ in split._h0_pass(x, lo, hi):
-            block = np.abs(split.add_h1(comm, 2.0, start))
+        for s, e, comm, _ in split._h0_pass(M if callable(M) else M.mat):
+            start, stop = max(s, lo), min(e, hi)
+            if start >= stop:
+                continue
+            block = np.abs(comm[start - s : stop - s])
             kept = np.arange(start, stop)[:, None]
             # band columns past either edge clip to columns 0 and N - 1, which are not kept
             block[kept - start, np.clip(kept + offsets, 0, n - 1)] = 0.0

@@ -391,9 +391,9 @@ def test_run_model_spec_checks_each_order_once(monkeypatch):
     # chain sum asks for one [H0, A_1], one [H1, A_1] / i and one commutator.
     # Every [H0, .] is one pass over row blocks, counted by the function that
     # starts it, one block per 32 of the rows it takes: each order's check
-    # [H0, Q_m] - R_m takes the N = 129 rows (5 blocks), each of the 5
-    # residuals H^dagger eta - eta H and the one [C, H] too, and the wave
-    # task's off-band check the N - 6 = 123 rows it keeps (4 blocks). Each
+    # [H0, Q_m] - R_m takes the N = 129 rows (5 blocks), and so do each of
+    # the 5 residuals H^dagger eta - eta H, the one [C, H] and the wave
+    # task's off-band check, which keeps rows [3, N - 3) of its blocks. Each
     # pass holds one scratch for all its blocks: 10 in all, where a scratch
     # per block of the residuals and [C, H] made 34.
     calls, blocks, scratches = Counter(), Counter(), []
@@ -426,7 +426,7 @@ def test_run_model_spec_checks_each_order_once(monkeypatch):
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
     assert blocks == {"adjoint_residual": 5 * 5, "total_commutator": 5, "_solved_residual": 2 * 5,
-                      "h0_commutator": 5, "offdiagonal_commutator_check": 4}
+                      "h0_commutator": 5, "offdiagonal_commutator_check": 5}
     assert calls == {"_chain_sum": 3, "adjoint_residual pass": 5, "total_commutator pass": 1,
                      "_solved_residual pass": 2, "h0_commutator pass": 1,
                      "offdiagonal_commutator_check pass": 1}
@@ -603,6 +603,18 @@ def test_run_time_overflow_is_a_typed_task_error(case, tmp_path):
     assert issubclass(error_class, errors.PseudohermError)
     assert error_class is not errors.PseudohermError
     assert [v["name"] for v in task["verdicts"]] == kept
+
+
+def test_scaling_names_an_overflowing_epsilon_power(tmp_path):
+    # the scaling task reaches metric_from_series with numpy float64s: 1e200^2
+    # is named as the perturbative task names it, not as the NaN an inf power
+    # leaves in Q(eps)
+    tasks = [{"kind": "perturbative", "order": 2},
+             {"kind": "scaling", "eps_list": [1e200, 1e190, 1e180]}]
+    doc = _step_case("scale", tasks, N=33)
+    perturbative, scaling = run_model_spec(load_spec(write_spec(tmp_path, doc)))["tasks"]
+    assert perturbative["ok"] is True
+    assert scaling["error"] == "NonFiniteError: epsilon^2 overflows at epsilon = 1e+200"
 
 
 def test_an_overflowed_kernel_row_block_is_named(tmp_path):

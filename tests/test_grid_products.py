@@ -603,3 +603,30 @@ def test_real_stencil_commutator_is_each_part_of_the_complex_one(N):
     d = split.h1_commutator_real(x)
     assert np.array_equal(-d, split.h1_commutator(1j * x).real)
     assert np.array_equal(d, v[:, None] * x - x * v[None, :])
+
+
+@pytest.mark.parametrize("form", ["stencil", "dense"])
+@pytest.mark.parametrize("N", [16, 129])
+def test_h0_pass_gives_each_row_once_in_order(N, form):
+    # every product with H0 is one pass over all N rows: the blocks s:e
+    # follow each other from row 0 to row N, each row once, and the pass
+    # hands each block xb, rows s:e of X, from a matrix, a real row fill or
+    # a complex row fill; the dense form gives all of X as one block (0, N)
+    split = grid_split(N, form)
+    rng = np.random.default_rng(N)
+    real = rng.standard_normal((N, N))
+    z = real + 1j * rng.standard_normal((N, N))
+    fills = ((z, z), (lambda lo, hi: real[lo:hi].copy(), real), (lambda lo, hi: z[lo:hi].copy(), z))
+    for x, xm in fills:
+        bounds, rows = [], []
+        for s, e, c, xb in split._h0_pass(x):
+            assert c.shape == xb.shape == (e - s, N)
+            assert np.array_equal(xb, xm[s:e])
+            bounds.append((s, e))
+            rows.append(c.copy())  # c is valid until the next block is taken
+        starts, stops = zip(*bounds)
+        assert starts[0] == 0 and stops[-1] == N and list(starts[1:]) == list(stops[:-1])
+        assert all(s < e for s, e in bounds)
+        if form == "dense":
+            assert bounds == [(0, N)]
+        assert np.array_equal(np.concatenate(rows), split.h0_commutator(xm))

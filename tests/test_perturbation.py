@@ -8,6 +8,7 @@ from pseudoherm import (
     ConsistencyError,
     DomainError,
     GaugeError,
+    NonFiniteError,
     ObstructionError,
     Operator,
     ShapeError,
@@ -614,3 +615,14 @@ def test_solve_q_series_measures_each_source_once(monkeypatch):
     assert len(sources) == 2 and all(r.any() for r in sources)
     for m in (1, 2):
         assert reduced.count(f"R_{m}") == reduced.count(f"R_{m} - R_{m}^dagger") == 1
+
+
+@pytest.mark.parametrize("epsilon", [1e200, np.float64(1e200)], ids=["float", "float64"])
+def test_an_overflowing_epsilon_power_is_named_for_either_scalar(epsilon):
+    # epsilon^2 overflows: a Python float's power raises OverflowError and
+    # numpy's float64 returns inf with a RuntimeWarning; both are the one
+    # NonFiniteError naming the order and epsilon (residual_curve hands in
+    # float64s)
+    q = QSeries((Operator(np.eye(2)), Operator(np.eye(2))))
+    with pytest.raises(NonFiniteError, match=r"^epsilon\^2 overflows at epsilon = 1e\+200$"):
+        metric_from_series(q, epsilon)

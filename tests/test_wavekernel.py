@@ -358,8 +358,9 @@ def one_shot_check(split, m, band):
 def test_offdiagonal_check_keeps_the_entries_off_band_and_boundary(N, band):
     # a random M is no kernel, so the defect is nonzero and the check's
     # maximum depends on which entries it keeps; at N = 129 the 123 kept rows
-    # are three blocks of 32 and a partial one of 27, and in either split
-    # form each block sums its entries as the one-shot pass does
+    # [3, 126) lie in the first four of the pass's five blocks of 32 rows
+    # (the last, row 128, keeps none), and in either split form each block
+    # sums its entries as the one-shot pass does
     m = random_hermitian(N, seed=band) + 0.3 * np.eye(N)
     for form in ("stencil", "dense"):
         split = grid_split(N, form)
@@ -367,10 +368,11 @@ def test_offdiagonal_check_keeps_the_entries_off_band_and_boundary(N, band):
         assert got == one_shot_check(split, m, band), form
 
 
-@pytest.mark.parametrize("band", [2, 5])
+@pytest.mark.parametrize("band", [2, 5, 8])
 def test_offdiagonal_check_mask_entry_by_entry(band):
     # H0 = diag(0, 1, ..., N-1) and H1 = 0 turn the unit matrix E_pq into the
-    # defect (p - q) E_pq, so the check reads |p - q| exactly where it keeps (p, q)
+    # defect (p - q) E_pq, so the check reads |p - q| exactly where it keeps (p, q);
+    # band 8 is the widest that N = 16 allows, keeping (3, 12) and (12, 3) alone
     N = 16
     split = SplitHamiltonian(
         Operator(np.diag(np.arange(N, dtype=float))), Operator(np.zeros((N, N))), 0.1
@@ -465,14 +467,15 @@ def dense_fill_reference(K, L, N):
 @pytest.mark.parametrize("N", [16, 17, 129, 2049])
 def test_row_fill_matches_the_dense_fill_bit_for_bit(N):
     # every range the wave task reads: blocks touching row 0 and row N, one
-    # around the middle row, the check's halo slabs rows(start - 1, stop + 1)
-    # of its kept rows [3, N - 3), and all N rows, which kernel_to_matrix takes
+    # around the middle row, the check's halo slabs, rows(start - 1, stop + 1)
+    # of each block of 32 rows clipped to [0, N), and all N rows, which
+    # kernel_to_matrix takes
     v = step_potential()
     K = particular_kernel_q1(v)
     split = discretize_schroedinger(v, 4.0, N)
     mid = N // 2
     ranges = [(0, 1), (0, min(32, N)), (N - 5, N), (N - 1, N), (mid - 4, mid + 5), (0, N), (7, 7)]
-    ranges += [(start - 1, min(start + 32, N - 3) + 1) for start in range(3, N - 3, 32)]
+    ranges += [(max(start - 1, 0), min(start + 33, N)) for start in range(0, N, 32)]
     for kernel in (K, general_kernel(K, sin_gauge_pair()), general_kernel(K, even_gauge_pair())):
         ref = dense_fill_reference(kernel, 4.0, N)
         rows = kernel_rows(kernel, 4.0, N)
@@ -603,6 +606,17 @@ ERROR_SITES = {
         lambda: offdiagonal_commutator_check(
             grid_split(33, "dense"), kernel_rows(step_q1(), 4.0, 40, graded=True), 2),
         ShapeError, r"dimension mismatch: X is \(33, 40\), H0 \(33, 33\)"),
+    # no entry lies off the band and inside [3, N - 3) when N < band_exclude + 8:
+    # the check returned 0.0 for any M
+    "offdiagonal_no_entry_grid_split": (
+        lambda: offdiagonal_commutator_check(
+            grid_split(16, "stencil"), Operator(random_hermitian(16, seed=0)), 9),
+        DomainError, r"no entry of an N = 16 split lies off the band \|i - j\| <= 9"),
+    "offdiagonal_no_entry_dense_split": (
+        lambda: offdiagonal_commutator_check(
+            SplitHamiltonian(Operator(np.diag(np.arange(6.0))), Operator(np.zeros((6, 6))), 0.1),
+            Operator(random_hermitian(6, seed=0)), 2),
+        DomainError, r"no entry of an N = 6 split lies off the band \|i - j\| <= 2"),
 }
 
 
@@ -611,3 +625,24 @@ def test_wavekernel_raise_sites(case):
     call, error, message = ERROR_SITES[case]
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("form", ["stencil", "dense"])
+@pytest.mark.parametrize("band", [2, 5])
+def test_offdiagonal_check_does_not_read_h1(form, band):
+    # H1 = i diag(v) lies inside the band, so the check reads [H0, M] alone:
+    # the step's v, v = 0 and eps = 0 give one value, bit for bit, for a
+    # random M (no kernel, so the value is not 0) and for the kernel's fill
+    N = 129
+    flat = PiecewisePotential(np.array([-1.0, 1.0]), np.zeros(3))
+    splits = [discretize_schroedinger(step_potential(), 4.0, N),
+              discretize_schroedinger(flat, 4.0, N),
+              discretize_schroedinger(step_potential(), 4.0, N, epsilon=0.0)]
+    if form == "dense":
+        splits = [SplitHamiltonian(s.H0, s.H1, s.epsilon) for s in splits]
+    m = Operator(random_hermitian(N, seed=band))
+    rows = kernel_rows(particular_kernel_q1(step_potential()), 4.0, N, graded=True)
+    for M in (m, rows):
+        got = [offdiagonal_commutator_check(s, M, band_exclude=band) for s in splits]
+        assert got[0] == got[1] == got[2]
+    assert got[0] == 0.0 and offdiagonal_commutator_check(splits[0], m, band) > 1.0
