@@ -21,10 +21,12 @@ Schroedinger H = H0 + eps H1 as O(N) data. Every product with H that a check
 needs (H^dagger X - X H and [H, X]) is a three-point stencil plus an
 elementwise product, O(N^2) with no matrix product, and H's PT-frame matrix
 and max-norm come from that data, with no dense H. On a real X the stencil
-runs in real arithmetic, and H0's Hermiticity rule and eigh read the real
-stencil, so the grid's perturbative terms (i^m times a real matrix) never
-need a complex N x N array. IndexReversal holds the grid reflection J as its
-dimension, so products with J are index flips. A SplitHamiltonian built
+runs in real arithmetic, H0's Hermiticity rule reads the stencil's
+coefficients and its eigensystem is the closed-form sine basis
+(h0_eigensystem), so the grid's perturbative terms (i^m times a real
+matrix) never need a complex N x N array or a factorization of H0.
+IndexReversal holds the grid reflection J as its dimension, so products
+with J are index flips. A SplitHamiltonian built
 from two dense Operators, and an explicit parity matrix, keep the dense
 products.
 
@@ -106,9 +108,10 @@ def _max_norm_blocks(blocks, n: int, name: str) -> float:
 
     Each block is reduced before the next is taken, so blocks may share
     one scratch (SplitHamiltonian._h0_pass); an overflowed entry raises as
-    in _max_norm_rows.
+    in _max_norm_rows. An array of no rows, given as no blocks, has norm 0.0,
+    as in max_norm.
     """
-    return max(max_norm(r, f"{name}, rows {s}:{e} of {n},") for s, e, r in blocks)
+    return max((max_norm(r, f"{name}, rows {s}:{e} of {n},") for s, e, r in blocks), default=0.0)
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -294,9 +297,18 @@ def _hermitian_eigensystem(
     is factorized in real arithmetic: u is then real and m's eigenvectors are
     S u.
     """
-    norm, defect = _hermiticity(m, f"{caller}'s argument")
+    _check_hermitian(*_hermiticity(m, f"{caller}'s argument"), tol, caller)
+    return _frame_eigh(m)
+
+
+def _check_hermitian(norm: float, defect: float, tol: Tolerance, caller: str) -> None:
+    """The Hermiticity rule on an argument's (max_norm(m), max_norm(m - m^dagger)); caller names it."""
     if defect > tol.bound(norm):
         raise StructureError(f"{caller} requires a Hermitian argument, defect {defect:.3e}")
+
+
+def _frame_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(w, u, in_frame): eigh of the Hermitian part of m, in the PT frame when m has one."""
     r = pt_frame(m)
     if r is not None:
         del m  # a matrix no caller holds is not kept through the eigh
@@ -371,6 +383,8 @@ class SplitHamiltonian:
     def __init__(self, H0: Operator, H1: Operator, epsilon: float):
         if H0.dim != H1.dim:
             raise ShapeError(f"dimension mismatch: {H0.dim} vs {H1.dim}")
+        if H0.dim == 0:
+            raise ShapeError("a split needs H0 and H1 of at least 1 x 1, got 0 x 0")
         h0, h1 = H0.mat, H1.mat
         # is_hermitian cannot overflow, so an entry near the float limit still
         # names the rule; i H1 is Hermitian exactly when H1 is anti-Hermitian
@@ -420,13 +434,13 @@ class SplitHamiltonian:
         split.epsilon = epsilon
         return split
 
-    def _h0_matrix(self, dtype=complex) -> np.ndarray:
-        """A fresh copy of H0; the structured form's H0 is real, and dtype=float builds it so."""
+    def _h0_matrix(self) -> np.ndarray:
+        """A fresh complex copy of H0."""
         if self._stencil is None:
             return self._dense[0].mat.copy()
         diag, off, v = self._stencil
         n = v.size
-        h = np.zeros((n, n), dtype=dtype)
+        h = np.zeros((n, n), dtype=complex)
         h.flat[:: n + 1] = diag
         h.flat[1 :: n + 1] = off
         h.flat[n :: n + 1] = off
@@ -455,14 +469,32 @@ class SplitHamiltonian:
         return self.h0_norm(), 0.0
 
     def h0_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(E, U): eigh of H0's Hermitian part, in real arithmetic when H0 is real.
+        """(E, U): H0's eigenvalues in ascending order and its orthonormal eigenvectors.
 
-        The structured form factorizes its real stencil matrix, which is its
-        own Hermitian part bit for bit, so no complex H0 is built.
+        The dense form takes eigh of H0's Hermitian part, in real arithmetic
+        when H0 is real. The structured form's stencil has them in closed
+        form, with no factorization: for k = 1..N,
+        E_k = diag + 2 off cos(k pi / (N + 1)) and
+        U_jk = sqrt(2 / (N + 1)) sin(j k pi / (N + 1)), k running down when
+        off > 0 so that E ascends. Each sine's argument is reduced exactly,
+        as (j k mod 2(N + 1)) pi / (N + 1): the products j k are integers,
+        exact in floats, and the unreduced angle loses digits (at N = 513 the
+        grid's order-1 residual read 1.1e-11 unreduced, 1.4e-13 reduced).
         """
         if self._stencil is None:
             return _hermitian_eigh(self._dense[0].mat)
-        return np.linalg.eigh(self._h0_matrix(float))
+        diag, off, v = self._stencil
+        n = v.size
+        step = np.pi / (n + 1)
+        j = np.arange(1.0, n + 1)
+        k = j[::-1] if off > 0 else j
+        e = diag + 2 * off * np.cos(k * step)
+        u = np.multiply.outer(j, k)
+        np.fmod(u, 2 * (n + 1), out=u)
+        u *= step
+        np.sin(u, out=u)
+        u *= np.sqrt(2 / (n + 1))
+        return e, u
 
     def h0_norm(self) -> float:
         """max_norm of H0."""

@@ -21,16 +21,20 @@ Sylvester transforms and the post-solve check run on real matrices, in row
 blocks where they can, and each rule on i^m A becomes the same rule on A
 with the sign (-1)^m (_parity). Each sum is taken in the complex route's
 order, but a real matrix product need not round as the complex one does,
-so the two routes agree to rounding, not bit for bit. A solve on a dense
-split, or with any gauge term, is complex.
+so the two routes agree to rounding, not bit for bit. Real mode solves the
+odd orders only: H1 is anti-Hermitian, so H(eps)^dagger = H(-eps), and in
+the minimal gauge every even term Q_2k is exactly zero (the odd series of
+Bender, Brody and Jones, PRL 93, 251601, 2004). A solve on a dense split,
+or with any gauge term, is complex and solves every order.
 order_residual, order_equation_rhs and sylvester_solve take the operators
 they are handed as they are and run the plain complex formula: they are
 the independent complex route that real mode is checked against. QSeries
 forms complex Operators only when .terms is read; metric_from_series sums
 Q(eps) into one complex array, a real-mode series into its real and
-imaginary parts, and returns a frame metric (spectral.MetricOperator),
-which keeps y = u diag(lam) u^T and forms the complex eta only when it is
-read.
+imaginary parts, or, for a series whose terms after Q_1 are zero,
+factorizes Q_1 once for every eps; it returns a frame metric
+(spectral.MetricOperator), which keeps y = u diag(lam) u^T and forms the
+complex eta only when it is read.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ from .operators import (
     Operator,
     SplitHamiltonian,
     Tolerance,
+    _check_hermitian,
+    _frame_eigh,
     _hermitian_eigensystem,
     _hermitian_eigh,
     _hermiticity,
@@ -104,6 +110,9 @@ class QSeries:
         # max_norm(Q_j) and max_norm(Q_j - Q_j^dagger) per term, as the Hermiticity rule measured them
         self.norms = tuple(n for n, _ in measured)
         self.hermiticity_defects = tuple(d for _, d in measured)
+        # (w, u, in_frame) of Q_1, once metric_from_series has factorized it
+        # for a series whose later terms are all zero
+        self._q1_eigensystem = None
 
     @property
     def terms(self) -> tuple:
@@ -124,6 +133,16 @@ class QSeries:
     def summed(self, epsilon: float) -> Operator:
         return Operator._own(self._summed(epsilon))
 
+    def _powers(self, epsilon: float) -> list[float]:
+        """eps^j for j = 1..order, each a float; NonFiniteError names the first that overflows."""
+        powers = []
+        for j in range(1, self.order + 1):
+            try:
+                powers.append(float(epsilon) ** j)
+            except OverflowError:
+                raise NonFiniteError(f"epsilon^{j} overflows at epsilon = {epsilon}") from None
+        return powers
+
     def _summed(self, epsilon: float) -> np.ndarray:
         """Q(epsilon) as one complex array.
 
@@ -133,11 +152,7 @@ class QSeries:
         with the rounding of the complex sum.
         """
         q = None
-        for j, a in enumerate(self._matrices, start=1):
-            try:
-                scale = float(epsilon) ** j
-            except OverflowError:
-                raise NonFiniteError(f"epsilon^{j} overflows at epsilon = {epsilon}") from None
+        for j, (a, scale) in enumerate(zip(self._matrices, self._powers(epsilon)), start=1):
             if q is None:
                 q = np.zeros(a.shape, dtype=complex)
             part = (q.imag if j % 2 else q.real) if self._real else q
@@ -214,6 +229,8 @@ def _chain_sum(split: SplitHamiltonian, terms: list, m: int, real: bool) -> np.n
 
     In real mode the terms are the A_j and the sum is divided by i^m: the
     H1 head is the real split.h1_commutator_real, and 2 H1 = i 2 diag(v).
+    Its even terms are exact zeros (solve_q_series), so chains through an
+    even term are skipped too.
     Each chain is one matrix, scaled in place by 1/k! and added. The terms
     are checked to be split.dim square here, where the public order
     functions hand them in (a QSeries holds terms of one size).
@@ -227,7 +244,7 @@ def _chain_sum(split: SplitHamiltonian, terms: list, m: int, real: bool) -> np.n
     h1_head = split.h1_commutator_real if real else split.h1_commutator
     for head, budget in ((split.h0_commutator, m), (h1_head, m - 1)):
         for comp in _compositions(budget):
-            if not comp or max(comp) > len(terms):
+            if not comp or max(comp) > len(terms) or (real and any(j % 2 == 0 for j in comp)):
                 continue
             x = head(terms[comp[0] - 1])
             for j in comp[1:]:
@@ -379,13 +396,19 @@ def solve_q_series(
     Each source R_m is formed once and judged once, by sylvester_solve's rule.
     On a stencil split with no gauge term the solve runs in real mode, which
     no other function enters, on the A_m = Q_m / i^m and B_m = R_m / i^m,
-    and agrees with the complex route to rounding; H0's rule and eigh read
-    its real stencil either way. A dense split, or any gauge term, makes the
-    whole solve complex. gauge maps an order m to a Hermitian H0-commuting
-    addition to Q_m (validated, ShapeError unless split.dim square; recorded
-    in the gauge log). On return every order residual 1..ell, which is
-    |[H0, Q_m] - R_m| once Q_m is solved, vanishes within tolerance;
-    order_checks holds each (residual, bound).
+    and agrees with the complex route to rounding; H0's rule reads its
+    stencil and H0's eigensystem is the stencil's closed form
+    (SplitHamiltonian.h0_eigensystem), so H0 is never factorized. Real mode
+    solves the odd orders only: H1 is anti-Hermitian, so H(eps)^dagger =
+    H(-eps), and in the minimal gauge that makes every even term Q_2k exactly
+    zero. Each even term is held as a zero matrix, with no source formed,
+    judged or solved; its order check reads (0.0, bound) and its gauge log
+    entry rhs_norm 0.0. A dense split, or any gauge term, makes the whole
+    solve complex, every order solved. gauge maps an order m to a Hermitian
+    H0-commuting addition to Q_m (validated, ShapeError unless split.dim
+    square; recorded in the gauge log). On return every order residual
+    1..ell, which is |[H0, Q_m] - R_m| once Q_m is solved, vanishes within
+    tolerance; order_checks holds each (residual, bound).
     """
     if ell < 1:
         raise DomainError(f"ell must be >= 1, got {ell}")
@@ -399,9 +422,14 @@ def solve_q_series(
     terms = []
     glog = []
     residuals = []
-    # one factorization of H0 serves every order and is not kept past the solve
+    # one eigensystem of H0 serves every order and is not kept past the solve
     h0_eig = split.h0_eigensystem()
     for m in range(1, ell + 1):
+        if real and m % 2 == 0:
+            terms.append(np.zeros((n, n)))
+            glog.append({"order": m, "gauge": "minimal", "rhs_norm": 0.0})
+            residuals.append(0.0)
+            continue
         sign = _parity(m, real)
         rm = _chain_sum(split, terms, m, real)
         np.negative(rm, out=rm)
@@ -435,15 +463,34 @@ def solve_q_series(
 def metric_from_series(q: QSeries, epsilon: float) -> MetricOperator:
     """eta = e^(-sum_j Q_j eps^j): Hermitian positive definite by construction.
 
-    One eigh of Q(eps) = U diag(w) U^dagger (in the PT frame when Q(eps) has
+    An eigh of Q(eps) = U diag(w) U^dagger (in the PT frame when Q(eps) has
     one) gives eta = U diag(e^(-w)) U^dagger, and the metric carries that
-    eigensystem (e^(-w), u, in_frame) in eigh order, lam descending. Q(eps)
-    is one complex array (QSeries._summed), which the Hermiticity and PT
-    rules read in row blocks and to_pt_frame maps to the frame matrix; in
-    the frame the metric is a frame metric, with no complex eta.
+    eigensystem (e^(-w), u, in_frame) in eigh order. Q(eps) is one complex
+    array (QSeries._summed), which the Hermiticity and PT rules read in row
+    blocks and to_pt_frame maps to the frame matrix; in the frame the metric
+    is a frame metric, with no complex eta.
+
+    When every term after Q_1 is an exact zero (the odd series solve_q_series
+    gives on the grid up to order 2), Q(eps) = eps Q_1: Q_1 = U diag(w) U^dagger
+    is factorized once, on the first call, and kept on the series, and each
+    eps gives e^(-eps w) with the same U. The eps^j overflow guard still runs
+    for every j, and the Hermiticity rule runs per eps on |eps| times the
+    (norm, defect) the series measured for Q_1; the PT rule, which is
+    relative only, runs once, on Q_1. lam descends for eps > 0 and ascends
+    for eps < 0.
     """
-    w, u, in_frame = _hermitian_eigensystem(q._summed(epsilon), DEFAULT_TOL, "metric_from_series")
-    return _metric(np.exp(-w), u, in_frame)
+    if any(q.norms[1:]):
+        w, u, in_frame = _hermitian_eigensystem(q._summed(epsilon), DEFAULT_TOL, "metric_from_series")
+        return _metric(np.exp(-w), u, in_frame)
+    eps = q._powers(epsilon)[0]
+    norm = abs(eps) * q.norms[0]
+    if not math.isfinite(norm):
+        raise NonFiniteError(f"max-norm of Q(eps) at epsilon = {epsilon} is {norm}: an entry overflowed")
+    _check_hermitian(norm, abs(eps) * q.hermiticity_defects[0], DEFAULT_TOL, "metric_from_series")
+    if q._q1_eigensystem is None:
+        q._q1_eigensystem = _frame_eigh(q._summed(1.0))
+    w, u, in_frame = q._q1_eigensystem
+    return _metric(np.exp(-eps * w), u, in_frame)
 
 
 def _decreasing_eps(eps_list) -> np.ndarray:

@@ -201,16 +201,17 @@ def test_run_model_spec_factorizes_once(linalg_counter):
     # one eig (spectrum) and one svd of its real eigenvectors W = U Sigma V^T,
     # which give the conditioning, eta = S U Sigma^-2 U^T S^dagger with its
     # range, rho, h, C = eta^(-1) J and the left eigenvectors, with no inv or
-    # solve; one eigh each for H0 and the four distinct e^(-Q(eps)) (the
-    # scaling curve reuses the perturbative task's eps = 0.1); no second look
-    # at a spectrum already computed. The grid H and Q(eps) are PT-symmetric,
-    # so every factorization runs real.
+    # solve; H0's eigensystem in closed form and one eigh of Q_1, which
+    # serves the four distinct e^(-eps Q_1) (the series is odd, so
+    # Q(eps) = eps Q_1, and the scaling curve reuses the perturbative task's
+    # eps = 0.1); no second look at a spectrum already computed. The grid H
+    # and Q_1 are PT-symmetric, so every factorization runs real.
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
     got = dict(linalg_counter)
     assert got.get("eig", 0) == 1
     assert linalg_counter.dtypes["svd"] == [np.dtype(float)]
-    assert got.get("eigh", 0) <= 5
+    assert got.get("eigh", 0) == 1
     assert got.get("solve", 0) == got.get("inv", 0) == 0, got
     assert got.get("eigvals", 0) == got.get("eigvalsh", 0) == got.get("cond", 0) == 0, got
     assert sum(linalg_counter.complex_calls(name) for name in got) == 0
@@ -385,17 +386,16 @@ def test_scaling_reuses_the_perturbative_metric(monkeypatch):
 
 
 def test_run_model_spec_checks_each_order_once(monkeypatch):
-    # order 2: R_1 needs no commutator and R_2 three; no second expansion of
-    # the order sums. The grid split takes [H0, .] and [H1, .] itself (on the
-    # grid's real terms, [H1, .] / i), so its entry points count too: the
-    # chain sum asks for one [H0, A_1], one [H1, A_1] / i and one commutator.
-    # Every [H0, .] is one pass over row blocks, counted by the function that
-    # starts it, one block per 32 of the rows it takes: each order's check
-    # [H0, Q_m] - R_m takes the N = 129 rows (5 blocks), and so do each of
-    # the 5 residuals H^dagger eta - eta H, the one [C, H] and the wave
-    # task's off-band check, which keeps rows [3, N - 3) of its blocks. Each
-    # pass holds one scratch for all its blocks: 10 in all, where a scratch
-    # per block of the residuals and [C, H] made 34.
+    # order 2: R_1 needs no commutator, and the grid's even term Q_2 is an
+    # exact zero that takes no source, so the chain sums ask for no [H0, .],
+    # [H1, .] / i or commutator at all (R_2 took three). Every [H0, .] is one
+    # pass over row blocks, counted by the function that starts it, one block
+    # per 32 of the rows it takes: the order-1 check [H0, Q_1] - R_1 takes
+    # the N = 129 rows (5 blocks), and so do each of the 5 residuals
+    # H^dagger eta - eta H, the one [C, H] and the wave task's off-band
+    # check, which keeps rows [3, N - 3) of its blocks. Each pass holds one
+    # scratch for all its blocks: 8 in all, where a scratch per block of the
+    # residuals and [C, H] made 34.
     calls, blocks, scratches = Counter(), Counter(), []
 
     def counted(f):
@@ -425,12 +425,11 @@ def test_run_model_spec_checks_each_order_once(monkeypatch):
     monkeypatch.setattr(operators, "_stencil_work", lambda *args: scratches.append(1) or work(*args))
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
-    assert blocks == {"adjoint_residual": 5 * 5, "total_commutator": 5, "_solved_residual": 2 * 5,
-                      "h0_commutator": 5, "offdiagonal_commutator_check": 5}
-    assert calls == {"_chain_sum": 3, "adjoint_residual pass": 5, "total_commutator pass": 1,
-                     "_solved_residual pass": 2, "h0_commutator pass": 1,
-                     "offdiagonal_commutator_check pass": 1}
-    assert len(scratches) == 10
+    assert blocks == {"adjoint_residual": 5 * 5, "total_commutator": 5, "_solved_residual": 5,
+                      "offdiagonal_commutator_check": 5}
+    assert calls == {"adjoint_residual pass": 5, "total_commutator pass": 1,
+                     "_solved_residual pass": 1, "offdiagonal_commutator_check pass": 1}
+    assert len(scratches) == 8
 
 
 @pytest.mark.parametrize(

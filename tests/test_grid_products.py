@@ -6,6 +6,8 @@ Schroedinger grid the stencil coefficients 2/dx^2 and -1/dx^2 are powers of
 two where N - 1 is one (L = 4), so the stencil's products are exact there.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from pseudoherm import (
     spectral_metric,
     sylvester_solve,
 )
+from pseudoherm import perturbation
 from pseudoherm.errors import NonFiniteError
 from pseudoherm.operators import (
     DEFAULT_TOL,
@@ -490,13 +493,16 @@ def test_graded_series_is_the_complex_route(ell, monkeypatch):
     # keeps the real matrices A_m = Q_m / i^m; its terms, checks, norms,
     # defects and metrics are the complex route's to rounding. A real matrix
     # product need not round as the complex one does: at ell = 2 Q_1 differs
-    # by about 3e-17 (5e-16 relative), the order-2 check reads 2.59e-14
-    # against 2.48e-14, and Q_2, about 6e-31, is cancellation noise
+    # by about 3e-17 (5e-16 relative). The solve holds the even terms as
+    # exact zeros, where the complex route's Q_2, about 6e-31, is
+    # cancellation noise and its order-2 check reads 2.48e-14 against 0.0
     split = discretize_schroedinger(step_potential(), 4.0, 129, epsilon=0.1)
     calls = real_heads(monkeypatch)
     graded = solve_q_series(split, ell)
     assert graded._real and all(np.isrealobj(a) for a in graded._matrices)
-    assert len(calls) > 0  # the solve takes the real H1 head ...
+    # the solve takes the real H1 head from order 3 on, the first odd source
+    # with an H1 chain through odd terms only ...
+    assert (len(calls) > 0) == (ell >= 3)
     calls.clear()
     ref, residuals = complex_route(split, ell)
     assert calls == []  # ... and the reference never does
@@ -563,16 +569,23 @@ def test_real_mode_q_of_eps_is_the_complex_sum_of_its_terms(N, ell):
         assert np.array_equal(series.summed(e).mat, ref)
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_a_gauge_runs_the_grid_solve_on_complex_terms(order):
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_gauge_runs_the_grid_solve_on_complex_terms(order, monkeypatch):
     # a gauge commutes with the real H0, so it is real symmetric (here up to
     # the rounding of its construction). Any gauge term makes the solve
     # complex from order 1 on, at an odd order (g / i not real) as at an even
-    # one (g / i^2 = -g real), and e^(-Q(eps)) and its residual are those of
-    # the same terms held as Operators, bit for bit
+    # one (g / i^2 = -g real), every order's source formed and judged, the
+    # even ones too; and e^(-Q(eps)) and its residual are those of the same
+    # terms held as Operators, bit for bit
     split = grid_split(33)
     g = commuting_gauge(split, np.random.default_rng(4), scale=1e-3)
+    judged = []
+    check = perturbation._check_source
+    monkeypatch.setattr(perturbation, "_check_source",
+                        lambda r, tol, name, sign: judged.append(name) or check(r, tol, name, sign))
     series = solve_q_series(split, 3, gauge={order: g})
+    assert judged == ["R_1", "R_2", "R_3"]
+    assert all(entry["rhs_norm"] > 0.0 for entry in series.gauge_log)
     assert not series._real and all(np.iscomplexobj(a) for a in series._matrices)
     assert series.gauge_log[order - 1]["gauge"] == "minimal+custom"
     # the complex chain sums on the stencil solve every order equation
@@ -630,3 +643,65 @@ def test_h0_pass_gives_each_row_once_in_order(N, form):
         if form == "dense":
             assert bounds == [(0, N)]
         assert np.array_equal(np.concatenate(rows), split.h0_commutator(xm))
+
+
+def chain_terms(split, terms, m):
+    """Each term of the complex order-m chain sum over the complex terms Q_1 .. Q_{m-1}.
+
+    2 H1 at order 1, then [..[head, Q_j1], ..., Q_jk] / k! over the
+    compositions j1 + ... + jk of m (head H0) and of m - 1 (head H1).
+    """
+    out = [2 * split.H1.mat] if m == 1 else []
+    for head, budget in ((split.h0_commutator, m), (split.h1_commutator, m - 1)):
+        for comp in perturbation._compositions(budget):
+            if comp and max(comp) <= len(terms):
+                x = head(terms[comp[0] - 1])
+                for j in comp[1:]:
+                    x = x @ terms[j - 1] - terms[j - 1] @ x
+                out.append(x / math.factorial(len(comp)))
+    return out
+
+
+@pytest.mark.parametrize("N", [33, 129])
+def test_the_grid_series_is_odd_on_the_complex_route(N):
+    # H1 is anti-Hermitian, so H(eps)^dagger = H(-eps), and in the minimal
+    # gauge every even term is zero: the complex route, which solves every
+    # order, gives R_2, R_4 and Q_2, Q_4 at the rounding level of the sum of
+    # their chain terms. The solve holds the even terms as exact zeros and
+    # its odd terms are the complex route's to the rounding of the Sylvester
+    # solve, whose condition is |H0| / min gap
+    split = discretize_schroedinger(step_potential(), 4.0, N, epsilon=0.1)
+    e, _ = split.h0_eigensystem()
+    gap = np.diff(e).min()
+    cond = np.abs(e).max() / gap
+    terms = []
+    for m in range(1, 6):
+        r = order_equation_rhs(split, QSeries(tuple(Operator(t) for t in terms)) if terms else None, m)
+        q = sylvester_solve(split.H0, r).mat
+        if m % 2 == 0:
+            chains = sum(max_norm(c) for c in chain_terms(split, terms, m))
+            assert max_norm(r.mat) <= 16 * N * EPS * chains
+            assert max_norm(q) <= 16 * N * EPS * chains / gap
+        terms.append(q)
+    for ell in range(1, 6):
+        series = solve_q_series(split, ell)
+        assert series._real and series.order == ell
+        for m in range(1, ell + 1):
+            got = series.terms[m - 1].mat
+            if m % 2 == 0:
+                assert not got.any() and series.order_checks[m - 1][0] == 0.0
+                assert series.gauge_log[m - 1] == {"order": m, "gauge": "minimal", "rhs_norm": 0.0}
+            else:
+                assert max_norm(got - terms[m - 1]) <= 4 * EPS * cond * max_norm(terms[m - 1])
+
+
+@pytest.mark.parametrize("dim", [64, 256])
+def test_a_dense_split_solves_its_even_orders_to_rounding(dim):
+    # the dense split of the benchmark's split spec keeps the full complex
+    # solve; its even terms come out at the rounding level of its odd ones
+    series = solve_q_series(fixed_split(dim, seed=20240), 5)
+    assert not series._real
+    scale = max(series.norms)
+    assert series.norms[1] <= dim * EPS * scale and series.norms[3] <= dim * EPS * scale
+    assert min(series.norms[0], series.norms[2], series.norms[4]) > 1.0
+

@@ -21,7 +21,7 @@ from pseudoherm import (
     step_potential,
 )
 
-from pseudoherm.operators import _max_norm_rows
+from pseudoherm.operators import _max_norm_blocks, _max_norm_rows
 
 from helpers import herm_exp
 
@@ -225,6 +225,33 @@ def test_hermiticity_checks_near_the_float_limit(big):
     assert is_hermitian(1j * m)
 
 
+def test_an_empty_matrix_has_norm_zero_and_is_hermitian():
+    # a max-norm over no row blocks is 0.0, as max_norm's of an empty array;
+    # max() over the blocks raised an untyped ValueError
+    empty = np.zeros((0, 0))
+    assert _max_norm_blocks(iter(()), 0, "the matrix") == 0.0
+    assert _max_norm_rows(lambda s, e: empty[s:e], 0, "the matrix") == 0.0
+    assert is_hermitian(empty) and is_hermitian(1j * empty)
+
+
+@pytest.mark.parametrize("off", [-1.3, 0.0, 0.7])
+@pytest.mark.parametrize("n", [2, 3, 129, 1025])
+def test_stencil_eigensystem_is_the_closed_form_eighs(n, off, linalg_counter):
+    # diag + off T has E_k = diag + 2 off cos(k pi / (N + 1)) and the sine
+    # basis: ascending as eigh's, with its residual and orthogonality within
+    # rounding, and no factorization
+    split = SplitHamiltonian.tridiagonal(0.4, off, np.ones(n), 0.1)
+    e, u = split.h0_eigensystem()
+    assert not linalg_counter
+    h = split.H0.mat.real
+    e_ref = np.linalg.eigvalsh(h)
+    eps, scale = np.finfo(float).eps, max(1.0, np.abs(e_ref).max())
+    assert np.isrealobj(u) and u.shape == (n, n) and np.all(np.diff(e) >= 0)
+    assert np.abs(e - e_ref).max() <= 16 * eps * scale
+    assert np.abs(h @ u - u * e).max() <= 4 * np.sqrt(n) * eps * scale
+    assert np.abs(u.T @ u - np.eye(n)).max() <= 4 * np.sqrt(n) * eps
+
+
 def grid_split(n):
     return discretize_schroedinger(step_potential(), 4.0, n)
 
@@ -238,6 +265,10 @@ ERROR_SITES = {
     "split_dimensions": (
         lambda: SplitHamiltonian(Operator(np.eye(2)), Operator(np.zeros((3, 3))), 0.1),
         ShapeError, "dimension mismatch: 2 vs 3"),
+    # max() over no row blocks raised "max() arg is an empty sequence"
+    "split_empty": (
+        lambda: SplitHamiltonian(Operator(np.zeros((0, 0))), Operator(np.zeros((0, 0))), 0.1),
+        ShapeError, r"at least 1 x 1, got 0 x 0"),
     "nested_commutator_k_0": (
         lambda: nested_commutator(Operator(np.eye(2)), Operator(np.eye(2)), 0),
         ValueError, "k must be >= 1"),

@@ -33,7 +33,7 @@ from pseudoherm import (
     step_potential,
     sylvester_solve,
 )
-from pseudoherm import operators, perturbation
+from pseudoherm import operators, perturbation, spectral
 
 from helpers import commuting_gauge, fixed_split, positive_definite
 
@@ -602,7 +602,8 @@ def test_solve_q_series_measures_each_source_once(monkeypatch):
     # taken once, wherever the rule runs; they were taken twice and four
     # times when the solve checked the source against two scales. Both are
     # row-block reductions (_max_norm_rows), each named after what it
-    # reduces: R_m, and R_m - R_m^dagger for the defect of i R_m
+    # reduces: R_m, and R_m - R_m^dagger for the defect of i R_m. On the grid
+    # only the odd orders have a source: the even terms are exact zeros
     split = discretize_schroedinger(step_potential(), 4.0, 129, epsilon=0.1)
     sources, reduced = [], []
     check = perturbation._check_source
@@ -611,10 +612,11 @@ def test_solve_q_series_measures_each_source_once(monkeypatch):
     rows = operators._max_norm_rows
     monkeypatch.setattr(operators, "_max_norm_rows",
                         lambda f, n, name: reduced.append(name) or rows(f, n, name))
-    solve_q_series(split, 2)
+    solve_q_series(split, 3)
     assert len(sources) == 2 and all(r.any() for r in sources)
-    for m in (1, 2):
+    for m in (1, 3):
         assert reduced.count(f"R_{m}") == reduced.count(f"R_{m} - R_{m}^dagger") == 1
+    assert reduced.count("R_2") == reduced.count("R_2 - R_2^dagger") == 0
 
 
 @pytest.mark.parametrize("epsilon", [1e200, np.float64(1e200)], ids=["float", "float64"])
@@ -622,7 +624,66 @@ def test_an_overflowing_epsilon_power_is_named_for_either_scalar(epsilon):
     # epsilon^2 overflows: a Python float's power raises OverflowError and
     # numpy's float64 returns inf with a RuntimeWarning; both are the one
     # NonFiniteError naming the order and epsilon (residual_curve hands in
-    # float64s)
-    q = QSeries((Operator(np.eye(2)), Operator(np.eye(2))))
-    with pytest.raises(NonFiniteError, match=r"^epsilon\^2 overflows at epsilon = 1e\+200$"):
-        metric_from_series(q, epsilon)
+    # float64s). A series whose Q_2 is zero, whose one factorization of Q_1
+    # serves every eps, still runs the guard on eps^j for every j
+    for q2 in (np.eye(2), np.zeros((2, 2))):
+        q = QSeries((Operator(np.eye(2)), Operator(q2)))
+        with pytest.raises(NonFiniteError, match=r"^epsilon\^2 overflows at epsilon = 1e\+200$"):
+            metric_from_series(q, epsilon)
+
+
+def fresh_metric(q, epsilon):
+    """e^(-Q(eps)) from an eigh of Q(eps) itself, as a series of two nonzero terms takes it."""
+    w, u, in_frame = operators._hermitian_eigensystem(q._summed(epsilon), operators.DEFAULT_TOL, "fresh")
+    return spectral._metric(np.exp(-w), u, in_frame)
+
+
+def test_one_factorization_of_q1_serves_every_epsilon(linalg_counter):
+    # the grid's order-2 series is odd: Q_2 is an exact zero and
+    # Q(eps) = eps Q_1, so one eigh of Q_1, taken for the first metric and
+    # kept on the series, serves every eps. Each metric is the one from an
+    # eigh of Q(eps) itself to rounding: its rows, its eigenvalue range and
+    # its residual, at a negative eps and at eps = 0 as well
+    N = 129
+    split = discretize_schroedinger(step_potential(), 4.0, N, epsilon=0.1)
+    q = solve_q_series(split, 2)
+    assert q.norms[0] > 0.0 and q.norms[1] == 0.0
+    linalg_counter.clear()
+    epsilons = (0.1, 0.05, -0.025, 0.0)
+    etas = [metric_from_series(q, e) for e in epsilons]
+    assert dict(linalg_counter) == {"eigh": 1}
+    eps = np.finfo(float).eps
+    for e, eta in zip(epsilons, etas):
+        ref = fresh_metric(q, e)
+        assert eta.frame is not None and ref.frame is not None
+        rows, ref_rows = eta.rows(0, N), ref.rows(0, N)
+        assert max_norm(rows - ref_rows) <= 64 * N * eps * max_norm(ref_rows)
+        assert np.allclose(eta.eig_range, ref.eig_range, rtol=64 * N * eps, atol=0)
+        at = split.at(e)
+        residual, ref_residual = pseudo_hermiticity_residual(at, eta), pseudo_hermiticity_residual(at, ref)
+        assert abs(residual - ref_residual) <= 64 * N * eps * at.norm() * max_norm(ref_rows)
+    # a series of more than one nonzero term takes an eigh per eps, as before
+    q3 = solve_q_series(split, 3)
+    linalg_counter.clear()
+    for e in (0.1, 0.05):
+        metric_from_series(q3, e)
+    assert dict(linalg_counter) == {"eigh": 2}
+
+
+def test_an_odd_series_takes_each_epsilon_through_the_rules():
+    # a hostile eps ends in a typed error: e^(-eps w) overflows in the grid's
+    # metric, and |eps| |Q_1| overflows for a larger Q_1
+    grid = solve_q_series(discretize_schroedinger(step_potential(), 4.0, 33, epsilon=0.1), 1)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        metric_from_series(grid, 1e300)
+    with pytest.raises(NonFiniteError, match="at epsilon = 1e\\+300 is inf: an entry overflowed"):
+        metric_from_series(QSeries((Operator(1e10 * np.eye(2)),)), 1e300)
+    # the Hermiticity rule runs per eps on |eps| (|Q_1|, defect): Q_1 passes
+    # it at eps = 1 and fails it at eps = 100, where the relative part of the
+    # bound no longer covers the defect
+    q = QSeries((Operator(np.array([[1e-3, 5e-11], [0.0, 1e-3]])),))
+    metric_from_series(q, 1.0)
+    with pytest.raises(StructureError, match="requires a Hermitian argument"):
+        metric_from_series(q, 100.0)
+    with pytest.raises(StructureError, match="requires a Hermitian argument"):
+        fresh_metric(q, 100.0)
