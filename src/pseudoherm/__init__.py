@@ -33,6 +33,7 @@ from .operators import (
     ABS_TOL,
     REL_TOL,
     Operator,
+    SplitHamiltonian,
     Tolerance,
     bch_conjugate,
     commutator,
@@ -55,7 +56,6 @@ from .spectral import (
 )
 from .perturbation import (
     QSeries,
-    SplitHamiltonian,
     curve_slope,
     master_formula_coefficients,
     master_formula_rhs,

@@ -5,9 +5,10 @@ reported in the max-norm (largest absolute entry) so golden values reproduce
 entry-for-entry; the 2-norm is used only for conditioning diagnostics.
 
 Matrix functions of Hermitian arguments (sqrt here, exp in
-metric_from_series) go through eigh (_hermitian_eigensystem), never through
-series; the truncated series lives only in bch_conjugate, where the
-truncation itself is the quantity of interest.
+metric_from_series) go through eigh (_hermitian_eigensystem), or the
+eigensystem a metric carries (_sqrt_eigensystem), never through series; the
+truncated series lives only in bch_conjugate, where the truncation itself is
+the quantity of interest.
 
 PT frame: with J the index reversal (J^2 = I) and S = (I + iJ)/sqrt(2), a
 matrix X with J conj(X) J = X (PT-symmetric) is real in the basis S:
@@ -651,6 +652,15 @@ class SplitHamiltonian:
             f[i, i[::-1]] -= half
         return f if np.isfinite(f[i, i[::-1]]).all() else None
 
+    def reflection_residual(self) -> float:
+        """max_norm(H^dagger J - J H) for the grid reflection J, in the structured form.
+
+        H0 is persymmetric, so the difference is the anti-diagonal
+        -i epsilon (v_i + v_{N-1-i}), whose norm is the dense products' bit for bit.
+        """
+        ev = self.epsilon * self._stencil[2]
+        return max_norm(ev + ev[::-1], "H^dagger J - J H")
+
     def norm(self) -> float:
         """max_norm of H; the structured form reads it off the stencil and v."""
         if self._stencil is None:
@@ -710,10 +720,22 @@ def bch_conjugate(H: Operator, Q: Operator, k_max: int) -> Operator:
     return Operator(acc)
 
 
-def herm_sqrt_inv(M: Operator, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
-    """(M^{1/2}, M^{-1/2}) for Hermitian positive-definite M."""
-    w, u, in_frame = _hermitian_eigensystem(_as_matrix(M), tol, "herm_sqrt_inv")
-    if w[0] <= tol.abs_tol:
-        raise PositivityError(f"matrix not positive definite: eigenvalue {w[0]:.6e}")
-    r = np.sqrt(w)
+def _sqrt_eigensystem(M, tol: Tolerance, caller: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(lam^(1/2), u, in_frame) for Hermitian positive-definite M = U diag(lam) U^dagger.
+
+    The eigensystem a metric carries (MetricOperator) is read as it is; any
+    other M takes _hermitian_eigensystem. The one positivity rule is on lam.
+    """
+    system = getattr(M, "eigensystem", None)
+    if system is None:
+        system = _hermitian_eigensystem(_as_matrix(M), tol, caller)
+    lam, u, in_frame = system
+    if lam.min() <= tol.abs_tol:
+        raise PositivityError(f"matrix not positive definite: eigenvalue {lam.min():.6e}")
+    return np.sqrt(lam), u, in_frame
+
+
+def herm_sqrt_inv(M, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
+    """(M^{1/2}, M^{-1/2}) for Hermitian positive-definite M: (rho, rho^-1) for a metric."""
+    r, u, in_frame = _sqrt_eigensystem(M, tol, "herm_sqrt_inv")
     return _from_eigenbasis(u * r, u, in_frame), _from_eigenbasis(u / r, u, in_frame)

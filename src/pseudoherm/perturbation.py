@@ -81,8 +81,7 @@ class QSeries:
     the Operators i^j A_j of .terms only when they are read; square and of
     one size (else ShapeError), and not a mix of the two or a complex array
     (else StructureError). Either way each term's Hermiticity rule runs
-    once, here. Two series compare equal when their terms are the same
-    Operators.
+    once, here. Series compare and hash by identity, as Operators do.
     """
 
     def __init__(self, terms: tuple, gauge_log: tuple = (), order_checks: tuple = ()):
@@ -119,12 +118,6 @@ class QSeries:
         if self._terms is None:
             self._terms = tuple(Operator._own(1j**j * a) for j, a in enumerate(self._matrices, start=1))
         return self._terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QSeries) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
 
     @property
     def order(self) -> int:

@@ -1,11 +1,11 @@
 """Task orchestration: model spec in, verification report out.
 
 Tasks run sequentially in spec order; a failing task yields a failure record
-and never suppresses the others. Each task appends its verdicts to the
-record as soon as they are decided, so a typed error raised later in the
-task keeps the verdicts that came before it. Later tasks may reference
-earlier results (scaling consumes the perturbative series). Every boolean
-verdict carries the numeric residual and threshold it came from.
+and never suppresses the others. Each task appends its verdicts (and the
+spectral task its data) to the record as soon as they are decided, so a typed
+error raised later in the task keeps those that came before it. Later tasks
+may reference earlier results (scaling consumes the perturbative series).
+Every boolean verdict carries the numeric residual and threshold it came from.
 
 Given the same spec, seed, tolerance and BLAS thread count the report is
 byte-identical across runs: no timestamps, a fixed RNG stream, and canonical
@@ -112,26 +112,23 @@ class _RunContext:
         return self.split
 
 
-def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
+def _spectral_task(ctx: _RunContext, verdicts: list, data: dict) -> None:
     H = ctx.hamiltonian()
     sys = biorthonormal_eigensystem(H)
+    # recorded before spectral_metric, so a broken PT phase still reports its
+    # spectrum; the system (its N x N V^H) is dropped before the peak steps
+    data["spectrum"] = _pairs(sys.eigenvalues)
+    data["spectrum_is_real"] = sys.spectrum_is_real(ctx.tol)
+    data["gram_defect"] = float(sys.gram_defect)
     eta = spectral_metric(sys, ctx.tol)
-    # everything the report needs from the system is read here, and the
-    # system (its V^H, N x N) is dropped before the steps that set the peak
-    data = {
-        "spectrum": _pairs(sys.eigenvalues),
-        "spectrum_is_real": sys.spectrum_is_real(ctx.tol),
-        "gram_defect": float(sys.gram_defect),
-    }
     completeness = sys.completeness_defect
     del sys
     threshold = pseudo_hermiticity_threshold(H, eta)
     residual = pseudo_hermiticity_residual(H, eta)
     verdicts.append(_verdict("pseudo_hermiticity_residual", residual, threshold))
-    # h is kept only for its two norms and rho not at all: the parity block
-    # below sets the task's peak memory, and each N x N array held across it
-    # adds to that peak
-    h = _equivalent_hermitian(H, eta, residual, threshold, ctx.tol)[0].mat
+    # h is kept only for its two norms: the parity block below sets the
+    # task's peak memory, and each N x N array held across it adds to that peak
+    h = _equivalent_hermitian(H, eta, residual, threshold, ctx.tol).mat
     h_norm, herm_defect = _hermiticity(h, "h")
     h_bound = RESIDUAL_REL * max(1.0, h_norm)
     del h
@@ -149,7 +146,6 @@ def _spectral_task(ctx: _RunContext, verdicts: list) -> dict:
         h_norm = H.norm()
         if p_residual <= 1e-10 * max(1.0, h_norm * P.norm()):
             verdicts.append(_verdict("c_commutes_with_H", comm, RESIDUAL_REL * max(1.0, h_norm)))
-    return data
 
 
 def _perturbative_task(ctx: _RunContext, task: PerturbativeTask, verdicts: list) -> dict:
@@ -267,7 +263,7 @@ def run_model_spec(spec: ModelSpec, seed: int = 0) -> dict:
             # overflow warnings on stderr would only repeat
             with np.errstate(over="ignore", invalid="ignore"):
                 if isinstance(task, SpectralTask):
-                    record["data"] = _spectral_task(ctx, verdicts)
+                    _spectral_task(ctx, verdicts, record["data"])
                 elif isinstance(task, PerturbativeTask):
                     record["data"] = _perturbative_task(ctx, task, verdicts)
                 elif isinstance(task, ScalingTask):

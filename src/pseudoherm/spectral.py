@@ -9,10 +9,11 @@ intertwiners between metrics, rescaled metric families) live here.
 The system is held as the SVD W = U Sigma V^H of its eigenvector matrix W
 with unit columns (BiorthonormalSystem); psi and phi are never formed. Every
 metric the package builds carries its eigensystem eta = U diag(lam) U^dagger
-(_metric), from which its eigenvalue range, rho, h and C follow with no
-further factorization. The metric is not unique; the remaining freedom, the
-scales s_n of sum_n s_n |phi_n><phi_n|, is exposed through
-symmetry_rescaled_metric instead of being hidden.
+(_metric), from which its eigenvalue range, h, C and rho = eta^{1/2}
+(herm_sqrt_inv(eta)[0], which no run forms) follow with no further
+factorization. The metric is not unique; the remaining freedom, the scales
+s_n of sum_n s_n |phi_n><phi_n|, is exposed through symmetry_rescaled_metric
+instead of being hidden.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .operators import (
     Tolerance,
     _as_matrix,
     _from_eigenbasis,
-    _hermitian_eigensystem,
     _max_norm_blocks,
     _max_norm_rows,
+    _sqrt_eigensystem,
     _symmetric_product,
     from_pt_frame,
     from_pt_frame_columns,
@@ -192,7 +193,7 @@ def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
     and completeness hold to rounding, degenerate blocks included. A phase
     per column would change neither the metric nor the defects, so none is
     fixed. The defects are max|W^-1 W - I| and max|B (W W^-1 - I) B^dagger|,
-    one product each on W^-H.
+    one product each on W^-H. An inf eigenvalue raises NonFiniteError.
     """
     frame = _frame(H)
     if frame is not None:
@@ -204,6 +205,8 @@ def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
     else:
         w, v = np.linalg.eig(_dense(H))
         in_frame = False
+    if not np.isfinite(w).all():  # else an inf eigenvalue would reach the report
+        raise NonFiniteError("an eigenvalue of H overflowed")
     order = np.lexsort((np.arange(w.size), w.imag, w.real))
     w = w[order].astype(complex)
     v[:] = v[:, order]
@@ -310,58 +313,45 @@ def pseudo_hermiticity_threshold(H, eta) -> float:
     return RESIDUAL_REL * max(1.0, H.norm() * eta_norm)
 
 
-def equivalent_hermitian(H, eta, tol: Tolerance = DEFAULT_TOL) -> tuple[Operator, Operator]:
+def equivalent_hermitian(H, eta, tol: Tolerance = DEFAULT_TOL) -> Operator:
     """h = rho H rho^{-1} with rho = eta^{1/2}; Hermitian, isospectral with H.
 
     H is an Operator or a SplitHamiltonian. Raises ResidualError unless eta
     passes pseudo_hermiticity_residual within pseudo_hermiticity_threshold.
+    rho itself is herm_sqrt_inv(eta)[0].
     """
     return _equivalent_hermitian(
         H, eta, pseudo_hermiticity_residual(H, eta), pseudo_hermiticity_threshold(H, eta), tol
     )
 
 
-def _equivalent_hermitian(
-    H, eta, residual: float, threshold: float, tol: Tolerance
-) -> tuple[Operator, Operator]:
+def _equivalent_hermitian(H, eta, residual: float, threshold: float, tol: Tolerance) -> Operator:
     """equivalent_hermitian given eta's residual and threshold, for a caller that has them.
 
-    eta = U diag(lam) U^dagger from the eigensystem the metric carries, or,
-    for a metric without one, from _hermitian_eigensystem (one eigh, in the
-    frame when eta has one); the positivity rule is on lam.min(). Then
-    rho = U lam^(1/2) U^dagger and rho^-1 = U lam^(-1/2) U^dagger. With
-    U = S u in the frame and an H that has one, F = S^dagger H S (_frame,
-    a grid split's own), h is S (Y F Y^-1) S^dagger with Y = u lam^(1/2) u^T,
-    two real products. Otherwise h is the complex product (rho H) rho^-1,
-    two dense products with H's dense matrix (_dense).
+    eta = U diag(lam) U^dagger and lam^(1/2) come from _sqrt_eigensystem, as
+    for herm_sqrt_inv. With U = S u in the frame and an H that has one,
+    F = S^dagger H S (_frame, a grid split's own), h is S (Y F Y^-1) S^dagger
+    with Y = u lam^(1/2) u^T, two real products, and no rho is formed.
+    Otherwise h is the complex product (rho H) rho^-1, two dense products
+    with H's dense matrix (_dense).
     """
     if residual > threshold:
         raise ResidualError(
             f"pseudo-Hermiticity residual {residual:.3e} exceeds threshold {threshold:.3e}"
         )
-    _, system = _metric_operands(eta, H.dim)
-    if system is None:
-        system = _hermitian_eigensystem(_as_matrix(eta), tol, "equivalent_hermitian")
-    lam, u, in_frame = system
-    if lam.min() <= tol.abs_tol:
-        raise PositivityError(f"matrix not positive definite: eigenvalue {lam.min():.6e}")
-    r = np.sqrt(lam)
+    r, u, in_frame = _sqrt_eigensystem(eta, tol, "equivalent_hermitian")
     if in_frame:
         f = _frame(H)
         if f is not None:
-            # h before rho, each frame matrix dropped once used: this step
-            # sets the spectral task's peak memory
-            y = _symmetric_product(u * r, u)
-            yf = y @ f
+            # each frame matrix dropped once used: this step sets the
+            # spectral task's peak memory
+            yf = _symmetric_product(u * r, u) @ f
             del f
             x = yf @ _symmetric_product(u / r, u)
             del yf
-            h = Operator._own(from_pt_frame(x))
-            del x
-            return h, Operator._own(from_pt_frame(y))
-    rho = _from_eigenbasis(u * r, u, in_frame)
-    h = (rho.mat @ _dense(H)) @ _from_eigenbasis(u / r, u, in_frame).mat
-    return Operator._own(h), rho
+            return Operator._own(from_pt_frame(x))
+    rho = _from_eigenbasis(u * r, u, in_frame).mat
+    return Operator._own((rho @ _dense(H)) @ _from_eigenbasis(u / r, u, in_frame).mat)
 
 
 def _checked_parity(P, tol: Tolerance) -> np.ndarray:
@@ -428,16 +418,14 @@ def parity_pseudo_hermiticity_residual(H, P) -> float:
     """||H^dagger P - P H|| for an Operator or split H; ShapeError unless P is H's size.
 
     For a structured grid split and IndexReversal J it is read off the O(N)
-    data: H0 is persymmetric, so H^dagger J - J H has nonzero entries only on
-    the anti-diagonal, -i epsilon (v_i + v_{N-1-i}), which is the dense
-    products' value bit for bit. Any other H or P takes the dense products.
+    data (SplitHamiltonian.reflection_residual). Any other H or P takes the
+    dense products.
     """
     if P.dim != H.dim:
         raise ShapeError(f"dimension mismatch: P is {P.dim} x {P.dim}, H {H.dim} x {H.dim}")
     split = _stencil(H)
     if split is not None and isinstance(P, IndexReversal):
-        ev = split.epsilon * split._stencil[2]
-        return max_norm(ev + ev[::-1], "H^dagger J - J H")
+        return split.reflection_residual()
     h, p = _dense(H), P.mat
     return max_norm(h.conj().T @ p - p @ h)
 
@@ -464,10 +452,10 @@ def metric_intertwiner(eta1, eta2, H: Operator, tol: Tolerance = DEFAULT_TOL) ->
         res = pseudo_hermiticity_residual(H, eta)
         if res > pseudo_hermiticity_threshold(H, eta):
             raise ResidualError(f"{name} is not a valid metric for H: residual {res:.3e}")
-    s1, is1 = herm_sqrt_inv(Operator(e1), tol)
+    s1, is1 = herm_sqrt_inv(eta1, tol)
     m = is1.mat @ e2 @ is1.mat
-    ms, _ = herm_sqrt_inv(Operator((m + m.conj().T) / 2), tol)
-    a = is1.mat @ ms.mat @ s1.mat
+    r, u, in_frame = _sqrt_eigensystem((m + m.conj().T) / 2, tol, "metric_intertwiner")
+    a = is1.mat @ _from_eigenbasis(u * r, u, in_frame).mat @ s1.mat
     intertwine = max_norm(a.conj().T @ e1 @ a - e2)
     commute = max_norm(a @ H.mat - H.mat @ a)
     log.info(

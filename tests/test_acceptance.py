@@ -200,7 +200,7 @@ def test_spectral_metric_construction():
         eta = spectral_metric(biorthonormal_eigensystem(h))
         res = pseudo_hermiticity_residual(h, eta)
         worst_res = max(worst_res, res / (1e-8 * max_norm(h.mat) * max_norm(eta.mat)))
-        herm, _ = equivalent_hermitian(h, eta)
+        herm = equivalent_hermitian(h, eta)
         hm = herm.mat
         worst_herm = max(worst_herm, max_norm(hm - hm.conj().T) / (1e-8 * max_norm(hm)))
         got = np.sort(np.linalg.eigvalsh((hm + hm.conj().T) / 2))

@@ -80,6 +80,37 @@ def test_run_model_spec_task_error_captured(tmp_path):
     assert report["all_passed"] is False
 
 
+BROKEN_PT_DIMER = {
+    "name": "dimer",
+    "model": {"matrix": [[[0.0, 2.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -2.0]]]},
+    "tasks": [{"kind": "spectral"}],
+}
+
+
+def test_a_broken_pt_phase_reports_its_spectrum(tmp_path, capsys):
+    # [[2i, 1], [1, -2i]] has the eigenvalues -+i sqrt(3): spectral_metric
+    # refuses them, and the record keeps the data read before it, in JSON and CSV
+    spec_file = write_spec(tmp_path, BROKEN_PT_DIMER)
+    assert main(["run", spec_file, "--out", str(tmp_path / "json")]) == 1
+    (task,) = json.loads((tmp_path / "json" / "dimer_report.json").read_text())["tasks"]
+    assert task["error"] == (
+        "RealityError: eigenvalue E_0 = 0-1.73205080757j is not real within tolerance")
+    assert task["verdicts"] == []
+    assert sorted(task["data"]) == ["gram_defect", "spectrum", "spectrum_is_real"]
+    root3 = np.sqrt(3.0)
+    assert np.allclose(task["data"]["spectrum"], [[0.0, -root3], [0.0, root3]], rtol=0, atol=1e-14)
+    assert task["data"]["spectrum_is_real"] is False
+    assert main(["run", spec_file, "--format", "csv", "--out", str(tmp_path / "csv")]) == 1
+    rows = (tmp_path / "csv" / "dimer_spectral_spectrum.csv").read_text().splitlines()
+    assert rows[0] == "n,re,im" and [r.split(",")[0] for r in rows[1:]] == ["0", "1"]
+    # the step grid at eps = 50 is past its exceptional point
+    doc = _step_case("broken_step", [{"kind": "spectral"}], N=65, epsilon=50.0)
+    (task,) = run_model_spec(load_spec(write_spec(tmp_path, doc)))["tasks"]
+    assert task["error"].startswith("RealityError: eigenvalue E_0 = ")
+    assert len(task["data"]["spectrum"]) == 65 and task["data"]["spectrum_is_real"] is False
+    capsys.readouterr()
+
+
 def test_run_model_spec_scaling_requires_perturbative(tmp_path):
     doc = {
         "name": "bad_order",
@@ -200,7 +231,7 @@ def test_run_model_spec_deterministic():
 def test_run_model_spec_factorizes_once(linalg_counter):
     # one eig (spectrum) and one svd of its real eigenvectors W = U Sigma V^T,
     # which give the conditioning, eta = S U Sigma^-2 U^T S^dagger with its
-    # range, rho, h, C = eta^(-1) J and the left eigenvectors, with no inv or
+    # range, h, C = eta^(-1) J and the left eigenvectors, with no inv or
     # solve; H0's eigensystem in closed form and one eigh of Q_1, which
     # serves the four distinct e^(-eps Q_1) (the series is odd, so
     # Q(eps) = eps Q_1, and the scaling curve reuses the perturbative task's
@@ -215,6 +246,25 @@ def test_run_model_spec_factorizes_once(linalg_counter):
     assert got.get("solve", 0) == got.get("inv", 0) == 0, got
     assert got.get("eigvals", 0) == got.get("eigvalsh", 0) == got.get("cond", 0) == 0, got
     assert sum(linalg_counter.complex_calls(name) for name in got) == 0
+
+
+def test_a_step_potential_run_forms_no_rho(monkeypatch):
+    # the spectral task maps two whole matrices back from the PT frame, h and
+    # C = eta^-1 J; rho = eta^(1/2), which no verdict reads, is not formed.
+    # Row blocks (MetricOperator.rows, the completeness defect) are not counted
+    whole = []
+    real = spectral.from_pt_frame
+
+    def counted(y, start=0, stop=None):
+        rows = real(y, start, stop)
+        if rows.shape[0] == y.shape[0]:
+            whole.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(spectral, "from_pt_frame", counted)
+    report = run_model_spec(load_spec(shipped("step_potential.json")))
+    assert report["all_passed"] is True
+    assert whole == [(129, 129)] * 2
 
 
 def test_spectral_task_memory_at_n513():
@@ -232,7 +282,7 @@ def test_spectral_task_memory_at_n513():
     verdicts = []
     tracemalloc.start()
     try:
-        pipeline._spectral_task(ctx, verdicts)
+        pipeline._spectral_task(ctx, verdicts, {})
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -527,7 +577,9 @@ def test_spectral_verdicts_kept_when_c_operator_raises(tmp_path):
         "completeness_defect",
     ]
     assert all(v["ok"] for v in task["verdicts"])
-    assert task["data"] == {}
+    # the data recorded before the error stays too; c_operator's never came
+    assert sorted(task["data"]) == ["gram_defect", "spectrum", "spectrum_is_real"]
+    assert task["data"]["spectrum_is_real"] is True
 
 
 def test_spectral_task_measures_its_residual_once(monkeypatch):
@@ -584,6 +636,18 @@ OVERFLOW_SPECS = {
     "wave_commutator": (
         _step_case("wave", [{"kind": "wave"}], values=[0.0, 1e308, -1e308, 0.0]),
         "wave", ["kernel_hermiticity_defect", "jump_condition_defect"]),
+    # finite H whose eig gives an inf eigenvalue, real (0 and 3.4e308) and in
+    # a complex spectrum: no inf may reach the spectrum the record keeps
+    "real_eigenvalue": (
+        {"name": "big", "model": {"matrix": [[[1.7e308, 0.0]] * 2] * 2},
+         "tasks": [{"kind": "spectral"}]},
+        "spectral", []),
+    "complex_eigenvalue": (
+        {"name": "big", "model": {"matrix": [[[0.0, 1.7e308], [1.7e308, 0.0], [0.0, 0.0]],
+                                             [[1.7e308, 0.0], [0.0, 1.7e308], [1.7e308, 0.0]],
+                                             [[0.0, 0.0], [1.7e308, 0.0], [0.0, -1.7e308]]]},
+         "tasks": [{"kind": "spectral"}]},
+        "spectral", []),
 }
 
 

@@ -396,8 +396,8 @@ def test_equivalent_hermitian_of_the_split_matches_the_operator():
     split = grid_split(129)
     H = split.total()
     eta = spectral_metric(biorthonormal_eigensystem(H))
-    h, rho = _equivalent_hermitian(split, eta, 0.0, 1.0, DEFAULT_TOL)
-    h_ref, _ = _equivalent_hermitian(H, eta, 0.0, 1.0, DEFAULT_TOL)
+    h = _equivalent_hermitian(split, eta, 0.0, 1.0, DEFAULT_TOL)
+    h_ref = _equivalent_hermitian(H, eta, 0.0, 1.0, DEFAULT_TOL)
     assert max_norm(h.mat - h_ref.mat) <= 1e-12 * max_norm(h_ref.mat)
 
 

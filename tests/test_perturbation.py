@@ -256,7 +256,6 @@ def test_solve_q_series_records_its_order_checks():
         assert residual <= bound
         assert max_norm(order_residual(split, series, m).mat) <= bound
     assert QSeries(series.terms).order_checks == ()
-    assert QSeries(series.terms) == series  # not part of the series' value
 
 
 @pytest.mark.parametrize("bad_order", [1, 3])

@@ -4,11 +4,13 @@ A PT-symmetric X (J conj(X) J == X) is real in the basis S. The maps are
 checked against the dense change of basis, and the three factorizations
 that use them (biorthonormal_eigensystem, the e^(-Q) of metric_from_series,
 herm_sqrt_inv) against the complex path they replace, written out here as
-references; so are eta, rho, h and C as the spectral task forms them from
-the real SVD of the frame eigenvectors, and the rescaled metrics.
+references; so are eta, h and C as the spectral task forms them from the
+real SVD of the frame eigenvectors, rho as herm_sqrt_inv reads it off the
+metric's eigensystem, and the rescaled metrics.
 """
 
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,16 +19,23 @@ from pseudoherm import (
     DiagonalizabilityError,
     NonFiniteError,
     Operator,
+    PositivityError,
     RealityError,
     biorthonormal_eigensystem,
     c_operator,
+    discretize_schroedinger,
     equivalent_hermitian,
     herm_sqrt_inv,
+    load_spec,
     max_norm,
+    metric_from_series,
+    solve_q_series,
     spectral_metric,
+    step_potential,
     symmetry_rescaled_metric,
 )
 from pseudoherm.operators import (
+    DEFAULT_TOL,
     IndexReversal,
     Tolerance,
     _hermiticity,
@@ -36,7 +45,7 @@ from pseudoherm.operators import (
     pt_frame,
     to_pt_frame,
 )
-from pseudoherm.spectral import COND_CAP, _equivalent_hermitian
+from pseudoherm.spectral import COND_CAP, _equivalent_hermitian, _metric
 
 from helpers import formed_vectors, herm_exp, reference_phases
 
@@ -227,7 +236,7 @@ def test_spectral_objects_from_the_frame_factors_match_the_complex_path(n, linal
         linalg_counter.dtypes.clear()
         sys = biorthonormal_eigensystem(H)
         eta = spectral_metric(sys)
-        h_eq, rho = equivalent_hermitian(H, eta)
+        h_eq, rho = equivalent_hermitian(H, eta), herm_sqrt_inv(eta)[0]
         c, _, invol = c_operator(eta, P)
         # one eig and one SVD; no inv or eigh, and a solve only for the explicit parity
         solves = {} if dtype is float else {"solve": 1}
@@ -296,9 +305,57 @@ def test_equivalent_hermitian_of_an_h_without_a_frame_takes_the_complex_product(
         Operator(from_pt_frame((p * np.arange(1.0, n + 1.0)) @ np.linalg.inv(p)))))
     other = random_complex(n, rng)
     assert pt_frame(other) is None
-    h, rho = _equivalent_hermitian(Operator(other), eta, 0.0, 1.0, Tolerance())
+    h, rho = _equivalent_hermitian(Operator(other), eta, 0.0, 1.0, Tolerance()), herm_sqrt_inv(eta)[0]
     rho_inv = from_pt_frame(np.linalg.inv(to_pt_frame(rho.mat)))
     assert max_norm(h.mat - rho.mat @ other @ rho_inv) <= 1e-12 * max_norm(h.mat)
+
+
+def package_metric(kind):
+    """A metric the package builds, with the eigensystem it carries."""
+    grid = discretize_schroedinger(step_potential(), 4.0, 129, epsilon=0.1)
+    if kind == "spectral in the frame":
+        return spectral_metric(biorthonormal_eigensystem(grid))
+    if kind == "spectral off the frame":
+        path = resources.files("pseudoherm") / "specs" / "random_real_spectrum.json"
+        return spectral_metric(biorthonormal_eigensystem(load_spec(str(path)).model.H))
+    return metric_from_series(solve_q_series(grid, 2), grid.epsilon)
+
+
+@pytest.mark.parametrize("kind", ["spectral in the frame", "spectral off the frame", "series"])
+def test_herm_sqrt_inv_reads_the_eigensystem_a_metric_carries(kind, linalg_counter):
+    # rho = eta^(1/2) and rho^-1 from the carried (lam, u, in_frame), with no
+    # factorization, equal the roots of eta's bare matrix, which takes an eigh
+    eta = package_metric(kind)
+    lam, u, in_frame = eta.eigensystem
+    assert in_frame is (kind != "spectral off the frame")
+    linalg_counter.clear()
+    rho, rho_inv = herm_sqrt_inv(eta)
+    assert sum(linalg_counter.values()) == 0
+    ref, ref_inv = herm_sqrt_inv(eta.mat)
+    assert linalg_counter["eigh"] == 1
+    rounding = 16 * lam.size * EPS * lam.max() / lam.min()
+    for got, want in ((rho, ref), (rho_inv, ref_inv)):
+        assert max_norm(got.mat - want.mat) <= rounding * max_norm(want.mat)
+    if in_frame:  # formed from a symmetric frame matrix, so Hermitian exactly
+        assert np.array_equal(rho.mat, rho.mat.conj().T)
+        assert np.array_equal(rho_inv.mat, rho_inv.mat.conj().T)
+
+
+@pytest.mark.parametrize("in_frame", [True, False])
+@pytest.mark.parametrize("low", [DEFAULT_TOL.abs_tol, 0.0, -1.0])
+def test_a_carried_eigenvalue_at_the_floor_is_refused(low, in_frame):
+    # the one positivity rule, lam.min() <= abs_tol, on a carried eigensystem,
+    # for rho (herm_sqrt_inv) and h (_equivalent_hermitian) alike
+    n = 4
+    u = np.linalg.qr(np.random.default_rng(31).standard_normal((n, n)))[0]
+    eta = _metric(np.array([2.0, low, 1.0, 3.0]), u, in_frame)
+    message = f"matrix not positive definite: eigenvalue {low:.6e}"
+    with pytest.raises(PositivityError) as raised:
+        herm_sqrt_inv(eta)
+    assert str(raised.value) == message
+    with pytest.raises(PositivityError) as raised:
+        _equivalent_hermitian(Operator(np.eye(n)), eta, 0.0, 1.0, DEFAULT_TOL)
+    assert str(raised.value) == message
 
 
 def test_cond_cap_flips_where_the_complex_svd_flips():

@@ -37,8 +37,8 @@ UNREACHED = {
     "spectral.metric_factorization",  # the Cholesky factor O with O^dagger O = eta
     # the A with eta2 = A^dagger eta1 A between two metrics (claim a)
     "spectral.metric_intertwiner",
-    # (M^1/2, M^-1/2) by eigh: metric_intertwiner's; the spectral metric carries
-    # the eigensystem rho is formed from
+    # (M^1/2, M^-1/2), and rho = eta^1/2 from the eigensystem a metric carries:
+    # metric_intertwiner's and API callers'; no run forms rho
     "operators.herm_sqrt_inv",
     # sum_n s_n |phi_n><phi_n|, another metric of H (claim a)
     "spectral.symmetry_rescaled_metric",
@@ -59,11 +59,9 @@ UNREACHED_METHODS = {
     # general_kernel's Hermiticity constraints on the pair (f, g) (claim a)
     "wavekernel.HomogeneousPair.constraint_defects",
     "wavekernel.HomogeneousPair.is_valid",
-    # Q(eps) as an Operator, and series equality by their terms, for API
-    # callers: metric_from_series sums a graded series' parts itself
+    # Q(eps) as an Operator, for API callers: metric_from_series sums a
+    # graded series' parts itself
     "perturbation.QSeries.summed",
-    "perturbation.QSeries.__eq__",
-    "perturbation.QSeries.__hash__",
     # the dense J: only _checked_parity reads it, for an eta without an
     # eigensystem in the PT frame, and every metric a run builds on the grid
     # carries one

@@ -15,6 +15,7 @@ from pseudoherm import (
     c_operator,
     discretize_schroedinger,
     equivalent_hermitian,
+    herm_sqrt_inv,
     max_norm,
     metric_factorization,
     metric_intertwiner,
@@ -185,14 +186,15 @@ def test_equivalent_hermitian_isospectral():
         dim = int(rng.integers(2, 8))
         h, eigs = random_diagonalizable(dim, rng)
         eta = spectral_metric(biorthonormal_eigensystem(h))
-        herm, rho = equivalent_hermitian(h, eta)
+        herm = equivalent_hermitian(h, eta)
+        rho = herm_sqrt_inv(eta)[0]
         assert max_norm(herm.mat - herm.mat.conj().T) < 1e-8 * max(1.0, max_norm(herm.mat))
         got = np.sort(np.linalg.eigvalsh((herm.mat + herm.mat.conj().T) / 2))
         assert max_norm(got - eigs) < 1e-8 * max(1.0, np.abs(eigs).max())
         # rho is the positive square root of eta
         assert max_norm(rho.mat @ rho.mat - eta.mat) < 1e-10 * max(1.0, max_norm(eta.mat))
         # the same metric as a bare matrix carries no eigensystem: one eigh gives it
-        herm_user, rho_user = equivalent_hermitian(h, eta.mat)
+        herm_user, rho_user = equivalent_hermitian(h, eta.mat), herm_sqrt_inv(eta.mat)[0]
         assert max_norm(herm_user.mat - herm.mat) < 1e-8 * max(1.0, max_norm(herm.mat))
         assert max_norm(rho_user.mat - rho.mat) < 1e-10 * max(1.0, max_norm(rho.mat))
 

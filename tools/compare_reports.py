@@ -7,11 +7,16 @@ and every command runs in a fresh process. On each tree, at 1 and at 2 BLAS
 threads, the script runs
 
 * `pseudoherm run` with --format json and with --format csv, and
-  `pseudoherm validate`, on each spec: the three shipped specs,
+  `pseudoherm validate`, on each of 11 specs: the three shipped specs,
   step_potential at N = 513 and the wave-only N = 2049 spec (the benchmark's
-  step_n513 and wave_n2049), and perfbench.workloads.split_spec at
-  (64, 20240), (256, 20240), (64, 4) and (256, 2);
-* `pseudoherm orders ELL` for ELL = 1..5.
+  step_n513 and wave_n2049), perfbench.workloads.split_spec at
+  (64, 20240), (256, 20240), (64, 4) and (256, 2), and two spectral-only
+  specs in a broken PT phase, whose task ends in RealityError: the dimer
+  [[2i, 1], [1, -2i]] and step_potential at N = 65 and epsilon = 50 (the one
+  run that maps complex eigenvectors back from the PT frame);
+* `pseudoherm orders ELL` for ELL = 1..5;
+
+76 commands per tree in all.
 
 The spec files are written once, from CHANGE_TREE's shipped specs and its
 perfbench/workloads.py, so both trees read the same bytes. Each command's
@@ -37,6 +42,7 @@ THREADS = (1, 2)
 ORDERS = range(1, 6)
 SPLITS = ((64, 20240), (256, 20240), (64, 4), (256, 2))
 SHIPPED = ("pt_toy_2x2", "random_real_spectrum", "step_potential")
+BROKEN_DIMER = [[[0.0, 2.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, -2.0]]]
 # runs pseudoherm's CLI without a second import of pseudoherm.cli as __main__
 CLI = "import sys; from pseudoherm.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -61,6 +67,13 @@ def write_specs(tree: Path, work: Path) -> dict[str, Path]:
         path = work / f"split_{dim}_{seed}.json"
         path.write_text(json.dumps(workloads.split_spec(dim, seed)), encoding="utf-8")
         specs[path.stem] = path
+    step = json.loads(workloads.shipped_spec(tree, "step_potential").read_text(encoding="utf-8"))
+    step["model"]["schroedinger"].update(N=65, epsilon=50.0)
+    for name, doc in (("broken_dimer", {"model": {"matrix": BROKEN_DIMER}}), ("broken_step", step)):
+        path = work / f"{name}.json"
+        path.write_text(json.dumps({**doc, "name": name, "tasks": [{"kind": "spectral"}]}),
+                        encoding="utf-8")
+        specs[name] = path
     return specs
 
 
