@@ -247,16 +247,19 @@ def from_pt_frame(y: np.ndarray, start: int = 0, stop: int | None = None) -> np.
     of to_pt_frame on PT-symmetric matrices.
 
     Real part (Y + JYJ)/2 and imaginary part (JY - YJ)/2, both written into
-    one complex array; a symmetric Y gives a Hermitian result. Each entry
-    reads Y's entries alone, so a row block is those rows of the whole, bit
-    for bit.
+    one complex array ROW_BLOCK rows at a time, so the halves of Y are never
+    held whole; a symmetric Y gives a Hermitian result. Each entry reads Y's
+    entries alone, so a row block is those rows of the whole, bit for bit.
     """
     n = y.shape[0]
-    stop = n if stop is None else stop
-    h, jh = y[start:stop] / 2, y[n - stop : n - start][::-1] / 2  # rows of Y/2 and J Y/2
-    x = np.empty(h.shape, dtype=complex)
-    np.add(h, jh[:, ::-1], out=x.real)
-    np.subtract(jh, h[:, ::-1], out=x.imag)
+    stop = n if stop is None else min(stop, n)  # clipped, as the slice y[start:stop] is
+    x = np.empty((max(stop - start, 0), n), dtype=complex)
+    for s in range(start, stop, ROW_BLOCK):
+        e = min(s + ROW_BLOCK, stop)
+        h, jh = y[s:e] / 2, y[n - e : n - s][::-1] / 2  # rows of Y/2 and J Y/2
+        block = x[s - start : e - start]
+        np.add(h, jh[:, ::-1], out=block.real)
+        np.subtract(jh, h[:, ::-1], out=block.imag)
     return x
 
 
@@ -484,18 +487,25 @@ class SplitHamiltonian:
         """
         if self._stencil is None:
             return _hermitian_eigh(self._dense[0].mat)
-        diag, off, v = self._stencil
-        n = v.size
+        e, k = self._h0_modes()
+        n = k.size
         step = np.pi / (n + 1)
         j = np.arange(1.0, n + 1)
-        k = j[::-1] if off > 0 else j
-        e = diag + 2 * off * np.cos(k * step)
         u = np.multiply.outer(j, k)
         np.fmod(u, 2 * (n + 1), out=u)
         u *= step
         np.sin(u, out=u)
         u *= np.sqrt(2 / (n + 1))
         return e, u
+
+    def _h0_modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(E, k): the structured H0's eigenvalues in ascending order and their mode
+        numbers, E_k = diag + 2 off cos(k pi / (N + 1)), in O(N) (h0_eigensystem)."""
+        diag, off, v = self._stencil
+        n = v.size
+        j = np.arange(1.0, n + 1)
+        k = j[::-1] if off > 0 else j
+        return diag + 2 * off * np.cos(k * (np.pi / (n + 1))), k
 
     def h0_norm(self) -> float:
         """max_norm of H0."""
@@ -632,17 +642,16 @@ class SplitHamiltonian:
         In the structured form H0 is real and persymmetric: the frame matrix
         is H0's stencil plus the anti-diagonal epsilon (v_{N-1-i} - v_i) / 2,
         summed in to_pt_frame's order so that it is the dense form's bit for
-        bit, and pt_frame's rule reads H - J conj(H) J, which is
-        i epsilon diag(v + v[::-1]), in O(N); no complex N x N array is made.
+        bit, and pt_frame's rule reads H - J conj(H) J in O(N) (_pt_half); no
+        complex N x N array is made.
         """
         if self._stencil is None:
             return pt_frame(self.total().mat)
+        half = self._pt_half()
+        if half is None:
+            return None
         diag, off, v = self._stencil
         n = v.size
-        bound = PT_FRAME_ULPS * n * np.finfo(float).eps * self.norm()
-        half = self.epsilon * v / 2
-        if max_norm(half + half[::-1]) > bound / 2:
-            return None
         f = np.zeros((n, n))
         f.flat[:: n + 1] = diag / 2 + diag / 2
         f.flat[1 :: n + 1] = f.flat[n :: n + 1] = off / 2 + off / 2
@@ -651,6 +660,18 @@ class SplitHamiltonian:
             f[i, i[::-1]] += half[::-1]
             f[i, i[::-1]] -= half
         return f if np.isfinite(f[i, i[::-1]]).all() else None
+
+    def _pt_half(self) -> np.ndarray | None:
+        """epsilon v / 2 when the structured H passes pt_frame's rule, else None.
+
+        The rule reads H - J conj(H) J = i epsilon diag(v + v[::-1]) on the
+        O(N) data. The frame matrix is H0's stencil plus the anti-diagonal
+        half[::-1] - half (frame).
+        """
+        n = self.dim
+        bound = PT_FRAME_ULPS * n * np.finfo(float).eps * self.norm()
+        half = self.epsilon * self._stencil[2] / 2
+        return None if max_norm(half + half[::-1]) > bound / 2 else half
 
     def reflection_residual(self) -> float:
         """max_norm(H^dagger J - J H) for the grid reflection J, in the structured form.

@@ -7,12 +7,16 @@ derived objects (equivalent Hermitian h, C = eta^{-1} P, Cholesky factor,
 intertwiners between metrics, rescaled metric families) live here.
 
 The system is held as the SVD W = U Sigma V^H of its eigenvector matrix W
-with unit columns (BiorthonormalSystem); psi and phi are never formed. Every
-metric the package builds carries its eigensystem eta = U diag(lam) U^dagger
-(_metric), from which its eigenvalue range, h, C and rho = eta^{1/2}
-(herm_sqrt_inv(eta)[0], which no run forms) follow with no further
-factorization. The metric is not unique; the remaining freedom, the scales
-s_n of sum_n s_n |phi_n><phi_n|, is exposed through symmetry_rescaled_metric
+with unit columns (BiorthonormalSystem); psi and phi are never formed. A
+structured grid split in the unbroken PT phase gets its eigenpairs in O(N^2)
+from the tridiagonal H, and U Sigma V^H from one real eigh, with no eig and
+no SVD (_grid_eigenpairs, _j_orthogonal_system); any other H is
+diagonalized by eig and its W factored by svd. Every metric the package
+builds carries its eigensystem eta = U diag(lam) U^dagger (_metric), from
+which its eigenvalue range, h, C and rho = eta^{1/2} (herm_sqrt_inv(eta)[0],
+which no run forms) follow with no further factorization. The metric is
+not unique; the remaining freedom, the scales s_n of
+sum_n s_n |phi_n><phi_n|, is exposed through symmetry_rescaled_metric
 instead of being hidden.
 """
 
@@ -58,6 +62,16 @@ log = logging.getLogger(__name__)
 
 COND_CAP = 1e8
 RESIDUAL_REL = 1e-8
+# The grid's O(N^2) eigenpairs (_grid_eigenpairs): Newton on det(H - lam) has
+# converged when every step is within NEWTON_ULPS eps |H| (the steps' rounding
+# floor is about 0.6 eps |H| from N = 129 to 1025), and gives up, leaving H to
+# eig, after NEWTON_SWEEPS sweeps (the step potential needs 4 at eps = 0.1
+# and 9 at eps = 1.1, the last unbroken tenth) or once its largest step grows
+# (_newton_roots); an eigenpair is kept when max|H psi - lam psi| over unit
+# psi is within EIGENPAIR_ULPS eps |H| (0.6 eps |H| measured).
+NEWTON_ULPS = 8
+NEWTON_SWEEPS = 32
+EIGENPAIR_ULPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +82,12 @@ class BiorthonormalSystem:
     SVD (factors = (U, sigma, V^H)). Then psi = B W and phi = B W^-H with
     W^-H = U Sigma^-1 V^H, where B is the frame basis S for a system built
     in the PT frame (W real, in_frame) and the identity otherwise (W
-    complex); psi's singular values are sigma, descending. gram_defect and
-    completeness_defect were taken when the system was built, on the eig's
-    W and W^-H.
+    complex); psi's singular values are sigma, descending. gram_defect =
+    max|W^-1 W - I| and completeness_defect = max|B (W W^-1 - I) B^dagger|
+    were taken when the system was built. On the eig route W^-1 is the SVD's
+    inverse, so gram_defect is rounding; on a grid split's O(N^2) route it is
+    diag(1/kappa) W^T J W, and gram_defect measures how far the computed W
+    is from J-orthogonal (_j_orthogonal_system).
     """
 
     eigenvalues: np.ndarray
@@ -181,7 +198,11 @@ def _metric_operands(eta, n: int, other: str | None = None) -> tuple:
 def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
     """Diagonalize H; sort by (Re E, Im E, original index); factor its eigenvectors.
 
-    H is an Operator or a SplitHamiltonian. An H with a PT frame
+    H is an Operator or a SplitHamiltonian. A structured grid split whose
+    O(N^2) eigenpairs are accepted (_grid_eigenpairs: real, distinct and
+    ascending, so already in this order) is built in the frame from them
+    with no eig and no SVD (_j_orthogonal_system). Any other H, and a grid
+    split whose eigenpairs are refused, takes eig. An H with a PT frame
     (operators.pt_frame) is diagonalized there, as the real matrix
     S^dagger H S (_frame, which a grid split builds with no dense H). When
     every eigenvalue is real, numpy's eig returns a real v, and the system
@@ -195,6 +216,10 @@ def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
     fixed. The defects are max|W^-1 W - I| and max|B (W W^-1 - I) B^dagger|,
     one product each on W^-H. An inf eigenvalue raises NonFiniteError.
     """
+    split = _stencil(H)
+    pairs = None if split is None else _grid_eigenpairs(split)
+    if pairs is not None:
+        return _j_orthogonal_system(*pairs)
     frame = _frame(H)
     if frame is not None:
         w, v = np.linalg.eig(frame)
@@ -221,6 +246,164 @@ def biorthonormal_eigensystem(H) -> BiorthonormalSystem:
     else:
         completeness = max_norm(z)
     return BiorthonormalSystem(w, (u, sv, vh), in_frame, gram, completeness)
+
+
+def _grid_eigenpairs(split: SplitHamiltonian) -> tuple[np.ndarray, np.ndarray] | None:
+    """(E, W) of a structured grid split, in O(N^2) with no factorization; None to leave it to eig.
+
+    W is the real frame matrix's eigenvector matrix, unit columns, and E
+    strictly ascending. H = H0 + epsilon H1 is complex-symmetric tridiagonal.
+    Only an H that passes pt_frame's rule on its O(N) data (_pt_half) is
+    tried. Newton on det(H - lam) from H0's closed-form eigenvalues
+    (_newton_roots) gives E, and two sweeps of inverse iteration on
+    H - E_k, all k at once, give psi (_inverse_iteration). W = S^dagger psi
+    is real up to a phase per column, which is removed. The pairs are kept
+    only when Newton converged within NEWTON_SWEEPS sweeps, E is finite and
+    ascends by more than Newton's tolerance, and max|F W - W diag(E)|, the
+    frame's max|H psi - lam psi| read as one O(N^2) stencil pass, is within
+    EIGENPAIR_ULPS eps |H|. N distinct roots are all of H's eigenvalues, so
+    a broken PT phase, whose complex pairs have no real root, never passes.
+    """
+    half = split._pt_half()
+    if half is None:
+        return None
+    diag, off, v = split._stencil
+    a = diag + split.epsilon * (1j * v)  # H's diagonal, as total() sums it
+    scale = split.norm()
+    eps = np.finfo(float).eps
+    tol, tiny = NEWTON_ULPS * eps * scale, eps * abs(off)
+    with np.errstate(all="ignore"):  # an overflow or a zero pivot refuses the pairs below
+        e = _newton_roots(a, off, split._h0_modes()[0], tol, tiny)
+        if e is None or not (np.isfinite(e).all() and np.all(np.diff(e) > tol)):
+            return None
+        w = _frame_columns(_inverse_iteration(a, off, e, tiny))
+        # F = H0's stencil plus the anti-diagonal half[::-1] - half (SplitHamiltonian.frame)
+        r = w * (diag - e)
+        r += (half[::-1] - half)[:, None] * w[::-1]
+        r[1:] += off * w[:-1]
+        r[:-1] += off * w[1:]
+        residual = np.abs(r).max()
+    if not residual <= EIGENPAIR_ULPS * eps * scale:
+        return None
+    return e, w
+
+
+def _pivot(p: np.ndarray, tiny: float) -> np.ndarray:
+    """p with each entry smaller than tiny in modulus replaced by tiny: a zero pivot
+    guarded as LAPACK's dlagts guards the small pivots dlagtf flags."""
+    return np.where(np.abs(p) < tiny, tiny, p)
+
+
+def _newton_roots(
+    a: np.ndarray, off: float, lam: np.ndarray, tol: float, tiny: float
+) -> np.ndarray | None:
+    """Newton on det(T - lam) for the tridiagonal T with diagonal a and off on both
+    neighbours, from each lam at once; None unless every step is within tol by
+    NEWTON_SWEEPS sweeps, and None as soon as the largest step grows.
+
+    det(T - lam) is the product of the LDL^T pivots p_j = (a_j - lam) -
+    off^2 / p_(j-1), and the Newton step its value over its derivative, 1 /
+    sum_j p_j' / p_j, with r_j = p_j' / p_j = (off^2 / p_(j-1) r_(j-1) - 1) /
+    p_j: N passes over O(N) arrays per sweep. Each step's real part is taken:
+    for a PT-symmetric T, det(T - lam) is real at a real lam. From H0's
+    eigenvalues the largest step shrank every sweep in each unbroken case
+    tried (the step and a smooth odd v, N = 16 to 513, eps up to the
+    break); in each broken one it grew by the 9th sweep, mostly by the 3rd,
+    where a full run of NEWTON_SWEEPS would only delay eig.
+    """
+    o2 = off * off
+    last = np.inf
+    for _ in range(NEWTON_SWEEPS):
+        p = _pivot(a[0] - lam, tiny)
+        r = -1.0 / p
+        total = r.copy()
+        for aj in a[1:]:
+            t = o2 / p
+            p = _pivot((aj - lam) - t, tiny)
+            r = (t * r - 1.0) / p
+            total += r
+        step = (1.0 / total).real
+        lam = lam - step
+        largest = np.abs(step).max()
+        if largest <= tol:
+            return lam
+        if not largest < last:  # grown, or not finite
+            return None
+        last = largest
+    return None
+
+
+def _inverse_iteration(a: np.ndarray, off: float, lam: np.ndarray, tiny: float) -> np.ndarray:
+    """Unit columns psi_k from two sweeps of inverse iteration on T - lam_k (T as in
+    _newton_roots), one Thomas solve over every column at once.
+
+    The pivots 1/p_j of each T - lam_k are taken once and serve both sweeps.
+    The start 1 + j/N is neither even nor odd, so it has a component along
+    every sine mode of H0, and along each psi_k of an H near it.
+    """
+    n = a.size
+    inv_p = np.empty((n, n), dtype=complex)  # row j: 1/p_j of every T - lam_k
+    p = a[0] - lam
+    for j in range(n):
+        if j:
+            p = (a[j] - lam) - off * off * inv_p[j - 1]
+        inv_p[j] = 1.0 / _pivot(p, tiny)
+    x = np.empty((n, n), dtype=complex)
+    x[:] = (1.0 + np.arange(n) / n)[:, None]
+    for _ in range(2):
+        for j in range(1, n):
+            x[j] -= (off * inv_p[j - 1]) * x[j - 1]
+        x[-1] *= inv_p[-1]
+        for j in range(n - 2, -1, -1):
+            x[j] -= off * x[j + 1]
+            x[j] *= inv_p[j]
+        squares = np.einsum("ij,ij->j", x.view(float), x.view(float))  # no N x N temporary
+        x /= np.sqrt(squares[0::2] + squares[1::2])
+    return x
+
+
+def _frame_columns(psi: np.ndarray) -> np.ndarray:
+    """W = S^dagger psi for psi real in the frame up to a phase per column: that phase
+    removed (in psi's buffer) and unit columns.
+
+    S^dagger psi = (psi - i J psi)/sqrt(2), whose squares sum to -i psi^T J psi:
+    for S^dagger psi = e^(i theta) W with W real, that is e^(2 i theta) |W|^2.
+    """
+    t = np.einsum("ij,ij->j", psi, psi[::-1])
+    psi *= np.sqrt(1j * t.conj() / np.abs(t))  # e^(-i theta)
+    w = psi.real + psi.imag[::-1]  # Re(e^(-i theta) (psi - i J psi))
+    w /= np.linalg.norm(w, axis=0)
+    return w
+
+
+def _j_orthogonal_system(e: np.ndarray, w: np.ndarray) -> BiorthonormalSystem:
+    """The in-frame system of a grid split's eigenpairs (_grid_eigenpairs), with no SVD.
+
+    On the grid H^T = H, so F = J F^T J and W is J-orthogonal: with
+    kappa = diag(W^T J W), W^-1 = diag(1/kappa) W^T J. One real eigh of the
+    frame metric y = W^-T W^-1 = J W diag(kappa^-2) W^T J gives
+    (sigma^-2, U), the SVD's U and sigma, and V^H = Sigma^-1 U^T W. The
+    defects take one product each: gram_defect = max|diag(1/kappa) W^T J W - I|,
+    which measures the J-orthogonality of the computed W, and
+    completeness_defect = max|S (W diag(1/kappa) W^T J - I) S^dagger|.
+    """
+    wj = w[::-1]  # J W
+    kappa = np.einsum("ij,ij->j", wj, w)
+    lam, u = np.linalg.eigh(_symmetric_product(wj / kappa**2, wj))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sv = 1.0 / np.sqrt(lam)  # descending, as the SVD's
+    _check_condition(sv)
+    # each N x N product dropped once reduced, before V^H: at N = 513 this
+    # keeps the step's traced peak at four real N x N arrays
+    gram = w.T @ wj
+    gram /= kappa[:, None]
+    gram = max_norm(_minus_identity(gram))
+    z = _minus_identity((w / kappa) @ wj.T)
+    completeness = _max_norm_rows(lambda start, stop: from_pt_frame(z, start, stop), e.size, "W W^-1 - I")
+    del z
+    vh = u.T @ w
+    vh /= sv[:, None]
+    return BiorthonormalSystem(e.astype(complex), (u, sv, vh), True, gram, completeness)
 
 
 def _check_condition(sv: np.ndarray) -> None:

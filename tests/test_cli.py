@@ -229,23 +229,36 @@ def test_run_model_spec_deterministic():
 
 
 def test_run_model_spec_factorizes_once(linalg_counter):
-    # one eig (spectrum) and one svd of its real eigenvectors W = U Sigma V^T,
-    # which give the conditioning, eta = S U Sigma^-2 U^T S^dagger with its
-    # range, h, C = eta^(-1) J and the left eigenvectors, with no inv or
-    # solve; H0's eigensystem in closed form and one eigh of Q_1, which
-    # serves the four distinct e^(-eps Q_1) (the series is odd, so
-    # Q(eps) = eps Q_1, and the scaling curve reuses the perturbative task's
-    # eps = 0.1); no second look at a spectrum already computed. The grid H
-    # and Q_1 are PT-symmetric, so every factorization runs real.
+    # no eig and no svd: the grid H's eigenpairs come from its tridiagonal
+    # form in O(N^2), and one real eigh of the frame metric
+    # y = J W diag(kappa^-2) W^T J gives W = U Sigma V^T, which gives the
+    # conditioning, eta = S U Sigma^-2 U^T S^dagger with its range, h,
+    # C = eta^(-1) J and the left eigenvectors, with no inv or solve; H0's
+    # eigensystem in closed form and one eigh of Q_1, which serves the four
+    # distinct e^(-eps Q_1) (the series is odd, so Q(eps) = eps Q_1, and the
+    # scaling curve reuses the perturbative task's eps = 0.1); no second look
+    # at a spectrum already computed. The grid H and Q_1 are PT-symmetric, so
+    # every factorization runs real.
     report = run_model_spec(load_spec(shipped("step_potential.json")))
     assert report["all_passed"] is True
     got = dict(linalg_counter)
-    assert got.get("eig", 0) == 1
-    assert linalg_counter.dtypes["svd"] == [np.dtype(float)]
-    assert got.get("eigh", 0) == 1
+    assert got.get("eig", 0) == got.get("svd", 0) == 0, got
+    assert linalg_counter.dtypes["eigh"] == [np.dtype(float)] * 2
     assert got.get("solve", 0) == got.get("inv", 0) == 0, got
     assert got.get("eigvals", 0) == got.get("eigvalsh", 0) == got.get("cond", 0) == 0, got
     assert sum(linalg_counter.complex_calls(name) for name in got) == 0
+
+
+def test_the_grid_spectral_task_makes_no_eig_and_no_svd(linalg_counter):
+    # the spectral task alone on the step grid: its one factorization is the
+    # real eigh of the frame metric
+    spec = load_spec(shipped("step_potential.json"))
+    spec = dataclasses.replace(spec, tasks=(SpectralTask(),))
+    verdicts = []
+    pipeline._spectral_task(pipeline._RunContext(spec, 0), verdicts, {})
+    assert all(v["ok"] for v in verdicts) and len(verdicts) == 4
+    assert dict(linalg_counter) == {"eigh": 1}
+    assert linalg_counter.dtypes["eigh"] == [np.dtype(float)]
 
 
 def test_a_step_potential_run_forms_no_rho(monkeypatch):
@@ -267,18 +280,21 @@ def test_a_step_potential_run_forms_no_rho(monkeypatch):
     assert whole == [(129, 129)] * 2
 
 
+def spectral_spec_at_n513():
+    """step_potential at N = 513 with the spectral task alone; the parity is
+    the grid reflection J of the model's 513 points."""
+    spec = load_spec(shipped("step_potential.json"))
+    model = dataclasses.replace(spec.model, N=513)
+    return dataclasses.replace(spec, model=model, parity=IndexReversal(513), tasks=(SpectralTask(),))
+
+
 def test_spectral_task_memory_at_n513():
     # at N = 513 a complex N x N matrix is 4.2 MB. The spectral task holds H,
     # the metric and the real factor U of the eigenvectors, drops the system
     # with its V^T once it has read the spectrum and the defects, and forms
-    # no psi or phi: its traced peak stays under 39.4 MB, the peak of
-    # the route that held psi and phi and took the complex inv, phi phi^dagger
-    # and eigh of eta. The parity is the grid reflection J of the model's 513
-    # points (19.1 MB measured)
-    spec = load_spec(shipped("step_potential.json"))
-    model = dataclasses.replace(spec.model, N=513)
-    spec = dataclasses.replace(spec, model=model, parity=IndexReversal(513), tasks=(SpectralTask(),))
-    ctx = pipeline._RunContext(spec, 0)
+    # no psi or phi. Its traced peak, 14.2 MB measured, is set by h
+    # (_equivalent_hermitian), not by the eigensystem; the bound is 1.1 times it
+    ctx = pipeline._RunContext(spectral_spec_at_n513(), 0)
     verdicts = []
     tracemalloc.start()
     try:
@@ -287,7 +303,23 @@ def test_spectral_task_memory_at_n513():
     finally:
         tracemalloc.stop()
     assert all(v["ok"] for v in verdicts) and len(verdicts) == 4
-    assert peak < 39_400_000
+    assert peak < 15_600_000
+
+
+def test_grid_eigensystem_memory_at_n513():
+    # the O(N^2) route holds the complex pivots 1/p and the inverse
+    # iteration's complex psi (4.2 MB each at N = 513), then the real W, U,
+    # V^T and one product at a time (2.1 MB each): its traced peak is 8.6 MB
+    # measured, against 14.8 MB for eig and svd; the bound is 1.1 times it
+    H = pipeline._RunContext(spectral_spec_at_n513(), 0).hamiltonian()
+    tracemalloc.start()
+    try:
+        system = biorthonormal_eigensystem(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.in_frame and system.spectrum_is_real()
+    assert peak < 9_500_000
 
 
 def test_perturbative_and_scaling_memory_at_n513():
@@ -296,7 +328,7 @@ def test_perturbative_and_scaling_memory_at_n513():
     # into the real and imaginary parts of one complex Q(eps), map it to its
     # real frame matrix, keep each metric as its frame matrix and take every
     # rule in row blocks: their traced peak (12.9 MB measured) stays under
-    # 16 MB, below the spectral task's (21 MB measured). The complex route,
+    # 16 MB; the spectral task's is 14.2 MB measured. The complex route,
     # with its complex Q_m, R_m, Q(eps) and eta and whole-matrix rules,
     # peaked at 27.6 MB
     spec = load_spec(shipped("step_potential.json"))

@@ -27,7 +27,7 @@ from pseudoherm import (
     spectral_metric,
     sylvester_solve,
 )
-from pseudoherm import perturbation
+from pseudoherm import perturbation, spectral
 from pseudoherm.errors import NonFiniteError
 from pseudoherm.operators import (
     DEFAULT_TOL,
@@ -44,7 +44,7 @@ from pseudoherm.spectral import (
 )
 from pseudoherm.wavekernel import step_potential
 
-from helpers import commuting_gauge, fixed_split, reference_phases, toy_2x2
+from helpers import commuting_gauge, fixed_split, formed_vectors, reference_phases, toy_2x2
 
 EPS = np.finfo(float).eps
 
@@ -375,21 +375,129 @@ def test_row_block_checks_name_the_overflowed_rows():
             c_operator(0.25 * np.eye(N), IndexReversal(N), split)
 
 
+def odd_sine_split(N):
+    """sin(3x) on the unit stencil: a PT-symmetric split in a broken PT phase at eps = 0.1."""
+    x = np.linspace(-1.0, 1.0, N)
+    return SplitHamiltonian.tridiagonal(2.0, -1.0, np.sin(3 * x), 0.1)
+
+
+def smooth_odd_split(N, epsilon):
+    """The smooth odd v = x exp(-x^2) on the step grid's points and stencil (L = 4)."""
+    x = np.linspace(-4.0, 4.0, N)
+    dx = 8.0 / (N - 1)
+    return SplitHamiltonian.tridiagonal(2.0 / dx**2, -1.0 / dx**2, x * np.exp(-x * x), epsilon)
+
+
+def assert_same_system(got, expected):
+    """got is expected bit for bit: eigenvalues, factors, frame flag and both defects."""
+    assert got.in_frame is expected.in_frame
+    assert np.array_equal(got.eigenvalues, expected.eigenvalues)
+    assert all(np.array_equal(a, b) for a, b in zip(got.factors, expected.factors))
+    assert got.gram_defect == expected.gram_defect
+    assert got.completeness_defect == expected.completeness_defect
+
+
+def assert_grid_system_matches(got, expected, H):
+    """got, from the O(N^2) route, against eig's system expected for the same H, to rounding.
+
+    The eigenvalues agree within 4 N eps |H|. The eigenvectors' rounding is
+    eps |H| over the smallest gap, and eta's is that times cond(W)^2: the
+    frame metric, relative to its largest entry, and the phase-fixed psi and
+    phi, relative to their largest column norm, agree within 16 times it.
+    Over UNBROKEN_GRIDS the eigenvalue, metric and vector differences read at
+    most 1.2, 1.25 and 2.7 times their unit bounds.
+    """
+    n, e_ref = expected.eigenvalues.size, expected.eigenvalues
+    assert got.in_frame and expected.in_frame
+    assert np.abs(got.eigenvalues - e_ref).max() <= 4 * n * EPS * H.norm()
+    sv = expected.factors[1]
+    scale = 16 * EPS * H.norm() / np.diff(e_ref.real).min() * (sv[0] / sv[-1]) ** 2
+    y, y_ref = spectral_metric(got).frame, spectral_metric(expected).frame
+    assert np.abs(y - y_ref).max() <= scale * np.abs(y_ref).max()
+    for a, b in zip(formed_vectors(got), formed_vectors(expected)):
+        assert np.abs(a - b).max() <= scale * np.linalg.norm(b, axis=0).max()
+
+
 @pytest.mark.parametrize("N", [16, 129])
 def test_split_eigensystem_is_the_operators(N):
-    # the eig runs on the split's own frame matrix, or off the frame on its
-    # dense H: the system is the Operator's, bit for bit. The odd v at this
-    # stencil is in a broken PT phase, which leaves the frame after its eig
-    x = np.linspace(-1.0, 1.0, N)
-    odd = SplitHamiltonian.tridiagonal(2.0, -1.0, np.sin(3 * x), 0.1)
-    even = SplitHamiltonian.tridiagonal(2.0, -1.0, np.abs(x), 0.1)
-    for H, has_frame, in_frame in ((grid_split(N), True, True), (odd, True, False),
-                                   (even, False, False)):
+    # off the O(N^2) route the eig runs on the split's own frame matrix, or
+    # off the frame on its dense H: the system is the Operator's, bit for
+    # bit. The odd v at this stencil is in a broken PT phase, which refuses
+    # the O(N^2) route and leaves the frame after its eig; the even v has no
+    # frame. The step grid is in the unbroken phase: its O(N^2) system is
+    # the Operator's eig system to rounding (assert_grid_system_matches)
+    odd = odd_sine_split(N)
+    even = SplitHamiltonian.tridiagonal(2.0, -1.0, np.abs(np.linspace(-1.0, 1.0, N)), 0.1)
+    for H, has_frame, in_frame in ((odd, True, False), (even, False, False)):
         assert (H.frame() is not None) is has_frame
         got, expected = biorthonormal_eigensystem(H), biorthonormal_eigensystem(H.total())
-        assert got.in_frame is expected.in_frame is in_frame
-        assert np.array_equal(got.eigenvalues, expected.eigenvalues)
-        assert all(np.array_equal(a, b) for a, b in zip(got.factors, expected.factors))
+        assert got.in_frame is in_frame
+        assert_same_system(got, expected)
+    H = grid_split(N)
+    assert_grid_system_matches(biorthonormal_eigensystem(H), biorthonormal_eigensystem(H.total()), H)
+
+
+# every case is in the unbroken PT phase; the step grid at N = 16 breaks
+# before eps = 1 (max|Im E| = 0.049 there), so it is a fallback case below
+UNBROKEN_GRIDS = [("step", N, eps) for N in (16, 129, 513) for eps in (0.1, 0.5, 1.0)
+                  if (N, eps) != (16, 1.0)]
+UNBROKEN_GRIDS += [("smooth", N, eps) for N in (16, 129, 513) for eps in (0.1, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("potential, N, epsilon", UNBROKEN_GRIDS)
+def test_grid_eigensystem_needs_no_eig_and_matches_it(potential, N, epsilon, linalg_counter):
+    # the O(N^2) eigenpairs and one real eigh of the frame metric, with no
+    # eig and no svd: eig's system to rounding, in the (Re E, Im E, index)
+    # order, every E real and strictly ascending
+    H = (discretize_schroedinger(step_potential(), 4.0, N, epsilon) if potential == "step"
+         else smooth_odd_split(N, epsilon))
+    got = biorthonormal_eigensystem(H)
+    assert dict(linalg_counter) == {"eigh": 1} and linalg_counter.dtypes["eigh"] == [np.dtype(float)]
+    e = got.eigenvalues
+    assert not e.imag.any() and np.all(np.diff(e.real) > 0)
+    assert np.array_equal(np.lexsort((np.arange(N), e.imag, e.real)), np.arange(N))
+    assert_grid_system_matches(got, biorthonormal_eigensystem(H.total()), H)
+
+
+@pytest.mark.parametrize("H", [
+    odd_sine_split(129),
+    discretize_schroedinger(step_potential(), 4.0, 65, 50.0),
+    discretize_schroedinger(step_potential(), 4.0, 16, 1.0),
+], ids=["odd_sine_129", "step_65_eps50", "step_16_eps1"])
+def test_a_broken_phase_falls_back_to_eig_bit_for_bit(H, linalg_counter, monkeypatch):
+    # a complex pair has no real root, so Newton cannot give N distinct real
+    # eigenvalues: its largest step grows within a few sweeps, where it gives
+    # up (one _pivot call per row per sweep), and the split takes eig and
+    # svd, its system the Operator route's bit for bit
+    assert H.frame() is not None
+    pivots = []
+    real_pivot = spectral._pivot
+
+    def counted(p, tiny):
+        pivots.append(p.size)
+        return real_pivot(p, tiny)
+
+    monkeypatch.setattr(spectral, "_pivot", counted)
+    got = biorthonormal_eigensystem(H)
+    assert 1 <= len(pivots) // H.dim <= 9
+    assert (linalg_counter["eig"], linalg_counter["svd"]) == (1, 1)
+    assert not got.spectrum_is_real()
+    assert_same_system(got, biorthonormal_eigensystem(H.total()))
+
+
+def test_an_unconverged_newton_run_falls_back_to_eig(monkeypatch, linalg_counter):
+    # the step grid at N = 129 and eps = 1 needs 7 Newton sweeps. After 6 its
+    # eigenvalues are within rounding already (the 6th step is 4.4e-10 |H|,
+    # the 7th 7e-16 |H|), so a route that ran a fixed 6 sweeps would pass the
+    # ordering and residual checks and return them; capped at 6 the
+    # convergence test has not been met, and the split takes eig and svd
+    H = discretize_schroedinger(step_potential(), 4.0, 129, 1.0)
+    biorthonormal_eigensystem(H)
+    assert "eig" not in linalg_counter
+    monkeypatch.setattr(spectral, "NEWTON_SWEEPS", 6)
+    got = biorthonormal_eigensystem(H)
+    assert (linalg_counter["eig"], linalg_counter["svd"]) == (1, 1)
+    assert_same_system(got, biorthonormal_eigensystem(H.total()))
 
 
 def test_equivalent_hermitian_of_the_split_matches_the_operator():

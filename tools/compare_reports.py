@@ -10,13 +10,15 @@ threads, the script runs
   `pseudoherm validate`, on each of 11 specs: the three shipped specs,
   step_potential at N = 513 and the wave-only N = 2049 spec (the benchmark's
   step_n513 and wave_n2049), perfbench.workloads.split_spec at
-  (64, 20240), (256, 20240), (64, 4) and (256, 2), and two spectral-only
+  (64, 20240), (256, 20240), (64, 4) and (256, 2), two spectral-only
   specs in a broken PT phase, whose task ends in RealityError: the dimer
   [[2i, 1], [1, -2i]] and step_potential at N = 65 and epsilon = 50 (the one
-  run that maps complex eigenvectors back from the PT frame);
+  run that maps complex eigenvectors back from the PT frame), and
+  step_potential at N = 129 and epsilon = 1, still in the unbroken phase,
+  whose Newton run on the grid's eigenvalues needs 7 sweeps;
 * `pseudoherm orders ELL` for ELL = 1..5;
 
-76 commands per tree in all.
+82 commands per tree in all.
 
 The spec files are written once, from CHANGE_TREE's shipped specs and its
 perfbench/workloads.py, so both trees read the same bytes. Each command's
@@ -74,6 +76,10 @@ def write_specs(tree: Path, work: Path) -> dict[str, Path]:
         path.write_text(json.dumps({**doc, "name": name, "tasks": [{"kind": "spectral"}]}),
                         encoding="utf-8")
         specs[name] = path
+    step["model"]["schroedinger"].update(N=129, epsilon=1.0)
+    path = work / "slow_step.json"
+    path.write_text(json.dumps({**step, "name": "slow_step"}), encoding="utf-8")
+    specs[path.stem] = path
     return specs
 
 
